@@ -8,19 +8,28 @@ collapse (by symmetry) to a single (t+1)-level register in the Hamming
 weight basis with binomial amplitudes, and the round reduces to
 discriminating two explicit mixed states at equal priors.
 
-Everything here is evaluated two independent ways. The closed form
+The main path works in sector form. The phase average makes both
+states block diagonal in the charge sectors n = b + w, where b is the
+received qubit and w the frame weight, and no block is larger than
+2x2. Helstrom's measurement is then a closed-form projector per sector,
+applied in O(t). It commutes with the phase rotation, so an attacked
+round has the same branch and pass probabilities at every relative
+phase, and one evaluation equals the phase average. The exact attack
+round drives the verifier's own machinery (entangled challenge,
+conditional Z, SWAP test) against that measurement and reproduces
+p_pass = (1 + psucc)/2.
+
+The closed form
 
     psucc(t) = 1/2 + (1/2) (1/2^t) sum_m sqrt(C(t,m) C(t,m+1))
 
-comes from pure combinatorics; the oracle builds the two averaged
-states outright and applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4.
-The exact attack round drives the verifier's own machinery (entangled
-challenge, conditional Z, SWAP test) against the Helstrom measurement
-and reproduces p_pass = (1 + psucc)/2.
-
-Continuous phase averages are replaced throughout by uniform discrete
-grids whose size strictly exceeds the trigonometric degree of every
-averaged entry, which makes the grid averages exact, not approximate.
+comes from pure combinatorics. The independent oracle builds the two
+averaged states outright as dense (2t+2)-dimensional matrices and
+applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
+phase average is replaced by a uniform grid whose size strictly
+exceeds the trigonometric degree of every averaged entry, which makes
+the grid average exact, not approximate. Grids and dense matrices
+survive only in that oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError
 from .keys import PublicKeyElement, qubit_phase_state
 from .protocol import bob_prepare_challenge, bob_verify_step
-from .qsim import DensityOperator, PureState, partial_trace, tensor, trace_norm
+from .qsim import DensityOperator, PureState, trace_norm
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
@@ -59,10 +68,10 @@ __all__ = [
 ]
 
 # Exact integer binomials stay safe in floats well past this; beyond it
-# the log-gamma route avoids giant intermediates.
+# the log-space routes avoid giant intermediates.
 LOG_SPACE_THRESHOLD = 50
 
-# Largest t the explicit density-operator constructions will attempt.
+# Largest t the dense oracle (explicit density operators) will attempt.
 _MAX_ORACLE_T = 256
 
 _LN2 = math.log(2.0)
@@ -132,21 +141,34 @@ def fool_first_attempt_bound(t: int, s: int) -> float:
     return (1.0 - 1.0 / (8.0 * (t + 1))) ** s
 
 
-def frame_vector(t: int, angle: float) -> np.ndarray:
+def _frame_magnitudes(t: int) -> np.ndarray:
+    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding."""
+    if t <= LOG_SPACE_THRESHOLD:
+        return np.array([math.sqrt(math.comb(t, w) / 2**t) for w in range(t + 1)])
+    # Log-pmf recurrence outward from the mode m, with step
+    # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
+    # stay small wherever the mass is. Log-gamma values have size t log t,
+    # and their rounding alone would push the norm off 1 by 1e-11 at t = 1e4.
+    m = t // 2
+    w = np.arange(t, dtype=np.float64)
+    step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
+    log_pmf = np.zeros(t + 1)
+    log_pmf[m + 1:] = np.cumsum(step[m:])
+    log_pmf[:m] = -np.cumsum(step[m - 1::-1])[::-1]
+    mags = np.exp(0.5 * log_pmf)
+    return mags / math.sqrt(math.fsum(mags * mags))
+
+
+def frame_vector(t: int, angle) -> np.ndarray:
     """Weight-basis amplitudes of t phase-state copies at a given angle.
 
     Entry w is sqrt(C(t,w)/2^t) e^{i w angle}; the t-qubit product state
     lives entirely in the symmetric subspace, so this (t+1)-vector is
-    the whole story.
+    the whole story. An array of angles gives one vector per angle, on
+    a trailing axis.
     """
     t = _check_t(t)
-    if t <= LOG_SPACE_THRESHOLD:
-        mags = np.array([math.sqrt(math.comb(t, w) / 2**t) for w in range(t + 1)])
-    else:
-        mags = np.array(
-            [math.exp(0.5 * (log_binomial(t, w) - t * _LN2)) for w in range(t + 1)]
-        )
-    return mags * np.exp(1j * angle * np.arange(t + 1))
+    return _frame_magnitudes(t) * np.exp(1j * np.multiply.outer(angle, np.arange(t + 1)))
 
 
 @dataclass(frozen=True)
@@ -174,15 +196,14 @@ def _pair_grid(t: int) -> int:
     return 2 * t + 5
 
 
-def _attack_grid(t: int) -> int:
-    # Worst-case degree through the full round algebra is <= 2t+4.
-    return 4 * (t + 3)
+def _challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
+    """(|0> + sign e^{i angle}|1>)/sqrt(2) (x) frame(angle) for each angle.
 
-
-def _challenge_and_frame(pair_angle: float, t: int, sign: int) -> np.ndarray:
-    """Flat vector of (|0> + sign e^{i angle}|1>)/sqrt(2) (x) frame(angle)."""
-    qubit = np.array([1.0, sign * np.exp(1j * pair_angle)]) / math.sqrt(2.0)
-    return np.kron(qubit, frame_vector(t, pair_angle))
+    Shape ``np.shape(angles) + (2, t+1)``: (received qubit, frame weight).
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    qubit = np.stack([np.ones_like(angles), sign * np.exp(1j * angles)], axis=-1)
+    return qubit[..., :, None] * frame_vector(t, angles)[..., None, :] / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -207,7 +228,8 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
     adversary, so one shared angle rotates the whole product. A uniform
     grid of at least t+2 points reproduces the continuous average
     exactly (every matrix entry is a trig polynomial of degree <= t+1);
-    the default keeps a safety margin.
+    the default keeps a safety margin. This dense construction is the
+    independent oracle; the main path never builds it.
     """
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
@@ -215,51 +237,74 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
     grid = _pair_grid(t) if grid_points is None else int(grid_points)
     if grid < t + 2:
         raise ValueError(f"grid of {grid} points cannot average degree t+1 exactly")
+    angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
     dim = 2 * (t + 1)
-    acc = {+1: np.zeros((dim, dim), dtype=np.complex128),
-           -1: np.zeros((dim, dim), dtype=np.complex128)}
-    for k in range(1, grid + 1):
-        angle = 2.0 * math.pi * k / grid
-        for sign in (+1, -1):
-            vec = _challenge_and_frame(angle, t, sign)
-            acc[sign] += np.outer(vec, vec.conj())
-    return DiscriminationPair(
-        t,
-        DensityOperator((2, t + 1), acc[+1] / grid),
-        DensityOperator((2, t + 1), acc[-1] / grid),
-    )
+
+    def average(sign: int) -> DensityOperator:
+        vecs = _challenge_and_frame(angles, t, sign).reshape(grid, dim)
+        return DensityOperator((2, t + 1), vecs.T @ vecs.conj() / grid)
+
+    return DiscriminationPair(t, average(+1), average(-1))
 
 
 @dataclass(frozen=True)
 class HelstromStrategy:
-    """Optimal binary measurement: project onto the positive part of the gap."""
+    """Optimal binary measurement {P+, P-} on the (received, frame) registers.
+
+    Stored in sector form. The phase-averaged pair is block diagonal in
+    the charge sectors n = b + w. In each interior sector 1 <= n <= t
+    the gap rho+ - rho- is c_n c_{n-1} sigma_x on {|0,n>, |1,n-1>}
+    (c_w the frame magnitudes), so by Helstrom's theorem P+ projects
+    onto (|0,n> + |1,n-1>)/sqrt(2). The 1x1 end sectors |0,0> and
+    |1,t> carry no gap; both go to P+. Being block diagonal in n, P+
+    commutes with the phase rotation e^{i(b+w) theta}.
+    """
 
     t: int
-    projector_plus: np.ndarray
     psucc: float
 
     def __post_init__(self):
-        proj = np.asarray(self.projector_plus)
-        if np.max(np.abs(proj @ proj - proj)) > COMPARE_ATOL:
-            raise ValueError("projector_plus is not idempotent within tolerance")
+        _check_t(self.t)
         if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
             raise ValueError(f"psucc {self.psucc!r} outside [1/2, 1]")
 
+    def project(self, psi) -> tuple[np.ndarray, np.ndarray]:
+        """(P+ psi, P- psi), sector by sector, in O(t).
+
+        The last two axes of ``psi`` are (received qubit, frame weight),
+        of shape (2, t+1); any leading axes are carried along.
+        """
+        psi = np.asarray(psi)
+        if psi.shape[-2:] != (2, self.t + 1):
+            raise DimensionMismatchError(
+                f"expected trailing axes (2, {self.t + 1}), got shape {psi.shape}"
+            )
+        zero, one = psi[..., 0, :], psi[..., 1, :]
+        mid = 0.5 * (zero[..., 1:] + one[..., :-1])
+        plus = np.empty_like(psi)
+        plus[..., 0, 0] = zero[..., 0]
+        plus[..., 0, 1:] = mid
+        plus[..., 1, :-1] = mid
+        plus[..., 1, -1] = one[..., -1]
+        return plus, psi - plus
+
+    @property
+    def projector_plus(self) -> np.ndarray:
+        """Dense 2(t+1)-dimensional matrix of P+, built on demand."""
+        dim = 2 * (self.t + 1)
+        columns, _ = self.project(np.eye(dim, dtype=np.complex128).reshape(dim, 2, self.t + 1))
+        return columns.reshape(dim, dim).T
+
 
 def helstrom_strategy(t: int) -> HelstromStrategy:
-    """Build the optimal discrimination measurement for t copies.
+    """The optimal discrimination measurement for t copies.
 
-    Eigenvectors of rho+ - rho- with nonnegative eigenvalue form the
-    "+" projector (zero modes are assigned to "+"; they carry no
-    success weight either way).
+    Its success probability is 1/2 + (1/4) sum_n ||gap_n||_1
+    = 1/2 + (1/2) sum_n c_n c_{n-1}.
     """
-    pair = build_discrimination_pair(t)
-    gap = pair.rho_plus.matrix - pair.rho_minus.matrix
-    eigvals, eigvecs = np.linalg.eigh(gap)
-    chosen = eigvecs[:, eigvals >= 0.0]
-    projector = chosen @ chosen.conj().T
-    psucc = 0.5 + 0.25 * trace_norm(gap)
-    return HelstromStrategy(t, projector, float(psucc))
+    t = _check_t(t)
+    mags = _frame_magnitudes(t)
+    return HelstromStrategy(t, 0.5 + 0.5 * math.fsum(mags[1:] * mags[:-1]))
 
 
 def helstrom_psucc_oracle(t: int) -> float:
@@ -282,30 +327,28 @@ def attack_round_branches(strategy: HelstromStrategy,
     """Exact branch analysis of one attacked kernel round.
 
     The verifier prepares the entangled challenge; the adversary
-    measures {P+, 1-P+} on the received register joined with her frame;
+    measures {P+, P-} on the received register joined with her frame;
     the verifier applies the conditional Z and SWAP-tests his kept
     register against a fresh authentic copy. ``angle`` is the honest
     phase relative to the adversary's reference.
+
+    Each branch's kept 2x2 state is formed directly from the projected
+    (kept, received, frame) amplitudes, in O(t).
     """
     t = strategy.t
     challenge = bob_prepare_challenge()
-    frame = PureState((t + 1,), frame_vector(t, angle))
-    joint = tensor(challenge.joint_state, frame)  # registers: kept, sent, frame
     pk = PublicKeyElement(qubit_phase_state(angle))
-
-    dim_af = 2 * (t + 1)
-    psi = joint.amplitudes.reshape(2, dim_af)
+    # registers: kept, received, frame
+    psi = challenge.joint_state.as_tensor()[:, :, None] * frame_vector(t, angle)
     branches = []
-    for bit, proj in ((0, strategy.projector_plus),
-                      (1, np.eye(dim_af) - strategy.projector_plus)):
-        collapsed = psi @ proj.T
-        prob = float(np.sum(np.abs(collapsed) ** 2))
+    for bit, collapsed in enumerate(strategy.project(psi)):
+        rows = collapsed.reshape(2, -1)
+        kept = rows @ rows.conj().T
+        prob = float(np.trace(kept).real)
         if prob < ZERO_BRANCH_PROB:
             branches.append(AttackBranch(bit, prob, 0.0))
             continue
-        post = PureState((2, 2, t + 1), collapsed.reshape(-1) / math.sqrt(prob))
-        kept = partial_trace(post, (0,))
-        outcome = bob_verify_step(kept, bit, pk, mode="exact")
+        outcome = bob_verify_step(DensityOperator((2,), kept / prob), bit, pk, mode="exact")
         branches.append(AttackBranch(bit, prob, float(outcome.pass_probability)))
     total = branches[0].probability + branches[1].probability
     if abs(total - 1.0) > CONSTRUCT_ATOL:
@@ -333,10 +376,28 @@ class CheatGuessReport:
 
 
 def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatGuessReport:
-    """Exact attacked-round evaluation, averaged over the relative phase.
+    """Exact attacked-round evaluation, equal to its average over the relative phase.
 
-    Uses a grid of 4(t+3) angles, strictly above the worst-case trig
-    degree 2t+4 of any intermediate, so the average is exact.
+    One evaluation, at angle 0, suffices; no grid is needed, because
+    every branch probability and every pass probability is exactly
+    independent of the angle theta:
+
+    - P+ and P- commute with the phase rotation R(theta) =
+      e^{i(b+w) theta} on (received, frame), being block diagonal in
+      the charge b + w.
+    - The Bell challenge has charge 1, so rotating kept and received
+      together only multiplies it by e^{i theta}. The attacked state at
+      theta is thus, up to a global phase, the state at 0 rotated on
+      all three registers, and P+- act on it the same way.
+    - Branch weights are norms, unchanged by the rotation; the kept
+      state turns by R(theta) on the kept qubit, which commutes with
+      the conditional Z and turns with the authentic copy, so the
+      SWAP-test overlap is unchanged too.
+
+    The guessing probability of the strategy, (<u+|P+|u+> +
+    <u-|P-|u->)/2 on the two signed challenge-and-frame vectors, is
+    angle-independent for the same reason, and the report checks the
+    identity p_pass = (1 + psucc)/2 between the two.
     """
     t = _check_t(t)
     if strategy is None:
@@ -345,23 +406,12 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
         raise DimensionMismatchError(
             f"strategy was built for t={strategy.t}, round has t={t}"
         )
-    grid = _attack_grid(t)
-    p_pass = 0.0
-    psucc = 0.0
-    proj_plus = strategy.projector_plus
-    proj_minus = np.eye(2 * (t + 1)) - proj_plus
-    for k in range(1, grid + 1):
-        angle = 2.0 * math.pi * k / grid
-        low, high = attack_round_branches(strategy, angle)
-        p_pass += low.probability * low.pass_probability
-        p_pass += high.probability * high.pass_probability
-        u_plus = _challenge_and_frame(angle, t, +1)
-        u_minus = _challenge_and_frame(angle, t, -1)
-        psucc += 0.5 * (
-            float(np.vdot(u_plus, proj_plus @ u_plus).real)
-            + float(np.vdot(u_minus, proj_minus @ u_minus).real)
-        )
-    return CheatGuessReport(t, p_pass / grid, psucc / grid)
+    low, high = attack_round_branches(strategy, 0.0)
+    p_pass = low.probability * low.pass_probability + high.probability * high.pass_probability
+    plus, _ = strategy.project(_challenge_and_frame(0.0, t, +1))
+    _, minus = strategy.project(_challenge_and_frame(0.0, t, -1))
+    psucc = 0.5 * (float(np.vdot(plus, plus).real) + float(np.vdot(minus, minus).real))
+    return CheatGuessReport(t, p_pass, psucc)
 
 
 @dataclass(frozen=True)
@@ -382,24 +432,14 @@ class EveProver:
 def sample_attack_rounds(strategy: HelstromStrategy, trials: int, rng) -> np.ndarray:
     """Sample independent attacked rounds; returns the boolean pass array.
 
-    Each trial draws a fresh relative phase uniformly from the exact
-    averaging grid (equivalent to a fresh key), then the adversary's
-    measurement outcome, then the SWAP-test verdict.
+    The branch table is the same at every relative phase (see
+    ``eve_attack_round``), so a fresh key needs no draw of its own.
+    Each trial draws the adversary's measurement outcome, then the
+    SWAP-test verdict.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    t = strategy.t
-    grid = _attack_grid(t)
-    q_low = np.empty(grid)
-    pass_low = np.empty(grid)
-    pass_high = np.empty(grid)
-    for k in range(1, grid + 1):
-        low, high = attack_round_branches(strategy, 2.0 * math.pi * k / grid)
-        q_low[k - 1] = low.probability
-        pass_low[k - 1] = low.pass_probability
-        pass_high[k - 1] = high.pass_probability
-    ks = rng.integers(0, grid, size=trials)
-    u_branch = rng.random(trials)
+    low, high = attack_round_branches(strategy, 0.0)
+    took_low = rng.random(trials) < low.probability
     u_swap = rng.random(trials)
-    took_low = u_branch < q_low[ks]
-    return np.where(took_low, u_swap < pass_low[ks], u_swap < pass_high[ks])
+    return np.where(took_low, u_swap < low.pass_probability, u_swap < high.pass_probability)

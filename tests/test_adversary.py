@@ -30,7 +30,7 @@ from phaseid.adversary import _overlap_sum_exact, _overlap_sum_log
 from phaseid.errors import DimensionMismatchError
 from phaseid.keys import PhaseFraction, PrivateKey, ProtocolParams
 from phaseid.protocol import run_session
-from phaseid.qsim import PureState
+from phaseid.qsim import PureState, trace_norm
 from phaseid.rng import make_rng
 
 # Closed-form guessing probabilities for small copy counts:
@@ -141,7 +141,7 @@ class TestFrames:
         )
 
     def test_normalized_for_large_t(self):
-        for t in (10, 51, 120):
+        for t in (10, 51, 120, 5000, 10**4, 10**5):
             assert np.linalg.norm(frame_vector(t, 0.4)) == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -205,6 +205,38 @@ class TestHelstrom:
         proj = strat.projector_plus
         assert np.max(np.abs(proj - proj.conj().T)) < 1e-10
 
+    def test_sector_projector_is_optimal_for_dense_pair(self):
+        # the explicit pair and its trace norm are the independent oracle:
+        # tr(P+ (rho+ - rho-)) reaches (1/2)||rho+ - rho-||_1 only for a
+        # Helstrom-optimal projector
+        for t in range(0, 65):
+            pair = build_discrimination_pair(t)
+            gap = pair.rho_plus.matrix - pair.rho_minus.matrix
+            proj = helstrom_strategy(t).projector_plus
+            assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
+            assert float(np.trace(proj @ gap).real) == pytest.approx(
+                0.5 * trace_norm(gap), abs=1e-9
+            )
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 8, 64])
+    def test_projector_commutes_with_phase_rotation(self, t):
+        # R(theta) = diag(e^{i(b+w) theta}) over (received b, frame weight w)
+        proj = helstrom_strategy(t).projector_plus
+        charge = np.add.outer(np.arange(2), np.arange(t + 1)).reshape(-1)
+        for theta in (0.3, 1.0, 2.0 * math.pi / 5.0):
+            rot = np.diag(np.exp(1j * theta * charge))
+            assert np.max(np.abs(proj @ rot - rot @ proj)) <= 1e-12
+
+    def test_project_rejects_wrong_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            helstrom_strategy(2).project(np.zeros((2, 4)))
+
+    def test_strategy_beyond_oracle_cap(self):
+        t = 10_000
+        assert helstrom_strategy(t).psucc == pytest.approx(psucc_formula(t), abs=1e-9)
+        report = eve_attack_round(t)
+        assert report.p_pass_exact == pytest.approx(0.5 * (1.0 + psucc_formula(t)), abs=1e-9)
+
 
 class TestAttackRounds:
     def test_branch_probabilities_sum_to_one(self):
@@ -245,6 +277,20 @@ class TestAttackRounds:
         assert report.psucc_strategy == pytest.approx(0.5, abs=1e-9)
         assert report.p_pass_exact == pytest.approx(0.75, abs=1e-9)
 
+    @pytest.mark.parametrize("t", range(0, 9))
+    def test_single_evaluation_equals_grid_average(self, t):
+        # 4(t+3) angles lie strictly above the worst-case trig degree 2t+4
+        # of the round algebra, so this grid average is the exact one
+        strat = helstrom_strategy(t)
+        grid = 4 * (t + 3)
+        p_pass = 0.0
+        for k in range(1, grid + 1):
+            for branch in attack_round_branches(strat, 2.0 * math.pi * k / grid):
+                p_pass += branch.probability * branch.pass_probability
+        assert eve_attack_round(t, strat).p_pass_exact == pytest.approx(
+            p_pass / grid, abs=1e-12
+        )
+
 
 class TestEveProver:
     def _session(self, ks, t=1):
@@ -259,6 +305,19 @@ class TestEveProver:
         assert transcript.prover_tag == "helstrom-eve"
         for rec in transcript.records:
             assert 0.5 <= rec.pass_probability < 1.0 - 1e-9
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 64])
+    def test_round_value_is_phase_independent(self, t):
+        # every key phase k of p gives the same exact pass probability;
+        # a measurement that is not phase-covariant makes it swing with k
+        p = t + 4
+        params = ProtocolParams(r=p - 1, s=p)
+        key = PrivateKey(tuple(PhaseFraction(k, p) for k in range(1, p + 1)))
+        transcript = run_session(params, key, prover=EveProver(helstrom_strategy(t)),
+                                 mode="exact")
+        probs = [rec.pass_probability for rec in transcript.records]
+        assert max(probs) - min(probs) <= 1e-12
+        assert probs[0] == pytest.approx(0.5 * (1.0 + psucc_formula(t)), abs=1e-9)
 
     def test_round_value_depends_only_on_phase(self):
         a = self._session((1, 2, 3))

@@ -201,6 +201,13 @@ class TestRunAttack:
         code, _, _ = run_cli(["run-attack", "--t", "2", "--t-max", "4"], capsys)
         assert code == EXIT_CONFIG
 
+    def test_t_beyond_oracle_cap(self, capsys):
+        code, out, _ = run_cli(["run-attack", "--t", "300"], capsys)
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert row["p_pass"] == pytest.approx(row["p_pass_from_psucc"], abs=1e-9)
+        assert row["p_pass"] < row["p_pass_bound"]
+
     def test_t_zero_rejected(self, capsys):
         code, _, _ = run_cli(["run-attack", "--t", "0"], capsys)
         assert code == EXIT_CONFIG
