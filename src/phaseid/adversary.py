@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .keys import PublicKeyElement, qubit_phase_state
-from .protocol import bob_prepare_challenge, bob_verify_step
+from .protocol import CHUNK_ROUNDS, BranchTable, bob_prepare_challenge, verify_branches
 from .qsim import DensityOperator, PureState, trace_norm
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
@@ -62,6 +61,7 @@ __all__ = [
     "build_discrimination_pair",
     "helstrom_strategy",
     "helstrom_psucc_oracle",
+    "attack_branch_table",
     "attack_round_branches",
     "eve_attack_round",
     "sample_attack_rounds",
@@ -73,6 +73,11 @@ LOG_SPACE_THRESHOLD = 50
 
 # Largest t the dense oracle (explicit density operators) will attempt.
 _MAX_ORACLE_T = 256
+
+# Frame amplitudes, rounds x (t+1), per chunk of attacked rounds. An
+# attacked round's temporaries grow with t, so a larger t gets fewer
+# rounds per chunk; no chunk has more rounds than an honest one.
+_CHUNK_FRAME_ENTRIES = 1024
 
 _LN2 = math.log(2.0)
 
@@ -322,38 +327,44 @@ class AttackBranch:
     pass_probability: float
 
 
-def attack_round_branches(strategy: HelstromStrategy,
-                          angle: float) -> tuple[AttackBranch, AttackBranch]:
-    """Exact branch analysis of one attacked kernel round.
+def attack_branch_table(strategy: HelstromStrategy, angles) -> BranchTable:
+    """Exact branch analysis of attacked kernel rounds, one per angle.
 
     The verifier prepares the entangled challenge; the adversary
     measures {P+, P-} on the received register joined with her frame;
     the verifier applies the conditional Z and SWAP-tests his kept
-    register against a fresh authentic copy. ``angle`` is the honest
-    phase relative to the adversary's reference.
+    register against a fresh authentic copy. Each angle is the honest
+    phase relative to the adversary's reference. Rounds are evaluated
+    in vectorised chunks over a leading axis, of at most CHUNK_ROUNDS
+    rounds and about _CHUNK_FRAME_ENTRIES frame amplitudes.
 
     Each branch's kept 2x2 state is formed directly from the projected
-    (kept, received, frame) amplitudes, in O(t).
+    (kept, received, frame) amplitudes, in O(t) per round.
     """
-    t = strategy.t
-    challenge = bob_prepare_challenge()
-    pk = PublicKeyElement(qubit_phase_state(angle))
-    # registers: kept, received, frame
-    psi = challenge.joint_state.as_tensor()[:, :, None] * frame_vector(t, angle)
-    branches = []
-    for bit, collapsed in enumerate(strategy.project(psi)):
-        rows = collapsed.reshape(2, -1)
-        kept = rows @ rows.conj().T
-        prob = float(np.trace(kept).real)
-        if prob < ZERO_BRANCH_PROB:
-            branches.append(AttackBranch(bit, prob, 0.0))
-            continue
-        outcome = bob_verify_step(DensityOperator((2,), kept / prob), bit, pk, mode="exact")
-        branches.append(AttackBranch(bit, prob, float(outcome.pass_probability)))
-    total = branches[0].probability + branches[1].probability
-    if abs(total - 1.0) > CONSTRUCT_ATOL:
-        raise NumericalError(f"attack branch probabilities sum to {total!r}")
-    return branches[0], branches[1]
+    joint = bob_prepare_challenge().joint_state.as_tensor()
+    rounds = min(CHUNK_ROUNDS, max(1, _CHUNK_FRAME_ENTRIES // (strategy.t + 1)))
+    return BranchTable.in_chunks(lambda chunk: _attack_rows(strategy, joint, chunk),
+                                 angles, rounds)
+
+
+def _attack_rows(strategy: HelstromStrategy, joint: np.ndarray,
+                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probability, pass_probability) of attacked rounds; ``joint`` is the challenge."""
+    # axes: round, kept, received, frame
+    psi = joint[:, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
+    rows = np.stack(strategy.project(psi), axis=1).reshape(angles.size, 2, 2, -1)
+    kept = rows @ rows.conj().swapaxes(-1, -2)                    # (round, bit, 2, 2)
+    prob = np.trace(kept, axis1=-2, axis2=-1).real
+    live = prob >= ZERO_BRANCH_PROB
+    return prob, verify_branches(kept[live] / prob[live][:, None, None], live, angles)
+
+
+def attack_round_branches(strategy: HelstromStrategy,
+                          angle: float) -> tuple[AttackBranch, AttackBranch]:
+    """One attacked round at ``angle``: the one-row view of ``attack_branch_table``."""
+    table = attack_branch_table(strategy, [angle])
+    return tuple(AttackBranch(bit, float(table.probability[0, bit]),
+                              float(table.pass_probability[0, bit])) for bit in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -425,8 +436,8 @@ class EveProver:
     def t(self) -> int:
         return self.strategy.t
 
-    def round_branches(self, angle: float) -> tuple[AttackBranch, AttackBranch]:
-        return attack_round_branches(self.strategy, angle)
+    def round_branches(self, angles) -> BranchTable:
+        return attack_branch_table(self.strategy, angles)
 
 
 def sample_attack_rounds(strategy: HelstromStrategy, trials: int, rng) -> np.ndarray:

@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, bounds, keys, protocol
-from .errors import ConfigError, NumericalError, UsageExhaustedError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InvalidBasisError,
+    NonUnitaryGateError,
+    NumericalError,
+    StateValidationError,
+    UsageExhaustedError,
+)
 from .qsim import PureState, overlap
 from .rng import derive_seed, make_rng
 
@@ -33,6 +41,11 @@ EXIT_NUMERICAL = 5
 
 JSON_SIG_DIGITS = 12
 CSV_SIG_DIGITS = 9
+
+# Internal invariant failures. Several subclass ValueError, so they must be
+# caught before the ValueError that reports bad input.
+_INTERNAL_ERRORS = (NumericalError, np.linalg.LinAlgError, StateValidationError,
+                    DimensionMismatchError, NonUnitaryGateError, InvalidBasisError)
 
 # Stream indices for seed derivation: key material, then sessions.
 _KEY_STREAM = 0
@@ -412,15 +425,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"phaseid: invalid config: {exc}\n")
         return EXIT_CONFIG
+    except _INTERNAL_ERRORS as exc:
+        sys.stderr.write(f"phaseid: numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write(f"phaseid: invalid config: {exc}\n")
         return EXIT_CONFIG
     except UsageExhaustedError as exc:
         sys.stderr.write(f"phaseid: refusal: {exc}\n")
         return EXIT_REFUSAL
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"phaseid: numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

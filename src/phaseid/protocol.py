@@ -13,42 +13,52 @@ decomposes as (|x+ x+> - |x- x->)/sqrt(2) in any phase basis: the
 prover's outcome steers the kept register onto |x+> or |x->, and the
 conditional Z folds the second case onto the first.
 
-Exact mode propagates every measurement branch with its weight and
-reports exact pass probabilities (no randomness involved; response
-bits are recorded as null). Sampled mode draws one branch per
-measurement from a seeded generator and routes messages through the
-FIFO transport with consume-once register handles.
+A session is evaluated as one branch table: for every round, both
+response bits with their probabilities and the SWAP-test pass
+probability that follows each. The honest prover builds it with
+numpy operations over the array of key angles, in chunks of
+CHUNK_ROUNDS rounds (``honest_round_branches``); an adversary supplies
+it through its ``round_branches(angles)``. Exact mode reports
+each round's pass probability sum_b prob * pass (response bits are
+recorded as null). Sampled mode draws two uniforms per round from a
+seeded generator, in order: the response (bit 0 when the draw falls
+below its probability), then the SWAP test. No message transport is
+involved. ``alice_respond`` and ``bob_verify_step`` remain as the
+scalar, per-round form of the kernel, in both modes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageExhaustedError
-from .keys import PhaseFraction, PrivateKey, ProtocolParams, PublicKeyElement, public_key_state
+from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError
+from .keys import PhaseFraction, PrivateKey, ProtocolParams, PublicKeyElement
 from .qsim import (
     PAULI_Z,
     DensityOperator,
     PureState,
     apply_gate,
+    check_density_operators,
+    check_orthonormal_bases,
+    check_pure_states,
     equal_up_to_global_phase,
     measure_in_basis,
-    partial_trace,
+    partial_trace,  # noqa: F401  (kept importable here: the benchmark's tests look it up)
     swap_test_pass_probability,
     swap_test_pass_probability_mixed,
 )
 from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
-from .transport import RegisterHandle, Transport
 
 __all__ = [
     "KernelChallenge",
     "ResponseBranch",
     "KernelOutcome",
+    "BranchTable",
     "RoundRecord",
     "SessionTranscript",
     "UsageCounter",
@@ -56,10 +66,19 @@ __all__ = [
     "phase_basis",
     "alice_respond",
     "bob_verify_step",
+    "verify_branches",
+    "honest_round_branches",
+    "CHUNK_ROUNDS",
     "run_session",
 ]
 
 _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
+
+# Rounds per vectorised chunk of a branch table. An honest chunk's
+# temporaries take about 1.2 KB per round, so they stay near 0.3 MB
+# however long the session, while the fixed cost of a chunk stays small
+# next to its work.
+CHUNK_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -104,6 +123,65 @@ class RoundRecord:
     response_bit: int | None
     pass_probability: float | None
     passed: bool | None
+
+
+@dataclass(frozen=True)
+class BranchTable:
+    """Both response branches of every round of a session.
+
+    ``probability[j, b]`` is the chance that the prover answers bit b in
+    round j, and ``pass_probability[j, b]`` the chance that the SWAP
+    test then passes; a branch below ZERO_BRANCH_PROB carries pass 0.
+    Both arrays have shape (rounds, 2), the column being the bit.
+    Construction checks that every entry is finite and in [0, 1] and
+    that each row's branch probabilities sum to 1, all to
+    CONSTRUCT_ATOL.
+    """
+
+    probability: np.ndarray
+    pass_probability: np.ndarray
+
+    def __post_init__(self):
+        prob = np.array(self.probability, dtype=np.float64)
+        pass_prob = np.array(self.pass_probability, dtype=np.float64)
+        if prob.ndim != 2 or prob.shape[1] != 2 or pass_prob.shape != prob.shape:
+            raise DimensionMismatchError(
+                f"branch table needs two (rounds, 2) arrays, got {prob.shape} "
+                f"and {pass_prob.shape}"
+            )
+        for name, arr in (("branch", prob), ("pass", pass_prob)):
+            if not (np.isfinite(arr).all() and (arr >= -CONSTRUCT_ATOL).all()
+                    and (arr <= 1.0 + CONSTRUCT_ATOL).all()):
+                raise NumericalError(f"{name} probabilities must be finite and in [0, 1]")
+        total = prob[:, 0] + prob[:, 1]
+        bad = np.flatnonzero(np.abs(total - 1.0) > CONSTRUCT_ATOL)
+        if bad.size:
+            raise NumericalError(
+                f"branch probabilities of round {int(bad[0])} sum to {float(total[bad[0]])!r}"
+            )
+        prob.setflags(write=False)
+        pass_prob.setflags(write=False)
+        object.__setattr__(self, "probability", prob)
+        object.__setattr__(self, "pass_probability", pass_prob)
+
+    @property
+    def rounds(self) -> int:
+        return self.probability.shape[0]
+
+    @classmethod
+    def in_chunks(cls, build, angles, rounds: int) -> "BranchTable":
+        """Table of ``build`` over consecutive chunks of at most ``rounds`` angles.
+
+        ``build(chunk)`` returns the (probability, pass_probability)
+        arrays of its chunk of key angles. Evaluating chunk by chunk
+        bounds the transient arrays by the chunk, not by the session.
+        """
+        angles = np.asarray(angles, dtype=np.float64).reshape(-1)
+        parts = [build(angles[i:i + rounds]) for i in range(0, angles.size, rounds)]
+        if not parts:
+            return cls(np.empty((0, 2)), np.empty((0, 2)))
+        return cls(np.concatenate([prob for prob, _ in parts]),
+                   np.concatenate([pass_prob for _, pass_prob in parts]))
 
 
 @dataclass
@@ -172,14 +250,23 @@ def bob_prepare_challenge() -> KernelChallenge:
     return KernelChallenge(PureState((2, 2), _BELL))
 
 
+def _phase_bases(angles) -> np.ndarray:
+    """Phase bases for an array of angles, shape ``angles.shape + (2, 2)``.
+
+    Axis -2 is the outcome (0 for "+", 1 for "-"), axis -1 the component.
+    The "+" vector is the public-key element of the angle.
+    """
+    inv = 1.0 / math.sqrt(2.0)
+    ph = np.exp(1j * np.asarray(angles, dtype=np.float64))
+    first = np.full(ph.shape, inv, dtype=np.complex128)
+    return np.stack([np.stack([first, inv * ph], axis=-1),
+                     np.stack([first, -inv * ph], axis=-1)], axis=-2)
+
+
 def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis {(|0> + e^{i angle}|1>)/sqrt(2), (|0> - ...)}."""
-    inv = 1.0 / math.sqrt(2.0)
-    ph = np.exp(1j * angle)
-    return (
-        np.array([inv, inv * ph], dtype=np.complex128),
-        np.array([inv, -inv * ph], dtype=np.complex128),
-    )
+    plus, minus = _phase_bases(angle)
+    return plus, minus
 
 
 def alice_respond(challenge: KernelChallenge, x: PhaseFraction, mode: str = "exact", rng=None):
@@ -224,48 +311,60 @@ def bob_verify_step(kept, response_bit: int, pk: PublicKeyElement,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exact_honest_round(x: PhaseFraction, pk: PublicKeyElement) -> float:
-    challenge = bob_prepare_challenge()
-    marginal = 0.0
-    for branch in alice_respond(challenge, x, mode="exact"):
-        if branch.probability < ZERO_BRANCH_PROB or branch.post_state is None:
-            continue
-        kept = partial_trace(branch.post_state, (challenge.kept_register,))
-        outcome = bob_verify_step(kept, branch.bit, pk, mode="exact")
-        marginal += branch.probability * outcome.pass_probability
-    return marginal
+def verify_branches(kept: np.ndarray, live: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """``bob_verify_step`` in exact mode over every live branch of a set of rounds.
+
+    ``live`` (rounds, 2) marks the branches at or above ZERO_BRANCH_PROB,
+    the column being the response bit; ``kept`` holds their normalised
+    kept 2x2 states in the row-major order of ``live``, shape (n, 2, 2);
+    ``angles`` holds each round's key angle. Each kept state, its
+    Z-corrected form and the authentic copy are validated as density
+    operators (the copy also as a pure state). Returns the SWAP-test
+    pass probabilities (1 + tr rho sigma)/2, shape (rounds, 2), with 0
+    for every branch that is not live.
+    """
+    bits = np.broadcast_to(np.arange(2), live.shape)[live]
+    check_density_operators(kept)
+    corrected = np.where((bits == 1)[:, None, None], PAULI_Z @ kept @ PAULI_Z, kept)
+    check_density_operators(corrected)
+    authentic = _phase_bases(np.broadcast_to(angles[:, None], live.shape)[live])[:, 0, :]
+    check_pure_states(authentic)
+    sigma = authentic[:, :, None] * authentic.conj()[:, None, :]
+    check_density_operators(sigma)
+    pass_prob = np.zeros(live.shape)
+    pass_prob[live] = 0.5 * (1.0 + np.trace(corrected @ sigma, axis1=-2, axis2=-1).real)
+    return pass_prob
 
 
-def _sampled_honest_round(x: PhaseFraction, pk: PublicKeyElement, rng,
-                          transport: Transport) -> tuple[int, bool]:
-    challenge = bob_prepare_challenge()
-    transport.send(RegisterHandle(challenge, challenge.sent_register))
+def honest_round_branches(angles) -> BranchTable:
+    """Branch table of honest rounds at the given key angles.
 
-    handle = transport.recv()
-    received, _register = handle.consume()
-    branch = alice_respond(received, x, mode="sampled", rng=rng)
-    transport.send(branch.bit)
-
-    bit = transport.recv()
-    kept = partial_trace(branch.post_state, (challenge.kept_register,))
-    outcome = bob_verify_step(kept, bit, pk, mode="sampled", rng=rng)
-    return bit, bool(outcome.passed)
+    The rounds are evaluated in vectorised chunks of CHUNK_ROUNDS. Every
+    round makes the checks of its scalar form (``alice_respond``,
+    ``partial_trace``, ``bob_verify_step``) on stacked arrays: the
+    phase bases are orthonormal, each collapsed (kept, sent) state is
+    normalised, and every 2x2 state is a density operator. The Bell
+    challenge is the same in every round and is validated once.
+    """
+    joint = bob_prepare_challenge().joint_state.as_tensor()
+    return BranchTable.in_chunks(lambda chunk: _honest_rows(joint, chunk), angles, CHUNK_ROUNDS)
 
 
-def _sampled_adversary_round(prover, x: PhaseFraction, rng,
-                             transport: Transport) -> tuple[int, bool]:
-    challenge = bob_prepare_challenge()
-    transport.send(RegisterHandle(challenge, challenge.sent_register))
-
-    handle = transport.recv()
-    handle.consume()
-    low, high = prover.round_branches(x.angle())
-    branch = low if rng.random() < low.probability else high
-    transport.send(branch.bit)
-
-    bit = transport.recv()
-    passed = bool(rng.random() < branch.pass_probability)
-    return bit, passed
+def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probability, pass_probability) of honest rounds against the (kept, sent) ``joint``."""
+    bases = _phase_bases(angles)                                  # (round, outcome, 2)
+    check_orthonormal_bases(bases)
+    # Contract each basis vector with the sent register:
+    # inner[j, b, i] = sum_k conj(bases[j, b, k]) joint[i, k], i the kept register.
+    inner = bases.conj() @ joint.T
+    prob = np.sum(np.abs(inner) ** 2, axis=-1)
+    live = prob >= ZERO_BRANCH_PROB
+    # Collapsed states over (kept, sent) of the live branches, renormalised.
+    post = inner[live][:, :, None] * bases[live][:, None, :]
+    post = post / np.sqrt(prob[live])[:, None, None]
+    check_pure_states(post.reshape(-1, 4))
+    kept = post @ post.conj().swapaxes(-1, -2)
+    return prob, verify_branches(kept, live, angles)
 
 
 def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest", *,
@@ -274,23 +373,23 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     """Run one full s-round session and return its transcript.
 
     ``prover`` is "honest" or an adversary object exposing
-    ``round_branches(angle)``. Honest sessions draw on a UsageCounter
-    (a fresh single-use one when none is given) and refuse, rather than
-    reject, once it is exhausted. All s rounds always run; the verdict
-    is decided at the end.
+    ``round_branches(angles)``, which returns the BranchTable of a
+    session at an array of key angles. Honest sessions draw on a
+    UsageCounter (a fresh single-use one when none is given) and
+    refuse, rather than reject, once it is exhausted. All s rounds
+    always run; the verdict is decided at the end.
 
     In exact mode the verdict is "accept" only when every round passes
-    with certainty, which is the honest-prover case.
+    with certainty, which is the honest-prover case. Sampled mode draws
+    two uniforms per round, response then SWAP test, so a seed gives
+    the same transcript as drawing them one round at a time.
     """
     if private_key.s != params.s or private_key.p != params.p:
         raise ValueError("private key does not match params")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = None
-    if mode == "sampled":
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
-        rng = make_rng(seed)
+    if mode == "sampled" and seed is None:
+        raise ValueError("sampled mode requires a seed")
 
     honest = isinstance(prover, str)
     if honest and prover != "honest":
@@ -303,34 +402,31 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     else:
         prover_tag = getattr(prover, "tag", "adversary")
 
-    transport = Transport()
-    records: list[RoundRecord] = []
-    for j, x in enumerate(private_key.xs, start=1):
-        pk = public_key_state(x)
-        if mode == "exact":
-            if honest:
-                prob = _exact_honest_round(x, pk)
-            else:
-                branches = prover.round_branches(x.angle())
-                prob = sum(b.probability * b.pass_probability for b in branches)
-            records.append(RoundRecord(j, None, float(prob), None))
-        else:
-            if honest:
-                bit, passed = _sampled_honest_round(x, pk, rng, transport)
-            else:
-                bit, passed = _sampled_adversary_round(prover, x, rng, transport)
-            records.append(RoundRecord(j, bit, None, passed))
-
+    angles = np.array([x.angle() for x in private_key.xs])
+    table = honest_round_branches(angles) if honest else prover.round_branches(angles)
+    if table.rounds != params.s:
+        raise DimensionMismatchError(
+            f"branch table has {table.rounds} rounds, the session {params.s}"
+        )
+    prob, pass_prob = table.probability, table.pass_probability
     if mode == "exact":
-        ok = all(rec.pass_probability >= 1.0 - CONSTRUCT_ATOL for rec in records)
+        marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
+        records = tuple(RoundRecord(j, None, p, None)
+                        for j, p in enumerate(marginal.tolist(), start=1))
+        ok = bool(np.all(marginal >= 1.0 - CONSTRUCT_ATOL))
     else:
-        ok = all(rec.passed for rec in records)
+        u = make_rng(seed).random((params.s, 2))
+        bits = (u[:, 0] >= prob[:, 0]).astype(np.int64)
+        passed = u[:, 1] < pass_prob[np.arange(params.s), bits]
+        records = tuple(RoundRecord(j, bit, None, passed_j) for j, (bit, passed_j)
+                        in enumerate(zip(bits.tolist(), passed.tolist()), start=1))
+        ok = bool(np.all(passed))
     return SessionTranscript(
         session_id=session_id,
         params=params,
         mode=mode,
         seed=seed,
         prover_tag=prover_tag,
-        records=tuple(records),
+        records=records,
         verdict="accept" if ok else "reject",
     )

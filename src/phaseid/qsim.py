@@ -10,6 +10,12 @@ Measurements come in two modes. Exact mode returns every branch with
 its Born probability; sampled mode draws a single branch from an
 explicitly seeded generator. Nothing in this module ever consults
 global random state.
+
+Each construction invariant is written once, in a validator that takes
+a stack of values on leading axes: ``check_pure_states``,
+``check_density_operators`` and ``check_orthonormal_bases``. The value
+classes and ``measure_in_basis`` call them on a single value; batched
+callers call them once on a whole stack.
 """
 
 from __future__ import annotations
@@ -48,17 +54,97 @@ __all__ = [
     "swap_test_pass_probability_mixed",
     "partial_trace",
     "trace_norm",
+    "check_pure_states",
+    "check_density_operators",
+    "check_orthonormal_bases",
 ]
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
+def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first flagged value of a stack (() for a single value), or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _where(idx: tuple[int, ...]) -> str:
+    return f" (stack index {idx})" if idx else ""
+
+
+def _require_finite(arr: np.ndarray, core_axes: tuple[int, ...], what: str) -> None:
+    idx = _first_bad(~np.isfinite(arr).all(axis=core_axes))
+    if idx is not None:
+        raise StateValidationError(f"{what} must be finite" + _where(idx))
+
+
 def _as_complex_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise StateValidationError("amplitudes must be finite")
+    _require_finite(arr, (-1,), "amplitudes")
     return arr
+
+
+def check_pure_states(amplitudes) -> None:
+    """Validate amplitude vectors on the last axis of a stack.
+
+    Every amplitude must be finite and every vector must have unit norm
+    to CONSTRUCT_ATOL. Leading axes index the stack; a 1-D array is one
+    state. Raises StateValidationError naming the first failing index.
+    """
+    amps = np.asarray(amplitudes)
+    _require_finite(amps, (-1,), "amplitudes")
+    norm = np.linalg.norm(amps, axis=-1)
+    idx = _first_bad(np.abs(norm - 1.0) > CONSTRUCT_ATOL)
+    if idx is not None:
+        raise StateValidationError(
+            f"state is not normalized: norm={float(norm[idx])!r}" + _where(idx)
+        )
+
+
+def check_density_operators(matrices) -> None:
+    """Validate square matrices on the last two axes of a stack.
+
+    Every entry must be finite; every matrix must be Hermitian and have
+    trace 1, both to CONSTRUCT_ATOL; and no eigenvalue of its Hermitian
+    part may lie below EIGENVALUE_FLOOR. Leading axes index the stack; a
+    2-D array is one operator. Raises StateValidationError naming the
+    first failing index.
+    """
+    mats = np.asarray(matrices)
+    _require_finite(mats, (-2, -1), "matrix entries")
+    adjoint = mats.conj().swapaxes(-1, -2)
+    idx = _first_bad(np.abs(mats - adjoint).max(axis=(-2, -1)) > CONSTRUCT_ATOL)
+    if idx is not None:
+        raise StateValidationError("density operator is not Hermitian" + _where(idx))
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    idx = _first_bad(np.abs(tr - 1.0) > CONSTRUCT_ATOL)
+    if idx is not None:
+        raise StateValidationError(
+            f"density operator trace is {complex(tr[idx])!r}, not 1" + _where(idx)
+        )
+    low = np.linalg.eigvalsh((mats + adjoint) / 2.0).min(axis=-1)
+    idx = _first_bad(low < EIGENVALUE_FLOOR)
+    if idx is not None:
+        raise StateValidationError(
+            f"density operator has eigenvalue {float(low[idx])!r} < 0" + _where(idx)
+        )
+
+
+def check_orthonormal_bases(bases) -> None:
+    """Validate bases of row vectors on the last two axes of a stack.
+
+    Row i of each (n, d) matrix is basis vector i; the Gram matrix must
+    equal the identity to CONSTRUCT_ATOL. Raises InvalidBasisError
+    naming the first failing index.
+    """
+    vecs = np.asarray(bases)
+    gram = vecs.conj() @ vecs.swapaxes(-1, -2)
+    off = np.abs(gram - np.eye(vecs.shape[-2])).max(axis=(-2, -1))
+    idx = _first_bad(off > CONSTRUCT_ATOL)
+    if idx is not None:
+        raise InvalidBasisError("basis is not orthonormal within tolerance" + _where(idx))
 
 
 @dataclass(frozen=True)
@@ -72,14 +158,12 @@ class PureState:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise StateValidationError(f"register dims must be positive, got {dims}")
-        amps = _as_complex_vector(self.amplitudes)
+        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
         if amps.size != math.prod(dims):
             raise StateValidationError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > CONSTRUCT_ATOL:
-            raise StateValidationError(f"state is not normalized: norm={norm!r}")
+        check_pure_states(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -134,16 +218,7 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=np.complex128).copy()
         if mat.shape != (d, d):
             raise StateValidationError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-            raise StateValidationError("matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > CONSTRUCT_ATOL:
-            raise StateValidationError("density operator is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > CONSTRUCT_ATOL:
-            raise StateValidationError(f"density operator trace is {tr!r}, not 1")
-        low = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-        if low < EIGENVALUE_FLOOR:
-            raise StateValidationError(f"density operator has eigenvalue {low!r} < 0")
+        check_density_operators(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -270,14 +345,7 @@ def measure_in_basis(state: PureState, register: int, basis, mode: str = "exact"
     b1 = _as_complex_vector(basis[1])
     if b0.size != 2 or b1.size != 2:
         raise InvalidBasisError("basis vectors must have length 2")
-    gram = np.array(
-        [
-            [np.vdot(b0, b0), np.vdot(b0, b1)],
-            [np.vdot(b1, b0), np.vdot(b1, b1)],
-        ]
-    )
-    if np.max(np.abs(gram - np.eye(2))) > CONSTRUCT_ATOL:
-        raise InvalidBasisError("basis is not orthonormal within tolerance")
+    check_orthonormal_bases(np.stack([b0, b1]))
 
     branches = []
     for outcome, vec in enumerate((b0, b1)):

@@ -11,6 +11,7 @@ from phaseid.adversary import (
     AttackBranch,
     EveFrame,
     EveProver,
+    attack_branch_table,
     attack_round_branches,
     binomial_frame,
     build_discrimination_pair,
@@ -28,10 +29,19 @@ from phaseid.adversary import (
 )
 from phaseid.adversary import _overlap_sum_exact, _overlap_sum_log
 from phaseid.errors import DimensionMismatchError
-from phaseid.keys import PhaseFraction, PrivateKey, ProtocolParams
-from phaseid.protocol import run_session
-from phaseid.qsim import PureState, trace_norm
+from phaseid.keys import (
+    PhaseFraction,
+    PrivateKey,
+    ProtocolParams,
+    generate_private_key,
+    public_key_state,
+)
+from phaseid.protocol import bob_prepare_challenge, bob_verify_step, run_session
+from phaseid.qsim import DensityOperator, PureState, trace_norm
 from phaseid.rng import make_rng
+from phaseid.tolerances import ZERO_BRANCH_PROB
+
+from conftest import reference_sampled_records
 
 # Closed-form guessing probabilities for small copy counts:
 # t = 2: 1/2 + sqrt(2)/4, t = 3: 1/2 + (3 + 2 sqrt(3))/16.
@@ -290,6 +300,73 @@ class TestAttackRounds:
         assert eve_attack_round(t, strat).p_pass_exact == pytest.approx(
             p_pass / grid, abs=1e-12
         )
+
+
+def _scalar_attack_round(strategy, x):
+    """Reference: one attacked round with the scalar kernel steps.
+
+    Returns ((prob, pass), (prob, pass)) for response bits 0 and 1.
+    """
+    angle = x.angle()
+    psi = bob_prepare_challenge().joint_state.as_tensor()[:, :, None] * frame_vector(
+        strategy.t, angle)
+    rows = []
+    for bit, collapsed in enumerate(strategy.project(psi)):
+        flat = collapsed.reshape(2, -1)
+        kept = flat @ flat.conj().T
+        prob = float(np.trace(kept).real)
+        if prob < ZERO_BRANCH_PROB:
+            rows.append((prob, 0.0))
+            continue
+        rho = DensityOperator((2,), kept / prob)
+        rows.append((prob, bob_verify_step(rho, bit, public_key_state(x)).pass_probability))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("t", [0, 1, 3, 8])
+@given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=15, deadline=None)
+def test_attack_table_matches_scalar_rounds(t, p, data):
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=p), min_size=1, max_size=8))
+    xs = [PhaseFraction(k, p) for k in ks]
+    strategy = helstrom_strategy(t)
+    table = attack_branch_table(strategy, [x.angle() for x in xs])
+    for j, x in enumerate(xs):
+        view = attack_round_branches(strategy, x.angle())
+        for bit, (prob, pass_prob) in enumerate(_scalar_attack_round(strategy, x)):
+            assert table.probability[j, bit] == pytest.approx(prob, abs=1e-12)
+            assert table.pass_probability[j, bit] == pytest.approx(pass_prob, abs=1e-12)
+            assert view[bit].bit == bit
+            assert view[bit].probability == pytest.approx(prob, abs=1e-12)
+            assert view[bit].pass_probability == pytest.approx(pass_prob, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1, 64])
+def test_attack_table_is_the_same_across_chunks(t):
+    # t = 64 puts 15 rounds in a chunk, so 40 rounds span three chunks
+    strategy = helstrom_strategy(t)
+    angles = 2.0 * math.pi * np.arange(1, 41) / 41
+    table = attack_branch_table(strategy, angles)
+    assert table.rounds == 40
+    for j, angle in enumerate(angles):
+        row = attack_round_branches(strategy, angle)
+        assert [b.probability for b in row] == table.probability[j].tolist()
+        assert [b.pass_probability for b in row] == table.pass_probability[j].tolist()
+
+
+@pytest.mark.parametrize("t", [1, 3, 8])
+@given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=999))
+@settings(max_examples=15, deadline=None)
+def test_eve_sampled_transcript_matches_reference_loop(t, s, seed, key_seed):
+    params = ProtocolParams(r=4, s=s)
+    key = generate_private_key(params, key_seed)
+    strategy = helstrom_strategy(t)
+    transcript = run_session(params, key, prover=EveProver(strategy), mode="sampled", seed=seed)
+    got = [(rec.j, rec.response_bit, rec.passed) for rec in transcript.records]
+    want = reference_sampled_records(key, seed,
+                                     lambda x: _scalar_attack_round(strategy, x))
+    assert got == want
 
 
 class TestEveProver:

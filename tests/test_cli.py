@@ -8,11 +8,18 @@ import pytest
 
 from phaseid.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_REFUSAL,
     EXIT_REJECT,
     _verdict_exit,
     main,
+)
+from phaseid.errors import (
+    DimensionMismatchError,
+    InvalidBasisError,
+    NonUnitaryGateError,
+    StateValidationError,
 )
 
 
@@ -178,6 +185,23 @@ class TestVerdictExit:
 
         assert _verdict_exit([_T("accept"), _T("reject")]) == EXIT_REJECT
         assert _verdict_exit([_T("accept"), _T("accept")]) == EXIT_OK
+
+
+class TestInternalFailureExit:
+    # These error classes subclass ValueError, which also reports bad input
+    # (exit 4); an internal invariant failure must still exit 5.
+    @pytest.mark.parametrize("error", [StateValidationError, DimensionMismatchError,
+                                       NonUnitaryGateError, InvalidBasisError])
+    def test_invariant_failure_exits_numerical(self, capsys, monkeypatch, error):
+        import phaseid.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise error("stub invariant failure")
+
+        monkeypatch.setattr(cli_mod.protocol, "run_session", broken)
+        code, _, err = run_cli(["run-honest", "--r", "2", "--s", "3"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: stub invariant failure" in err
 
 
 class TestRunAttack:

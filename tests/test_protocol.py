@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseid.errors import HandleReusedError, TransportEmptyError, UsageExhaustedError
+from phaseid.errors import (
+    DimensionMismatchError,
+    HandleReusedError,
+    NumericalError,
+    TransportEmptyError,
+    UsageExhaustedError,
+)
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -19,11 +25,14 @@ from phaseid.keys import (
     qubit_phase_state,
 )
 from phaseid.protocol import (
+    CHUNK_ROUNDS,
+    BranchTable,
     KernelChallenge,
     UsageCounter,
     alice_respond,
     bob_prepare_challenge,
     bob_verify_step,
+    honest_round_branches,
     phase_basis,
     run_session,
 )
@@ -34,6 +43,8 @@ from phaseid.qsim import (
     partial_trace,
 )
 from phaseid.transport import RegisterHandle, Transport
+
+from conftest import reference_sampled_records
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -203,16 +214,16 @@ class TestUsageBudget:
         class _Flat:
             tag = "flat"
 
-            def round_branches(self, angle):
-                from phaseid.protocol import ResponseBranch
+            def round_branches(self, angles):
+                return BranchTable(np.full((len(angles), 2), 0.5), np.ones((len(angles), 2)))
 
-                return (ResponseBranch(0, 0.5, None), ResponseBranch(1, 0.5, None))
-
-        # round_branches lacking pass data is unusable in exact mode,
-        # so just check the honest budget is what usage guards
         counter = UsageCounter(0)
-        params = ProtocolParams(r=1, s=1)
+        params = ProtocolParams(r=1, s=2)
         key = generate_private_key(params, 3)
+        transcript = run_session(params, key, prover=_Flat(), mode="exact", usage=counter)
+        assert transcript.prover_tag == "flat"
+        assert [rec.pass_probability for rec in transcript.records] == [1.0, 1.0]
+        assert counter.uses_remaining == 0
         with pytest.raises(UsageExhaustedError):
             run_session(params, key, mode="exact", usage=counter)
 
@@ -318,3 +329,97 @@ def test_honest_round_certainty_any_phase(p, data):
         out = bob_verify_step(kept, branch.bit, pk)
         total += branch.probability * out.pass_probability
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _scalar_honest_round(x):
+    """Reference: one honest round composed from the scalar kernel steps."""
+    pk = public_key_state(x)
+    rows = []
+    for branch in alice_respond(bob_prepare_challenge(), x):
+        kept = partial_trace(branch.post_state, (0,))
+        rows.append((branch.probability, bob_verify_step(kept, branch.bit, pk).pass_probability))
+    return rows
+
+
+@given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_honest_table_matches_scalar_rounds(p, data):
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=p), min_size=1, max_size=12))
+    xs = [PhaseFraction(k, p) for k in ks]
+    table = honest_round_branches([x.angle() for x in xs])
+    assert table.rounds == len(xs)
+    for j, x in enumerate(xs):
+        for bit, (prob, pass_prob) in enumerate(_scalar_honest_round(x)):
+            assert table.probability[j, bit] == pytest.approx(prob, abs=1e-12)
+            assert table.pass_probability[j, bit] == pytest.approx(pass_prob, abs=1e-12)
+    exact = np.sum(table.probability * table.pass_probability, axis=1)
+    np.testing.assert_allclose(exact, 1.0, rtol=0.0, atol=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_honest_sampled_transcript_matches_reference_loop(r, s, seed, data):
+    variant = data.draw(st.sampled_from(["standard", "hardened"]))
+    params = ProtocolParams(r=r, s=s, variant=variant)
+    key = generate_private_key(params, data.draw(st.integers(min_value=0, max_value=999)))
+    transcript = run_session(params, key, mode="sampled", seed=seed)
+    got = [(rec.j, rec.response_bit, rec.passed) for rec in transcript.records]
+    assert got == reference_sampled_records(key, seed, _scalar_honest_round)
+
+
+def test_honest_table_is_the_same_across_chunks():
+    n = 2 * CHUNK_ROUNDS + 88
+    angles = 2.0 * math.pi * np.arange(1, n + 1) / n
+    table = honest_round_branches(angles)
+    assert table.rounds == n
+    for j in (0, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, 2 * CHUNK_ROUNDS, n - 1):
+        one = honest_round_branches(angles[j:j + 1])
+        np.testing.assert_array_equal(table.probability[j], one.probability[0])
+        np.testing.assert_array_equal(table.pass_probability[j], one.pass_probability[0])
+
+
+class TestBranchTable:
+    def test_in_chunks_concatenates_in_order(self):
+        def build(chunk):
+            return np.stack([chunk, 1.0 - chunk], axis=1), np.ones((chunk.size, 2))
+
+        angles = np.linspace(0.0, 1.0, 11)
+        table = BranchTable.in_chunks(build, angles, 4)
+        np.testing.assert_array_equal(table.probability[:, 0], angles)
+        assert BranchTable.in_chunks(build, [], 4).rounds == 0
+
+    def test_rows_must_sum_to_one(self):
+        with pytest.raises(NumericalError):
+            BranchTable(np.array([[0.5, 0.5], [0.5, 0.4]]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1e-6, 1.0 + 1e-6, math.nan, math.inf])
+    def test_entries_must_be_probabilities(self, bad):
+        with pytest.raises(NumericalError):
+            BranchTable(np.array([[0.5, 0.5]]), np.array([[1.0, bad]]))
+        with pytest.raises(NumericalError):
+            BranchTable(np.array([[bad, 0.5]]), np.array([[1.0, 1.0]]))
+
+    def test_shape_is_rounds_by_two(self):
+        with pytest.raises(DimensionMismatchError):
+            BranchTable(np.full((2, 3), 1.0 / 3.0), np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            BranchTable(np.full((2, 2), 0.5), np.ones((3, 2)))
+
+    def test_arrays_are_read_only_copies(self):
+        prob = np.full((1, 2), 0.5)
+        table = BranchTable(prob, np.ones((1, 2)))
+        prob[0, 0] = 0.9
+        assert table.probability[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            table.pass_probability[0, 0] = 0.0
+
+    def test_session_rejects_table_of_wrong_length(self):
+        class _Short:
+            def round_branches(self, angles):
+                return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2)))
+
+        params = ProtocolParams(r=2, s=3)
+        key = generate_private_key(params, 4)
+        with pytest.raises(DimensionMismatchError):
+            run_session(params, key, prover=_Short())

@@ -20,6 +20,9 @@ from phaseid.qsim import (
     DensityOperator,
     PureState,
     apply_gate,
+    check_density_operators,
+    check_orthonormal_bases,
+    check_pure_states,
     equal_up_to_global_phase,
     measure_in_basis,
     overlap,
@@ -85,6 +88,74 @@ class TestDensityOperator:
     def test_from_pure(self):
         rho = DensityOperator.from_pure(PLUS)
         np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
+
+
+STACK = 1000
+
+
+def _pure_stack(n: int) -> np.ndarray:
+    vecs = np.random.default_rng(5).normal(size=(n, 2, 2)).view(np.complex128)[..., 0]
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
+def _density_stack(n: int) -> np.ndarray:
+    # mixtures w |v><v| + (1 - w) I/2: valid, generic, full rank
+    vecs = _pure_stack(n)
+    weights = np.linspace(0.0, 1.0, n)[:, None, None]
+    pure = vecs[:, :, None] * vecs.conj()[:, None, :]
+    return weights * pure + (1.0 - weights) * np.eye(2) / 2.0
+
+
+# each corruption, and the message of the check that must catch it
+DENSITY_CORRUPTIONS = {
+    "non-finite": (lambda m: m + np.array([[0.0, 0.0], [0.0, np.nan]]), "finite"),
+    "non-Hermitian": (lambda m: m + np.array([[0.0, 1e-9], [0.0, 0.0]]), "Hermitian"),
+    "trace": (lambda m: m * (1.0 + 1e-9), "trace"),
+    "negative eigenvalue": (lambda m: np.diag([1.0 + 1e-9, -1e-9]).astype(np.complex128),
+                            "eigenvalue"),
+}
+
+
+class TestStackedValidators:
+    def test_valid_stacks_pass(self):
+        check_pure_states(_pure_stack(STACK))
+        check_density_operators(_density_stack(STACK))
+        check_density_operators(_density_stack(STACK).reshape(STACK // 2, 2, 2, 2))
+
+    @given(st.integers(min_value=0, max_value=STACK - 1),
+           st.sampled_from(sorted(DENSITY_CORRUPTIONS)))
+    @settings(max_examples=40, deadline=None)
+    def test_one_corrupt_density_operator_is_found(self, index, kind):
+        corrupt, message = DENSITY_CORRUPTIONS[kind]
+        stack = _density_stack(STACK)
+        stack[index] = corrupt(stack[index])
+        with pytest.raises(StateValidationError, match=rf"{message}.*stack index \({index},\)"):
+            check_density_operators(stack)
+        with pytest.raises(StateValidationError):
+            DensityOperator((2,), stack[index])
+
+    @given(st.integers(min_value=0, max_value=STACK - 1), st.sampled_from(["non-finite", "norm"]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_corrupt_pure_state_is_found(self, index, kind):
+        stack = _pure_stack(STACK)
+        stack[index] = [np.inf, 0.0] if kind == "non-finite" else stack[index] * (1.0 + 1e-9)
+        with pytest.raises(StateValidationError, match=rf"stack index \({index},\)"):
+            check_pure_states(stack)
+        with pytest.raises(StateValidationError):
+            PureState((2,), stack[index])
+
+    def test_nested_stack_index_is_named(self):
+        stack = _density_stack(STACK).reshape(STACK // 2, 2, 2, 2)
+        stack[123, 1] *= 2.0
+        with pytest.raises(StateValidationError, match=r"stack index \(123, 1\)"):
+            check_density_operators(stack)
+
+    def test_bases(self):
+        bases = np.stack([np.eye(2, dtype=np.complex128)] * STACK)
+        check_orthonormal_bases(bases)
+        bases[777, 1] = [INV_SQRT2, INV_SQRT2]
+        with pytest.raises(InvalidBasisError, match=r"stack index \(777,\)"):
+            check_orthonormal_bases(bases)
 
 
 def test_tensor_of_basis_states():
