@@ -34,6 +34,7 @@ survive only in that oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,29 +140,42 @@ def cheung_bound(t: int) -> float:
 
 
 def fool_first_attempt_bound(t: int, s: int) -> float:
-    """Bound (1 - 1/(8(t+1)))^s on fooling all s rounds with t copies."""
+    """Bound (1 - 1/(8(t+1)))^s on fooling all s rounds with t copies.
+
+    Evaluated as exp(s log1p(-1/(8(t+1)))), the form of the caps in
+    bounds, so the worst attempt of a union-bound chain equals its cap.
+    """
     t = _check_t(t)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return (1.0 - 1.0 / (8.0 * (t + 1))) ** s
+    return math.exp(s * math.log1p(-1.0 / (8.0 * (t + 1))))
 
 
+@functools.lru_cache(maxsize=16)
 def _frame_magnitudes(t: int) -> np.ndarray:
-    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding."""
+    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
+
+    Memoised on t and returned read-only: an attacked session asks for
+    the same t every round.
+    """
     if t <= LOG_SPACE_THRESHOLD:
-        return np.array([math.sqrt(math.comb(t, w) / 2**t) for w in range(t + 1)])
-    # Log-pmf recurrence outward from the mode m, with step
-    # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
-    # stay small wherever the mass is. Log-gamma values have size t log t,
-    # and their rounding alone would push the norm off 1 by 1e-11 at t = 1e4.
-    m = t // 2
-    w = np.arange(t, dtype=np.float64)
-    step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
-    log_pmf = np.zeros(t + 1)
-    log_pmf[m + 1:] = np.cumsum(step[m:])
-    log_pmf[:m] = -np.cumsum(step[m - 1::-1])[::-1]
-    mags = np.exp(0.5 * log_pmf)
-    return mags / math.sqrt(math.fsum(mags * mags))
+        mags = np.array([math.sqrt(math.comb(t, w) / 2**t) for w in range(t + 1)])
+    else:
+        # Log-pmf recurrence outward from the mode m, with step
+        # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
+        # stay small wherever the mass is. Log-gamma values have size
+        # t log t, and their rounding alone would push the norm off 1 by
+        # 1e-11 at t = 1e4.
+        m = t // 2
+        w = np.arange(t, dtype=np.float64)
+        step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
+        log_pmf = np.zeros(t + 1)
+        log_pmf[m + 1:] = np.cumsum(step[m:])
+        log_pmf[:m] = -np.cumsum(step[m - 1::-1])[::-1]
+        mags = np.exp(0.5 * log_pmf)
+        mags /= math.sqrt(math.fsum(mags * mags))
+    mags.setflags(write=False)
+    return mags
 
 
 def frame_vector(t: int, angle) -> np.ndarray:
@@ -271,7 +285,7 @@ class HelstromStrategy:
     def __post_init__(self):
         _check_t(self.t)
         if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
-            raise ValueError(f"psucc {self.psucc!r} outside [1/2, 1]")
+            raise NumericalError(f"psucc {self.psucc!r} outside [1/2, 1]")
 
     def project(self, psi) -> tuple[np.ndarray, np.ndarray]:
         """(P+ psi, P- psi), sector by sector, in O(t).

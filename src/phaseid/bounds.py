@@ -13,6 +13,13 @@ with c = 8. The hardened variant concedes r extra copies to an
 adversary who also runs verification sessions against the real key
 holder; shifting every attempt by r copies doubles the constant to
 c = 16 and nothing else changes.
+
+Both caps are evaluated as exp(s log1p(-1/(c r))), never by raising a
+rounded base to the power s, so they keep full precision at large r.
+The advisor inverts the cap in closed form plus a bracketed fix-up:
+the logarithm gives s to within rounding, and a gallop and bisection
+against the evaluated cap settle the last step, in O(log s)
+evaluations at worst.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .adversary import fool_first_attempt_bound
+from .errors import ConfigError, NumericalError
 from .keys import VARIANTS
 from .tolerances import CONSTRUCT_ATOL
 
@@ -33,9 +41,6 @@ __all__ = [
 ]
 
 _CHAIN_CONSTANT = {"standard": 8, "hardened": 16}
-
-# Iteration cap for the advisor; generous next to c * r * ln(r / eps).
-_MAX_ADVISOR_S = 50_000_000
 
 
 def chain_constant(variant: str) -> int:
@@ -59,7 +64,7 @@ class SecurityEstimate:
 
     def __post_init__(self):
         if self.chain_sum > self.chain_cap * (1.0 + CONSTRUCT_ATOL):
-            raise ValueError(
+            raise NumericalError(
                 f"chain sum {self.chain_sum!r} exceeds its cap {self.chain_cap!r}"
             )
 
@@ -77,7 +82,7 @@ def union_bound_chain(t: int, r: int, s: int, variant: str = "standard") -> Secu
         raise ValueError(f"s must be >= 1, got {s}")
     extra = r if variant == "hardened" else 0
     per = tuple(fool_first_attempt_bound(t + extra + l - 1, s) for l in range(1, r - t + 1))
-    chain_cap = (r - t) * (1.0 - 1.0 / (c * r)) ** s
+    chain_cap = (r - t) * _decay(r, s, c)
     return SecurityEstimate(
         r=r,
         s=s,
@@ -88,6 +93,11 @@ def union_bound_chain(t: int, r: int, s: int, variant: str = "standard") -> Secu
         chain_cap=chain_cap,
         p_break_cap=p_break_bound(r, s, variant),
     )
+
+
+def _decay(r: int, s: int, c: int) -> float:
+    """(1 - 1/(c r))^s without rounding the base first."""
+    return math.exp(s * math.log1p(-1.0 / (c * r)))
 
 
 def p_break_bound(r: int, s: int, variant: str = "standard") -> float:
@@ -101,26 +111,58 @@ def p_break_bound(r: int, s: int, variant: str = "standard") -> float:
         raise ValueError(f"r must be >= 1, got {r}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return r * (1.0 - 1.0 / (c * r)) ** s
+    return r * _decay(r, s, c)
 
 
 def min_security_parameter(r: int, epsilon: float, variant: str = "standard") -> int:
     """Smallest s with p_break_bound(r, s, variant) <= epsilon.
 
-    Found by direct iteration from s = 1, so the defining property
-    bound(s*) <= epsilon < bound(s* - 1) holds by construction (the
-    right inequality is vacuous at s* = 1). Any positive epsilon is
-    accepted; epsilon >= the s = 1 bound simply returns 1.
+    Closed form plus bracketed fix-up. The starting point
+    s0 = ceil(log(epsilon / r) / log1p(-1/(c r))), taken in logs so
+    epsilon / r cannot underflow, is right to within rounding. From s0
+    the search gallops outward with doubling steps until it holds a
+    failing lo and a passing hi, then bisects to lo + 1 = hi. The
+    defining property bound(s*) <= epsilon < bound(s* - 1) is thus
+    checked on the evaluated cap itself (the right inequality is vacuous
+    at s* = 1), and it holds past 2^53, where neighbouring s share a
+    float and the cap is flat over long runs. Any positive epsilon is
+    accepted; epsilon >= the s = 1 bound simply returns 1. An epsilon
+    no representable s reaches raises ConfigError.
     """
+    c = chain_constant(variant)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    s = 1
-    while p_break_bound(r, s, variant) > epsilon:
-        s += 1
-        if s > _MAX_ADVISOR_S:
-            raise ValueError(
-                f"epsilon={epsilon} needs s beyond the advisor cap {_MAX_ADVISOR_S}"
-            )
-    return s
+
+    def fails(s: int) -> bool:
+        return p_break_bound(r, s, variant) > epsilon
+
+    try:
+        if not fails(1):
+            return 1
+        s = math.ceil((math.log(epsilon) - math.log(r)) / math.log1p(-1.0 / (c * r)))
+    except OverflowError:
+        # 1/(c r), or s0 with it, is past the float range: no float s
+        # brings the cap down to epsilon
+        raise ConfigError(
+            f"epsilon={epsilon} is out of reach: at this r the {variant} cap "
+            f"needs an s beyond the float range"
+        ) from None
+    if fails(s):
+        lo, step = s, 1
+        while fails(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    else:
+        hi, step = s, 1
+        while hi - step > 1 and not fails(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -27,8 +27,13 @@ from phaseid.adversary import (
     psucc_formula,
     sample_attack_rounds,
 )
-from phaseid.adversary import _overlap_sum_exact, _overlap_sum_log
-from phaseid.errors import DimensionMismatchError
+from phaseid.adversary import (
+    HelstromStrategy,
+    _frame_magnitudes,
+    _overlap_sum_exact,
+    _overlap_sum_log,
+)
+from phaseid.errors import DimensionMismatchError, NumericalError
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -156,6 +161,18 @@ class TestFrames:
                 1.0, abs=1e-12
             )
 
+    @pytest.mark.parametrize("t", [0, 1, 50, 51, 1000, 10**4])
+    def test_magnitudes_cached_equal_fresh(self, t):
+        cached = _frame_magnitudes(t)
+        assert _frame_magnitudes(t) is cached
+        np.testing.assert_array_equal(cached, _frame_magnitudes.__wrapped__(t))
+
+    def test_cached_magnitudes_reject_writes(self):
+        mags = _frame_magnitudes(4)
+        with pytest.raises(ValueError):
+            mags[0] = 0.0
+        np.testing.assert_array_equal(mags, _frame_magnitudes.__wrapped__(4))
+
     def test_binomial_frame_roundtrip(self):
         fr = binomial_frame(2)
         assert fr.t == 2
@@ -203,6 +220,12 @@ class TestHelstrom:
     def test_oracle_matches_formula(self, t):
         # trace-norm route vs closed-form route, built independently
         assert helstrom_psucc_oracle(t) == pytest.approx(psucc_formula(t), abs=1e-9)
+
+    @pytest.mark.parametrize("psucc", [0.25, 1.5, float("nan")])
+    def test_psucc_out_of_range_is_internal_failure(self, psucc):
+        # psucc is computed, never supplied by the user: exit 5, not 4
+        with pytest.raises(NumericalError):
+            HelstromStrategy(3, psucc)
 
     def test_projector_rank(self):
         strat = helstrom_strategy(2)

@@ -1,6 +1,9 @@
 """Union-bound chain and security-parameter advisor."""
 
+import json
 import math
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,16 +12,40 @@ from hypothesis import strategies as st
 
 from phaseid.adversary import fool_first_attempt_bound
 from phaseid.bounds import (
+    SecurityEstimate,
     chain_constant,
     min_security_parameter,
     p_break_bound,
     union_bound_chain,
 )
+from phaseid.cli import EXIT_CONFIG, EXIT_OK, main
+from phaseid.errors import ConfigError, NumericalError
 
 
 def _p_break_fraction(r: int, s: int, c: int) -> Fraction:
     """Exact rational oracle for r (1 - 1/(c r))^s."""
     return Fraction(r) * (1 - Fraction(1, c * r)) ** s
+
+
+def _p_break_decimal(r: int, s: int, c: int) -> Decimal:
+    """50-digit reference for r (1 - 1/(c r))^s."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(r) * (1 - Decimal(1) / (c * r)) ** s
+
+
+def _linear_scan(r: int, epsilon: float, variant: str) -> int:
+    """The advisor's definition, tried one s at a time."""
+    s = 1
+    while p_break_bound(r, s, variant) > epsilon:
+        s += 1
+    return s
+
+
+def _holds_defining_property(r: int, epsilon: float, variant: str, s_star: int) -> bool:
+    return p_break_bound(r, s_star, variant) <= epsilon and (
+        s_star == 1 or p_break_bound(r, s_star - 1, variant) > epsilon
+    )
 
 
 class TestChainConstant:
@@ -47,6 +74,17 @@ class TestPBreakBound:
     def test_oracle_grid(self, r, s, variant, c):
         want = float(_p_break_fraction(r, s, c))
         assert p_break_bound(r, s, variant) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [10**5, 10**7, 10**9])
+    @pytest.mark.parametrize("variant,c", [("standard", 8), ("hardened", 16)])
+    def test_matches_decimal_reference_at_large_r(self, r, variant, c):
+        # s around the advisor's answer for epsilon = 1e-12, where the cap
+        # is about 1e-12; rounding the base 1 - 1/(c r) before raising it
+        # to the power s would cost 1e-9 to 1e-6 relative here
+        s_star = math.ceil(c * r * math.log(r / 1e-12))
+        for s in (s_star - 1, s_star, s_star + 1):
+            want = float(_p_break_decimal(r, s, c))
+            assert p_break_bound(r, s, variant) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_rounds(self):
         # an s = 0 session checks nothing; the formula would report the
@@ -102,6 +140,20 @@ class TestUnionBoundChain:
                     assert est.chain_sum <= est.chain_cap + 1e-12
                     assert est.chain_cap <= est.p_break_cap + 1e-12
 
+    def test_worst_attempt_equals_cap(self):
+        # the last attempt holds the most copies, and its bound is the cap
+        for variant in ("standard", "hardened"):
+            for r, s in ((10, 100_000), (50, 20_000), (50, 100_000)):
+                est = union_bound_chain(t=r - 1, r=r, s=s, variant=variant)
+                assert est.per_attempt == (est.chain_cap,)
+
+    def test_chain_sum_above_cap_is_internal_failure(self):
+        # the cap is a theorem about computed values: breaking it is an
+        # internal failure (exit 5), not bad input (exit 4)
+        with pytest.raises(NumericalError):
+            SecurityEstimate(r=2, s=1, t=0, variant="standard", per_attempt=(0.6, 0.6),
+                             chain_sum=1.2, chain_cap=1.0, p_break_cap=1.5)
+
     def test_full_exposure_is_single_attempt(self):
         est = union_bound_chain(t=3, r=4, s=2)
         assert len(est.per_attempt) == 1
@@ -136,6 +188,28 @@ class TestAdvisor:
         answers = [min_security_parameter(r, 0.01) for r in range(1, 8)]
         assert all(b > a for a, b in zip(answers, answers[1:]))
 
+    @pytest.mark.parametrize(
+        "r,variant,want",
+        [(1000, "standard", 276293), (1000, "hardened", 552604), (3000, "standard", 855280)],
+    )
+    def test_large_reference_answers(self, r, variant, want):
+        assert min_security_parameter(r, 1e-12, variant) == want
+
+    def test_answers_past_two_to_the_53(self):
+        # neighbouring s share a float here, so the cap is flat over long
+        # runs; the bracket still ends on the first s where it drops
+        for r in (10**14, 10**15):
+            s_star = min_security_parameter(r, 1e-300)
+            assert s_star > 2**53
+            assert _holds_defining_property(r, 1e-300, "standard", s_star)
+
+    @pytest.mark.parametrize("r", [10**305, 10**308])
+    def test_unreachable_epsilon_is_config_error(self, r):
+        # 1/(8 r) ~ 1e-306 puts the s the cap needs beyond the float
+        # range; at 1e308, 1/(8 r) itself is past it
+        with pytest.raises(ConfigError):
+            min_security_parameter(r, 1e-12)
+
     @pytest.mark.parametrize("variant", ["standard", "hardened"])
     def test_hardened_needs_more_rounds(self, variant):
         s_std = min_security_parameter(3, 0.02, "standard")
@@ -154,3 +228,48 @@ def test_advisor_defining_property(r, epsilon, variant):
     assert p_break_bound(r, s_star, variant) <= epsilon
     if s_star > 1:
         assert p_break_bound(r, s_star - 1, variant) > epsilon
+
+
+@given(
+    st.integers(min_value=1, max_value=10**9),
+    st.floats(min_value=-300.0, max_value=0.0),
+    st.sampled_from(["standard", "hardened"]),
+)
+@settings(max_examples=300, deadline=10)
+def test_advisor_defining_property_at_scale(r, log10_epsilon, variant):
+    # the 10 ms deadline fails any search that steps through s one by one
+    epsilon = 10.0**log10_epsilon
+    s_star = min_security_parameter(r, epsilon, variant)
+    assert _holds_defining_property(r, epsilon, variant, s_star)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=-14.0, max_value=math.log10(30.0)),
+    st.sampled_from(["standard", "hardened"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_advisor_equals_linear_scan(r, log10_epsilon, variant):
+    epsilon = 10.0**log10_epsilon
+    assert min_security_parameter(r, epsilon, variant) == _linear_scan(r, epsilon, variant)
+
+
+def _run_bounds(argv, capsys):
+    code = main(["bounds", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_cli_hardened_advisor_at_large_r(capsys):
+    code, out = _run_bounds(["--r", "100000", "--epsilon", "1e-12", "--variant", "hardened"],
+                            capsys)
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert _holds_defining_property(100000, 1e-12, "hardened", row["s_min"])
+
+
+def test_cli_unreachable_epsilon_exits_config_quickly(capsys):
+    start = time.perf_counter()
+    code, out = _run_bounds(["--r", str(10**305), "--epsilon", "1e-12"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert time.perf_counter() - start < 1.0

@@ -203,6 +203,17 @@ class TestInternalFailureExit:
         assert code == EXIT_NUMERICAL
         assert "numerical failure: stub invariant failure" in err
 
+    def test_out_of_range_psucc_exits_numerical(self, capsys, monkeypatch):
+        # psucc is computed, not given: a value outside [1/2, 1] is an
+        # internal failure, never bad input
+        import phaseid.cli as cli_mod
+
+        adv = cli_mod.adversary
+        monkeypatch.setattr(adv, "helstrom_strategy", lambda t: adv.HelstromStrategy(t, 1.5))
+        code, _, err = run_cli(["run-attack", "--t", "2"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: psucc 1.5 outside" in err
+
 
 class TestRunAttack:
     def test_default_sweep(self, capsys):
