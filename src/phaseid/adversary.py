@@ -366,8 +366,8 @@ def _attack_rows(strategy: HelstromStrategy, joint: np.ndarray,
     """(probability, pass_probability) of attacked rounds; ``joint`` is the challenge."""
     # axes: round, kept, received, frame
     psi = joint[:, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
-    rows = np.stack(strategy.project(psi), axis=1).reshape(angles.size, 2, 2, -1)
-    kept = rows @ rows.conj().swapaxes(-1, -2)                    # (round, bit, 2, 2)
+    rows = np.stack(strategy.project(psi), axis=1)               # round, bit, kept, received, frame
+    kept = np.einsum("nbkxw,nblxw->nbkl", rows, rows.conj())      # (round, bit, 2, 2)
     prob = np.trace(kept, axis1=-2, axis2=-1).real
     live = prob >= ZERO_BRANCH_PROB
     return prob, verify_branches(kept[live] / prob[live][:, None, None], live, angles)

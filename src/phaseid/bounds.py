@@ -25,6 +25,7 @@ evaluations at worst.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .adversary import fool_first_attempt_bound
@@ -96,8 +97,16 @@ def union_bound_chain(t: int, r: int, s: int, variant: str = "standard") -> Secu
 
 
 def _decay(r: int, s: int, c: int) -> float:
-    """(1 - 1/(c r))^s without rounding the base first."""
-    return math.exp(s * math.log1p(-1.0 / (c * r)))
+    """(1 - 1/(c r))^s without rounding the base first.
+
+    Raises ConfigError when c r or s does not fit in a float.
+    """
+    try:
+        return math.exp(s * math.log1p(-1.0 / (c * r)))
+    except OverflowError:
+        raise ConfigError(
+            f"c*r (c={c}) and s must not exceed the float range ({sys.float_info.max:.4g})"
+        ) from None
 
 
 def p_break_bound(r: int, s: int, variant: str = "standard") -> float:

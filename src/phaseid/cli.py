@@ -307,14 +307,15 @@ def _check_averaging_equivalence() -> float:
 
 
 def _check_honest_round_certainty() -> float:
+    # One session per (variant, r), whose key runs through every phase 1..p.
     worst = 0.0
     for variant, r_top in (("standard", 5), ("hardened", 3)):
         for r in range(1, r_top + 1):
-            params = keys.ProtocolParams(r, 1, variant)
-            for k in range(1, params.p + 1):
-                key = keys.PrivateKey((keys.PhaseFraction(k, params.p),))
-                tr = protocol.run_session(params, key, "honest", mode="exact")
-                worst = max(worst, abs(1.0 - tr.records[0].pass_probability))
+            p = keys.ProtocolParams(r, 1, variant).p
+            params = keys.ProtocolParams(r, p, variant)
+            key = keys.PrivateKey(tuple(keys.PhaseFraction(k, p) for k in range(1, p + 1)))
+            tr = protocol.run_session(params, key, "honest", mode="exact")
+            worst = max(worst, max(abs(1.0 - rec.pass_probability) for rec in tr.records))
     return worst
 
 

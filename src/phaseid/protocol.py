@@ -18,13 +18,17 @@ response bits with their probabilities and the SWAP-test pass
 probability that follows each. The honest prover builds it with
 numpy operations over the array of key angles, in chunks of
 CHUNK_ROUNDS rounds (``honest_round_branches``); an adversary supplies
-it through its ``round_branches(angles)``. Exact mode reports
-each round's pass probability sum_b prob * pass (response bits are
-recorded as null). Sampled mode draws two uniforms per round from a
-seeded generator, in order: the response (bit 0 when the draw falls
-below its probability), then the SWAP test. No message transport is
-involved. ``alice_respond`` and ``bob_verify_step`` remain as the
-scalar, per-round form of the kernel, in both modes.
+it through its ``round_branches(angles)``. Every operator of a round is
+a 2x2 matrix, so ``verify_branches`` works in closed form on the
+stacks: Z rho Z flips the sign of the off-diagonal entries, tr(rho
+sigma) is a sum of elementwise products, and the positivity checks take
+the 2x2 smallest eigenvalue directly (``check_density_operators``).
+Exact mode reports each round's pass probability sum_b prob * pass
+(response bits are recorded as null). Sampled mode draws two uniforms
+per round from a seeded generator, in order: the response (bit 0 when
+the draw falls below its probability), then the SWAP test. No message
+transport is involved. ``alice_respond`` and ``bob_verify_step``
+remain as the scalar, per-round form of the kernel, in both modes.
 """
 
 from __future__ import annotations
@@ -225,16 +229,18 @@ class SessionTranscript:
             "prover_tag": self.prover_tag,
         }
         lines = [json.dumps(head)]
-        for rec in self.records:
-            if self.mode == "exact":
-                row = {
-                    "j": rec.j,
-                    "response_bit": rec.response_bit,
-                    "pass_probability": _sig12(rec.pass_probability),
-                }
-            else:
-                row = {"j": rec.j, "response_bit": rec.response_bit, "pass": rec.passed}
-            lines.append(json.dumps(row))
+        # Round rows are formatted directly; each gives the bytes json.dumps
+        # gives for the same dict.
+        if self.mode == "exact":
+            lines.extend(f'{{"j": {_json_scalar(rec.j)}, '
+                         f'"response_bit": {_json_scalar(rec.response_bit)}, '
+                         f'"pass_probability": {_json_scalar(_sig12(rec.pass_probability))}}}'
+                         for rec in self.records)
+        else:
+            lines.extend(f'{{"j": {_json_scalar(rec.j)}, '
+                         f'"response_bit": {_json_scalar(rec.response_bit)}, '
+                         f'"pass": {_json_scalar(rec.passed)}}}'
+                         for rec in self.records)
         lines.append(json.dumps({"verdict": self.verdict}))
         return lines
 
@@ -243,6 +249,25 @@ def _sig12(x: float | None) -> float | None:
     if x is None:
         return None
     return float(f"{x:.12g}")
+
+
+def _json_scalar(x) -> str:
+    """``json.dumps(x)`` for None, a bool, an int or a float.
+
+    Bools are told apart by identity, never by value: True == 1, so a
+    lookup keyed on values would print a bit 1 as ``true``. Ints and
+    finite floats print as their ``repr``, as the JSON encoder prints
+    them; anything else goes through the encoder.
+    """
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if type(x) is int or (type(x) is float and math.isfinite(x)):
+        return repr(x)
+    return json.dumps(x)
 
 
 def bob_prepare_challenge() -> KernelChallenge:
@@ -325,14 +350,18 @@ def verify_branches(kept: np.ndarray, live: np.ndarray, angles: np.ndarray) -> n
     """
     bits = np.broadcast_to(np.arange(2), live.shape)[live]
     check_density_operators(kept)
-    corrected = np.where((bits == 1)[:, None, None], PAULI_Z @ kept @ PAULI_Z, kept)
+    # Z rho Z flips the sign of the off-diagonal entries.
+    corrected = kept.copy()
+    flip = bits == 1
+    corrected[flip, 0, 1] *= -1.0
+    corrected[flip, 1, 0] *= -1.0
     check_density_operators(corrected)
     authentic = _phase_bases(np.broadcast_to(angles[:, None], live.shape)[live])[:, 0, :]
     check_pure_states(authentic)
     sigma = authentic[:, :, None] * authentic.conj()[:, None, :]
     check_density_operators(sigma)
     pass_prob = np.zeros(live.shape)
-    pass_prob[live] = 0.5 * (1.0 + np.trace(corrected @ sigma, axis1=-2, axis2=-1).real)
+    pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
     return pass_prob
 
 
@@ -363,7 +392,7 @@ def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.
     post = inner[live][:, :, None] * bases[live][:, None, :]
     post = post / np.sqrt(prob[live])[:, None, None]
     check_pure_states(post.reshape(-1, 4))
-    kept = post @ post.conj().swapaxes(-1, -2)
+    kept = np.einsum("nks,nls->nkl", post, post.conj())          # trace out the sent register
     return prob, verify_branches(kept, live, angles)
 
 

@@ -15,7 +15,9 @@ Each construction invariant is written once, in a validator that takes
 a stack of values on leading axes: ``check_pure_states``,
 ``check_density_operators`` and ``check_orthonormal_bases``. The value
 classes and ``measure_in_basis`` call them on a single value; batched
-callers call them once on a whole stack.
+callers call them once on a whole stack. On a stack of 2x2 operators,
+the form every kept qubit of a session takes, the positivity check uses
+the closed-form smallest eigenvalue instead of ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ def check_density_operators(matrices) -> None:
     part may lie below EIGENVALUE_FLOOR. Leading axes index the stack; a
     2-D array is one operator. Raises StateValidationError naming the
     first failing index.
+
+    For 2x2 matrices the smallest eigenvalue of the Hermitian part
+    [[a, b], [conj b, d]] is taken in closed form,
+    (a + d)/2 - hypot((a - d)/2, |b|), with no LAPACK call; larger
+    matrices use ``eigvalsh``. Both are compared with the same floor.
     """
     mats = np.asarray(matrices)
     _require_finite(mats, (-2, -1), "matrix entries")
@@ -124,7 +131,12 @@ def check_density_operators(matrices) -> None:
         raise StateValidationError(
             f"density operator trace is {complex(tr[idx])!r}, not 1" + _where(idx)
         )
-    low = np.linalg.eigvalsh((mats + adjoint) / 2.0).min(axis=-1)
+    if mats.shape[-2:] == (2, 2):
+        a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
+        b = 0.5 * (mats[..., 0, 1] + adjoint[..., 0, 1])
+        low = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
+    else:
+        low = np.linalg.eigvalsh((mats + adjoint) / 2.0).min(axis=-1)
     idx = _first_bad(low < EIGENVALUE_FLOOR)
     if idx is not None:
         raise StateValidationError(

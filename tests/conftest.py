@@ -1,6 +1,7 @@
 import numpy as np
 
 from phaseid.qsim import PureState
+from phaseid.tolerances import EIGENVALUE_FLOOR
 
 
 def random_pure_state(rng, dims) -> PureState:
@@ -30,3 +31,19 @@ def reference_sampled_records(key, seed, branches):
         passed = bool(rng.random() < (low, high)[bit][1])
         records.append((j, bit, passed))
     return records
+
+
+def reference_pass_probabilities(kept, bits, angles):
+    """Reference for the verifier's step over a stack of kept 2x2 states.
+
+    Built from matrix products, traces and ``eigvalsh``: Z rho Z for bit
+    1, then (1 + tr(rho sigma))/2 against the authentic copy sigma of
+    each angle. Every operator must be positive to EIGENVALUE_FLOOR.
+    """
+    z = np.diag([1.0, -1.0]).astype(np.complex128)
+    corrected = np.where((np.asarray(bits) == 1)[:, None, None], z @ kept @ z, kept)
+    authentic = np.stack([np.ones_like(angles), np.exp(1j * angles)], axis=-1) / np.sqrt(2.0)
+    sigma = authentic[:, :, None] * authentic.conj()[:, None, :]
+    for ops in (kept, corrected, sigma):
+        assert np.linalg.eigvalsh(ops).min() >= EIGENVALUE_FLOOR
+    return 0.5 * (1.0 + np.trace(corrected @ sigma, axis1=-2, axis2=-1).real)

@@ -46,7 +46,7 @@ from phaseid.qsim import DensityOperator, PureState, trace_norm
 from phaseid.rng import make_rng
 from phaseid.tolerances import ZERO_BRANCH_PROB
 
-from conftest import reference_sampled_records
+from conftest import reference_pass_probabilities, reference_sampled_records
 
 # Closed-form guessing probabilities for small copy counts:
 # t = 2: 1/2 + sqrt(2)/4, t = 3: 1/2 + (3 + 2 sqrt(3))/16.
@@ -362,6 +362,32 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
             assert view[bit].bit == bit
             assert view[bit].probability == pytest.approx(prob, abs=1e-12)
             assert view[bit].pass_probability == pytest.approx(pass_prob, abs=1e-12)
+
+
+def _reference_attack_table(strategy, angles):
+    """Attacked branch table with the kept states formed by matrix products."""
+    joint = bob_prepare_challenge().joint_state.as_tensor()
+    psi = joint[None, :, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
+    rows = np.stack(strategy.project(psi), axis=1).reshape(angles.size, 2, 2, -1)
+    kept = rows @ rows.conj().swapaxes(-1, -2)                    # (round, bit, 2, 2)
+    prob = np.trace(kept, axis1=-2, axis2=-1).real
+    live = prob >= ZERO_BRANCH_PROB
+    pass_prob = np.zeros_like(prob)
+    pass_prob[live] = reference_pass_probabilities(
+        kept[live] / prob[live][:, None, None],
+        np.broadcast_to(np.arange(2), prob.shape)[live],
+        np.broadcast_to(angles[:, None], prob.shape)[live])
+    return prob, pass_prob
+
+
+@pytest.mark.parametrize("t", [1, 3, 8, 64])
+def test_attack_table_matches_matmul_reference(t):
+    angles = np.concatenate([2.0 * math.pi * np.arange(1, 301) / 300,
+                             [PhaseFraction(k, 5).angle() for k in range(1, 6)]])
+    table = attack_branch_table(helstrom_strategy(t), angles)
+    prob, pass_prob = _reference_attack_table(helstrom_strategy(t), angles)
+    np.testing.assert_allclose(table.probability, prob, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(table.pass_probability, pass_prob, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [1, 64])

@@ -73,7 +73,7 @@ class TestPBreakBound:
     )
     def test_oracle_grid(self, r, s, variant, c):
         want = float(_p_break_fraction(r, s, c))
-        assert p_break_bound(r, s, variant) == pytest.approx(want, rel=1e-14)
+        assert p_break_bound(r, s, variant) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("r", [10**5, 10**7, 10**9])
     @pytest.mark.parametrize("variant,c", [("standard", 8), ("hardened", 16)])

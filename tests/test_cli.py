@@ -310,7 +310,7 @@ class TestBounds:
         code, out, _ = run_cli(["bounds", "--r", "2", "--s", "83"], capsys)
         assert code == EXIT_OK
         (row,) = json.loads(out)["rows"]
-        assert row["bound"] == pytest.approx(0.009432915343505939, rel=1e-11)
+        assert row["bound"] == pytest.approx(0.009432915343505939, rel=1e-11, abs=0.0)
 
     def test_advisor(self, capsys):
         code, out, _ = run_cli(["bounds", "--r", "2", "--epsilon", "0.01"], capsys)
@@ -339,6 +339,16 @@ class TestBounds:
     def test_invalid_epsilon(self, capsys):
         code, _, _ = run_cli(["bounds", "--r", "2", "--epsilon", "0"], capsys)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [["--r", str(10**308), "--s", "5"],
+                                      ["--r", str(10**400), "--s", "5", "--variant", "hardened"],
+                                      ["--r", "2", "--s", str(10**400)]])
+    def test_inputs_past_the_float_range(self, capsys, argv):
+        # c*r or s too large for a float is bad input (exit 4), as in the advisor
+        code, out, err = run_cli(["bounds", *argv], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "float range" in err
 
 
 class TestVerifyIdentities:

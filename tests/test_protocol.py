@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseid.adversary import EveProver, helstrom_strategy
 from phaseid.errors import (
     DimensionMismatchError,
     HandleReusedError,
@@ -28,6 +29,8 @@ from phaseid.protocol import (
     CHUNK_ROUNDS,
     BranchTable,
     KernelChallenge,
+    RoundRecord,
+    SessionTranscript,
     UsageCounter,
     alice_respond,
     bob_prepare_challenge,
@@ -44,7 +47,7 @@ from phaseid.qsim import (
 )
 from phaseid.transport import RegisterHandle, Transport
 
-from conftest import reference_sampled_records
+from conftest import reference_pass_probabilities, reference_sampled_records
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -296,6 +299,59 @@ class TestTranscript:
         assert json.loads(lines[-1])["verdict"] == "accept"
 
 
+    @staticmethod
+    def _reference_rows(transcript):
+        """Round rows as json.dumps writes each row's dict."""
+        rows = []
+        for rec in transcript.records:
+            if transcript.mode == "exact":
+                p = rec.pass_probability
+                row = {"j": rec.j, "response_bit": rec.response_bit,
+                       "pass_probability": None if p is None else float(f"{p:.12g}")}
+            else:
+                row = {"j": rec.j, "response_bit": rec.response_bit, "pass": rec.passed}
+            rows.append(json.dumps(row))
+        return rows
+
+    def _assert_rows_match_json_dumps(self, transcript):
+        lines = transcript.to_json_lines()
+        assert lines[1:-1] == self._reference_rows(transcript)
+        assert lines[-1] == json.dumps({"verdict": transcript.verdict})
+        return lines
+
+    @pytest.mark.parametrize("mode,seed", [("exact", None), ("sampled", 13)])
+    @pytest.mark.parametrize("prover", ["honest", "eve"])
+    def test_session_rows_match_json_dumps(self, mode, seed, prover):
+        params = ProtocolParams(r=4, s=300)
+        key = generate_private_key(params, 8)
+        who = "honest" if prover == "honest" else EveProver(helstrom_strategy(1))
+        lines = self._assert_rows_match_json_dumps(
+            run_session(params, key, who, mode=mode, seed=seed))
+        if mode == "sampled":
+            assert '"response_bit": 0,' in "".join(lines)
+            assert '"response_bit": 1,' in "".join(lines)
+            if prover == "eve":
+                assert '"pass": false}' in "".join(lines)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_hand_built_rows_match_json_dumps(self, mode):
+        # every bit and flag value, including the bit 1 next to the flag
+        # True (equal as dict keys), and floats that stress repr
+        probs = [None, 1.0, 0.0, 0.875, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 1e-13, 1e-300,
+                 5e-324, 123456.789, math.nan, math.inf]
+        records = tuple(
+            RoundRecord(j, bit, prob, passed) for j, (bit, prob, passed) in enumerate(
+                itertools.product([None, 0, 1], probs, [None, True, False]), start=1))
+        transcript = SessionTranscript(0, ProtocolParams(r=2, s=len(records)), mode, None,
+                                       "honest", records, "reject")
+        lines = self._assert_rows_match_json_dumps(transcript)
+        if mode == "sampled":
+            assert '{"j": 1, "response_bit": null, "pass": null}' in lines
+            assert any(line.endswith('"response_bit": 1, "pass": true}') for line in lines)
+        else:
+            assert any(line.endswith('"pass_probability": NaN}') for line in lines)
+
+
 class TestTransport:
     def test_fifo_order(self):
         ch = Transport()
@@ -366,6 +422,29 @@ def test_honest_sampled_transcript_matches_reference_loop(r, s, seed, data):
     transcript = run_session(params, key, mode="sampled", seed=seed)
     got = [(rec.j, rec.response_bit, rec.passed) for rec in transcript.records]
     assert got == reference_sampled_records(key, seed, _scalar_honest_round)
+
+
+def _reference_honest_table(angles):
+    """Honest branch table with the kept states formed by matrix products."""
+    joint = bob_prepare_challenge().joint_state.as_tensor()
+    bases = np.stack([np.stack(phase_basis(a)) for a in angles])   # (round, outcome, 2)
+    inner = bases.conj() @ joint.T
+    prob = np.sum(np.abs(inner) ** 2, axis=-1)
+    post = inner[..., :, None] * bases[..., None, :] / np.sqrt(prob)[..., None, None]
+    kept = (post @ post.conj().swapaxes(-1, -2)).reshape(-1, 2, 2)
+    pass_prob = reference_pass_probabilities(kept, np.tile([0, 1], len(angles)),
+                                             np.repeat(angles, 2))
+    return prob, pass_prob.reshape(-1, 2)
+
+
+def test_honest_table_matches_matmul_reference():
+    n = 2 * CHUNK_ROUNDS + 88
+    angles = np.concatenate([2.0 * math.pi * np.arange(1, n + 1) / n,
+                             [PhaseFraction(k, 7).angle() for k in range(1, 8)]])
+    table = honest_round_branches(angles)
+    prob, pass_prob = _reference_honest_table(angles)
+    np.testing.assert_allclose(table.probability, prob, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(table.pass_probability, pass_prob, rtol=0.0, atol=1e-15)
 
 
 def test_honest_table_is_the_same_across_chunks():

@@ -1,6 +1,7 @@
 """State-algebra unit and property tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from phaseid.qsim import (
     tensor,
     trace_norm,
 )
+from phaseid.tolerances import EIGENVALUE_FLOOR
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -156,6 +158,105 @@ class TestStackedValidators:
         bases[777, 1] = [INV_SQRT2, INV_SQRT2]
         with pytest.raises(InvalidBasisError, match=r"stack index \(777,\)"):
             check_orthonormal_bases(bases)
+
+
+def _rotated(eigenvalues, seed: int) -> np.ndarray:
+    """U diag(eigenvalues) U^dagger for a random unitary U."""
+    u = random_unitary(np.random.default_rng(seed), 2)
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def _reported_eigenvalue(stack) -> tuple[float, str] | None:
+    """(eigenvalue, message) of the positivity failure, or None if the stack passes."""
+    try:
+        check_density_operators(stack)
+    except StateValidationError as exc:
+        match = re.search(r"eigenvalue (\S+) < 0", str(exc))
+        assert match, str(exc)
+        return float(match.group(1)), str(exc)
+    return None
+
+
+def _eigvalsh_low(mats) -> np.ndarray:
+    return np.linalg.eigvalsh((mats + mats.conj().swapaxes(-1, -2)) / 2.0).min(axis=-1)
+
+
+# 2x2 matrices at the edge of positivity, and whether the floor admits them
+EDGE_CASES = {
+    "projector |0><0|": (np.diag([1.0, 0.0]), True),
+    "projector |1><1|": (np.diag([0.0, 1.0]), True),
+    "maximally mixed": (np.eye(2) / 2.0, True),
+    "rotated rank-1 projector": (_rotated([1.0, 0.0], 3), True),
+    "diagonal, eigenvalue -5e-11": (np.diag([1.0 + 5e-11, -5e-11]), True),
+    "rotated, eigenvalue -5e-11": (_rotated([1.0 + 5e-11, -5e-11], 4), True),
+    "diagonal, eigenvalue -2e-10": (np.diag([1.0 + 2e-10, -2e-10]), False),
+    "rotated, eigenvalue -2e-10": (_rotated([-2e-10, 1.0 + 2e-10], 5), False),
+}
+
+
+class TestTwoByTwoPositivity:
+    """The closed-form 2x2 eigenvalue check decides as ``eigvalsh`` does."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_single_matrix(self, name):
+        mat, admitted = EDGE_CASES[name]
+        mat = mat.astype(np.complex128)
+        reported = _reported_eigenvalue(mat)
+        assert (reported is None) == admitted
+        if not admitted:
+            assert reported[0] == pytest.approx(_eigvalsh_low(mat), rel=0.0, abs=1e-15)
+            assert "stack index" not in reported[1]
+        if admitted:
+            DensityOperator((2,), mat)
+        else:
+            with pytest.raises(StateValidationError):
+                DensityOperator((2,), mat)
+
+    @given(st.integers(min_value=0, max_value=STACK - 1), st.sampled_from(sorted(EDGE_CASES)))
+    @settings(max_examples=40, deadline=None)
+    def test_edge_case_in_a_stack(self, index, name):
+        mat, admitted = EDGE_CASES[name]
+        stack = _density_stack(STACK)
+        stack[index] = mat
+        reported = _reported_eigenvalue(stack)
+        assert (reported is None) == admitted
+        if not admitted:
+            assert reported[0] == pytest.approx(_eigvalsh_low(mat), rel=0.0, abs=1e-15)
+            assert f"stack index ({index},)" in reported[1]
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_hermitian_stack_matches_eigvalsh(self, seed):
+        # Random trace-1 Hermitian matrices whose smallest eigenvalue lies
+        # on either side of the floor, plus an anti-Hermitian part inside
+        # the Hermiticity tolerance: the closed form must see the same
+        # smallest eigenvalue of the Hermitian part as eigvalsh.
+        rng = np.random.default_rng(seed)
+        low = EIGENVALUE_FLOOR + rng.choice([-1.0, 1.0], STACK) * rng.uniform(1e-12, 5e-11, STACK)
+        spread = rng.random(STACK) < 0.5
+        low[spread] = rng.uniform(0.0, 0.5, int(spread.sum()))
+        u = np.stack([random_unitary(rng, 2) for _ in range(STACK)])
+        mats = (u * np.stack([low, 1.0 - low], axis=-1)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        mats[:, 0, 1] += 1e-13 * (rng.normal(size=STACK) + 1j * rng.normal(size=STACK))
+        want = _eigvalsh_low(mats)
+        for i in rng.choice(STACK, 20, replace=False):
+            reported = _reported_eigenvalue(mats[i])
+            assert (reported is None) == (want[i] >= EIGENVALUE_FLOOR)
+            if reported is not None:
+                assert reported[0] == pytest.approx(want[i], rel=0.0, abs=1e-15)
+        first_bad = np.flatnonzero(want < EIGENVALUE_FLOOR)
+        reported = _reported_eigenvalue(mats)
+        assert (reported is None) == (first_bad.size == 0)
+        if reported is not None:
+            assert reported[0] == pytest.approx(want[first_bad[0]], rel=0.0, abs=1e-15)
+            assert f"stack index ({first_bad[0]},)" in reported[1]
+        assert _reported_eigenvalue(mats[want >= EIGENVALUE_FLOOR]) is None
+
+    def test_larger_matrices_keep_eigvalsh(self):
+        mat = np.diag([0.5, 0.5 + 2e-10, -2e-10]).astype(np.complex128)
+        reported = _reported_eigenvalue(np.stack([np.eye(3) / 3.0, mat]))
+        assert reported is not None and "stack index (1,)" in reported[1]
+        assert reported[0] == pytest.approx(-2e-10, rel=0.0, abs=1e-15)
 
 
 def test_tensor_of_basis_states():
