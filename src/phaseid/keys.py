@@ -1,9 +1,10 @@
 """Key material over discrete phases, and the phase-averaging identities.
 
-A private key is a tuple of exact phase fractions k/p; the matching
-public-key element is the qubit (|0> + e^{2 pi i k/p}|1>)/sqrt(2).
-Phases live as integer pairs so nothing drifts: the only floats appear
-when a state vector is actually built.
+A private key holds exact phases k/p as an integer array of the
+numerators k over one modulus p; the matching public-key element is
+the qubit (|0> + e^{2 pi i k/p}|1>)/sqrt(2). Phases live as integers
+so nothing drifts: the only floats appear when angles or state vectors
+are actually built.
 
 The module also carries the two averaging facts the security analysis
 rests on: the discrete uniform average of e^{2 pi i a k / p} vanishes
@@ -97,26 +98,67 @@ class PhaseFraction:
         return complex(math.cos(a), math.sin(a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PrivateKey:
-    """Tuple of phase fractions, one per kernel round."""
+    """Phases k/p, one per kernel round: a read-only int64 array ``ks`` over modulus ``p``.
 
-    xs: tuple[PhaseFraction, ...]
+    ``PrivateKey(xs)`` takes PhaseFraction values sharing one modulus;
+    ``PrivateKey.from_ks`` takes the numerators as an array. ``xs`` is
+    the scalar view, one PhaseFraction per round.
+    """
 
-    def __post_init__(self):
-        if not self.xs:
+    ks: np.ndarray
+    p: int
+
+    def __init__(self, xs):
+        xs = tuple(xs)
+        if not xs:
             raise ValueError("private key needs at least one entry")
-        p = self.xs[0].p
-        if any(x.p != p for x in self.xs):
+        p = xs[0].p
+        if any(x.p != p for x in xs):
             raise ValueError("all key entries must share one modulus")
+        self._set(np.array([x.k for x in xs], dtype=np.int64), p)
+
+    @classmethod
+    def from_ks(cls, ks, p: int) -> "PrivateKey":
+        """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p."""
+        p = int(p)
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+        ks = np.array(ks)
+        if ks.ndim != 1 or ks.size == 0:
+            raise ValueError("private key needs a nonempty one-dimensional array of phases")
+        bad = np.flatnonzero((ks < 1) | (ks > p))
+        if bad.size:
+            raise ValueError(f"k must lie in 1..{p}, got {ks[bad[0]]}")
+        key = cls.__new__(cls)
+        key._set(ks.astype(np.int64), p)
+        return key
+
+    def _set(self, ks: np.ndarray, p: int) -> None:
+        ks.setflags(write=False)
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if not isinstance(other, PrivateKey):
+            return NotImplemented
+        return self.p == other.p and np.array_equal(self.ks, other.ks)
+
+    def __hash__(self):
+        return hash((self.p, self.ks.tobytes()))
 
     @property
     def s(self) -> int:
-        return len(self.xs)
+        return self.ks.size
 
     @property
-    def p(self) -> int:
-        return self.xs[0].p
+    def xs(self) -> tuple[PhaseFraction, ...]:
+        return tuple(PhaseFraction(k, self.p) for k in self.ks.tolist())
+
+    def angles(self) -> np.ndarray:
+        """Every round's angle, bit for bit ``PhaseFraction.angle()`` of its entry."""
+        return 2.0 * math.pi * (self.ks % self.p) / self.p
 
 
 @dataclass(frozen=True)
@@ -129,8 +171,7 @@ class PublicKeyElement:
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
     """Draw s phases uniformly from {1..p}, deterministically in ``seed``."""
     rng = make_rng(seed)
-    ks = rng.integers(1, params.p + 1, size=params.s)
-    return PrivateKey(tuple(PhaseFraction(int(k), params.p) for k in ks))
+    return PrivateKey.from_ks(rng.integers(1, params.p + 1, size=params.s), params.p)
 
 
 def qubit_phase_state(angle: float) -> PureState:
@@ -227,7 +268,7 @@ def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> d
         "s": params.s,
         "variant": params.variant,
         "seed": seed,
-        "xs": [x.k for x in key.xs],
+        "xs": key.ks.tolist(),
         "p": params.p,
     }
 
@@ -248,8 +289,7 @@ def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
         raise StateValidationError(
             f"key file modulus {payload['p']} does not match params (expected {params.p})"
         )
-    xs = tuple(PhaseFraction(int(k), params.p) for k in payload["xs"])
-    key = PrivateKey(xs)
+    key = PrivateKey.from_ks([int(k) for k in payload["xs"]], params.p)
     if key.s != params.s:
         raise StateValidationError("key length does not match s")
     return params, int(payload["seed"]), key
@@ -266,5 +306,5 @@ def public_key_descriptor(params: ProtocolParams, key: PrivateKey | None = None,
     if expose_phases:
         if key is None:
             raise ValueError("expose_phases requires the private key")
-        out["xs"] = [x.k for x in key.xs]
+        out["xs"] = key.ks.tolist()
     return out

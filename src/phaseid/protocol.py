@@ -15,10 +15,13 @@ conditional Z folds the second case onto the first.
 
 A session is evaluated as one branch table: for every round, both
 response bits with their probabilities and the SWAP-test pass
-probability that follows each. The honest prover builds it with
-numpy operations over the array of key angles, in chunks of
-CHUNK_ROUNDS rounds (``honest_round_branches``); an adversary supplies
-it through its ``round_branches(angles)``. Every operator of a round is
+probability that follows each. A round's rows depend on nothing but
+its key angle, and a key takes at most p distinct angles, so the table
+is built once per distinct angle, with numpy operations in chunks of
+CHUNK_ROUNDS distinct angles, and gathered back to one row per round
+(``BranchTable.in_chunks``). The honest prover builds it
+(``honest_round_branches``); an adversary supplies it through its
+``round_branches(angles)``. Every operator of a round is
 a 2x2 matrix, so ``verify_branches`` works in closed form on the
 stacks: Z rho Z flips the sign of the off-diagonal entries, tr(rho
 sigma) is a sum of elementwise products, and the positivity checks take
@@ -27,14 +30,16 @@ Exact mode reports each round's pass probability sum_b prob * pass
 (response bits are recorded as null). Sampled mode draws two uniforms
 per round from a seeded generator, in order: the response (bit 0 when
 the draw falls below its probability), then the SWAP test. No message
-transport is involved. ``alice_respond`` and ``bob_verify_step``
-remain as the scalar, per-round form of the kernel, in both modes.
+transport is involved. The transcript keeps the per-round results as
+arrays. ``alice_respond`` and ``bob_verify_step`` remain as the
+scalar, per-round form of the kernel, in both modes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +83,10 @@ __all__ = [
 
 _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
-# Rounds per vectorised chunk of a branch table. An honest chunk's
-# temporaries take about 1.2 KB per round, so they stay near 0.3 MB
-# however long the session, while the fixed cost of a chunk stays small
-# next to its work.
+# Distinct angles per vectorised chunk of a branch table. An honest
+# chunk's temporaries take about 1.2 KB per angle, so they stay near
+# 0.3 MB however many phases the key has, while the fixed cost of a
+# chunk stays small next to its work.
 CHUNK_ROUNDS = 256
 
 
@@ -174,18 +179,33 @@ class BranchTable:
 
     @classmethod
     def in_chunks(cls, build, angles, rounds: int) -> "BranchTable":
-        """Table of ``build`` over consecutive chunks of at most ``rounds`` angles.
+        """Table of ``build`` at every angle, one row per angle in order.
 
         ``build(chunk)`` returns the (probability, pass_probability)
-        arrays of its chunk of key angles. Evaluating chunk by chunk
-        bounds the transient arrays by the chunk, not by the session.
+        arrays of a chunk of key angles, one row per angle and each row
+        a function of its angle alone. It is called only on the distinct
+        angles (equal as bit patterns), in consecutive chunks of at most
+        ``rounds``, and the rows are gathered back to every angle. So a
+        session costs one evaluation per distinct key phase, and the
+        transient arrays are bounded by the chunk. Construction still
+        validates the gathered table.
         """
-        angles = np.asarray(angles, dtype=np.float64).reshape(-1)
-        parts = [build(angles[i:i + rounds]) for i in range(0, angles.size, rounds)]
+        distinct, where = _distinct(np.asarray(angles, dtype=np.float64).reshape(-1))
+        parts = [build(distinct[i:i + rounds]) for i in range(0, distinct.size, rounds)]
         if not parts:
             return cls(np.empty((0, 2)), np.empty((0, 2)))
-        return cls(np.concatenate([prob for prob, _ in parts]),
-                   np.concatenate([pass_prob for _, pass_prob in parts]))
+        return cls(np.concatenate([prob for prob, _ in parts])[where],
+                   np.concatenate([pass_prob for _, pass_prob in parts])[where])
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, where) of a float64 array, told apart by bit pattern.
+
+    ``distinct[where]`` is ``values`` bit for bit: -0.0 and 0.0, and
+    NaNs of different payloads, stay apart.
+    """
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), where.reshape(-1)
 
 
 @dataclass
@@ -208,13 +228,28 @@ class UsageCounter:
 
 @dataclass(frozen=True)
 class SessionTranscript:
+    """One session's header, per-round results and verdict.
+
+    The per-round results are arrays, one entry per round. Exact mode
+    fills ``pass_probability`` (float64); sampled mode fills
+    ``response_bit`` (int64, 0 or 1) and ``passed`` (bool). The arrays
+    a mode does not fill are None. ``records`` views the rounds as
+    RoundRecord values.
+    """
+
     session_id: int
     params: ProtocolParams
     mode: str
     seed: int | None
     prover_tag: str
-    records: tuple[RoundRecord, ...]
     verdict: str
+    pass_probability: np.ndarray | None = None
+    response_bit: np.ndarray | None = None
+    passed: np.ndarray | None = None
+
+    @property
+    def records(self) -> "Sequence[RoundRecord]":
+        return _RoundRecords(self)
 
     def to_json_lines(self) -> list[str]:
         """Transcript as JSON lines: header, one line per round, verdict."""
@@ -230,44 +265,51 @@ class SessionTranscript:
         }
         lines = [json.dumps(head)]
         # Round rows are formatted directly; each gives the bytes json.dumps
-        # gives for the same dict.
+        # gives for the row's dict. A row is its index followed by one of a
+        # few distinct tails: one per distinct pass probability in exact
+        # mode, one per (bit, flag) pair in sampled mode.
         if self.mode == "exact":
-            lines.extend(f'{{"j": {_json_scalar(rec.j)}, '
-                         f'"response_bit": {_json_scalar(rec.response_bit)}, '
-                         f'"pass_probability": {_json_scalar(_sig12(rec.pass_probability))}}}'
-                         for rec in self.records)
+            values, which = _distinct(self.pass_probability)
+            tails = [f', "response_bit": null, "pass_probability": {_json_float(_sig12(x))}}}'
+                     for x in values.tolist()]
         else:
-            lines.extend(f'{{"j": {_json_scalar(rec.j)}, '
-                         f'"response_bit": {_json_scalar(rec.response_bit)}, '
-                         f'"pass": {_json_scalar(rec.passed)}}}'
-                         for rec in self.records)
+            which = 2 * self.response_bit + self.passed
+            tails = [f', "response_bit": {bit}, "pass": {flag}}}'
+                     for bit in (0, 1) for flag in ("false", "true")]
+        lines.extend(f'{{"j": {j}{tails[i]}'
+                     for j, i in enumerate(which.tolist(), start=1))
         lines.append(json.dumps({"verdict": self.verdict}))
         return lines
 
 
-def _sig12(x: float | None) -> float | None:
-    if x is None:
-        return None
+class _RoundRecords(Sequence):
+    """A transcript's rounds as RoundRecord values, each built when it is read."""
+
+    def __init__(self, transcript: SessionTranscript):
+        self._tr = transcript
+
+    def __len__(self) -> int:
+        tr = self._tr
+        return (tr.pass_probability if tr.mode == "exact" else tr.passed).size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]
+        tr = self._tr
+        if tr.mode == "exact":
+            return RoundRecord(i + 1, None, float(tr.pass_probability[i]), None)
+        return RoundRecord(i + 1, int(tr.response_bit[i]), None, bool(tr.passed[i]))
+
+
+def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _json_scalar(x) -> str:
-    """``json.dumps(x)`` for None, a bool, an int or a float.
-
-    Bools are told apart by identity, never by value: True == 1, so a
-    lookup keyed on values would print a bit 1 as ``true``. Ints and
-    finite floats print as their ``repr``, as the JSON encoder prints
-    them; anything else goes through the encoder.
-    """
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if type(x) is int or (type(x) is float and math.isfinite(x)):
-        return repr(x)
-    return json.dumps(x)
+def _json_float(x: float) -> str:
+    """``json.dumps(x)`` for a float: its ``repr`` when finite, as the JSON
+    encoder prints it; the encoder's NaN and Infinity otherwise."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
 def bob_prepare_challenge() -> KernelChallenge:
@@ -431,7 +473,7 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     else:
         prover_tag = getattr(prover, "tag", "adversary")
 
-    angles = np.array([x.angle() for x in private_key.xs])
+    angles = private_key.angles()
     table = honest_round_branches(angles) if honest else prover.round_branches(angles)
     if table.rounds != params.s:
         raise DimensionMismatchError(
@@ -440,22 +482,22 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     prob, pass_prob = table.probability, table.pass_probability
     if mode == "exact":
         marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
-        records = tuple(RoundRecord(j, None, p, None)
-                        for j, p in enumerate(marginal.tolist(), start=1))
+        rounds = {"pass_probability": marginal}
         ok = bool(np.all(marginal >= 1.0 - CONSTRUCT_ATOL))
     else:
         u = make_rng(seed).random((params.s, 2))
         bits = (u[:, 0] >= prob[:, 0]).astype(np.int64)
         passed = u[:, 1] < pass_prob[np.arange(params.s), bits]
-        records = tuple(RoundRecord(j, bit, None, passed_j) for j, (bit, passed_j)
-                        in enumerate(zip(bits.tolist(), passed.tolist()), start=1))
+        rounds = {"response_bit": bits, "passed": passed}
         ok = bool(np.all(passed))
+    for arr in rounds.values():
+        arr.setflags(write=False)
     return SessionTranscript(
         session_id=session_id,
         params=params,
         mode=mode,
         seed=seed,
         prover_tag=prover_tag,
-        records=records,
         verdict="accept" if ok else "reject",
+        **rounds,
     )

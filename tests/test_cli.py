@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, exit codes, output formats."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phaseid
+from phaseid import cli
 from phaseid.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -386,11 +391,78 @@ class TestParsing:
         assert code == EXIT_CONFIG
 
     def test_module_entry_point(self):
+        # the child imports the same phaseid as this process, installed or not
+        src = str(Path(phaseid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "phaseid", "psucc-table", "--t-max", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         rows = json.loads(proc.stdout)["rows"]
         assert rows[0]["t"] == 1
+
+
+class TestOutputBytes:
+    # sha256 of the --out bytes, recorded before sessions were built per
+    # distinct key phase: that change must leave every byte as it was
+    @pytest.mark.parametrize("argv,digest", [
+        (["run-honest", "--r", "2", "--s", "100000", "--seed", "3"],
+         "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
+        (["run-honest", "--r", "100", "--s", "20000", "--seed", "5", "--mode", "sampled",
+          "--trials", "2"],
+         "6f5a2b53408a354b1dbb25dc2db8c58e5efbbbb25bcc6d8dc23f8f579a6d29f3"),
+    ])
+    def test_session_output_bytes(self, capsys, tmp_path, argv, digest):
+        out = tmp_path / "session.out"
+        code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ["keygen", "--r", "3", "--s", "5", "--seed", "11", "--public", "--expose-phases"],
+        ["keygen", "--r", "3", "--s", "5", "--seed", "11"],
+        ["run-honest", "--r", "2", "--s", "30", "--seed", "5", "--mode", "sampled"],
+        ["run-honest", "--r", "2", "--s", "30", "--seed", "5"],
+        ["run-honest", "--r", "2", "--s", "30"],
+        ["run-honest", "--r", "2", "--s", "30", "--variant", "hardened", "--trials", "2"],
+        ["run-honest", "--r", "2", "--s", "30"],
+        ["bounds", "--r", "2", "--s", "83", "--format", "csv"],
+        ["bounds", "--r", "2", "--epsilon", "0.01"],
+        ["run-attack", "--t", "3", "--s", "83"],
+        ["run-attack", "--t-max", "2", "--mode", "sampled", "--seed", "4", "--trials", "50"],
+        ["run-attack", "--t-max", "2"],
+    )
+
+    def _outputs(self, capsys, tmp_path):
+        tmp_path.mkdir()
+        results = []
+        for i, argv in enumerate(self.SEQUENCE):
+            out = tmp_path / f"{i}.out"
+            code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
+            results.append((code, stdout, out.read_bytes()))
+        return results
+
+    def test_shared_parser_gives_fresh_parser_bytes(self, capsys, tmp_path, monkeypatch):
+        shared = self._outputs(capsys, tmp_path / "shared")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_shared_parser", cli.build_parser)
+            fresh = self._outputs(capsys, tmp_path / "fresh")
+        assert shared == fresh
+
+    def test_no_flag_value_leaks_between_calls(self):
+        parser = cli._shared_parser()
+        assert cli._shared_parser() is parser
+        parser.parse_args(["run-honest", "--r", "2", "--s", "4", "--seed", "5",
+                           "--mode", "sampled", "--trials", "3", "--out", "x"])
+        args = parser.parse_args(["run-honest", "--r", "2", "--s", "4"])
+        assert (args.seed, args.mode, args.trials, args.out, args.variant) == \
+            (None, "exact", 1, None, "standard")
+        parser.parse_args(["keygen", "--r", "2", "--s", "4", "--seed", "1", "--public"])
+        assert parser.parse_args(["keygen", "--r", "2", "--s", "4"]).public is False
+        assert vars(parser.parse_args(["bounds", "--r", "2", "--s", "4"])) == \
+            vars(cli.build_parser().parse_args(["bounds", "--r", "2", "--s", "4"]))

@@ -1,5 +1,6 @@
 """Key material: parameter sets, phase states, averaging structure."""
 
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,30 @@ class TestPrivateKey:
         key = PrivateKey((PhaseFraction(2, 5), PhaseFraction(5, 5)))
         assert key.s == 2
         assert key.p == 5
+
+    def test_array_and_scalar_views_agree(self):
+        xs = (PhaseFraction(2, 5), PhaseFraction(5, 5), PhaseFraction(2, 5))
+        key = PrivateKey(xs)
+        assert key.ks.dtype == np.int64 and key.ks.tolist() == [2, 5, 2]
+        assert key.xs == xs
+        same = PrivateKey.from_ks([2, 5, 2], 5)
+        assert same == key and hash(same) == hash(key)
+        assert PrivateKey.from_ks([2, 5, 1], 5) != key
+        assert PrivateKey.from_ks([2, 5, 2], 6) != key
+        with pytest.raises(ValueError):
+            key.ks[0] = 1
+
+    def test_from_ks_copies_its_input(self):
+        ks = np.array([1, 2, 3])
+        key = PrivateKey.from_ks(ks, 3)
+        ks[0] = 3
+        assert key.ks.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("ks,p", [([], 3), ([[1, 2]], 3), ([0, 1], 3), ([1, 4], 3),
+                                      ([1, -2], 3), ([1, 10**30], 3), ([1], 0)])
+    def test_from_ks_rejects_bad_phases(self, ks, p):
+        with pytest.raises(ValueError):
+            PrivateKey.from_ks(ks, p)
 
 
 class TestKeygen:
@@ -248,6 +273,16 @@ class TestKeyFiles:
 
         path.write_text(json.dumps(payload))
         with pytest.raises(StateValidationError):
+            read_private_key_file(path)
+
+    @pytest.mark.parametrize("bad", [0, 5, -1, 10**30])
+    def test_rejects_phase_out_of_range(self, tmp_path, bad):
+        params = ProtocolParams(r=3, s=3)
+        payload = private_key_payload(params, 5, generate_private_key(params, 5))
+        payload["xs"][1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
             read_private_key_file(path)
 
     def test_descriptor_redacts_by_default(self):

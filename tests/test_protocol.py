@@ -336,20 +336,40 @@ class TestTranscript:
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_hand_built_rows_match_json_dumps(self, mode):
         # every bit and flag value, including the bit 1 next to the flag
-        # True (equal as dict keys), and floats that stress repr
-        probs = [None, 1.0, 0.0, 0.875, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 1e-13, 1e-300,
-                 5e-324, 123456.789, math.nan, math.inf]
-        records = tuple(
-            RoundRecord(j, bit, prob, passed) for j, (bit, prob, passed) in enumerate(
-                itertools.product([None, 0, 1], probs, [None, True, False]), start=1))
-        transcript = SessionTranscript(0, ProtocolParams(r=2, s=len(records)), mode, None,
-                                       "honest", records, "reject")
+        # True (equal as dict keys); floats that stress repr; repeated
+        # values, which share one formatted tail, and zeros of both signs,
+        # which must not
+        probs = [1.0, 0.0, -0.0, 0.875, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 1e-13, 1e-300,
+                 5e-324, 123456.789, math.nan, math.inf, -math.inf, 1.0, 0.0, 0.875]
+        bits, flags = zip(*itertools.product([0, 1, 1, 0], [True, False, False]))
+        if mode == "exact":
+            rounds = {"pass_probability": np.array(probs)}
+        else:
+            rounds = {"response_bit": np.array(bits), "passed": np.array(flags)}
+        n = len(probs) if mode == "exact" else len(bits)
+        transcript = SessionTranscript(0, ProtocolParams(r=2, s=n), mode, None, "honest",
+                                       "reject", **rounds)
         lines = self._assert_rows_match_json_dumps(transcript)
         if mode == "sampled":
-            assert '{"j": 1, "response_bit": null, "pass": null}' in lines
+            assert '{"j": 1, "response_bit": 0, "pass": true}' in lines
             assert any(line.endswith('"response_bit": 1, "pass": true}') for line in lines)
         else:
             assert any(line.endswith('"pass_probability": NaN}') for line in lines)
+            assert '{"j": 2, "response_bit": null, "pass_probability": 0.0}' in lines
+            assert '{"j": 3, "response_bit": null, "pass_probability": -0.0}' in lines
+
+    def test_records_view(self):
+        params = ProtocolParams(r=2, s=5)
+        key = generate_private_key(params, 3)
+        exact = run_session(params, key)
+        assert len(exact.records) == 5
+        assert exact.records[-1] == RoundRecord(5, None, float(exact.pass_probability[4]), None)
+        assert exact.records[1:3] == tuple(exact.records)[1:3]
+        sampled = run_session(params, key, mode="sampled", seed=9)
+        assert [rec.j for rec in sampled.records] == [1, 2, 3, 4, 5]
+        assert sampled.records[0] == RoundRecord(1, int(sampled.response_bit[0]), None, True)
+        with pytest.raises(IndexError):
+            sampled.records[5]
 
 
 class TestTransport:
