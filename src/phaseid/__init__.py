@@ -11,7 +11,6 @@ from .adversary import (
     CheatGuessReport,
     EveProver,
     HelstromStrategy,
-    binomial_frame,
     build_discrimination_pair,
     cheung_bound,
     cheung_sum_bound,

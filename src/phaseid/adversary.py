@@ -23,7 +23,11 @@ The closed form
 
     psucc(t) = 1/2 + (1/2) (1/2^t) sum_m sqrt(C(t,m) C(t,m+1))
 
-comes from pure combinatorics. The independent oracle builds the two
+comes from pure combinatorics. With the frame magnitudes
+c_w = sqrt(C(t,w)/2^t) it reads psucc = 1/2 + (1/2) sum_w c_w c_{w+1}.
+One normalised recurrence gives those magnitudes for every t, and the
+frame, the overlap sum, psucc and the Helstrom strategy all read them;
+there is no second route. The independent oracle builds the two
 averaged states outright as dense (2t+2)-dimensional matrices and
 applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
@@ -42,17 +46,15 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .protocol import CHUNK_ROUNDS, BranchTable, bob_prepare_challenge, verify_branches
-from .qsim import DensityOperator, PureState, trace_norm
+from .qsim import DensityOperator, trace_norm
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
-    "EveFrame",
     "DiscriminationPair",
     "HelstromStrategy",
     "AttackBranch",
     "CheatGuessReport",
     "EveProver",
-    "binomial_frame",
     "frame_vector",
     "overlap_sum",
     "psucc_formula",
@@ -68,10 +70,6 @@ __all__ = [
     "sample_attack_rounds",
 ]
 
-# Exact integer binomials stay safe in floats well past this; beyond it
-# the log-space routes avoid giant intermediates.
-LOG_SPACE_THRESHOLD = 50
-
 # Largest t the dense oracle (explicit density operators) will attempt.
 _MAX_ORACLE_T = 256
 
@@ -79,8 +77,6 @@ _MAX_ORACLE_T = 256
 # attacked round's temporaries grow with t, so a larger t gets fewer
 # rounds per chunk; no chunk has more rounds than an honest one.
 _CHUNK_FRAME_ENTRIES = 1024
-
-_LN2 = math.log(2.0)
 
 
 def _check_t(t: int, minimum: int = 0) -> int:
@@ -90,33 +86,38 @@ def _check_t(t: int, minimum: int = 0) -> int:
     return t
 
 
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) via log-gamma."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+@functools.lru_cache(maxsize=16)
+def _frame_magnitudes(t: int) -> np.ndarray:
+    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
 
-
-def _overlap_sum_exact(t: int) -> float:
-    total = 0.0
-    for m in range(t):
-        total += math.sqrt(float(math.comb(t, m) * math.comb(t, m + 1)))
-    return total / float(2**t)
-
-
-def _overlap_sum_log(t: int) -> float:
-    total = 0.0
-    for m in range(t):
-        total += math.exp(0.5 * (log_binomial(t, m) + log_binomial(t, m + 1)) - t * _LN2)
-    return total
+    The one source of the binomial amplitudes, for every t: the frame,
+    the overlap sum and psucc read these. Memoised on t and returned
+    read-only: an attacked session asks for the same t every round.
+    """
+    # Log-pmf recurrence outward from the mode m, with step
+    # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
+    # stay small wherever the mass is. Log-gamma values have size
+    # t log t, and their rounding alone would push the norm off 1 by
+    # 1e-11 at t = 1e4.
+    m = t // 2
+    w = np.arange(t, dtype=np.float64)
+    step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
+    log_pmf = np.zeros(t + 1)
+    log_pmf[m + 1:] = np.cumsum(step[m:])
+    log_pmf[:m] = -np.cumsum(step[:m][::-1])[::-1]
+    mags = np.exp(0.5 * log_pmf)
+    mags /= math.sqrt(math.fsum(mags * mags))
+    mags.setflags(write=False)
+    return mags
 
 
 def overlap_sum(t: int) -> float:
-    """(1/2^t) sum_{m=0}^{t-1} sqrt(C(t,m) C(t,m+1)); 0 when t = 0."""
-    t = _check_t(t)
-    if t <= LOG_SPACE_THRESHOLD:
-        return _overlap_sum_exact(t)
-    return _overlap_sum_log(t)
+    """(1/2^t) sum_{m=0}^{t-1} sqrt(C(t,m) C(t,m+1)); 0 when t = 0.
+
+    The sum of c_m c_{m+1} over neighbouring frame magnitudes.
+    """
+    mags = _frame_magnitudes(_check_t(t))
+    return math.fsum(mags[1:] * mags[:-1])
 
 
 def psucc_formula(t: int) -> float:
@@ -151,33 +152,6 @@ def fool_first_attempt_bound(t: int, s: int) -> float:
     return math.exp(s * math.log1p(-1.0 / (8.0 * (t + 1))))
 
 
-@functools.lru_cache(maxsize=16)
-def _frame_magnitudes(t: int) -> np.ndarray:
-    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
-
-    Memoised on t and returned read-only: an attacked session asks for
-    the same t every round.
-    """
-    if t <= LOG_SPACE_THRESHOLD:
-        mags = np.array([math.sqrt(math.comb(t, w) / 2**t) for w in range(t + 1)])
-    else:
-        # Log-pmf recurrence outward from the mode m, with step
-        # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
-        # stay small wherever the mass is. Log-gamma values have size
-        # t log t, and their rounding alone would push the norm off 1 by
-        # 1e-11 at t = 1e4.
-        m = t // 2
-        w = np.arange(t, dtype=np.float64)
-        step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
-        log_pmf = np.zeros(t + 1)
-        log_pmf[m + 1:] = np.cumsum(step[m:])
-        log_pmf[:m] = -np.cumsum(step[m - 1::-1])[::-1]
-        mags = np.exp(0.5 * log_pmf)
-        mags /= math.sqrt(math.fsum(mags * mags))
-    mags.setflags(write=False)
-    return mags
-
-
 def frame_vector(t: int, angle) -> np.ndarray:
     """Weight-basis amplitudes of t phase-state copies at a given angle.
 
@@ -188,26 +162,6 @@ def frame_vector(t: int, angle) -> np.ndarray:
     """
     t = _check_t(t)
     return _frame_magnitudes(t) * np.exp(1j * np.multiply.outer(angle, np.arange(t + 1)))
-
-
-@dataclass(frozen=True)
-class EveFrame:
-    """The adversary's bounded phase reference: t copies, weight basis."""
-
-    t: int
-    state: PureState
-
-    def __post_init__(self):
-        expected = frame_vector(self.t, 0.0)
-        if self.state.dims != (self.t + 1,):
-            raise ValueError("frame state must live on a (t+1)-level register")
-        if np.max(np.abs(self.state.amplitudes - expected)) > CONSTRUCT_ATOL:
-            raise ValueError("frame amplitudes must be sqrt(C(t,w)/2^t)")
-
-
-def binomial_frame(t: int) -> EveFrame:
-    t = _check_t(t)
-    return EveFrame(t, PureState((t + 1,), frame_vector(t, 0.0)))
 
 
 def _pair_grid(t: int) -> int:
@@ -319,11 +273,10 @@ def helstrom_strategy(t: int) -> HelstromStrategy:
     """The optimal discrimination measurement for t copies.
 
     Its success probability is 1/2 + (1/4) sum_n ||gap_n||_1
-    = 1/2 + (1/2) sum_n c_n c_{n-1}.
+    = 1/2 + (1/2) sum_n c_n c_{n-1}, which is psucc_formula(t).
     """
     t = _check_t(t)
-    mags = _frame_magnitudes(t)
-    return HelstromStrategy(t, 0.5 + 0.5 * math.fsum(mags[1:] * mags[:-1]))
+    return HelstromStrategy(t, psucc_formula(t))
 
 
 def helstrom_psucc_oracle(t: int) -> float:

@@ -12,23 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import adversary, bounds, keys, protocol
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidBasisError,
-    NonUnitaryGateError,
-    NumericalError,
-    StateValidationError,
-    UsageExhaustedError,
-)
+from .errors import ConfigError, InternalError, UsageExhaustedError
 from .qsim import PureState, overlap
 from .rng import derive_seed, make_rng
 
@@ -42,11 +34,6 @@ EXIT_NUMERICAL = 5
 
 JSON_SIG_DIGITS = 12
 CSV_SIG_DIGITS = 9
-
-# Internal invariant failures. Several subclass ValueError, so they must be
-# caught before the ValueError that reports bad input.
-_INTERNAL_ERRORS = (NumericalError, np.linalg.LinAlgError, StateValidationError,
-                    DimensionMismatchError, NonUnitaryGateError, InvalidBasisError)
 
 # Stream indices for seed derivation: key material, then sessions.
 _KEY_STREAM = 0
@@ -72,11 +59,17 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_chunks(out: str | None, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to ``out``, or stdout for None or "-"."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+
+
+def _write_text(out: str | None, text: str) -> None:
+    _write_chunks(out, (text,))
 
 
 def _rows_as_json(rows: list[dict]) -> str:
@@ -168,8 +161,12 @@ def cmd_run_honest(args) -> int:
             refused = True
             break
 
-    lines = [line for tr in transcripts for line in tr.to_json_lines()]
-    _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    # Every session has run before the first line is written, so a failed
+    # session writes nothing. The lines are never joined whole: they go out
+    # CHUNK_ROUNDS at a time, since a write-through stdout is slow line by line.
+    lines = (f"{line}\n" for tr in transcripts for line in tr.to_json_lines())
+    chunks = iter(lambda: "".join(itertools.islice(lines, protocol.CHUNK_ROUNDS)), "")
+    _write_chunks(args.out, chunks)
     if refused:
         return EXIT_REFUSAL
     return _verdict_exit(transcripts)
@@ -440,13 +437,10 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"phaseid: invalid config: {exc}\n")
-        return EXIT_CONFIG
-    except _INTERNAL_ERRORS as exc:
+    except (InternalError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"phaseid: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included: bad input
         sys.stderr.write(f"phaseid: invalid config: {exc}\n")
         return EXIT_CONFIG
     except UsageExhaustedError as exc:

@@ -1,19 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises ``ConfigError`` or ``ValueError``; a failed internal
+invariant raises a subclass of ``InternalError``, which never derives
+from ``ValueError``, so the two cannot be confused.
+"""
 
 
-class StateValidationError(ValueError):
+class InternalError(Exception):
+    """An internal invariant failed: a defect or a numerical failure, not bad input."""
+
+
+class StateValidationError(InternalError):
     """A state or operator violates its construction invariants."""
 
 
-class InvalidBasisError(ValueError):
+class InvalidBasisError(InternalError):
     """A measurement basis is not orthonormal."""
 
 
-class NonUnitaryGateError(ValueError):
+class NonUnitaryGateError(InternalError):
     """A gate matrix fails the unitarity check."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(InternalError):
     """Operands live in incompatible spaces."""
 
 
@@ -36,5 +45,5 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad flag value or combination)."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(InternalError):
     """An internal numerical check failed beyond tolerance."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, StateValidationError
+from .errors import ConfigError, NumericalError
 from .qsim import DensityOperator, PureState
 from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL
@@ -286,12 +286,12 @@ def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
         payload = json.load(fh)
     params = ProtocolParams(int(payload["r"]), int(payload["s"]), str(payload["variant"]))
     if int(payload["p"]) != params.p:
-        raise StateValidationError(
+        raise ConfigError(
             f"key file modulus {payload['p']} does not match params (expected {params.p})"
         )
     key = PrivateKey.from_ks([int(k) for k in payload["xs"]], params.p)
     if key.s != params.s:
-        raise StateValidationError("key length does not match s")
+        raise ConfigError("key length does not match s")
     return params, int(payload["seed"]), key
 
 

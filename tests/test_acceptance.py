@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from phaseid.adversary import (
-    _overlap_sum_log,
     cheung_sum_bound,
     eve_attack_round,
     helstrom_psucc_oracle,
     helstrom_strategy,
+    overlap_sum,
     psucc_formula,
     sample_attack_rounds,
 )
@@ -113,10 +113,10 @@ def test_criterion_4_cheat_guess_identity():
 def test_criterion_5_cheung_inequality():
     def body():
         for t in range(1, 65):
-            lhs = _overlap_sum_log(t)  # log-space route on purpose
+            lhs = overlap_sum(t)
             rhs = cheung_sum_bound(t)
             assert lhs <= rhs + 1e-12
-        assert abs(_overlap_sum_log(1) - cheung_sum_bound(1)) <= 1e-12
+        assert abs(overlap_sum(1) - cheung_sum_bound(1)) <= 1e-12
         assert abs(cheung_sum_bound(1) - 0.5) <= 1e-15
 
     _criterion(5, "overlap sum obeys the combinatorial bound", 1.0, body)

@@ -1,6 +1,8 @@
 """Adversary side: frames, discrimination, attack rounds, combinatorial bounds."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,9 @@ from hypothesis import strategies as st
 
 from phaseid.adversary import (
     AttackBranch,
-    EveFrame,
     EveProver,
     attack_branch_table,
     attack_round_branches,
-    binomial_frame,
     build_discrimination_pair,
     cheung_bound,
     cheung_sum_bound,
@@ -22,7 +22,6 @@ from phaseid.adversary import (
     frame_vector,
     helstrom_psucc_oracle,
     helstrom_strategy,
-    log_binomial,
     overlap_sum,
     psucc_formula,
     sample_attack_rounds,
@@ -30,8 +29,6 @@ from phaseid.adversary import (
 from phaseid.adversary import (
     HelstromStrategy,
     _frame_magnitudes,
-    _overlap_sum_exact,
-    _overlap_sum_log,
 )
 from phaseid.errors import DimensionMismatchError, NumericalError
 from phaseid.keys import (
@@ -55,30 +52,20 @@ PSUCC_T3 = 0.5 + (3.0 + 2.0 * math.sqrt(3.0)) / 16.0
 
 
 class TestCombinatorics:
-    def test_log_binomial_matches_exact(self):
-        for n in range(0, 40):
-            for k in range(0, n + 1):
-                assert log_binomial(n, k) == pytest.approx(
-                    math.log(math.comb(n, k)), abs=1e-10
-                )
-
-    def test_log_binomial_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            log_binomial(3, 4)
-
     def test_overlap_sum_zero_copies(self):
         assert overlap_sum(0) == 0.0
-
-    def test_overlap_sum_routes_agree(self):
-        # exact integer route vs log-gamma route across the handoff point
-        for t in range(1, 61):
-            assert _overlap_sum_log(t) == pytest.approx(
-                _overlap_sum_exact(t), abs=1e-12
-            )
 
     def test_overlap_sum_rejects_negative(self):
         with pytest.raises(ValueError):
             overlap_sum(-1)
+
+    def test_overlap_sum_matches_integer_binomials(self):
+        # independent of the frame recurrence: exact big-integer binomials,
+        # one rounding per term, summed exactly
+        for t in range(129):
+            want = math.fsum(math.sqrt(float(math.comb(t, m) * math.comb(t, m + 1)))
+                             for m in range(t)) / 2**t
+            assert abs(overlap_sum(t) - want) <= 1e-15, t
 
 
 class TestPsuccFormula:
@@ -91,6 +78,19 @@ class TestPsuccFormula:
     def test_monotone_in_copies(self):
         vals = [psucc_formula(t) for t in range(81)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_matches_fifty_digit_references(self):
+        # 50-digit sums of the closed form, written out as literals
+        references = {
+            10: "0.97524289667510288192574902406586665358",
+            10**3: "0.99975006228085312822726892126600976009",
+            10**4: "0.99997500062478121052359903048431164907",
+            10**5: "0.99999750000624978124605445486857165285",
+            10**6: "0.99999975000006249978124960546642381389",
+        }
+        for t, digits in references.items():
+            want = Fraction(Decimal(digits))
+            assert abs(Fraction(psucc_formula(t)) - want) <= Fraction(2e-16) * want, t
 
     def test_approaches_one_from_below(self):
         # squeezed between 1 - 1/(2t) (roughly) and the 1 - 1/(4(t+1)) cap
@@ -172,15 +172,6 @@ class TestFrames:
         with pytest.raises(ValueError):
             mags[0] = 0.0
         np.testing.assert_array_equal(mags, _frame_magnitudes.__wrapped__(4))
-
-    def test_binomial_frame_roundtrip(self):
-        fr = binomial_frame(2)
-        assert fr.t == 2
-        assert fr.state.dims == (3,)
-
-    def test_frame_validation_rejects_wrong_amplitudes(self):
-        with pytest.raises(ValueError):
-            EveFrame(1, PureState((2,), np.array([1.0, 0.0])))
 
 
 class TestDiscriminationPair:

@@ -22,8 +22,10 @@ from phaseid.cli import (
 )
 from phaseid.errors import (
     DimensionMismatchError,
+    InternalError,
     InvalidBasisError,
     NonUnitaryGateError,
+    NumericalError,
     StateValidationError,
 )
 
@@ -193,12 +195,15 @@ class TestVerdictExit:
 
 
 class TestInternalFailureExit:
-    # These error classes subclass ValueError, which also reports bad input
-    # (exit 4); an internal invariant failure must still exit 5.
+    # An internal invariant failure exits 5, never 4 (bad input).
     @pytest.mark.parametrize("error", [StateValidationError, DimensionMismatchError,
-                                       NonUnitaryGateError, InvalidBasisError])
+                                       NonUnitaryGateError, InvalidBasisError,
+                                       NumericalError, InternalError])
     def test_invariant_failure_exits_numerical(self, capsys, monkeypatch, error):
         import phaseid.cli as cli_mod
+
+        # one base, and never a ValueError, which reports bad input
+        assert issubclass(error, InternalError) and not issubclass(error, ValueError)
 
         def broken(*args, **kwargs):
             raise error("stub invariant failure")
@@ -247,6 +252,15 @@ class TestRunAttack:
         (row,) = json.loads(out)["rows"]
         assert row["p_pass"] == pytest.approx(row["p_pass_from_psucc"], abs=1e-9)
         assert row["p_pass"] < row["p_pass_bound"]
+
+    def test_large_t_formula_row_respects_bound(self, capsys):
+        # the printed closed form must agree with the exact attacked round
+        # and stay under the paper's cap, to every printed digit
+        code, out, _ = run_cli(["run-attack", "--t", "100000"], capsys)
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert row["p_pass_from_psucc"] <= row["p_pass_bound"]
+        assert row["p_pass_from_psucc"] == row["p_pass"]
 
     def test_t_zero_rejected(self, capsys):
         code, _, _ = run_cli(["run-attack", "--t", "0"], capsys)

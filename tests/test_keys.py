@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseid.errors import NumericalError, StateValidationError
+from phaseid.errors import ConfigError, NumericalError
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -272,7 +272,16 @@ class TestKeyFiles:
         import json
 
         path.write_text(json.dumps(payload))
-        with pytest.raises(StateValidationError):
+        with pytest.raises(ConfigError):
+            read_private_key_file(path)
+
+    def test_rejects_length_mismatch(self, tmp_path):
+        params = ProtocolParams(r=3, s=3)
+        payload = private_key_payload(params, 5, generate_private_key(params, 5))
+        payload["xs"].pop()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="key length"):
             read_private_key_file(path)
 
     @pytest.mark.parametrize("bad", [0, 5, -1, 10**30])
