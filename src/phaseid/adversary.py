@@ -32,8 +32,11 @@ averaged states outright as dense (2t+2)-dimensional matrices and
 applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
-the grid average exact, not approximate. Grids and dense matrices
-survive only in that oracle.
+the grid average exact, not approximate. One grid average serves both
+states, since rho- is rho+ with its off-diagonal blocks negated, and
+the average is real, so the eigendecompositions take the real
+symmetric solver. Grids and dense matrices survive only in that
+oracle.
 """
 
 from __future__ import annotations
@@ -203,6 +206,15 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
     exactly (every matrix entry is a trig polynomial of degree <= t+1);
     the default keeps a safety margin. This dense construction is the
     independent oracle; the main path never builds it.
+
+    One grid average serves both signs. The sign flips only the
+    received qubit's |1> amplitude, so rho- = S rho+ S with the
+    diagonal signature S = Z (x) I, which is exact in floating point.
+    The grid 2 pi k/g, k = 1..g, is closed under theta -> -theta and
+    each amplitude is a real coefficient times e^{i n theta}, so the
+    exact average is real: its imaginary part must stay within
+    CONSTRUCT_ATOL (NumericalError otherwise), and the real part is
+    kept. Both operators are still validated as DensityOperators.
     """
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
@@ -212,12 +224,18 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
         raise ValueError(f"grid of {grid} points cannot average degree t+1 exactly")
     angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
     dim = 2 * (t + 1)
-
-    def average(sign: int) -> DensityOperator:
-        vecs = _challenge_and_frame(angles, t, sign).reshape(grid, dim)
-        return DensityOperator((2, t + 1), vecs.T @ vecs.conj() / grid)
-
-    return DiscriminationPair(t, average(+1), average(-1))
+    vecs = _challenge_and_frame(angles, t, +1).reshape(grid, dim)
+    average = vecs.T @ vecs.conj() / grid
+    imag = float(np.abs(average.imag).max())
+    if imag > CONSTRUCT_ATOL:
+        raise NumericalError(f"grid average at t={t} has imaginary part {imag!r}")
+    plus = average.real
+    # rho- = S rho+ S; adding +0.0 leaves an exact zero as +0.0, as the
+    # sign -1 average itself makes it, not as -0.0.
+    signature = np.repeat([1.0, -1.0], t + 1)
+    minus = plus * np.multiply.outer(signature, signature) + 0.0
+    return DiscriminationPair(t, DensityOperator((2, t + 1), plus),
+                              DensityOperator((2, t + 1), minus))
 
 
 @dataclass(frozen=True)

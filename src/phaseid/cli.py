@@ -162,8 +162,9 @@ def cmd_run_honest(args) -> int:
             break
 
     # Every session has run before the first line is written, so a failed
-    # session writes nothing. The lines are never joined whole: they go out
-    # CHUNK_ROUNDS at a time, since a write-through stdout is slow line by line.
+    # session writes nothing. Each session's lines are made as they are
+    # written and never joined whole: they go out CHUNK_ROUNDS at a time,
+    # since a write-through stdout is slow line by line.
     lines = (f"{line}\n" for tr in transcripts for line in tr.to_json_lines())
     chunks = iter(lambda: "".join(itertools.islice(lines, protocol.CHUNK_ROUNDS)), "")
     _write_chunks(args.out, chunks)
@@ -403,7 +404,7 @@ def build_parser() -> _Parser:
         description="Guessing probability for t = 1..t_max copies: the closed form, the "
                     "dense trace-norm oracle and Cheung's bound. The oracle builds and "
                     "diagonalises (2t+2)-dimensional states for every t, O(T^4) in total "
-                    "for --t-max T: --t-max 256 (the largest it accepts) takes about 25 s.")
+                    "for --t-max T: --t-max 256 (the largest it accepts) takes about 11 s.")
     common(p, fmt=True)
     p.add_argument("--t-max", dest="t_max", type=int, default=None,
                    help="largest t (default 8); the dense oracle's cost grows as t_max^4")

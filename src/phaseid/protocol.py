@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,8 +251,12 @@ class SessionTranscript:
     def records(self) -> "Sequence[RoundRecord]":
         return _RoundRecords(self)
 
-    def to_json_lines(self) -> list[str]:
-        """Transcript as JSON lines: header, one line per round, verdict."""
+    def to_json_lines(self) -> Iterator[str]:
+        """Transcript as JSON lines: header, one line per round, verdict.
+
+        The lines are yielded as they are made, so a caller that writes
+        them in turn never holds a whole session's rows.
+        """
         head = {
             "session_id": self.session_id,
             "r": self.params.r,
@@ -263,7 +267,7 @@ class SessionTranscript:
             "seed": self.seed,
             "prover_tag": self.prover_tag,
         }
-        lines = [json.dumps(head)]
+        yield json.dumps(head)
         # Round rows are formatted directly; each gives the bytes json.dumps
         # gives for the row's dict. A row is its index followed by one of a
         # few distinct tails: one per distinct pass probability in exact
@@ -276,10 +280,8 @@ class SessionTranscript:
             which = 2 * self.response_bit + self.passed
             tails = [f', "response_bit": {bit}, "pass": {flag}}}'
                      for bit in (0, 1) for flag in ("false", "true")]
-        lines.extend(f'{{"j": {j}{tails[i]}'
-                     for j, i in enumerate(which.tolist(), start=1))
-        lines.append(json.dumps({"verdict": self.verdict}))
-        return lines
+        yield from (f'{{"j": {j}{tails[i]}' for j, i in enumerate(which.tolist(), start=1))
+        yield json.dumps({"verdict": self.verdict})
 
 
 class _RoundRecords(Sequence):

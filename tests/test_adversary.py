@@ -28,7 +28,9 @@ from phaseid.adversary import (
 )
 from phaseid.adversary import (
     HelstromStrategy,
+    _challenge_and_frame,
     _frame_magnitudes,
+    _pair_grid,
 )
 from phaseid.errors import DimensionMismatchError, NumericalError
 from phaseid.keys import (
@@ -41,7 +43,7 @@ from phaseid.keys import (
 from phaseid.protocol import bob_prepare_challenge, bob_verify_step, run_session
 from phaseid.qsim import DensityOperator, PureState, trace_norm
 from phaseid.rng import make_rng
-from phaseid.tolerances import ZERO_BRANCH_PROB
+from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 from conftest import reference_pass_probabilities, reference_sampled_records
 
@@ -195,6 +197,22 @@ class TestDiscriminationPair:
         b = build_discrimination_pair(t, grid_points=4 * t + 9)
         assert np.max(np.abs(a.rho_plus.matrix - b.rho_plus.matrix)) < 1e-12
         assert np.max(np.abs(a.rho_minus.matrix - b.rho_minus.matrix)) < 1e-12
+
+    def test_one_grid_average_equals_both_sign_averages(self):
+        # The pair against the definition: one explicit grid average per
+        # sign. Each is real to CONSTRUCT_ATOL, and the pair's operators
+        # are their real parts bit for bit.
+        for t in range(1, 65):
+            grid = _pair_grid(t)
+            angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
+            pair = build_discrimination_pair(t)
+            for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
+                vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
+                explicit = vecs.T @ vecs.conj() / grid
+                assert np.abs(explicit.imag).max() <= CONSTRUCT_ATOL
+                assert not rho.matrix.imag.any()
+                assert np.array_equal(rho.matrix.real.view(np.int64),
+                                      explicit.real.view(np.int64)), (t, sign)
 
     def test_pair_states_differ_with_copies(self):
         pair = build_discrimination_pair(2)
@@ -449,7 +467,7 @@ class TestEveProver:
         prover = EveProver(helstrom_strategy(1))
         t1 = run_session(params, key, prover=prover, mode="sampled", seed=21)
         t2 = run_session(params, key, prover=prover, mode="sampled", seed=21)
-        assert t1.to_json_lines() == t2.to_json_lines()
+        assert list(t1.to_json_lines()) == list(t2.to_json_lines())
         assert all(rec.response_bit in (0, 1) for rec in t1.records)
         accept = all(rec.passed for rec in t1.records)
         assert (t1.verdict == "accept") == accept

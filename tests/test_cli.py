@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phaseid
@@ -223,6 +224,32 @@ class TestInternalFailureExit:
         code, _, err = run_cli(["run-attack", "--t", "2"], capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure: psucc 1.5 outside" in err
+
+    def test_imaginary_grid_average_exits_numerical(self, capsys, monkeypatch):
+        # The oracle's grid average is real in exact arithmetic; a
+        # 1e-9 imaginary part is an internal failure, never bad input.
+        # Turning the received qubit's |1> by a small phase keeps every
+        # DensityOperator check satisfied, so only the reality guard sees it.
+        import phaseid.cli as cli_mod
+
+        adv = cli_mod.adversary
+        exact = adv._challenge_and_frame
+
+        def skewed(angles, t, sign):
+            vecs = exact(angles, t, sign)
+            vecs[..., 1, :] *= np.exp(6e-9j)
+            return vecs
+
+        monkeypatch.setattr(adv, "_challenge_and_frame", skewed)
+        grid = adv._pair_grid(2)
+        vecs = skewed(2.0 * np.pi * np.arange(1, grid + 1) / grid, 2, +1).reshape(grid, 6)
+        assert 5e-10 < np.abs((vecs.T @ vecs.conj()).imag).max() / grid < 2e-9
+        with pytest.raises(NumericalError, match="imaginary part"):
+            adv.build_discrimination_pair(2)
+        code, out, err = run_cli(["psucc-table", "--t-max", "2"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure: grid average at t=1 has imaginary part" in err
 
 
 class TestRunAttack:

@@ -269,7 +269,7 @@ class TestTranscript:
         params = ProtocolParams(r=2, s=3)
         key = generate_private_key(params, 2)
         t = run_session(params, key, mode="exact", session_id=7)
-        lines = t.to_json_lines()
+        lines = list(t.to_json_lines())
         assert len(lines) == params.s + 2
         head = json.loads(lines[0])
         assert head == {
@@ -287,7 +287,7 @@ class TestTranscript:
         params = ProtocolParams(r=2, s=2, variant="hardened")
         key = generate_private_key(params, 2)
         t = run_session(params, key, mode="sampled", seed=5)
-        lines = t.to_json_lines()
+        lines = list(t.to_json_lines())
         head = json.loads(lines[0])
         assert head["mode"] == "sampled"
         assert head["seed"] == 5
@@ -314,7 +314,7 @@ class TestTranscript:
         return rows
 
     def _assert_rows_match_json_dumps(self, transcript):
-        lines = transcript.to_json_lines()
+        lines = list(transcript.to_json_lines())
         assert lines[1:-1] == self._reference_rows(transcript)
         assert lines[-1] == json.dumps({"verdict": transcript.verdict})
         return lines

@@ -259,6 +259,57 @@ class TestTwoByTwoPositivity:
         assert reported[0] == pytest.approx(-2e-10, rel=0.0, abs=1e-15)
 
 
+class TestRealEigenPath:
+    """A Hermitian part with zero imaginary part goes to the real solver,
+    with the verdicts and values of the complex one."""
+
+    @staticmethod
+    def _forms(delta: float) -> dict[str, np.ndarray]:
+        # diag(1 + delta, -delta) embedded in dimension 4: as float64, as
+        # complex128 with zero imaginary part, and turned by a complex unitary
+        mat = np.zeros((4, 4))
+        mat[0, 0], mat[1, 1] = 1.0 + delta, -delta
+        u = random_unitary(np.random.default_rng(5), 4)
+        return {"float64": mat, "complex128": mat.astype(np.complex128),
+                "rotated": u @ mat @ u.conj().T}
+
+    @staticmethod
+    def _solver_dtypes(monkeypatch) -> list:
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            seen.append(np.asarray(a).dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return seen
+
+    @pytest.mark.parametrize("form", ["float64", "complex128", "rotated"])
+    @pytest.mark.parametrize("delta,admitted", [(2e-10, False), (5e-11, True)])
+    def test_same_verdict_on_every_form(self, monkeypatch, form, delta, admitted):
+        mat = self._forms(delta)[form]
+        seen = self._solver_dtypes(monkeypatch)
+        reported = _reported_eigenvalue(mat)
+        assert (reported is None) == admitted
+        if not admitted:
+            assert reported[0] == pytest.approx(-delta, rel=0.0, abs=1e-15)
+        assert trace_norm(mat) == pytest.approx(1.0 + 2.0 * delta, rel=0.0, abs=1e-15)
+        solver = np.complex128 if form == "rotated" else np.float64
+        assert seen == [solver, solver]
+        if admitted:
+            DensityOperator((2, 2), mat)
+        else:
+            with pytest.raises(StateValidationError):
+                DensityOperator((2, 2), mat)
+
+    def test_complex_hermitian_keeps_complex_solver(self, monkeypatch):
+        sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+        seen = self._solver_dtypes(monkeypatch)
+        assert trace_norm(np.kron(sigma_y, np.eye(2))) == pytest.approx(4.0, rel=0.0, abs=1e-12)
+        assert seen == [np.complex128]
+
+
 def test_tensor_of_basis_states():
     joint = tensor(ZERO, ONE)
     assert joint.dims == (2, 2)
