@@ -21,8 +21,9 @@ import numpy as np
 
 from . import adversary, bounds, keys, protocol
 from .errors import ConfigError, InternalError, UsageExhaustedError
-from .qsim import PureState, overlap
+from .qsim import check_pure_states
 from .rng import derive_seed, make_rng
+from .tolerances import IDENTITY_ATOL
 
 __all__ = ["main", "build_parser"]
 
@@ -272,26 +273,44 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify-identities
+#
+# The checks build their cases as stacked arrays and validate each stack once
+# with the stacked validators of ``qsim``, not one state object per case.
+
+
+def _phase_angles() -> np.ndarray:
+    """Angle of every phase k/p with p = 2..7 and k = 1..p, 27 in all.
+
+    Each is bit for bit ``PhaseFraction(k, p).angle()``.
+    """
+    ks, ps = np.array([(k, p) for p in range(2, 8) for k in range(1, p + 1)]).T
+    return 2.0 * math.pi * (ks % ps) / ps
+
+
+def _challenge_overlaps() -> np.ndarray:
+    """Overlap of the challenge with (|x+ x+> - |x- x->)/sqrt(2), one per ``_phase_angles``.
+
+    {|x+>, |x->} is the phase basis of the angle.
+    """
+    bell = protocol.bob_prepare_challenge().joint_state
+    bases = protocol._phase_bases(_phase_angles())                 # (case, outcome, 2)
+    pairs = bases[:, :, :, None] * bases[:, :, None, :]            # |x x> of each outcome
+    vecs = (pairs[:, 0] - pairs[:, 1]).reshape(-1, 4) / math.sqrt(2.0)
+    check_pure_states(vecs)
+    return vecs @ bell.amplitudes.conj()
 
 
 def _check_challenge_decomposition() -> float:
-    worst = 0.0
-    bell = protocol.bob_prepare_challenge().joint_state
-    for p in range(2, 8):
-        for k in range(1, p + 1):
-            plus, minus = protocol.phase_basis(keys.PhaseFraction(k, p).angle())
-            vec = (np.kron(plus, plus) - np.kron(minus, minus)) / math.sqrt(2.0)
-            ov = overlap(bell, PureState((2, 2), vec))
-            worst = max(worst, abs(abs(ov) - 1.0))
-    return worst
+    # The challenge has this form, up to phase, in every phase basis.
+    return float(np.max(np.abs(np.abs(_challenge_overlaps()) - 1.0)))
 
 
 def _check_phase_average() -> float:
+    a = np.arange(-12, 13)
     worst = 0.0
     for p in range(2, 10):
-        for a in range(-12, 13):
-            want = 1.0 if a % p == 0 else 0.0
-            worst = max(worst, abs(keys.phase_average_exponential(a, p) - want))
+        want = (a % p == 0).astype(np.float64)
+        worst = max(worst, float(np.max(np.abs(keys.phase_average_exponential(a, p) - want))))
     return worst
 
 
@@ -318,15 +337,13 @@ def _check_honest_round_certainty() -> float:
     return worst
 
 
+def _response_probabilities() -> np.ndarray:
+    """Honest response-bit probabilities at every ``_phase_angles``, shape (case, bit)."""
+    return protocol.honest_round_branches(_phase_angles()).probability
+
+
 def _check_response_uniformity() -> float:
-    worst = 0.0
-    challenge = protocol.bob_prepare_challenge()
-    for p in range(2, 8):
-        for k in range(1, p + 1):
-            branches = protocol.alice_respond(challenge, keys.PhaseFraction(k, p), mode="exact")
-            for branch in branches:
-                worst = max(worst, abs(branch.probability - 0.5))
-    return worst
+    return float(np.max(np.abs(_response_probabilities() - 0.5)))
 
 
 _IDENTITY_CHECKS = (
@@ -337,14 +354,12 @@ _IDENTITY_CHECKS = (
     ("response-uniformity", _check_response_uniformity),
 )
 
-_IDENTITY_TOL = 1e-12
-
 
 def cmd_verify_identities(args) -> int:
     results = []
     for name, check in _IDENTITY_CHECKS:
         deviation = float(check())
-        passed = deviation < _IDENTITY_TOL
+        passed = deviation < IDENTITY_ATOL
         results.append({"check": name, "passed": passed, "max_deviation": deviation})
         print(f"{name}: {'pass' if passed else 'FAIL'} (max deviation {deviation:.3e})")
     if args.out:

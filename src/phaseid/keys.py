@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .qsim import DensityOperator, PureState
+from .qsim import DensityOperator, PureState, check_pure_states
 from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL
 
@@ -52,6 +52,9 @@ VARIANTS = ("standard", "hardened")
 # Explicit bitstring enumeration caps (memory, not correctness).
 _MAX_SYMMETRIC_N = 20
 _MAX_AVERAGED_N = 10
+
+# Amplitudes per vectorised chunk of product vectors in the phase average.
+_AVERAGE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,10 @@ def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
     """Uniform average of (|psi_x><psi_x|)^(x n) over x in {1..p}.
 
     Built directly from the product amplitudes e^{i theta w}/2^{n/2},
-    where w is the Hamming weight of the basis label.
+    where w is the Hamming weight of the basis label: the product
+    vectors of up to _AVERAGE_CHUNK // 2^n phases at a time are made
+    with one ``exp`` and summed by one matrix product, so the
+    temporaries stay bounded however large p is.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -205,12 +211,28 @@ def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
         raise ValueError(f"n must lie in 1..{_MAX_AVERAGED_N}, got {n}")
     w = _weights(n)
     scale = 2.0 ** (-n / 2.0)
-    acc = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for k in range(1, p + 1):
-        theta = PhaseFraction(k, p).angle()
-        vec = scale * np.exp(1j * theta * w)
-        acc += np.outer(vec, vec.conj())
+    acc = np.zeros((w.size, w.size), dtype=np.complex128)
+    step = max(1, _AVERAGE_CHUNK // w.size)
+    for start in range(1, p + 1, step):
+        ks = np.arange(start, min(start + step, p + 1))
+        thetas = 2.0 * math.pi * (ks % p) / p       # bit for bit PhaseFraction.angle()
+        vecs = scale * np.exp(1j * thetas[:, None] * w)
+        acc += vecs.T @ vecs.conj()
     return DensityOperator((2,) * n, acc / p)
+
+
+def _weight_states(n: int, weights) -> np.ndarray:
+    """Amplitudes of the weight-w states of n qubits, one row per w of ``weights``.
+
+    Row w is the uniform superposition of the bitstrings that
+    ``itertools.combinations`` lists with w ones.
+    """
+    amps = np.zeros((len(weights), 2**n), dtype=np.complex128)
+    for row, w in enumerate(weights):
+        index = [sum(1 << (n - 1 - pos) for pos in ones)
+                 for ones in itertools.combinations(range(n), w)]
+        amps[row, index] = 1.0 / math.sqrt(math.comb(n, w))
+    return amps
 
 
 def symmetric_basis_state(n: int, w: int) -> "SymmetricBasisState":
@@ -219,13 +241,7 @@ def symmetric_basis_state(n: int, w: int) -> "SymmetricBasisState":
         raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
     if not 0 <= w <= n:
         raise ValueError(f"weight must lie in 0..{n}, got {w}")
-    count = math.comb(n, w)
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(count)
-    for ones in itertools.combinations(range(n), w):
-        index = sum(1 << (n - 1 - pos) for pos in ones)
-        amps[index] = amp
-    return SymmetricBasisState(n, w, PureState((2,) * n, amps))
+    return SymmetricBasisState(n, w, PureState((2,) * n, _weight_states(n, (w,))[0]))
 
 
 @dataclass(frozen=True)
@@ -236,29 +252,53 @@ class SymmetricBasisState:
 
 
 def symmetric_mixture(n: int) -> DensityOperator:
-    """Mixture sum_w C(n,w)/2^n |S_w><S_w| over weight states."""
+    """Mixture sum_w C(n,w)/2^n |S_w><S_w| over weight states.
+
+    The n+1 weight states are built as one array and validated once.
+    """
     if not 1 <= n <= _MAX_SYMMETRIC_N:
         raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
-    acc = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for w in range(n + 1):
-        v = symmetric_basis_state(n, w).state.amplitudes
-        acc += (math.comb(n, w) / 2**n) * np.outer(v, v.conj())
-    return DensityOperator((2,) * n, acc)
+    states = _weight_states(n, range(n + 1))
+    check_pure_states(states)
+    coeffs = np.array([math.comb(n, w) / 2**n for w in range(n + 1)])
+    return DensityOperator((2,) * n, (states.T * coeffs) @ states.conj())
 
 
-def phase_average_exponential(a: int, p: int) -> float:
+def _phase_means(a, p: int) -> np.ndarray:
+    """(1/p) sum_{k=1..p} e^{2 pi i a k / p} at every exponent of ``a``, complex.
+
+    A scalar exponent is multiplied by 2 pi i in Python, as it always
+    was, so its value stays the same bit for bit, also for integers
+    beyond int64.
+    """
+    ks = np.arange(1, p + 1)
+    turns = 2j * np.pi * (a if np.isscalar(a) else np.asarray(a))
+    return np.mean(np.exp(np.asarray(turns)[..., None] * ks / p), axis=-1)
+
+
+def phase_average_exponential(a, p: int):
     """Numerical value of (1/p) sum_{k=1..p} e^{2 pi i a k / p}.
 
     Equals 1 when p divides a and 0 otherwise; the sum is evaluated
-    explicitly and its imaginary part is required to vanish.
+    explicitly and its imaginary part is required to vanish. ``a`` is
+    an integer or an integer array: an integer gives a float, an array
+    the array of its elements' values, each bit for bit the value of
+    its element alone. The imaginary parts are checked over the whole
+    array; NumericalError names the first exponent that fails.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    ks = np.arange(1, p + 1)
-    val = complex(np.mean(np.exp(2j * np.pi * a * ks / p)))
-    if abs(val.imag) > CONSTRUCT_ATOL:
-        raise NumericalError(f"phase average has imaginary part {val.imag!r}")
-    return val.real
+    vals = _phase_means(a, p)
+    bad = np.flatnonzero(np.abs(vals.imag) > CONSTRUCT_ATOL)
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"phase average at a={np.ravel(a)[i]}, p={p} has imaginary part "
+            f"{float(np.ravel(vals)[i].imag)!r}"
+        )
+    if vals.ndim == 0:
+        return float(vals.real)
+    return vals.real.copy()
 
 
 def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> dict:

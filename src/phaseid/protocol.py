@@ -31,8 +31,10 @@ Exact mode reports each round's pass probability sum_b prob * pass
 per round from a seeded generator, in order: the response (bit 0 when
 the draw falls below its probability), then the SWAP test. No message
 transport is involved. The transcript keeps the per-round results as
-arrays. ``alice_respond`` and ``bob_verify_step`` remain as the
-scalar, per-round form of the kernel, in both modes.
+arrays. ``alice_respond`` and ``bob_verify_step`` are the scalar,
+per-round form of the kernel, in both modes: no command calls them;
+the tests use them as the independent oracle of the stacked kernel,
+and library callers can run a single round with them.
 """
 
 from __future__ import annotations

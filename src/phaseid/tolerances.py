@@ -10,6 +10,10 @@ CONSTRUCT_ATOL = 1e-12
 # Comparisons between independently computed quantities (oracles, identities).
 COMPARE_ATOL = 1e-9
 
+# An exact identity re-checked by ``verify-identities`` passes only when its
+# largest deviation lies below this.
+IDENTITY_ATOL = 1e-12
+
 # Density-operator eigenvalues may dip this far below zero from rounding.
 EIGENVALUE_FLOOR = -1e-10
 
