@@ -15,9 +15,11 @@ received qubit and w the frame weight, and no block is larger than
 applied in O(t). It commutes with the phase rotation, so an attacked
 round has the same branch and pass probabilities at every relative
 phase, and one evaluation equals the phase average. The exact attack
-round drives the verifier's own machinery (entangled challenge,
-conditional Z, SWAP test) against that measurement and reproduces
-p_pass = (1 + psucc)/2.
+round is that one evaluation, at angle 0, where every amplitude is
+real: one row that the verifier's own kernel (entangled challenge,
+conditional Z, SWAP test, ``protocol.verify_branches``) evaluates
+against that measurement, reproducing p_pass = (1 + psucc)/2. An
+adversarial session gathers the row to every round, whatever its key.
 
 The closed form
 
@@ -48,14 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .protocol import CHUNK_ROUNDS, BranchTable, bob_prepare_challenge, verify_branches
+from .protocol import BranchTable, bob_prepare_challenge, verify_branches
 from .qsim import DensityOperator, trace_norm
-from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL, ZERO_BRANCH_PROB
+from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
 
 __all__ = [
     "DiscriminationPair",
     "HelstromStrategy",
-    "AttackBranch",
     "CheatGuessReport",
     "EveProver",
     "frame_vector",
@@ -67,7 +68,6 @@ __all__ = [
     "build_discrimination_pair",
     "helstrom_strategy",
     "helstrom_psucc_oracle",
-    "attack_branch_table",
     "attack_round_branches",
     "eve_attack_round",
     "sample_attack_rounds",
@@ -75,11 +75,6 @@ __all__ = [
 
 # Largest t the dense oracle (explicit density operators) will attempt.
 _MAX_ORACLE_T = 256
-
-# Frame amplitudes, rounds x (t+1), per chunk of attacked rounds. An
-# attacked round's temporaries grow with t, so a larger t gets fewer
-# rounds per chunk; no chunk has more rounds than an honest one.
-_CHUNK_FRAME_ENTRIES = 1024
 
 
 def _check_t(t: int, minimum: int = 0) -> int:
@@ -303,53 +298,23 @@ def helstrom_psucc_oracle(t: int) -> float:
     return 0.5 + 0.25 * trace_norm(pair.rho_plus.matrix - pair.rho_minus.matrix)
 
 
-@dataclass(frozen=True)
-class AttackBranch:
-    """One response branch of an attacked round at a fixed relative phase."""
-
-    bit: int
-    probability: float
-    pass_probability: float
-
-
-def attack_branch_table(strategy: HelstromStrategy, angles) -> BranchTable:
-    """Exact branch analysis of attacked kernel rounds, one per angle.
+def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
+    """Exact branch analysis of an attacked kernel round: a one-row table.
 
     The verifier prepares the entangled challenge; the adversary
     measures {P+, P-} on the received register joined with her frame;
     the verifier applies the conditional Z and SWAP-tests his kept
-    register against a fresh authentic copy. Each angle is the honest
-    phase relative to the adversary's reference. Rounds are evaluated
-    in vectorised chunks over a leading axis, of at most CHUNK_ROUNDS
-    rounds and about _CHUNK_FRAME_ENTRIES frame amplitudes.
-
-    Each branch's kept 2x2 state is formed directly from the projected
-    (kept, received, frame) amplitudes, in O(t) per round.
+    register against a fresh authentic copy. The row is the same at
+    every relative phase (see ``eve_attack_round``), so it is evaluated
+    at angle 0, where the challenge and the frame are real: the
+    projected (kept, received, frame) amplitudes are float64, and
+    ``verify_branches`` forms each branch's kept 2x2 state from them in
+    O(t).
     """
-    joint = bob_prepare_challenge().joint_state.as_tensor()
-    rounds = min(CHUNK_ROUNDS, max(1, _CHUNK_FRAME_ENTRIES // (strategy.t + 1)))
-    return BranchTable.in_chunks(lambda chunk: _attack_rows(strategy, joint, chunk),
-                                 angles, rounds)
-
-
-def _attack_rows(strategy: HelstromStrategy, joint: np.ndarray,
-                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(probability, pass_probability) of attacked rounds; ``joint`` is the challenge."""
-    # axes: round, kept, received, frame
-    psi = joint[:, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
-    rows = np.stack(strategy.project(psi), axis=1)               # round, bit, kept, received, frame
-    kept = np.einsum("nbkxw,nblxw->nbkl", rows, rows.conj())      # (round, bit, 2, 2)
-    prob = np.trace(kept, axis1=-2, axis2=-1).real
-    live = prob >= ZERO_BRANCH_PROB
-    return prob, verify_branches(kept[live] / prob[live][:, None, None], live, angles)
-
-
-def attack_round_branches(strategy: HelstromStrategy,
-                          angle: float) -> tuple[AttackBranch, AttackBranch]:
-    """One attacked round at ``angle``: the one-row view of ``attack_branch_table``."""
-    table = attack_branch_table(strategy, [angle])
-    return tuple(AttackBranch(bit, float(table.probability[0, bit]),
-                              float(table.pass_probability[0, bit])) for bit in (0, 1))
+    joint = bob_prepare_challenge().joint_state.as_tensor().real
+    psi = joint[:, :, None] * _frame_magnitudes(strategy.t)       # kept, received, frame
+    amps = np.stack(strategy.project(psi)).reshape(1, 2, 2, -1)   # round, bit, kept, rest
+    return BranchTable(*verify_branches(amps, np.zeros(1)))
 
 
 @dataclass(frozen=True)
@@ -392,8 +357,9 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
 
     The guessing probability of the strategy, (<u+|P+|u+> +
     <u-|P-|u->)/2 on the two signed challenge-and-frame vectors, is
-    angle-independent for the same reason, and the report checks the
-    identity p_pass = (1 + psucc)/2 between the two.
+    angle-independent for the same reason; at angle 0 they are the real
+    u+- = [c, +-c]/sqrt(2), c the frame magnitudes. The report checks
+    the identity p_pass = (1 + psucc)/2 between the two.
     """
     t = _check_t(t)
     if strategy is None:
@@ -402,11 +368,13 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
         raise DimensionMismatchError(
             f"strategy was built for t={strategy.t}, round has t={t}"
         )
-    low, high = attack_round_branches(strategy, 0.0)
-    p_pass = low.probability * low.pass_probability + high.probability * high.pass_probability
-    plus, _ = strategy.project(_challenge_and_frame(0.0, t, +1))
-    _, minus = strategy.project(_challenge_and_frame(0.0, t, -1))
-    psucc = 0.5 * (float(np.vdot(plus, plus).real) + float(np.vdot(minus, minus).real))
+    table = attack_round_branches(strategy)
+    (low, high), (pass_low, pass_high) = table.probability[0], table.pass_probability[0]
+    p_pass = float(low * pass_low + high * pass_high)
+    mags = _frame_magnitudes(t) / math.sqrt(2.0)
+    plus, _ = strategy.project(np.stack([mags, mags]))
+    _, minus = strategy.project(np.stack([mags, -mags]))
+    psucc = 0.5 * (float(np.vdot(plus, plus)) + float(np.vdot(minus, minus)))
     return CheatGuessReport(t, p_pass, psucc)
 
 
@@ -422,7 +390,11 @@ class EveProver:
         return self.strategy.t
 
     def round_branches(self, angles) -> BranchTable:
-        return attack_branch_table(self.strategy, angles)
+        """The attacked round's one row, gathered to every round."""
+        row = attack_round_branches(self.strategy)
+        shape = (len(angles), 2)
+        return BranchTable(np.broadcast_to(row.probability, shape),
+                           np.broadcast_to(row.pass_probability, shape))
 
 
 def sample_attack_rounds(strategy: HelstromStrategy, trials: int, rng) -> np.ndarray:
@@ -435,7 +407,8 @@ def sample_attack_rounds(strategy: HelstromStrategy, trials: int, rng) -> np.nda
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    low, high = attack_round_branches(strategy, 0.0)
-    took_low = rng.random(trials) < low.probability
+    table = attack_round_branches(strategy)
+    low, (pass_low, pass_high) = table.probability[0, 0], table.pass_probability[0]
+    took_low = rng.random(trials) < low
     u_swap = rng.random(trials)
-    return np.where(took_low, u_swap < low.pass_probability, u_swap < high.pass_probability)
+    return np.where(took_low, u_swap < pass_low, u_swap < pass_high)

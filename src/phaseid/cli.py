@@ -237,6 +237,9 @@ def cmd_psucc_table(args) -> int:
     t_max = args.t_max if args.t_max is not None else 8
     if t_max < 1:
         raise ConfigError(f"--t-max must be >= 1, got {t_max}")
+    cap = adversary._MAX_ORACLE_T
+    if t_max > cap:
+        raise ConfigError(f"t={cap + 1} exceeds the explicit-construction cap {cap}")
     rows = [
         {
             "t": t,

@@ -124,13 +124,19 @@ class PrivateKey:
 
     @classmethod
     def from_ks(cls, ks, p: int) -> "PrivateKey":
-        """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p."""
+        """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p.
+
+        ``ks`` must have an integer dtype: floats, bools and strings raise
+        ValueError rather than being truncated or compared.
+        """
         p = int(p)
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         ks = np.array(ks)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("private key needs a nonempty one-dimensional array of phases")
+        if not np.issubdtype(ks.dtype, np.integer):
+            raise ValueError(f"k must be integers in 1..{p}, got dtype {ks.dtype}")
         bad = np.flatnonzero((ks < 1) | (ks > p))
         if bad.size:
             raise ValueError(f"k must lie in 1..{p}, got {ks[bad[0]]}")
@@ -329,7 +335,10 @@ def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
         raise ConfigError(
             f"key file modulus {payload['p']} does not match params (expected {params.p})"
         )
-    key = PrivateKey.from_ks([int(k) for k in payload["xs"]], params.p)
+    xs = payload["xs"]
+    if not isinstance(xs, list) or any(type(k) is not int for k in xs):
+        raise ConfigError("key file phases must be a list of JSON integers")
+    key = PrivateKey.from_ks(xs, params.p)
     if key.s != params.s:
         raise ConfigError("key length does not match s")
     return params, int(payload["seed"]), key

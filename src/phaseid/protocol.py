@@ -15,17 +15,19 @@ conditional Z folds the second case onto the first.
 
 A session is evaluated as one branch table: for every round, both
 response bits with their probabilities and the SWAP-test pass
-probability that follows each. A round's rows depend on nothing but
-its key angle, and a key takes at most p distinct angles, so the table
-is built once per distinct angle, with numpy operations in chunks of
-CHUNK_ROUNDS distinct angles, and gathered back to one row per round
-(``BranchTable.in_chunks``). The honest prover builds it
-(``honest_round_branches``); an adversary supplies it through its
-``round_branches(angles)``. Every operator of a round is
-a 2x2 matrix, so ``verify_branches`` works in closed form on the
-stacks: Z rho Z flips the sign of the off-diagonal entries, tr(rho
-sigma) is a sum of elementwise products, and the positivity checks take
-the 2x2 smallest eigenvalue directly (``check_density_operators``).
+probability that follows each. An honest round's rows depend on nothing
+but its key angle, and a key takes at most p distinct angles, so the
+honest table is built once per distinct angle, with numpy operations in
+chunks of CHUNK_ROUNDS distinct angles, and gathered back to one row
+per round (``BranchTable.in_chunks``, ``honest_round_branches``). An
+adversary supplies its table through its ``round_branches(angles)``.
+Honest and attacked rounds share one verifier kernel,
+``verify_branches``: it takes each branch's projected amplitudes,
+forms the kept 2x2 state P P^dagger and its probability, the trace,
+and works in closed form on the stacks: Z rho Z flips the sign of the
+off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
+and the positivity checks take the 2x2 smallest eigenvalue directly
+(``check_density_operators``).
 Exact mode reports each round's pass probability sum_b prob * pass
 (response bits are recorded as null). Sampled mode draws two uniforms
 per round from a seeded generator, in order: the response (bit 0 when
@@ -180,20 +182,21 @@ class BranchTable:
         return self.probability.shape[0]
 
     @classmethod
-    def in_chunks(cls, build, angles, rounds: int) -> "BranchTable":
+    def in_chunks(cls, build, angles) -> "BranchTable":
         """Table of ``build`` at every angle, one row per angle in order.
 
         ``build(chunk)`` returns the (probability, pass_probability)
         arrays of a chunk of key angles, one row per angle and each row
         a function of its angle alone. It is called only on the distinct
         angles (equal as bit patterns), in consecutive chunks of at most
-        ``rounds``, and the rows are gathered back to every angle. So a
+        CHUNK_ROUNDS, and the rows are gathered back to every angle. So a
         session costs one evaluation per distinct key phase, and the
         transient arrays are bounded by the chunk. Construction still
         validates the gathered table.
         """
         distinct, where = _distinct(np.asarray(angles, dtype=np.float64).reshape(-1))
-        parts = [build(distinct[i:i + rounds]) for i in range(0, distinct.size, rounds)]
+        parts = [build(distinct[i:i + CHUNK_ROUNDS])
+                 for i in range(0, distinct.size, CHUNK_ROUNDS)]
         if not parts:
             return cls(np.empty((0, 2)), np.empty((0, 2)))
         return cls(np.concatenate([prob for prob, _ in parts])[where],
@@ -382,19 +385,29 @@ def bob_verify_step(kept, response_bit: int, pk: PublicKeyElement,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def verify_branches(kept: np.ndarray, live: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """``bob_verify_step`` in exact mode over every live branch of a set of rounds.
+def verify_branches(amplitudes: np.ndarray,
+                    angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bob_verify_step`` in exact mode over both branches of a set of rounds.
 
-    ``live`` (rounds, 2) marks the branches at or above ZERO_BRANCH_PROB,
-    the column being the response bit; ``kept`` holds their normalised
-    kept 2x2 states in the row-major order of ``live``, shape (n, 2, 2);
-    ``angles`` holds each round's key angle. Each kept state, its
-    Z-corrected form and the authentic copy are validated as density
-    operators (the copy also as a pure state). Returns the SWAP-test
-    pass probabilities (1 + tr rho sigma)/2, shape (rounds, 2), with 0
-    for every branch that is not live.
+    ``amplitudes`` (round, bit, kept, rest) holds each branch's
+    projected, unnormalised state: the verifier's kept qubit against all
+    that the prover holds, for response bit 0 and 1. ``angles`` holds
+    each round's key angle. A branch's kept 2x2 state is P P^dagger and
+    its probability the trace; branches below ZERO_BRANCH_PROB are not
+    live. The normalised live slices are validated as pure states;
+    each live kept state, its Z-corrected form and the authentic copy as
+    density operators (the copy also as a pure state). Returns the
+    branch probabilities and the SWAP-test pass probabilities
+    (1 + tr rho sigma)/2, both of shape (round, 2), with pass 0 for
+    every branch that is not live.
     """
-    bits = np.broadcast_to(np.arange(2), live.shape)[live]
+    kept = amplitudes @ amplitudes.conj().swapaxes(-1, -2)        # (round, bit, 2, 2)
+    prob = np.trace(kept, axis1=-2, axis2=-1).real
+    live = prob >= ZERO_BRANCH_PROB
+    rounds, bits = np.nonzero(live)
+    weight = prob[live]
+    check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
+    kept = kept[live] / weight[:, None, None]
     check_density_operators(kept)
     # Z rho Z flips the sign of the off-diagonal entries.
     corrected = kept.copy()
@@ -402,13 +415,13 @@ def verify_branches(kept: np.ndarray, live: np.ndarray, angles: np.ndarray) -> n
     corrected[flip, 0, 1] *= -1.0
     corrected[flip, 1, 0] *= -1.0
     check_density_operators(corrected)
-    authentic = _phase_bases(np.broadcast_to(angles[:, None], live.shape)[live])[:, 0, :]
+    authentic = _phase_bases(angles[rounds])[:, 0, :]
     check_pure_states(authentic)
     sigma = authentic[:, :, None] * authentic.conj()[:, None, :]
     check_density_operators(sigma)
     pass_prob = np.zeros(live.shape)
     pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
-    return pass_prob
+    return prob, pass_prob
 
 
 def honest_round_branches(angles) -> BranchTable:
@@ -422,7 +435,7 @@ def honest_round_branches(angles) -> BranchTable:
     challenge is the same in every round and is validated once.
     """
     joint = bob_prepare_challenge().joint_state.as_tensor()
-    return BranchTable.in_chunks(lambda chunk: _honest_rows(joint, chunk), angles, CHUNK_ROUNDS)
+    return BranchTable.in_chunks(lambda chunk: _honest_rows(joint, chunk), angles)
 
 
 def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,14 +445,8 @@ def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.
     # Contract each basis vector with the sent register:
     # inner[j, b, i] = sum_k conj(bases[j, b, k]) joint[i, k], i the kept register.
     inner = bases.conj() @ joint.T
-    prob = np.sum(np.abs(inner) ** 2, axis=-1)
-    live = prob >= ZERO_BRANCH_PROB
-    # Collapsed states over (kept, sent) of the live branches, renormalised.
-    post = inner[live][:, :, None] * bases[live][:, None, :]
-    post = post / np.sqrt(prob[live])[:, None, None]
-    check_pure_states(post.reshape(-1, 4))
-    kept = np.einsum("nks,nls->nkl", post, post.conj())          # trace out the sent register
-    return prob, verify_branches(kept, live, angles)
+    # The collapsed (kept, sent) state of each branch, unnormalised.
+    return verify_branches(inner[..., :, None] * bases[..., None, :], angles)
 
 
 def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest", *,

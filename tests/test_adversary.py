@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseid.adversary import (
-    AttackBranch,
     EveProver,
-    attack_branch_table,
     attack_round_branches,
     build_discrimination_pair,
     cheung_bound,
@@ -282,11 +280,10 @@ class TestHelstrom:
 
 class TestAttackRounds:
     def test_branch_probabilities_sum_to_one(self):
-        strat = helstrom_strategy(2)
-        low, high = attack_round_branches(strat, 1.1)
-        assert low.probability + high.probability == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= low.pass_probability <= 1.0
-        assert 0.0 <= high.pass_probability <= 1.0
+        table = attack_round_branches(helstrom_strategy(2))
+        assert table.rounds == 1
+        assert table.probability[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert ((0.0 <= table.pass_probability) & (table.pass_probability <= 1.0)).all()
 
     def test_one_copy_round_value(self):
         report = eve_attack_round(1)
@@ -327,8 +324,8 @@ class TestAttackRounds:
         grid = 4 * (t + 3)
         p_pass = 0.0
         for k in range(1, grid + 1):
-            for branch in attack_round_branches(strat, 2.0 * math.pi * k / grid):
-                p_pass += branch.probability * branch.pass_probability
+            for prob, pass_prob in _scalar_attack_round(strat, PhaseFraction(k, grid)):
+                p_pass += prob * pass_prob
         assert eve_attack_round(t, strat).p_pass_exact == pytest.approx(
             p_pass / grid, abs=1e-12
         )
@@ -362,15 +359,15 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
     ks = data.draw(st.lists(st.integers(min_value=1, max_value=p), min_size=1, max_size=8))
     xs = [PhaseFraction(k, p) for k in ks]
     strategy = helstrom_strategy(t)
-    table = attack_branch_table(strategy, [x.angle() for x in xs])
+    row = attack_round_branches(strategy)
+    table = EveProver(strategy).round_branches([x.angle() for x in xs])
+    assert table.rounds == len(xs)
     for j, x in enumerate(xs):
-        view = attack_round_branches(strategy, x.angle())
+        assert table.probability[j].tolist() == row.probability[0].tolist()
+        assert table.pass_probability[j].tolist() == row.pass_probability[0].tolist()
         for bit, (prob, pass_prob) in enumerate(_scalar_attack_round(strategy, x)):
-            assert table.probability[j, bit] == pytest.approx(prob, abs=1e-12)
-            assert table.pass_probability[j, bit] == pytest.approx(pass_prob, abs=1e-12)
-            assert view[bit].bit == bit
-            assert view[bit].probability == pytest.approx(prob, abs=1e-12)
-            assert view[bit].pass_probability == pytest.approx(pass_prob, abs=1e-12)
+            assert row.probability[0, bit] == pytest.approx(prob, abs=1e-12)
+            assert row.pass_probability[0, bit] == pytest.approx(pass_prob, abs=1e-12)
 
 
 def _reference_attack_table(strategy, angles):
@@ -391,25 +388,15 @@ def _reference_attack_table(strategy, angles):
 
 @pytest.mark.parametrize("t", [1, 3, 8, 64])
 def test_attack_table_matches_matmul_reference(t):
+    # the one row, at angle 0, equals the reference evaluated at every angle
     angles = np.concatenate([2.0 * math.pi * np.arange(1, 301) / 300,
                              [PhaseFraction(k, 5).angle() for k in range(1, 6)]])
-    table = attack_branch_table(helstrom_strategy(t), angles)
+    row = attack_round_branches(helstrom_strategy(t))
     prob, pass_prob = _reference_attack_table(helstrom_strategy(t), angles)
-    np.testing.assert_allclose(table.probability, prob, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(table.pass_probability, pass_prob, rtol=0.0, atol=1e-15)
-
-
-@pytest.mark.parametrize("t", [1, 64])
-def test_attack_table_is_the_same_across_chunks(t):
-    # t = 64 puts 15 rounds in a chunk, so 40 rounds span three chunks
-    strategy = helstrom_strategy(t)
-    angles = 2.0 * math.pi * np.arange(1, 41) / 41
-    table = attack_branch_table(strategy, angles)
-    assert table.rounds == 40
-    for j, angle in enumerate(angles):
-        row = attack_round_branches(strategy, angle)
-        assert [b.probability for b in row] == table.probability[j].tolist()
-        assert [b.pass_probability for b in row] == table.pass_probability[j].tolist()
+    np.testing.assert_allclose(np.broadcast_to(row.probability, prob.shape), prob,
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(np.broadcast_to(row.pass_probability, pass_prob.shape),
+                               pass_prob, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [1, 3, 8])

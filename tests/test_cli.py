@@ -339,6 +339,15 @@ class TestPsuccTable:
         assert rows[1]["psucc_oracle"] == pytest.approx(0.853553, abs=5e-7)
         assert rows[1]["cheung_bound"] == pytest.approx(0.916667, abs=5e-7)
 
+    def test_above_the_oracle_cap_is_refused_before_any_oracle(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.adversary, "helstrom_psucc_oracle", calls.append)
+        code, out, err = run_cli(["psucc-table", "--t-max", "257"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "phaseid: invalid config: t=257 exceeds the explicit-construction cap 256\n"
+        assert calls == []
+
     def test_default_depth(self, capsys):
         _, out, _ = run_cli(["psucc-table"], capsys)
         assert len(json.loads(out)["rows"]) == 8

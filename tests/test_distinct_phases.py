@@ -1,10 +1,12 @@
-"""A session's branch table is built once per distinct key phase and gathered.
+"""An honest session's branch table is built once per distinct key phase and gathered.
 
-Every round's rows are a function of its key angle alone, so the table
-built on the distinct angles and gathered back to one row per round must
-equal, bit for bit, the table that evaluates every round itself. The
-reference here is that per-round table: the row builder applied to
-consecutive chunks of all s angles, with no sharing between rounds.
+Every honest round's rows are a function of its key angle alone, so the
+table built on the distinct angles and gathered back to one row per
+round must equal, bit for bit, the table that evaluates every round
+itself. The reference here is that per-round table: the row builder
+applied to consecutive chunks of all s angles, with no sharing between
+rounds. An attacked round does not depend on the angle at all, so an Eve
+session evaluates it once, whatever its key.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from phaseid import adversary, protocol
-from phaseid.adversary import EveProver, attack_branch_table, helstrom_strategy
+from phaseid.adversary import EveProver, helstrom_strategy
 from phaseid.keys import PhaseFraction, PrivateKey, ProtocolParams, generate_private_key
 from phaseid.protocol import CHUNK_ROUNDS, bob_prepare_challenge, honest_round_branches, run_session
 
@@ -47,17 +49,6 @@ def test_honest_gathered_table_equals_per_round_table(r, variant):
         assert table.pass_probability[j].tobytes() == one.pass_probability[0].tobytes()
 
 
-@pytest.mark.parametrize("t", [1, 8])
-def test_eve_gathered_table_equals_per_round_table(t):
-    params = ProtocolParams(r=100, s=10_000)
-    angles = generate_private_key(params, 40 + t).angles()
-    strategy = helstrom_strategy(t)
-    table = attack_branch_table(strategy, angles)
-    chunk = min(CHUNK_ROUNDS, max(1, adversary._CHUNK_FRAME_ENTRIES // (t + 1)))
-    _assert_bitwise_equal(table, _per_round_table(
-        lambda rows: adversary._attack_rows(strategy, _JOINT, rows), angles, chunk))
-
-
 @pytest.mark.parametrize("p", [2, 3, 101, 10001])
 def test_key_angles_equal_phase_fraction_angles(p):
     key = PrivateKey.from_ks(np.arange(1, p + 1), p)
@@ -67,23 +58,40 @@ def test_key_angles_equal_phase_fraction_angles(p):
     assert got[-1] == 0.0 and math.copysign(1.0, got[-1]) == 1.0
 
 
-@pytest.mark.parametrize("prover", ["honest", "eve"])
+# Only the honest prover evaluates per distinct phase; an Eve session
+# evaluates its round once (test_eve_session_evaluates_the_attacked_round_once).
+@pytest.mark.parametrize("prover", ["honest"])
 @pytest.mark.parametrize("r,s,variant", [(2, 1000, "standard"), (100, 300, "standard"),
                                          (1000, 3000, "hardened"), (5, 1, "standard")])
 def test_row_builder_evaluates_each_distinct_phase_once(monkeypatch, prover, r, s, variant):
-    name = "_honest_rows" if prover == "honest" else "_attack_rows"
-    module = protocol if prover == "honest" else adversary
-    real = getattr(module, name)
+    real = protocol._honest_rows
     evaluated = []
 
     def spy(*args):
         evaluated.append(args[-1].size)
         return real(*args)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(protocol, "_honest_rows", spy)
     params = ProtocolParams(r=r, s=s, variant=variant)
     key = generate_private_key(params, r + s)
-    who = "honest" if prover == "honest" else EveProver(helstrom_strategy(3))
-    transcript = run_session(params, key, who)
+    transcript = run_session(params, key, prover)
     assert len(transcript.records) == s
     assert sum(evaluated) == len(np.unique(key.ks % key.p))
+
+
+@pytest.mark.parametrize("mode,seed", [("exact", None), ("sampled", 7)])
+def test_eve_session_evaluates_the_attacked_round_once(monkeypatch, mode, seed):
+    real = adversary.attack_round_branches
+    calls = []
+
+    def spy(strategy):
+        calls.append(strategy.t)
+        return real(strategy)
+
+    monkeypatch.setattr(adversary, "attack_round_branches", spy)
+    params = ProtocolParams(r=100, s=300)
+    key = generate_private_key(params, 11)
+    assert len(np.unique(key.ks)) >= 50
+    transcript = run_session(params, key, EveProver(helstrom_strategy(3)), mode=mode, seed=seed)
+    assert len(transcript.records) == params.s
+    assert calls == [3]

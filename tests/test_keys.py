@@ -104,6 +104,12 @@ class TestPrivateKey:
         with pytest.raises(ValueError):
             PrivateKey.from_ks(ks, p)
 
+    @pytest.mark.parametrize("ks", [[1.7, 2.2], [1.0, 2.0], [True, False], ["1", "2"],
+                                    np.array([1, 2], dtype=np.float32)])
+    def test_from_ks_rejects_phases_that_are_not_integers(self, ks):
+        with pytest.raises(ValueError, match="must be integers"):
+            PrivateKey.from_ks(ks, 3)
+
 
 class TestKeygen:
     def test_deterministic_in_seed(self):
@@ -292,6 +298,16 @@ class TestKeyFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            read_private_key_file(path)
+
+    @pytest.mark.parametrize("bad", [1.9, 3.0, True, "2", None])
+    def test_rejects_phase_that_is_not_an_integer(self, tmp_path, bad):
+        params = ProtocolParams(r=3, s=3)
+        payload = private_key_payload(params, 5, generate_private_key(params, 5))
+        payload["xs"][1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="JSON integers"):
             read_private_key_file(path)
 
     def test_descriptor_redacts_by_default(self):

@@ -480,13 +480,17 @@ def test_honest_table_is_the_same_across_chunks():
 
 class TestBranchTable:
     def test_in_chunks_concatenates_in_order(self):
+        sizes = []
+
         def build(chunk):
+            sizes.append(chunk.size)
             return np.stack([chunk, 1.0 - chunk], axis=1), np.ones((chunk.size, 2))
 
-        angles = np.linspace(0.0, 1.0, 11)
-        table = BranchTable.in_chunks(build, angles, 4)
+        angles = np.linspace(0.0, 1.0, 2 * CHUNK_ROUNDS + 11)
+        table = BranchTable.in_chunks(build, angles)
         np.testing.assert_array_equal(table.probability[:, 0], angles)
-        assert BranchTable.in_chunks(build, [], 4).rounds == 0
+        assert sizes == [CHUNK_ROUNDS, CHUNK_ROUNDS, 11]
+        assert BranchTable.in_chunks(build, []).rounds == 0
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(NumericalError):
