@@ -420,9 +420,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "psucc-table", help="guessing probability: formula vs oracle",
         description="Guessing probability for t = 1..t_max copies: the closed form, the "
-                    "dense trace-norm oracle and Cheung's bound. The oracle builds and "
-                    "diagonalises (2t+2)-dimensional states for every t, O(T^4) in total "
-                    "for --t-max T: --t-max 256 (the largest it accepts) takes about 11 s.")
+                    "dense trace-norm oracle and Cheung's bound. For every t the oracle "
+                    "builds and validates (2t+2)-dimensional states and takes the trace "
+                    "norm from one (t+1)-dimensional SVD, O(T^4) in total for --t-max T: "
+                    "--t-max 256 (the largest it accepts) takes about 6.5 s.")
     common(p, fmt=True)
     p.add_argument("--t-max", dest="t_max", type=int, default=None,
                    help="largest t (default 8); the dense oracle's cost grows as t_max^4")

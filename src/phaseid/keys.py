@@ -205,16 +205,32 @@ def _weights(n: int) -> np.ndarray:
 def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
     """Uniform average of (|psi_x><psi_x|)^(x n) over x in {1..p}.
 
+    The average is real for every p: the entry for labels of weights w
+    and v is the mean of e^{i theta (w - v)} over the p-th roots of
+    unity, which is 1 or 0. The computed average's imaginary part,
+    rounding noise, must stay within CONSTRUCT_ATOL (NumericalError
+    otherwise), and the real part is kept.
+    """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    if not 1 <= n <= _MAX_AVERAGED_N:
+        raise ValueError(f"n must lie in 1..{_MAX_AVERAGED_N}, got {n}")
+    average = _product_state_average(p, n)
+    imag = float(np.abs(average.imag).max())
+    if imag > CONSTRUCT_ATOL:
+        raise NumericalError(f"phase average at p={p}, n={n} has imaginary part {imag!r}")
+    return DensityOperator((2,) * n, average.real)
+
+
+def _product_state_average(p: int, n: int) -> np.ndarray:
+    """The complex average behind ``averaged_key_operator_discrete``.
+
     Built directly from the product amplitudes e^{i theta w}/2^{n/2},
     where w is the Hamming weight of the basis label: the product
     vectors of up to _AVERAGE_CHUNK // 2^n phases at a time are made
     with one ``exp`` and summed by one matrix product, so the
     temporaries stay bounded however large p is.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if not 1 <= n <= _MAX_AVERAGED_N:
-        raise ValueError(f"n must lie in 1..{_MAX_AVERAGED_N}, got {n}")
     w = _weights(n)
     scale = 2.0 ** (-n / 2.0)
     acc = np.zeros((w.size, w.size), dtype=np.complex128)
@@ -224,7 +240,7 @@ def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
         thetas = 2.0 * math.pi * (ks % p) / p       # bit for bit PhaseFraction.angle()
         vecs = scale * np.exp(1j * thetas[:, None] * w)
         acc += vecs.T @ vecs.conj()
-    return DensityOperator((2,) * n, acc / p)
+    return acc / p
 
 
 def _weight_states(n: int, weights) -> np.ndarray:

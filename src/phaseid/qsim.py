@@ -17,9 +17,13 @@ a stack of values on leading axes: ``check_pure_states``,
 classes and ``measure_in_basis`` call them on a single value; batched
 callers call them once on a whole stack. On a stack of 2x2 operators,
 the form every kept qubit of a session takes, the positivity check uses
-the closed-form smallest eigenvalue instead of ``eigvalsh``. A larger
-Hermitian part whose imaginary part is exactly zero goes to the real
-symmetric eigensolver.
+the closed-form smallest eigenvalue instead of ``eigvalsh``. On larger
+operators one Cholesky factorisation of the shifted Hermitian part
+certifies positivity; ``eigvalsh`` runs only when that certificate
+fails, to decide and to report the offending eigenvalue. Either LAPACK
+call takes a Hermitian part whose imaginary part is exactly zero as a
+real symmetric matrix. A density operator built from a real matrix
+stays real (float64); any other input is stored as complex128.
 """
 
 from __future__ import annotations
@@ -107,17 +111,85 @@ def check_pure_states(amplitudes) -> None:
         )
 
 
-def _eigvalsh(herm: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian matrices on the last two axes.
+def _real_if_exact(herm: np.ndarray) -> np.ndarray:
+    """The real part of a Hermitian stack whose imaginary part is exactly zero.
 
-    A stack whose imaginary part is exactly zero is real symmetric and
-    goes to the real solver (LAPACK syevd, not heevd): the same
-    eigenvalues to rounding, at a fraction of the cost. Any nonzero
-    imaginary entry keeps the whole stack on the complex solver.
+    Such a stack is real symmetric, and LAPACK's real routines (syevd,
+    potrf) give the same answers on it to rounding, at a fraction of the
+    cost of the complex ones. Any nonzero imaginary entry keeps the
+    whole stack complex.
     """
     if np.iscomplexobj(herm) and herm.imag.any():
-        return np.linalg.eigvalsh(herm)
-    return np.linalg.eigvalsh(herm.real)
+        return herm
+    return herm.real
+
+
+def _cholesky_margin(n: int) -> float:
+    """delta(n) = 4 (n+1) eps: the rounding slack of one n x n Cholesky.
+
+    Not a tolerance: a proven bound, derived in ``_above_floor_certified``.
+    """
+    return 4.0 * (n + 1) * float(np.finfo(np.float64).eps)
+
+
+def _above_floor_certified(herm: np.ndarray) -> bool:
+    """Whether one Cholesky factorisation proves lambda_min >= EIGENVALUE_FLOOR.
+
+    ``herm`` is a stack of exactly Hermitian n x n matrices, real or
+    complex, each with trace 1 to CONSTRUCT_ATOL. Each is shifted by
+    c = EIGENVALUE_FLOOR + delta(n) (``_cholesky_margin``) and the whole
+    stack is factorised. True means the factorisation ran to completion,
+    which proves lambda_min(H) >= EIGENVALUE_FLOOR for every H of the
+    stack; False proves nothing. When c >= 0 (n >= 112589) no
+    factorisation is tried.
+
+    Proof, with u = eps/2 = 2^-53 the unit roundoff and
+    gamma_k = k u / (1 - k u):
+
+    - Forming A = H - c I rounds only the diagonal, so the stored matrix
+      is A' = A + F with F diagonal and |F_ii| <= u |A'_ii|.
+    - Cholesky backward error (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., Theorem 10.3): if the factorisation
+      of A' runs to completion, the computed R satisfies
+      R^H R = A' + E with |E| <= gamma_{n+1} |R^H| |R| elementwise. Its
+      proof uses only that the factorisation completes, not that A' is
+      positive definite, and holds for any order of evaluating the inner
+      products, so for LAPACK's blocked potrf too. In complex arithmetic
+      every multiplication has relative error at most sqrt(2) gamma_2 < 3u
+      and every addition at most u (Higham, Lemma 3.5), so the same
+      argument gives gamma_{3(n+1)}; take g = gamma_{4(n+1)} for both.
+    - Norms: ||E||_2 <= g || |R^H| |R| ||_2 <= g || |R| ||_F^2
+      = g ||R||_F^2 = g tr(R^H R) = g (tr A' + tr E), and
+      |tr E| <= g ||R||_F^2, so ||E||_2 <= g tr A' / (1 - g). Since
+      |E_ii| <= g (R^H R)_ii, every A'_ii >= 0, and
+      ||F||_2 <= u max A'_ii <= u tr A'. Bounding by the trace, which is
+      about 1 here, in place of n ||R||_2^2 saves the factor n of the
+      usual normwise bound.
+    - tr A' <= (1 + u)(tr H - n c). The trace check bounds tr H by
+      1 + CONSTRUCT_ATOL plus rounding, and -n c < n 1e-10 < 1.2e-5
+      since c < 0 only for n < 112589. So tr A' < 1 + 2e-5, g < 5e-11,
+      and ||E||_2 + ||F||_2 < (4 (n+1) + 1) u (1 + 1e-4)
+      < 8 (n+1) u = delta(n).
+    - R^H R is positive semidefinite, so lambda_min(A') >= -||E||_2,
+      lambda_min(A) >= -||E||_2 - ||F||_2 > -delta(n), and
+      lambda_min(H) = lambda_min(A) + c > EIGENVALUE_FLOOR.
+
+    A pass thus admits only matrices whose exact smallest eigenvalue
+    meets the floor, and a failure falls back to ``eigvalsh``: the
+    admitted set never grows past that of the eigenvalue test.
+    """
+    n = herm.shape[-1]
+    shift = EIGENVALUE_FLOOR + _cholesky_margin(n)
+    if shift >= 0.0:
+        return False
+    shifted = herm.copy()
+    diagonal = np.arange(n)
+    shifted[..., diagonal, diagonal] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def check_density_operators(matrices) -> None:
@@ -131,10 +203,12 @@ def check_density_operators(matrices) -> None:
 
     For 2x2 matrices the smallest eigenvalue of the Hermitian part
     [[a, b], [conj b, d]] is taken in closed form,
-    (a + d)/2 - hypot((a - d)/2, |b|), with no LAPACK call; larger
-    matrices use ``eigvalsh``, on the real part alone when the
-    Hermitian part's imaginary part is exactly zero (see
-    ``_eigvalsh``). All are compared with the same floor.
+    (a + d)/2 - hypot((a - d)/2, |b|), with no LAPACK call. Larger
+    matrices are first certified by one shifted Cholesky factorisation
+    (``_above_floor_certified``); only when that fails does ``eigvalsh``
+    decide, and name the smallest eigenvalue of a failure. Both take the
+    real part alone when the Hermitian part's imaginary part is exactly
+    zero (see ``_real_if_exact``). All are compared with the same floor.
     """
     mats = np.asarray(matrices)
     _require_finite(mats, (-2, -1), "matrix entries")
@@ -153,7 +227,10 @@ def check_density_operators(matrices) -> None:
         b = 0.5 * (mats[..., 0, 1] + adjoint[..., 0, 1])
         low = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
     else:
-        low = _eigvalsh((mats + adjoint) / 2.0).min(axis=-1)
+        herm = _real_if_exact((mats + adjoint) / 2.0)
+        if _above_floor_certified(herm):
+            return
+        low = np.linalg.eigvalsh(herm).min(axis=-1)
     idx = _first_bad(low < EIGENVALUE_FLOOR)
     if idx is not None:
         raise StateValidationError(
@@ -234,7 +311,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, trace-one matrix over ``dims``."""
+    """Hermitian, positive semidefinite, trace-one matrix over ``dims``.
+
+    ``matrix`` is a read-only copy of the input: float64 when the input
+    is real, complex128 otherwise (even with a zero imaginary part).
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -244,7 +325,8 @@ class DensityOperator:
         if not dims or any(d < 1 for d in dims):
             raise StateValidationError(f"register dims must be positive, got {dims}")
         d = math.prod(dims)
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
+        raw = np.asarray(self.matrix)
+        mat = raw.astype(np.float64 if np.isrealobj(raw) else np.complex128)
         if mat.shape != (d, d):
             raise StateValidationError(f"matrix shape {mat.shape} does not match dims {dims}")
         check_density_operators(mat)
@@ -453,5 +535,5 @@ def trace_norm(matrix) -> float:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
         raise StateValidationError("trace_norm input is not Hermitian within tolerance")
-    eigs = _eigvalsh((mat + mat.conj().T) / 2.0)
+    eigs = np.linalg.eigvalsh(_real_if_exact((mat + mat.conj().T) / 2.0))
     return float(np.sum(np.abs(eigs)))

@@ -155,6 +155,17 @@ class TestFrames:
             vec, ref * np.exp(1j * angle * np.arange(4)), atol=1e-12
         )
 
+    @pytest.mark.parametrize("t", [1, 8, 64, 256])
+    def test_phases_equal_the_complex_exponential(self, t):
+        # cos + i sin of the real exponent against np.exp on the imaginary one,
+        # for one angle and for the oracle's grid
+        grid = _pair_grid(t)
+        for angle in (0.7, 2.0 * math.pi * np.arange(1, grid + 1) / grid):
+            want = _frame_magnitudes(t) * np.exp(1j * np.multiply.outer(angle, np.arange(t + 1)))
+            got = frame_vector(t, angle)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
     def test_normalized_for_large_t(self):
         for t in (10, 51, 120, 5000, 10**4, 10**5):
             assert np.linalg.norm(frame_vector(t, 0.4)) == pytest.approx(
@@ -208,7 +219,7 @@ class TestDiscriminationPair:
                 vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
                 explicit = vecs.T @ vecs.conj() / grid
                 assert np.abs(explicit.imag).max() <= CONSTRUCT_ATOL
-                assert not rho.matrix.imag.any()
+                assert rho.matrix.dtype == np.float64
                 assert np.array_equal(rho.matrix.real.view(np.int64),
                                       explicit.real.view(np.int64)), (t, sign)
 
@@ -227,6 +238,30 @@ class TestHelstrom:
     def test_oracle_matches_formula(self, t):
         # trace-norm route vs closed-form route, built independently
         assert helstrom_psucc_oracle(t) == pytest.approx(psucc_formula(t), abs=1e-9)
+
+    def test_block_svd_oracle_equals_dense_trace_norm(self):
+        # ||rho+ - rho-||_1 = 4 sum_i sigma_i(B), B the off-diagonal block
+        # of rho+, against the trace norm of the dense gap
+        for t in range(1, 65):
+            pair = build_discrimination_pair(t)
+            dense = 0.5 + 0.25 * trace_norm(pair.rho_plus.matrix - pair.rho_minus.matrix)
+            assert abs(helstrom_psucc_oracle(t) - dense) <= 1e-14, t
+
+    def test_valid_oracle_call_makes_no_eigendecomposition(self, monkeypatch):
+        # both states are still validated, by the Cholesky certificate,
+        # and the trace norm comes from the block SVD
+        calls, validated = [], []
+        eigvalsh, post_init = np.linalg.eigvalsh, DensityOperator.__post_init__
+
+        def counted_post_init(self):
+            validated.append(self.dims)
+            post_init(self)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted_post_init)
+        assert helstrom_psucc_oracle(32) == pytest.approx(psucc_formula(32), abs=1e-14)
+        assert calls == []
+        assert validated == [(2, 33), (2, 33)]
 
     @pytest.mark.parametrize("psucc", [0.25, 1.5, float("nan")])
     def test_psucc_out_of_range_is_internal_failure(self, psucc):

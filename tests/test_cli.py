@@ -348,6 +348,17 @@ class TestPsuccTable:
         assert err == "phaseid: invalid config: t=257 exceeds the explicit-construction cap 256\n"
         assert calls == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_t_max_64_reproduces_golden_bytes(self, capsys, tmp_path, fmt):
+        # tests/data holds the output of the dense-eigensolver oracle that
+        # the block-SVD oracle replaced; every byte must survive.
+        path = tmp_path / f"table.{fmt}"
+        code, out, _ = run_cli(["psucc-table", "--t-max", "64", "--format", fmt,
+                                "--out", str(path)], capsys)
+        assert code == EXIT_OK and out == ""
+        golden = Path(__file__).parent / "data" / f"psucc_table_t64.{fmt}"
+        assert path.read_bytes() == golden.read_bytes()
+
     def test_default_depth(self, capsys):
         _, out, _ = run_cli(["psucc-table"], capsys)
         assert len(json.loads(out)["rows"]) == 8

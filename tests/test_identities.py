@@ -110,6 +110,42 @@ class TestPhaseAverageGuard:
         assert keys.phase_average_exponential(4, 5) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestAveragedOperatorGuard:
+    @staticmethod
+    def _skew(monkeypatch):
+        exact = keys._product_state_average
+
+        def skewed(p, n):
+            average = exact(p, n)
+            average[0, -1] += 1e-9j
+            average[-1, 0] -= 1e-9j
+            return average
+
+        monkeypatch.setattr(keys, "_product_state_average", skewed)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_keeps_the_real_part(self, n):
+        for p in (n + 1, 2 * n + 3):
+            rho = keys.averaged_key_operator_discrete(p, n)
+            average = keys._product_state_average(p, n)
+            assert np.abs(average.imag).max() <= 1e-15
+            assert rho.matrix.dtype == np.float64
+            assert np.array_equal(rho.matrix, average.real)
+
+    def test_imaginary_part_is_a_numerical_failure(self, monkeypatch):
+        self._skew(monkeypatch)
+        with pytest.raises(NumericalError, match="phase average at p=3, n=2 has imaginary part"):
+            keys.averaged_key_operator_discrete(3, 2)
+
+    def test_imaginary_average_exits_numerical(self, capsys, monkeypatch):
+        self._skew(monkeypatch)
+        code, out, err = run_cli(["verify-identities"], capsys)
+        assert code == EXIT_NUMERICAL  # an internal failure, never bad input (4)
+        assert out.splitlines()[-1].startswith("phase-average-vanishing: pass")
+        assert out.count("\n") == 2
+        assert "numerical failure: phase average at p=2, n=1 has imaginary part" in err
+
+
 class TestVerifyIdentitiesOnStacks:
     def test_builds_only_the_session_challenges(self, capsys, monkeypatch):
         counts = {"PureState": 0, "alice_respond": 0}

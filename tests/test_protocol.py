@@ -145,6 +145,17 @@ class TestBobVerifyStep:
         out = bob_verify_step(rho, 1, pk)
         assert out.pass_probability == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_real_density_operator_matches_its_complex_copy(self, bit):
+        # a real kept operator is stored as float64, where every operator
+        # used to be stored as complex128; the pass probability stays put
+        mat = np.array([[0.7, 0.2], [0.2, 0.3]])
+        for k in range(1, 6):
+            pk = public_key_state(PhaseFraction(k, 5))
+            real = bob_verify_step(DensityOperator((2,), mat), bit, pk)
+            complex_copy = bob_verify_step(DensityOperator((2,), mat.astype(np.complex128)), bit, pk)
+            assert real.pass_probability == complex_copy.pass_probability
+
     def test_rejects_bad_bit(self):
         pk = public_key_state(PhaseFraction(1, 3))
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pure_state, random_unitary
+from phaseid import qsim
 from phaseid.errors import (
     DimensionMismatchError,
     InvalidBasisError,
@@ -259,9 +260,22 @@ class TestTwoByTwoPositivity:
         assert reported[0] == pytest.approx(-2e-10, rel=0.0, abs=1e-15)
 
 
+def _solver_dtypes(monkeypatch, name: str = "eigvalsh") -> list:
+    """Record the dtype of every matrix handed to ``np.linalg.<name>``."""
+    seen = []
+    solver = getattr(np.linalg, name)
+
+    def recording(a):
+        seen.append(np.asarray(a).dtype)
+        return solver(a)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
 class TestRealEigenPath:
-    """A Hermitian part with zero imaginary part goes to the real solver,
-    with the verdicts and values of the complex one."""
+    """A Hermitian part with zero imaginary part goes to the real solvers,
+    with the verdicts and values of the complex ones."""
 
     @staticmethod
     def _forms(delta: float) -> dict[str, np.ndarray]:
@@ -273,30 +287,22 @@ class TestRealEigenPath:
         return {"float64": mat, "complex128": mat.astype(np.complex128),
                 "rotated": u @ mat @ u.conj().T}
 
-    @staticmethod
-    def _solver_dtypes(monkeypatch) -> list:
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            seen.append(np.asarray(a).dtype)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        return seen
-
     @pytest.mark.parametrize("form", ["float64", "complex128", "rotated"])
     @pytest.mark.parametrize("delta,admitted", [(2e-10, False), (5e-11, True)])
     def test_same_verdict_on_every_form(self, monkeypatch, form, delta, admitted):
         mat = self._forms(delta)[form]
-        seen = self._solver_dtypes(monkeypatch)
+        seen = _solver_dtypes(monkeypatch)
+        factored = _solver_dtypes(monkeypatch, "cholesky")
         reported = _reported_eigenvalue(mat)
         assert (reported is None) == admitted
         if not admitted:
             assert reported[0] == pytest.approx(-delta, rel=0.0, abs=1e-15)
         assert trace_norm(mat) == pytest.approx(1.0 + 2.0 * delta, rel=0.0, abs=1e-15)
         solver = np.complex128 if form == "rotated" else np.float64
-        assert seen == [solver, solver]
+        # The Cholesky certificate admits without eigvalsh; a rejection
+        # falls back to it. trace_norm makes one eigvalsh call either way.
+        assert factored == [solver]
+        assert seen == ([solver] if admitted else [solver, solver])
         if admitted:
             DensityOperator((2, 2), mat)
         else:
@@ -305,9 +311,123 @@ class TestRealEigenPath:
 
     def test_complex_hermitian_keeps_complex_solver(self, monkeypatch):
         sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
-        seen = self._solver_dtypes(monkeypatch)
+        seen = _solver_dtypes(monkeypatch)
         assert trace_norm(np.kron(sigma_y, np.eye(2))) == pytest.approx(4.0, rel=0.0, abs=1e-12)
         assert seen == [np.complex128]
+
+
+def _edge_operator(rng, n: int, low: float, real: bool) -> np.ndarray:
+    """Trace-1 n x n operator with smallest eigenvalue ``low``, turned by a
+    random orthogonal (real) or unitary (complex) matrix."""
+    rest = rng.uniform(0.5, 1.0, n - 1)
+    eigenvalues = np.concatenate([[low], rest * (1.0 - low) / rest.sum()])
+    if real:
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    else:
+        u = random_unitary(rng, n)
+    return (u * eigenvalues) @ u.conj().T
+
+
+class TestCholeskyCertificate:
+    """Above 2x2, positivity is certified by one shifted Cholesky; it admits
+    exactly what eigvalsh admits, and a failure is reported as eigvalsh
+    reports it."""
+
+    @given(st.sampled_from([3, 4, 8, 33, 66]), st.booleans(),
+           st.sampled_from([0.0] + [EIGENVALUE_FLOOR + d for d in (-5e-11, -1e-12, 1e-12, 5e-11)]),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decides_as_eigvalsh(self, n, real, low, index, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_edge_operator(rng, n, low if i == index else 0.5 / n, real)
+                          for i in range(3)])
+        assert stack.dtype == (np.float64 if real else np.complex128)
+        want = _eigvalsh_low(stack)
+        assert abs(want[index] - low) < 1e-13
+        first_bad = np.flatnonzero(want < EIGENVALUE_FLOOR)
+        reported = _reported_eigenvalue(stack)
+        assert (reported is None) == (first_bad.size == 0)
+        if reported is not None:
+            assert reported[0] == pytest.approx(want[first_bad[0]], rel=0.0, abs=1e-15)
+            assert f"stack index ({first_bad[0]},)" in reported[1]
+        single = _reported_eigenvalue(stack[index])
+        assert (single is None) == (want[index] >= EIGENVALUE_FLOOR)
+        if single is not None:
+            assert single[0] == pytest.approx(want[index], rel=0.0, abs=1e-15)
+            assert "stack index" not in single[1]
+
+    @pytest.mark.parametrize("n", [3, 66, 514])
+    def test_valid_operator_needs_no_eigvalsh(self, monkeypatch, n):
+        # 514 is the oracle's largest dimension, 2 (t+1) at t = 256
+        seen = _solver_dtypes(monkeypatch)
+        check_density_operators(np.eye(n) / n)
+        check_density_operators(np.diag(np.r_[1.0, np.zeros(n - 1)]))
+        assert seen == []
+
+    def test_no_factorisation_once_the_shift_is_not_negative(self, monkeypatch):
+        # the shift EIGENVALUE_FLOOR + delta(n) turns nonnegative at n = 112589;
+        # a stand-in with that shape and no data fails loudly if touched
+        n = 112589
+        assert EIGENVALUE_FLOOR + qsim._cholesky_margin(n - 1) < 0.0
+        assert EIGENVALUE_FLOOR + qsim._cholesky_margin(n) >= 0.0
+
+        class Untouchable:
+            shape = (n, n)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the certificate read .{name} of a matrix it must skip")
+
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", calls.append)
+        assert not qsim._above_floor_certified(Untouchable())
+        assert calls == []
+
+
+class TestDensityOperatorDtype:
+    """A real matrix is stored as float64, anything else as complex128."""
+
+    def test_real_input_is_a_read_only_float64_copy(self):
+        src = np.diag([0.25, 0.75])
+        rho = DensityOperator((2,), src)
+        assert rho.matrix.dtype == np.float64
+        assert not rho.matrix.flags.writeable
+        src[0, 0] = 9.0
+        assert rho.matrix[0, 0] == 0.25
+        assert DensityOperator((2,), [[1, 0], [0, 0]]).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("mat", [np.diag([0.25, 0.75]).astype(np.complex128),
+                                     np.array([[0.5, 0.5j], [-0.5j, 0.5]])])
+    def test_complex_input_stays_complex(self, mat):
+        rho = DensityOperator((2,), mat)
+        assert rho.matrix.dtype == np.complex128
+        assert not rho.matrix.flags.writeable
+        assert np.array_equal(rho.matrix, mat)
+
+    def test_real_input_is_validated_like_complex(self):
+        for mat in (np.array([[0.5, 0.1], [0.2, 0.5]]), np.diag([0.5, 0.6]),
+                    np.diag([1.0 + 2e-10, 0.0, -2e-10])):
+            with pytest.raises(StateValidationError):
+                DensityOperator((len(mat),), mat)
+
+    def test_from_pure_is_complex(self):
+        state = random_pure_state(np.random.default_rng(3), (2, 2))
+        rho = DensityOperator.from_pure(state)
+        assert rho.matrix.dtype == np.complex128
+        assert np.array_equal(rho.matrix, np.outer(state.amplitudes, state.amplitudes.conj()))
+
+    def test_operations_match_the_complex_copy(self):
+        # every operator used to be stored as complex128: each operation on
+        # a real operator returns what it returns on that complex copy
+        rng = np.random.default_rng(8)
+        mat = _edge_operator(rng, 6, 0.05, real=True)
+        real, cplx = (DensityOperator((2, 3), m) for m in (mat, mat.astype(np.complex128)))
+        for keep in ((0,), (1,), (0, 1)):
+            a, b = partial_trace(real, keep), partial_trace(cplx, keep)
+            assert a.matrix.dtype == np.float64 and b.matrix.dtype == np.complex128
+            assert np.array_equal(a.matrix, b.matrix)
+        sigma = _edge_operator(rng, 6, 0.1, real=True)
+        want = swap_test_pass_probability_mixed(cplx, DensityOperator((2, 3), sigma.astype(np.complex128)))
+        assert swap_test_pass_probability_mixed(real, DensityOperator((2, 3), sigma)) == want
 
 
 def test_tensor_of_basis_states():
