@@ -48,10 +48,8 @@ from .protocol import (
 from .qsim import (
     DensityOperator,
     PureState,
-    apply_gate,
     measure_in_basis,
     partial_trace,
-    swap_test_pass_probability,
     swap_test_pass_probability_mixed,
     tensor,
     trace_norm,

@@ -383,13 +383,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="phaseid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, want_r=False, want_s=False, mode=False, fmt=False):
+    # Each subcommand gets only the flags its command reads.
+    def common(p, *, want_r=False, want_s=False, variant=False, seed=False, mode=False,
+               fmt=False):
         if want_r:
             p.add_argument("--r", type=int, default=None, help="reusability parameter")
         if want_s:
             p.add_argument("--s", type=int, default=None, help="kernel repetitions")
-        p.add_argument("--variant", choices=keys.VARIANTS, default="standard")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        if variant:
+            p.add_argument("--variant", choices=keys.VARIANTS, default="standard")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if mode:
             p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
@@ -397,19 +401,19 @@ def build_parser() -> _Parser:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("keygen", help="draw a private key")
-    common(p, want_r=True, want_s=True)
+    common(p, want_r=True, want_s=True, variant=True, seed=True)
     p.add_argument("--public", action="store_true", help="emit the public descriptor")
     p.add_argument("--expose-phases", action="store_true",
                    help="debug: include phases in the public descriptor")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("run-honest", help="run honest sessions under one key")
-    common(p, want_r=True, want_s=True, mode=True)
+    common(p, want_r=True, want_s=True, variant=True, seed=True, mode=True)
     p.add_argument("--trials", type=int, default=1, help="sessions to run")
     p.set_defaults(func=cmd_run_honest)
 
     p = sub.add_parser("run-attack", help="evaluate the optimal attacked round")
-    common(p, want_s=True, mode=True, fmt=True)
+    common(p, want_s=True, seed=True, mode=True, fmt=True)
     p.add_argument("--t", type=int, default=None, help="adversary copy count")
     p.add_argument("--t-max", dest="t_max", type=int, default=None,
                    help="sweep t = 1..t_max (default 8)")
@@ -430,7 +434,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_psucc_table)
 
     p = sub.add_parser("bounds", help="break-probability bound or advisor")
-    common(p, want_r=True, want_s=True, fmt=True)
+    common(p, want_r=True, want_s=True, variant=True, fmt=True)
     p.add_argument("--epsilon", type=float, default=None,
                    help="advisor mode: find minimal s with bound <= epsilon")
     p.set_defaults(func=cmd_bounds)

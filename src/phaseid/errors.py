@@ -18,10 +18,6 @@ class InvalidBasisError(InternalError):
     """A measurement basis is not orthonormal."""
 
 
-class NonUnitaryGateError(InternalError):
-    """A gate matrix fails the unitarity check."""
-
-
 class DimensionMismatchError(InternalError):
     """Operands live in incompatible spaces."""
 

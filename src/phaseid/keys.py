@@ -33,7 +33,6 @@ __all__ = [
     "PhaseFraction",
     "PrivateKey",
     "PublicKeyElement",
-    "SymmetricBasisState",
     "generate_private_key",
     "qubit_phase_state",
     "public_key_state",
@@ -95,10 +94,6 @@ class PhaseFraction:
     def angle(self) -> float:
         """Angle 2*pi*k/p, reduced so k = p maps to exactly 0.0."""
         return 2.0 * math.pi * (self.k % self.p) / self.p
-
-    def phase(self) -> complex:
-        a = self.angle()
-        return complex(math.cos(a), math.sin(a))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -257,20 +252,13 @@ def _weight_states(n: int, weights) -> np.ndarray:
     return amps
 
 
-def symmetric_basis_state(n: int, w: int) -> "SymmetricBasisState":
+def symmetric_basis_state(n: int, w: int) -> PureState:
     """Uniform superposition of all weight-w bitstrings of length n."""
     if not 1 <= n <= _MAX_SYMMETRIC_N:
         raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
     if not 0 <= w <= n:
         raise ValueError(f"weight must lie in 0..{n}, got {w}")
-    return SymmetricBasisState(n, w, PureState((2,) * n, _weight_states(n, (w,))[0]))
-
-
-@dataclass(frozen=True)
-class SymmetricBasisState:
-    n: int
-    w: int
-    state: PureState
+    return PureState((2,) * n, _weight_states(n, (w,))[0])
 
 
 def symmetric_mixture(n: int) -> DensityOperator:
@@ -346,8 +334,12 @@ def write_private_key_file(path, params: ProtocolParams, seed: int, key: Private
 def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    params = ProtocolParams(int(payload["r"]), int(payload["s"]), str(payload["variant"]))
-    if int(payload["p"]) != params.p:
+    for name in ("r", "s", "seed", "p"):
+        if type(payload[name]) is not int:
+            raise ConfigError(f"key file field {name!r} must be a JSON integer, "
+                              f"got {payload[name]!r}")
+    params = ProtocolParams(payload["r"], payload["s"], str(payload["variant"]))
+    if payload["p"] != params.p:
         raise ConfigError(
             f"key file modulus {payload['p']} does not match params (expected {params.p})"
         )
@@ -357,7 +349,7 @@ def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
     key = PrivateKey.from_ks(xs, params.p)
     if key.s != params.s:
         raise ConfigError("key length does not match s")
-    return params, int(payload["seed"]), key
+    return params, payload["seed"], key
 
 
 def public_key_descriptor(params: ProtocolParams, key: PrivateKey | None = None,

@@ -34,7 +34,10 @@ per round from a seeded generator, in order: the response (bit 0 when
 the draw falls below its probability), then the SWAP test. No message
 transport is involved. The transcript keeps the per-round results as
 arrays. ``alice_respond`` and ``bob_verify_step`` are the scalar,
-per-round form of the kernel, in both modes: no command calls them;
+per-round form of the kernel, in both modes: ``alice_respond`` returns
+the ``MeasurementResult`` of each response (its ``outcome`` is the bit),
+and ``bob_verify_step`` takes the kept qubit as a ``DensityOperator``,
+the ``partial_trace`` of a branch's post state. No command calls them;
 the tests use them as the independent oracle of the stacked kernel,
 and library callers can run a single round with them.
 """
@@ -54,14 +57,12 @@ from .qsim import (
     PAULI_Z,
     DensityOperator,
     PureState,
-    apply_gate,
     check_density_operators,
     check_orthonormal_bases,
     check_pure_states,
     equal_up_to_global_phase,
     measure_in_basis,
     partial_trace,  # noqa: F401  (kept importable here: the benchmark's tests look it up)
-    swap_test_pass_probability,
     swap_test_pass_probability_mixed,
 )
 from .rng import make_rng
@@ -69,7 +70,6 @@ from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
     "KernelChallenge",
-    "ResponseBranch",
     "KernelOutcome",
     "BranchTable",
     "RoundRecord",
@@ -110,15 +110,6 @@ class KernelChallenge:
         reference = PureState((2, 2), _BELL)
         if not equal_up_to_global_phase(self.joint_state, reference):
             raise ValueError("challenge must equal (|01>+|10>)/sqrt(2) up to phase")
-
-
-@dataclass(frozen=True)
-class ResponseBranch:
-    """One branch of the prover's measurement: bit, weight, post state."""
-
-    bit: int
-    probability: float
-    post_state: PureState | None
 
 
 @dataclass(frozen=True)
@@ -346,36 +337,30 @@ def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
 def alice_respond(challenge: KernelChallenge, x: PhaseFraction, mode: str = "exact", rng=None):
     """Measure the received register in the key's phase basis.
 
-    Outcome "+" answers bit 0, outcome "-" answers bit 1. Exact mode
+    Outcome "+" answers bit 0, outcome "-" answers bit 1: each
+    MeasurementResult's ``outcome`` is the response bit. Exact mode
     returns both branches (each has probability exactly 1/2 for this
     challenge); sampled mode returns the drawn one.
     """
     basis = phase_basis(x.angle())
-    result = measure_in_basis(challenge.joint_state, challenge.sent_register, basis, mode, rng)
-    if mode == "exact":
-        return tuple(ResponseBranch(res.outcome, res.probability, res.post_state) for res in result)
-    return ResponseBranch(result.outcome, result.probability, result.post_state)
+    return measure_in_basis(challenge.joint_state, challenge.sent_register, basis, mode, rng)
 
 
-def bob_verify_step(kept, response_bit: int, pk: PublicKeyElement,
+def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PublicKeyElement,
                     mode: str = "exact", rng=None) -> KernelOutcome:
     """Conditional Z on the kept register, then SWAP-test against ``pk``.
 
-    ``kept`` may be a single-qubit PureState or DensityOperator. Exact
+    ``kept`` is the kept qubit as a single-qubit DensityOperator. Exact
     mode reports the pass probability; sampled mode draws the SWAP-test
     outcome from ``rng``.
     """
     if response_bit not in (0, 1):
         raise ValueError(f"response bit must be 0 or 1, got {response_bit}")
-    if isinstance(kept, PureState):
-        corrected = apply_gate(kept, PAULI_Z, (0,)) if response_bit else kept
-        prob = swap_test_pass_probability(corrected, pk.state)
-    elif isinstance(kept, DensityOperator):
-        mat = PAULI_Z @ kept.matrix @ PAULI_Z if response_bit else kept.matrix
-        corrected = DensityOperator(kept.dims, mat)
-        prob = swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk.state))
-    else:
-        raise TypeError(f"kept register must be a state, got {type(kept).__name__}")
+    if not isinstance(kept, DensityOperator):
+        raise TypeError(f"kept register must be a DensityOperator, got {type(kept).__name__}")
+    mat = PAULI_Z @ kept.matrix @ PAULI_Z if response_bit else kept.matrix
+    corrected = DensityOperator(kept.dims, mat)
+    prob = swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk.state))
     if mode == "exact":
         return KernelOutcome(response_bit, pass_probability=prob)
     if mode == "sampled":

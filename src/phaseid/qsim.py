@@ -6,6 +6,11 @@ is big-endian throughout: the first register is the most significant
 digit of the flat index. Values are immutable after construction and
 every operation returns a new value, so states can be shared freely.
 
+The scalar operations on single values are ``measure_in_basis``,
+``partial_trace``, ``tensor``, ``swap_test_pass_probability_mixed`` and
+``trace_norm``. No command calls them; the tests check the stacked
+kernel and the dense oracle against them.
+
 Measurements come in two modes. Exact mode returns every branch with
 its Born probability; sampled mode draws a single branch from an
 explicitly seeded generator. Nothing in this module ever consults
@@ -33,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidBasisError,
-    NonUnitaryGateError,
-    StateValidationError,
-)
+from .errors import DimensionMismatchError, InvalidBasisError, StateValidationError
 from .tolerances import (
     CONSTRUCT_ATOL,
     EIGENVALUE_FLOOR,
@@ -51,14 +51,10 @@ __all__ = [
     "DensityOperator",
     "MeasurementResult",
     "PAULI_Z",
-    "HADAMARD",
     "tensor",
     "overlap",
     "equal_up_to_global_phase",
-    "apply_gate",
-    "project_register",
     "measure_in_basis",
-    "swap_test_pass_probability",
     "swap_test_pass_probability_mixed",
     "partial_trace",
     "trace_norm",
@@ -68,7 +64,6 @@ __all__ = [
 ]
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -275,19 +270,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def build(cls, amplitudes, dims=None, normalize: bool = False) -> "PureState":
-        """Construct from raw amplitudes, optionally rescaling to unit norm."""
-        amps = _as_complex_vector(amplitudes)
-        if dims is None:
-            dims = (amps.size,)
-        if normalize:
-            norm = float(np.linalg.norm(amps))
-            if norm < ZERO_BRANCH_PROB:
-                raise StateValidationError("cannot normalize a null vector")
-            amps = amps / norm
-        return cls(tuple(dims), amps)
-
-    @classmethod
     def basis_state(cls, dims, labels) -> "PureState":
         """Computational basis state |labels...> over the given registers."""
         dims = tuple(int(d) for d in dims)
@@ -375,65 +357,6 @@ def equal_up_to_global_phase(a: PureState, b: PureState, atol: float = CONSTRUCT
     return abs(abs(overlap(a, b)) - 1.0) <= atol
 
 
-def _check_registers(state: PureState, registers) -> tuple[int, ...]:
-    regs = tuple(int(r) for r in registers)
-    if len(set(regs)) != len(regs):
-        raise DimensionMismatchError(f"duplicate register in {regs}")
-    for r in regs:
-        if not 0 <= r < len(state.dims):
-            raise DimensionMismatchError(
-                f"register {r} out of range for layout {state.dims}"
-            )
-    return regs
-
-
-def apply_gate(state: PureState, gate, registers) -> PureState:
-    """Apply a unitary to the listed registers (in the order given).
-
-    The gate dimension must equal the product of the selected register
-    dimensions; unitarity is checked to construction tolerance.
-    """
-    regs = _check_registers(state, registers)
-    if not regs:
-        raise DimensionMismatchError("apply_gate needs at least one register")
-    gate = np.asarray(gate, dtype=np.complex128)
-    d = math.prod(state.dims[r] for r in regs)
-    if gate.shape != (d, d):
-        raise DimensionMismatchError(
-            f"gate shape {gate.shape} does not match register dims (product {d})"
-        )
-    if np.max(np.abs(gate.conj().T @ gate - np.eye(d))) > CONSTRUCT_ATOL:
-        raise NonUnitaryGateError("gate is not unitary within tolerance")
-    tens = state.as_tensor()
-    moved = np.moveaxis(tens, regs, range(len(regs)))
-    folded = moved.reshape(d, -1)
-    acted = gate @ folded
-    back = np.moveaxis(acted.reshape(moved.shape), range(len(regs)), regs)
-    return PureState(state.dims, back.reshape(-1))
-
-
-def project_register(state: PureState, register: int, vec) -> tuple[float, PureState | None]:
-    """Project one register onto ``vec`` and drop it.
-
-    Returns (probability, remaining state). The remaining state is None
-    when the probability is below the renormalization floor or when no
-    register is left.
-    """
-    (register,) = _check_registers(state, (register,))
-    vec = _as_complex_vector(vec)
-    if vec.size != state.dims[register]:
-        raise DimensionMismatchError(
-            f"vector length {vec.size} does not match register dim {state.dims[register]}"
-        )
-    inner = np.tensordot(vec.conj(), state.as_tensor(), axes=([0], [register]))
-    prob = float(np.sum(np.abs(inner) ** 2))
-    rest_dims = state.dims[:register] + state.dims[register + 1 :]
-    if prob < ZERO_BRANCH_PROB or not rest_dims:
-        return prob, None
-    remaining = PureState(rest_dims, inner.reshape(-1) / math.sqrt(prob))
-    return prob, remaining
-
-
 def _collapse_register(state: PureState, register: int, vec: np.ndarray, prob: float) -> PureState:
     """Post-measurement state with ``register`` collapsed onto ``vec``."""
     inner = np.tensordot(vec.conj(), state.as_tensor(), axes=([0], [register]))
@@ -449,7 +372,9 @@ def measure_in_basis(state: PureState, register: int, basis, mode: str = "exact"
     of negligible probability carry post_state None); sampled mode
     draws one outcome from ``rng`` and returns a single result.
     """
-    (register,) = _check_registers(state, (register,))
+    register = int(register)
+    if not 0 <= register < len(state.dims):
+        raise DimensionMismatchError(f"register {register} out of range for layout {state.dims}")
     if state.dims[register] != 2:
         raise DimensionMismatchError("measure_in_basis requires a qubit register")
     b0 = _as_complex_vector(basis[0])
@@ -479,12 +404,6 @@ def measure_in_basis(state: PureState, register: int, basis, mode: str = "exact"
         pick = 0 if rng.random() < branches[0].probability else 1
         return branches[pick]
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def swap_test_pass_probability(xi: PureState, chi: PureState) -> float:
-    """SWAP-test pass probability (1 + |<xi|chi>|^2) / 2 for pure inputs."""
-    ov = overlap(xi, chi)
-    return 0.5 * (1.0 + abs(ov) ** 2)
 
 
 def swap_test_pass_probability_mixed(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -8,7 +8,7 @@ def random_pure_state(rng, dims) -> PureState:
     """Haar-ish random state: normalized complex Gaussian amplitudes."""
     n = int(np.prod(dims))
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return PureState.build(vec, tuple(dims), normalize=True)
+    return PureState(tuple(dims), vec / np.linalg.norm(vec))
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,19 +156,21 @@ def test_criterion_7_monte_carlo_consistency():
     _criterion(7, "sampled attack matches exact rate", 30.0, body)
 
 
+CRITERION_8_COMMANDS = {
+    "keygen": ["keygen", "--r", "3", "--s", "4", "--seed", "11"],
+    "run-honest": ["run-honest", "--r", "2", "--s", "4",
+                   "--mode", "sampled", "--seed", "7", "--trials", "2"],
+    "run-attack": ["run-attack", "--t-max", "3", "--mode", "sampled",
+                   "--seed", "5", "--trials", "2000"],
+    "psucc-table": ["psucc-table", "--t-max", "4"],
+    "bounds": ["bounds", "--r", "2", "--s", "83"],
+    "verify-identities": ["verify-identities"],
+}
+
+
 def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
     def body():
-        commands = {
-            "keygen": ["keygen", "--r", "3", "--s", "4", "--seed", "11"],
-            "run-honest": ["run-honest", "--r", "2", "--s", "4",
-                           "--mode", "sampled", "--seed", "7", "--trials", "2"],
-            "run-attack": ["run-attack", "--t-max", "3", "--mode", "sampled",
-                           "--seed", "5", "--trials", "2000"],
-            "psucc-table": ["psucc-table", "--t-max", "4"],
-            "bounds": ["bounds", "--r", "2", "--s", "83"],
-            "verify-identities": ["verify-identities"],
-        }
-        for name, argv in commands.items():
+        for name, argv in CRITERION_8_COMMANDS.items():
             first = tmp_path / f"{name}-1.out"
             second = tmp_path / f"{name}-2.out"
             assert main(argv + ["--out", str(first)]) == 0
@@ -176,3 +179,16 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
         capsys.readouterr()  # drop verify-identities stdout chatter
 
     _criterion(8, "identical config and seed give identical bytes", 30.0, body)
+
+
+# The --out bytes of each command, recorded from a known-good build
+# (psucc-table's are pinned by tests/data/psucc_table_t64.*). A change that
+# moves any of them replaces the file and names the change in CHANGES.md.
+@pytest.mark.parametrize("name", ["keygen", "run-honest", "run-attack", "bounds",
+                                  "verify-identities"])
+def test_criterion_8_reproduces_golden_bytes(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.out"
+    assert main(CRITERION_8_COMMANDS[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).parent / "data" / "criterion8" / f"{name}.out"
+    assert out.read_bytes() == golden.read_bytes()

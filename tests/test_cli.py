@@ -25,7 +25,6 @@ from phaseid.errors import (
     DimensionMismatchError,
     InternalError,
     InvalidBasisError,
-    NonUnitaryGateError,
     NumericalError,
     StateValidationError,
 )
@@ -198,8 +197,7 @@ class TestVerdictExit:
 class TestInternalFailureExit:
     # An internal invariant failure exits 5, never 4 (bad input).
     @pytest.mark.parametrize("error", [StateValidationError, DimensionMismatchError,
-                                       NonUnitaryGateError, InvalidBasisError,
-                                       NumericalError, InternalError])
+                                       InvalidBasisError, NumericalError, InternalError])
     def test_invariant_failure_exits_numerical(self, capsys, monkeypatch, error):
         import phaseid.cli as cli_mod
 
@@ -450,6 +448,21 @@ class TestParsing:
     def test_unknown_command_exits_config(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == EXIT_CONFIG
+
+    # --variant and --seed exist only where the command reads them
+    @pytest.mark.parametrize("argv", [
+        ["run-attack", "--t", "1", "--variant", "hardened"],
+        ["psucc-table", "--t-max", "1", "--variant", "hardened"],
+        ["psucc-table", "--t-max", "1", "--seed", "3"],
+        ["bounds", "--r", "2", "--s", "83", "--seed", "3"],
+        ["verify-identities", "--variant", "hardened"],
+        ["verify-identities", "--seed", "3"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_flag_the_command_does_not_read_exits_config(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
     def test_module_entry_point(self):
         # the child imports the same phaseid as this process, installed or not

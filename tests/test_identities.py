@@ -87,7 +87,7 @@ class TestScalarOracle:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetric_mixture(self, n):
         want = sum(math.comb(n, w) / 2**n
-                   * qsim.DensityOperator.from_pure(keys.symmetric_basis_state(n, w).state).matrix
+                   * qsim.DensityOperator.from_pure(keys.symmetric_basis_state(n, w)).matrix
                    for w in range(n + 1))
         np.testing.assert_allclose(keys.symmetric_mixture(n).matrix, want, rtol=0, atol=1e-15)
 

@@ -61,10 +61,6 @@ class TestPhaseFraction:
         with pytest.raises(ValueError):
             PhaseFraction(k, p)
 
-    def test_phase_is_unit_modulus(self):
-        for k in range(1, 8):
-            assert abs(PhaseFraction(k, 7).phase()) == pytest.approx(1.0, abs=1e-15)
-
 
 class TestPrivateKey:
     def test_rejects_empty(self):
@@ -225,23 +221,23 @@ class TestAveragedOperator:
 
 class TestSymmetricStates:
     def test_weight_zero_is_all_zeros(self):
-        st_ = symmetric_basis_state(3, 0).state
+        st_ = symmetric_basis_state(3, 0)
         assert st_.amplitudes[0] == pytest.approx(1.0)
 
     def test_weight_one_amplitudes(self):
-        st_ = symmetric_basis_state(2, 1).state
+        st_ = symmetric_basis_state(2, 1)
         np.testing.assert_allclose(st_.amplitudes, [0, INV_SQRT2, INV_SQRT2, 0],
                                    atol=1e-15)
 
     def test_orthonormal_across_weights(self):
-        vecs = [symmetric_basis_state(4, w).state.amplitudes for w in range(5)]
+        vecs = [symmetric_basis_state(4, w).amplitudes for w in range(5)]
         gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
 
     def test_mixture_is_diagonal_in_weight_basis(self):
         mix = symmetric_mixture(3)
         for w in range(4):
-            v = symmetric_basis_state(3, w).state.amplitudes
+            v = symmetric_basis_state(3, w).amplitudes
             val = float(np.real(v.conj() @ mix.matrix @ v))
             assert val == pytest.approx(math.comb(3, w) / 8.0, abs=1e-12)
 
@@ -308,6 +304,18 @@ class TestKeyFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="JSON integers"):
+            read_private_key_file(path)
+
+    @pytest.mark.parametrize("field,bad", [("r", 2.9), ("r", "2"), ("s", 3.7),
+                                           ("seed", True), ("seed", 5.5), ("p", 3.0)])
+    def test_rejects_field_that_is_not_an_integer(self, tmp_path, field, bad):
+        # each is a value that int() maps onto the valid key r = 2, s = 3, p = 3
+        params = ProtocolParams(r=2, s=3)
+        payload = private_key_payload(params, 5, generate_private_key(params, 5))
+        payload[field] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"'{field}' must be a JSON integer"):
             read_private_key_file(path)
 
     def test_descriptor_redacts_by_default(self):

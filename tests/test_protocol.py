@@ -41,6 +41,7 @@ from phaseid.protocol import (
 )
 from phaseid.qsim import (
     DensityOperator,
+    MeasurementResult,
     PureState,
     equal_up_to_global_phase,
     partial_trace,
@@ -93,7 +94,8 @@ class TestAliceRespond:
     def test_branch_probabilities_are_half(self):
         branches = alice_respond(bob_prepare_challenge(), PhaseFraction(2, 5))
         assert len(branches) == 2
-        for b in branches:
+        for bit, b in enumerate(branches):
+            assert isinstance(b, MeasurementResult) and b.outcome == bit
             assert b.probability == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("k,p", [(1, 2), (1, 3), (2, 3), (3, 4), (5, 5)])
@@ -110,7 +112,7 @@ class TestAliceRespond:
     def test_sampled_draws_single_branch(self):
         branch = alice_respond(bob_prepare_challenge(), PhaseFraction(1, 3),
                                mode="sampled", rng=np.random.default_rng(4))
-        assert branch.bit in (0, 1)
+        assert branch.outcome in (0, 1)
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
 
 
@@ -118,25 +120,27 @@ class TestBobVerifyStep:
     def test_authentic_state_bit_zero(self):
         x = PhaseFraction(2, 5)
         pk = public_key_state(x)
-        out = bob_verify_step(qubit_phase_state(x.angle()), 0, pk)
+        out = bob_verify_step(DensityOperator.from_pure(qubit_phase_state(x.angle())), 0, pk)
         assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_bit_one_corrects(self):
         # Z maps (|0> - e^{i a}|1>)/sqrt(2) onto the public element
         x = PhaseFraction(2, 5)
         _, b1 = phase_basis(x.angle())
-        out = bob_verify_step(PureState((2,), b1), 1, public_key_state(x))
+        out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 1,
+                              public_key_state(x))
         assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_without_correction_is_coin_flip(self):
         x = PhaseFraction(2, 5)
         _, b1 = phase_basis(x.angle())
-        out = bob_verify_step(PureState((2,), b1), 0, public_key_state(x))
+        out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 0,
+                              public_key_state(x))
         assert out.pass_probability == pytest.approx(0.5, abs=1e-12)
 
     def test_unrelated_state(self):
         pk = public_key_state(PhaseFraction(4, 4))
-        out = bob_verify_step(PureState.basis_state((2,), (0,)), 0, pk)
+        out = bob_verify_step(DensityOperator.from_pure(PureState.basis_state((2,), (0,))), 0, pk)
         assert out.pass_probability == pytest.approx(0.75, abs=1e-12)
 
     def test_density_operator_input(self):
@@ -159,17 +163,20 @@ class TestBobVerifyStep:
     def test_rejects_bad_bit(self):
         pk = public_key_state(PhaseFraction(1, 3))
         with pytest.raises(ValueError):
-            bob_verify_step(qubit_phase_state(0.0), 2, pk)
+            bob_verify_step(DensityOperator.from_pure(qubit_phase_state(0.0)), 2, pk)
 
     def test_rejects_non_state(self):
+        # the kept qubit is a DensityOperator; a PureState or a bare matrix is refused
         pk = public_key_state(PhaseFraction(1, 3))
-        with pytest.raises(TypeError):
-            bob_verify_step(np.eye(2) / 2.0, 0, pk)
+        for kept in (qubit_phase_state(0.0), np.eye(2) / 2.0):
+            with pytest.raises(TypeError, match="DensityOperator"):
+                bob_verify_step(kept, 0, pk)
 
     def test_sampled_requires_rng(self):
         pk = public_key_state(PhaseFraction(1, 3))
         with pytest.raises(ValueError):
-            bob_verify_step(qubit_phase_state(0.0), 0, pk, mode="sampled")
+            bob_verify_step(DensityOperator.from_pure(qubit_phase_state(0.0)), 0, pk,
+                            mode="sampled")
 
 
 class TestExactSessions:
@@ -413,7 +420,7 @@ def test_honest_round_certainty_any_phase(p, data):
     total = 0.0
     for branch in alice_respond(bob_prepare_challenge(), x):
         kept = partial_trace(branch.post_state, (0,))
-        out = bob_verify_step(kept, branch.bit, pk)
+        out = bob_verify_step(kept, branch.outcome, pk)
         total += branch.probability * out.pass_probability
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -424,7 +431,8 @@ def _scalar_honest_round(x):
     rows = []
     for branch in alice_respond(bob_prepare_challenge(), x):
         kept = partial_trace(branch.post_state, (0,))
-        rows.append((branch.probability, bob_verify_step(kept, branch.bit, pk).pass_probability))
+        rows.append((branch.probability,
+                     bob_verify_step(kept, branch.outcome, pk).pass_probability))
     return rows
 
 

@@ -13,15 +13,11 @@ from phaseid import qsim
 from phaseid.errors import (
     DimensionMismatchError,
     InvalidBasisError,
-    NonUnitaryGateError,
     StateValidationError,
 )
 from phaseid.qsim import (
-    HADAMARD,
-    PAULI_Z,
     DensityOperator,
     PureState,
-    apply_gate,
     check_density_operators,
     check_orthonormal_bases,
     check_pure_states,
@@ -29,8 +25,6 @@ from phaseid.qsim import (
     measure_in_basis,
     overlap,
     partial_trace,
-    project_register,
-    swap_test_pass_probability,
     swap_test_pass_probability_mixed,
     tensor,
     trace_norm,
@@ -59,10 +53,6 @@ class TestPureState:
     def test_rejects_length_mismatch(self):
         with pytest.raises(StateValidationError):
             PureState((2, 2), np.array([1.0, 0.0]))
-
-    def test_build_normalizes(self):
-        state = PureState.build([3.0, 4.0], normalize=True)
-        assert state.amplitudes[0] == pytest.approx(0.6)
 
     def test_amplitudes_read_only(self):
         with pytest.raises(ValueError):
@@ -446,41 +436,6 @@ def test_tensor_preserves_norm(seed):
     assert np.linalg.norm(joint.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestApplyGate:
-    def test_pauli_z_flips_plus(self):
-        assert equal_up_to_global_phase(apply_gate(PLUS, PAULI_Z, (0,)), MINUS)
-
-    def test_hadamard_on_zero(self):
-        assert equal_up_to_global_phase(apply_gate(ZERO, HADAMARD, (0,)), PLUS)
-
-    def test_z_squares_to_identity(self):
-        state = apply_gate(apply_gate(PLUS, PAULI_Z, (0,)), PAULI_Z, (0,))
-        assert equal_up_to_global_phase(state, PLUS)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitaryGateError):
-            apply_gate(ZERO, np.array([[1.0, 0.0], [0.0, 2.0]]), (0,))
-
-    def test_rejects_bad_register(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_gate(ZERO, PAULI_Z, (1,))
-
-    def test_acts_on_selected_register_only(self):
-        joint = tensor(PLUS, ZERO)
-        acted = apply_gate(joint, PAULI_Z, (0,))
-        assert equal_up_to_global_phase(acted, tensor(MINUS, ZERO))
-
-
-@given(seeds)
-@settings(max_examples=40, deadline=None)
-def test_random_unitary_preserves_norm(seed):
-    rng = np.random.default_rng(seed)
-    state = random_pure_state(rng, (2, 2, 3))
-    gate = random_unitary(rng, 6)
-    acted = apply_gate(state, gate, (1, 2))
-    assert np.linalg.norm(acted.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestMeasureInBasis:
     def test_zero_in_plus_minus_basis(self):
         branches = measure_in_basis(ZERO, 0, (PLUS.amplitudes, MINUS.amplitudes))
@@ -496,6 +451,10 @@ class TestMeasureInBasis:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(InvalidBasisError):
             measure_in_basis(ZERO, 0, (PLUS.amplitudes, PLUS.amplitudes))
+
+    def test_rejects_bad_register(self):
+        with pytest.raises(DimensionMismatchError, match="out of range"):
+            measure_in_basis(ZERO, 1, (PLUS.amplitudes, MINUS.amplitudes))
 
     def test_rejects_non_qubit_register(self):
         state = PureState.basis_state((3,), (0,))
@@ -533,28 +492,37 @@ def test_born_completeness(seed):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _swap_pure(a: PureState, b: PureState) -> float:
+    """SWAP-test pass probability of two pure states, through their projectors."""
+    return swap_test_pass_probability_mixed(DensityOperator.from_pure(a),
+                                            DensityOperator.from_pure(b))
+
+
 class TestSwapTest:
     def test_identical_states_pass(self):
-        assert swap_test_pass_probability(PLUS, PLUS) == pytest.approx(1.0)
+        assert _swap_pure(PLUS, PLUS) == pytest.approx(1.0)
 
     def test_orthogonal_states_coin_flip(self):
-        assert swap_test_pass_probability(ZERO, ONE) == pytest.approx(0.5)
+        assert _swap_pure(ZERO, ONE) == pytest.approx(0.5)
 
     def test_zero_against_plus(self):
-        assert swap_test_pass_probability(ZERO, PLUS) == pytest.approx(0.75)
+        assert _swap_pure(ZERO, PLUS) == pytest.approx(0.75)
 
     def test_mixed_maximally_mixed_pair(self):
         rho = DensityOperator((2,), np.eye(2) / 2.0)
         assert swap_test_pass_probability_mixed(rho, rho) == pytest.approx(0.75)
 
     def test_mixed_agrees_with_pure(self):
-        rho = DensityOperator.from_pure(ZERO)
-        sig = DensityOperator.from_pure(PLUS)
-        assert swap_test_pass_probability_mixed(rho, sig) == pytest.approx(0.75)
+        # on projectors, (1 + tr(rho sigma))/2 is (1 + |<a|b>|^2)/2
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a, b = random_pure_state(rng, (2, 3)), random_pure_state(rng, (2, 3))
+            want = 0.5 * (1.0 + abs(overlap(a, b)) ** 2)
+            assert _swap_pure(a, b) == pytest.approx(want, abs=1e-15)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            swap_test_pass_probability(ZERO, tensor(ZERO, ZERO))
+            _swap_pure(ZERO, tensor(ZERO, ZERO))
 
 
 @given(seeds)
@@ -563,9 +531,7 @@ def test_swap_test_symmetry(seed):
     rng = np.random.default_rng(seed)
     a = random_pure_state(rng, (2, 2))
     b = random_pure_state(rng, (2, 2))
-    assert swap_test_pass_probability(a, b) == pytest.approx(
-        swap_test_pass_probability(b, a), abs=1e-12
-    )
+    assert _swap_pure(a, b) == pytest.approx(_swap_pure(b, a), abs=1e-12)
 
 
 @given(seeds)
@@ -650,20 +616,6 @@ def test_trace_norm_symmetry_and_triangle(seed):
     c = DensityOperator.from_pure(random_pure_state(rng, (4,))).matrix
     assert trace_norm(a - b) == pytest.approx(trace_norm(b - a), abs=1e-12)
     assert trace_norm(a - c) <= trace_norm(a - b) + trace_norm(b - c) + 1e-12
-
-
-def test_project_register_drops_register():
-    joint = tensor(ZERO, PLUS)
-    prob, rest = project_register(joint, 1, PLUS.amplitudes)
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    assert rest.dims == (2,)
-    assert equal_up_to_global_phase(rest, ZERO)
-
-
-def test_project_register_zero_branch():
-    prob, rest = project_register(tensor(ZERO, PLUS), 1, MINUS.amplitudes)
-    assert prob == pytest.approx(0.0, abs=1e-12)
-    assert rest is None
 
 
 def test_overlap_requires_same_layout():
