@@ -30,7 +30,6 @@ from .keys import (
     PhaseFraction,
     PrivateKey,
     ProtocolParams,
-    PublicKeyElement,
     averaged_key_operator_discrete,
     generate_private_key,
     phase_average_exponential,

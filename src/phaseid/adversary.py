@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -199,7 +200,7 @@ class DiscriminationPair:
             raise ValueError(f"pair must live on dims {want}")
 
 
-def build_discrimination_pair(t: int, grid_points: int | None = None) -> DiscriminationPair:
+def build_discrimination_pair(t: int) -> DiscriminationPair:
     """Average challenge (x) frame over the relative phase, both signs.
 
     The received qubit and the frame are both defined relative to the
@@ -207,7 +208,7 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
     adversary, so one shared angle rotates the whole product. A uniform
     grid of at least t+2 points reproduces the continuous average
     exactly (every matrix entry is a trig polynomial of degree <= t+1);
-    the default keeps a safety margin. This dense construction is the
+    ``_pair_grid`` keeps a safety margin. This dense construction is the
     independent oracle; the main path never builds it.
 
     One grid average serves both signs. The sign flips only the
@@ -222,9 +223,7 @@ def build_discrimination_pair(t: int, grid_points: int | None = None) -> Discrim
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
         raise ValueError(f"t={t} exceeds the explicit-construction cap {_MAX_ORACLE_T}")
-    grid = _pair_grid(t) if grid_points is None else int(grid_points)
-    if grid < t + 2:
-        raise ValueError(f"grid of {grid} points cannot average degree t+1 exactly")
+    grid = _pair_grid(t)
     angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
     dim = 2 * (t + 1)
     vecs = _challenge_and_frame(angles, t, +1).reshape(grid, dim)
@@ -398,11 +397,7 @@ class EveProver:
     """Adapter giving run_session an adversarial prover."""
 
     strategy: HelstromStrategy
-    tag: str = "helstrom-eve"
-
-    @property
-    def t(self) -> int:
-        return self.strategy.t
+    tag: ClassVar[str] = "helstrom-eve"
 
     def round_branches(self, angles) -> BranchTable:
         """The attacked round's one row, gathered to every round."""

@@ -61,12 +61,19 @@ def _fmt_csv(value) -> str:
 
 
 def _write_chunks(out: str | None, chunks) -> None:
-    """Write the strings of ``chunks`` in turn to ``out``, or stdout for None or "-"."""
+    """Write the strings of ``chunks`` in turn to ``out``, or stdout for None or "-".
+
+    An ``out`` that cannot be opened is bad input (ConfigError).
+    """
     if out is None or out == "-":
         sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot open --out for writing: {exc}") from exc
+    with fh:
+        fh.writelines(chunks)
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -90,12 +97,7 @@ def _rows_as_csv(rows: list[dict]) -> str:
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _write_text(out, _rows_as_json(rows))
-    elif fmt == "csv":
-        _write_text(out, _rows_as_csv(rows))
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
+    _write_text(out, _rows_as_json(rows) if fmt == "json" else _rows_as_csv(rows))
 
 
 def _params_from(args) -> keys.ProtocolParams:
@@ -282,12 +284,9 @@ def cmd_bounds(args) -> int:
 
 
 def _phase_angles() -> np.ndarray:
-    """Angle of every phase k/p with p = 2..7 and k = 1..p, 27 in all.
-
-    Each is bit for bit ``PhaseFraction(k, p).angle()``.
-    """
+    """Angle of every phase k/p with p = 2..7 and k = 1..p, 27 in all."""
     ks, ps = np.array([(k, p) for p in range(2, 8) for k in range(1, p + 1)]).T
-    return 2.0 * math.pi * (ks % ps) / ps
+    return keys.phase_angles(ks, ps)
 
 
 def _challenge_overlaps() -> np.ndarray:

@@ -32,7 +32,7 @@ __all__ = [
     "ProtocolParams",
     "PhaseFraction",
     "PrivateKey",
-    "PublicKeyElement",
+    "phase_angles",
     "generate_private_key",
     "qubit_phase_state",
     "public_key_state",
@@ -54,6 +54,15 @@ _MAX_AVERAGED_N = 10
 
 # Amplitudes per vectorised chunk of product vectors in the phase average.
 _AVERAGE_CHUNK = 2**16
+
+
+def phase_angles(ks, p):
+    """Angle 2 pi (k mod p)/p of the phase k/p; k = p maps to +0.0.
+
+    Broadcasts over ``ks`` and ``p``: integers give a float, integer
+    arrays an array. Every key phase's angle is made here.
+    """
+    return 2.0 * math.pi * (ks % p) / p
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ class PhaseFraction:
 
     def angle(self) -> float:
         """Angle 2*pi*k/p, reduced so k = p maps to exactly 0.0."""
-        return 2.0 * math.pi * (self.k % self.p) / self.p
+        return phase_angles(self.k, self.p)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -161,15 +170,8 @@ class PrivateKey:
         return tuple(PhaseFraction(k, self.p) for k in self.ks.tolist())
 
     def angles(self) -> np.ndarray:
-        """Every round's angle, bit for bit ``PhaseFraction.angle()`` of its entry."""
-        return 2.0 * math.pi * (self.ks % self.p) / self.p
-
-
-@dataclass(frozen=True)
-class PublicKeyElement:
-    """Single-qubit public-key state for one kernel round."""
-
-    state: PureState
+        """Every round's angle, as ``PhaseFraction.angle()`` of its entry gives it."""
+        return phase_angles(self.ks, self.p)
 
 
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
@@ -184,8 +186,9 @@ def qubit_phase_state(angle: float) -> PureState:
     return PureState((2,), np.array([inv, inv * np.exp(1j * angle)]))
 
 
-def public_key_state(x: PhaseFraction) -> PublicKeyElement:
-    return PublicKeyElement(qubit_phase_state(x.angle()))
+def public_key_state(x: PhaseFraction) -> PureState:
+    """The public-key element of the phase ``x``: its single-qubit state."""
+    return qubit_phase_state(x.angle())
 
 
 def _weights(n: int) -> np.ndarray:
@@ -232,8 +235,7 @@ def _product_state_average(p: int, n: int) -> np.ndarray:
     step = max(1, _AVERAGE_CHUNK // w.size)
     for start in range(1, p + 1, step):
         ks = np.arange(start, min(start + step, p + 1))
-        thetas = 2.0 * math.pi * (ks % p) / p       # bit for bit PhaseFraction.angle()
-        vecs = scale * np.exp(1j * thetas[:, None] * w)
+        vecs = scale * np.exp(1j * phase_angles(ks, p)[:, None] * w)
         acc += vecs.T @ vecs.conj()
     return acc / p
 
@@ -332,8 +334,14 @@ def write_private_key_file(path, params: ProtocolParams, seed: int, key: Private
 
 
 def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
+    """Read a key file: a JSON object with every field of ``private_key_payload``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"key file must hold a JSON object, got {type(payload).__name__}")
+    missing = [name for name in ("r", "s", "variant", "seed", "xs", "p") if name not in payload]
+    if missing:
+        raise ConfigError(f"key file lacks the field(s) {', '.join(missing)}")
     for name in ("r", "s", "seed", "p"):
         if type(payload[name]) is not int:
             raise ConfigError(f"key file field {name!r} must be a JSON integer, "

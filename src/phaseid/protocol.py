@@ -1,7 +1,7 @@
 """The identification kernel and full session runner.
 
 One kernel round: the verifier prepares (|01> + |10>)/sqrt(2), keeps
-one register and sends the other; the prover measures
+register 0 and sends register 1; the prover measures
 the received register in her phase basis {(|0> +- e^{i theta}|1>)} and
 answers with one classical bit; the verifier applies Z to his kept
 register when the bit is 1 and SWAP-tests it against an authentic copy
@@ -34,10 +34,11 @@ per round from a seeded generator, in order: the response (bit 0 when
 the draw falls below its probability), then the SWAP test. No message
 transport is involved. The transcript keeps the per-round results as
 arrays. ``alice_respond`` and ``bob_verify_step`` are the scalar,
-per-round form of the kernel, in both modes: ``alice_respond`` returns
+per-round form of the kernel, exact only: ``alice_respond`` returns
 the ``MeasurementResult`` of each response (its ``outcome`` is the bit),
 and ``bob_verify_step`` takes the kept qubit as a ``DensityOperator``,
-the ``partial_trace`` of a branch's post state. No command calls them;
+the ``partial_trace`` of a branch's post state, and returns the pass
+probability. No command calls them;
 the tests use them as the independent oracle of the stacked kernel,
 and library callers can run a single round with them.
 """
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError
-from .keys import PhaseFraction, PrivateKey, ProtocolParams, PublicKeyElement
+from .keys import PhaseFraction, PrivateKey, ProtocolParams
 from .qsim import (
     PAULI_Z,
     DensityOperator,
@@ -70,7 +71,6 @@ from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
     "KernelChallenge",
-    "KernelOutcome",
     "BranchTable",
     "RoundRecord",
     "SessionTranscript",
@@ -96,29 +96,16 @@ CHUNK_ROUNDS = 256
 
 @dataclass(frozen=True)
 class KernelChallenge:
-    """The verifier's entangled challenge; register 0 stays home."""
+    """The verifier's entangled challenge: he keeps register 0 and sends register 1."""
 
     joint_state: PureState
-    kept_register: int = 0
-    sent_register: int = 1
 
     def __post_init__(self):
         if self.joint_state.dims != (2, 2):
             raise ValueError("challenge must live on two qubits")
-        if {self.kept_register, self.sent_register} != {0, 1}:
-            raise ValueError("challenge registers must be 0 and 1")
         reference = PureState((2, 2), _BELL)
         if not equal_up_to_global_phase(self.joint_state, reference):
             raise ValueError("challenge must equal (|01>+|10>)/sqrt(2) up to phase")
-
-
-@dataclass(frozen=True)
-class KernelOutcome:
-    """Verifier-side result of one round."""
-
-    response: int
-    pass_probability: float | None = None
-    passed: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -334,25 +321,21 @@ def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def alice_respond(challenge: KernelChallenge, x: PhaseFraction, mode: str = "exact", rng=None):
-    """Measure the received register in the key's phase basis.
+def alice_respond(challenge: KernelChallenge, x: PhaseFraction):
+    """Measure the received register 1 in the key's phase basis.
 
     Outcome "+" answers bit 0, outcome "-" answers bit 1: each
-    MeasurementResult's ``outcome`` is the response bit. Exact mode
-    returns both branches (each has probability exactly 1/2 for this
-    challenge); sampled mode returns the drawn one.
+    MeasurementResult's ``outcome`` is the response bit. Both branches
+    are returned; each has probability exactly 1/2 for this challenge.
     """
-    basis = phase_basis(x.angle())
-    return measure_in_basis(challenge.joint_state, challenge.sent_register, basis, mode, rng)
+    return measure_in_basis(challenge.joint_state, 1, phase_basis(x.angle()))
 
 
-def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PublicKeyElement,
-                    mode: str = "exact", rng=None) -> KernelOutcome:
+def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> float:
     """Conditional Z on the kept register, then SWAP-test against ``pk``.
 
-    ``kept`` is the kept qubit as a single-qubit DensityOperator. Exact
-    mode reports the pass probability; sampled mode draws the SWAP-test
-    outcome from ``rng``.
+    ``kept`` is the kept qubit as a single-qubit DensityOperator and
+    ``pk`` the round's public-key state. Returns the pass probability.
     """
     if response_bit not in (0, 1):
         raise ValueError(f"response bit must be 0 or 1, got {response_bit}")
@@ -360,19 +343,12 @@ def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PublicKeyEleme
         raise TypeError(f"kept register must be a DensityOperator, got {type(kept).__name__}")
     mat = PAULI_Z @ kept.matrix @ PAULI_Z if response_bit else kept.matrix
     corrected = DensityOperator(kept.dims, mat)
-    prob = swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk.state))
-    if mode == "exact":
-        return KernelOutcome(response_bit, pass_probability=prob)
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an explicit rng")
-        return KernelOutcome(response_bit, passed=bool(rng.random() < prob))
-    raise ValueError(f"unknown mode {mode!r}")
+    return swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk))
 
 
 def verify_branches(amplitudes: np.ndarray,
                     angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bob_verify_step`` in exact mode over both branches of a set of rounds.
+    """``bob_verify_step`` over both branches of a set of rounds.
 
     ``amplitudes`` (round, bit, kept, rest) holds each branch's
     projected, unnormalised state: the verifier's kept qubit against all

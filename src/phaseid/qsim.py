@@ -11,10 +11,8 @@ The scalar operations on single values are ``measure_in_basis``,
 ``trace_norm``. No command calls them; the tests check the stacked
 kernel and the dense oracle against them.
 
-Measurements come in two modes. Exact mode returns every branch with
-its Born probability; sampled mode draws a single branch from an
-explicitly seeded generator. Nothing in this module ever consults
-global random state.
+A measurement returns every branch with its Born probability; nothing
+in this module draws random numbers.
 
 Each construction invariant is written once, in a validator that takes
 a stack of values on leading axes: ``check_pure_states``,
@@ -283,10 +281,6 @@ class PureState:
         amps[int(np.ravel_multi_index(labels, dims))] = 1.0
         return cls(dims, amps)
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
@@ -321,10 +315,6 @@ class DensityOperator:
         v = state.amplitudes
         return cls(state.dims, np.outer(v, v.conj()))
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
 
 @dataclass(frozen=True)
 class MeasurementResult:
@@ -352,9 +342,9 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def equal_up_to_global_phase(a: PureState, b: PureState, atol: float = CONSTRUCT_ATOL) -> bool:
-    """Whether |<a|b>| = 1 within ``atol``."""
-    return abs(abs(overlap(a, b)) - 1.0) <= atol
+def equal_up_to_global_phase(a: PureState, b: PureState) -> bool:
+    """Whether |<a|b>| = 1 within CONSTRUCT_ATOL."""
+    return abs(abs(overlap(a, b)) - 1.0) <= CONSTRUCT_ATOL
 
 
 def _collapse_register(state: PureState, register: int, vec: np.ndarray, prob: float) -> PureState:
@@ -364,13 +354,12 @@ def _collapse_register(state: PureState, register: int, vec: np.ndarray, prob: f
     return PureState(state.dims, post.reshape(-1) / math.sqrt(prob))
 
 
-def measure_in_basis(state: PureState, register: int, basis, mode: str = "exact", rng=None):
+def measure_in_basis(state: PureState, register: int, basis):
     """Projective measurement of a qubit register in a two-vector basis.
 
     basis: pair of orthonormal length-2 vectors; outcome i corresponds
-    to basis[i]. Exact mode returns both MeasurementResults (branches
-    of negligible probability carry post_state None); sampled mode
-    draws one outcome from ``rng`` and returns a single result.
+    to basis[i]. Returns both MeasurementResults; branches of negligible
+    probability carry post_state None.
     """
     register = int(register)
     if not 0 <= register < len(state.dims):
@@ -395,15 +384,7 @@ def measure_in_basis(state: PureState, register: int, basis, mode: str = "exact"
     total = branches[0].probability + branches[1].probability
     if abs(total - 1.0) > CONSTRUCT_ATOL:
         raise StateValidationError(f"branch probabilities sum to {total!r}")
-
-    if mode == "exact":
-        return tuple(branches)
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an explicit rng")
-        pick = 0 if rng.random() < branches[0].probability else 1
-        return branches[pick]
-    raise ValueError(f"unknown mode {mode!r}")
+    return tuple(branches)
 
 
 def swap_test_pass_probability_mixed(rho: DensityOperator, sigma: DensityOperator) -> float:

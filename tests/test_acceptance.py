@@ -5,8 +5,6 @@ pass/fail lines; each criterion is one test, so the verbose listing
 carries the same information.
 """
 
-import itertools
-import json
 import math
 import time
 from fractions import Fraction

@@ -39,7 +39,7 @@ from phaseid.keys import (
     public_key_state,
 )
 from phaseid.protocol import bob_prepare_challenge, bob_verify_step, run_session
-from phaseid.qsim import DensityOperator, PureState, trace_norm
+from phaseid.qsim import DensityOperator, trace_norm
 from phaseid.rng import make_rng
 from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
@@ -194,18 +194,17 @@ class TestDiscriminationPair:
         np.testing.assert_allclose(pair.rho_plus.matrix, want, atol=1e-12)
         np.testing.assert_allclose(pair.rho_minus.matrix, want, atol=1e-12)
 
-    def test_grid_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            build_discrimination_pair(3, grid_points=4)
-
     @pytest.mark.parametrize("t", range(0, 6))
     def test_grid_refinement_is_stable(self, t):
-        # default grid already integrates the trig polynomials exactly;
-        # doubling it must not move any entry
-        a = build_discrimination_pair(t)
-        b = build_discrimination_pair(t, grid_points=4 * t + 9)
-        assert np.max(np.abs(a.rho_plus.matrix - b.rho_plus.matrix)) < 1e-12
-        assert np.max(np.abs(a.rho_minus.matrix - b.rho_minus.matrix)) < 1e-12
+        # the pair's grid already integrates the trig polynomials exactly;
+        # a grid of 4t + 9 points, about twice as fine, must not move any entry
+        grid = 4 * t + 9
+        angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
+        pair = build_discrimination_pair(t)
+        for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
+            vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
+            finer = vecs.T @ vecs.conj() / grid
+            assert np.max(np.abs(rho.matrix - finer)) < 1e-12
 
     def test_one_grid_average_equals_both_sign_averages(self):
         # The pair against the definition: one explicit grid average per
@@ -383,7 +382,7 @@ def _scalar_attack_round(strategy, x):
             rows.append((prob, 0.0))
             continue
         rho = DensityOperator((2,), kept / prob)
-        rows.append((prob, bob_verify_step(rho, bit, public_key_state(x)).pass_probability))
+        rows.append((prob, bob_verify_step(rho, bit, public_key_state(x))))
     return tuple(rows)
 
 

@@ -464,6 +464,23 @@ class TestParsing:
         assert out == ""
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
+    # an --out that cannot be opened is bad input, on every subcommand
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--r", "2", "--s", "3", "--seed", "1"],
+        ["run-honest", "--r", "2", "--s", "3"],
+        ["run-attack", "--t", "1"],
+        ["psucc-table", "--t-max", "1"],
+        ["bounds", "--r", "2", "--s", "83"],
+        ["verify-identities"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_config(self, capsys, tmp_path, argv, where):
+        out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == EXIT_CONFIG
+        assert "invalid config: cannot open --out for writing: " in err
+        assert str(out) in err
+
     def test_module_entry_point(self):
         # the child imports the same phaseid as this process, installed or not
         src = str(Path(phaseid.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseid.errors import ConfigError, NumericalError
+from phaseid.errors import ConfigError
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -25,7 +25,7 @@ from phaseid.keys import (
     symmetric_mixture,
     write_private_key_file,
 )
-from phaseid.qsim import DensityOperator, PureState, tensor
+from phaseid.qsim import tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -139,15 +139,15 @@ class TestKeygen:
 
 class TestPublicKeyStates:
     def test_full_turn_gives_plus(self):
-        st_ = public_key_state(PhaseFraction(3, 3)).state
+        st_ = public_key_state(PhaseFraction(3, 3))
         np.testing.assert_allclose(st_.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_half_turn_gives_minus(self):
-        st_ = public_key_state(PhaseFraction(1, 2)).state
+        st_ = public_key_state(PhaseFraction(1, 2))
         np.testing.assert_allclose(st_.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
     def test_quarter_turn_gives_imaginary_phase(self):
-        st_ = public_key_state(PhaseFraction(1, 4)).state
+        st_ = public_key_state(PhaseFraction(1, 4))
         np.testing.assert_allclose(st_.amplitudes, [INV_SQRT2, 1j * INV_SQRT2],
                                    atol=1e-15)
 
@@ -159,7 +159,7 @@ class TestPublicKeyStates:
     @pytest.mark.parametrize("p", range(2, 9))
     def test_injective_over_phase_set(self, p):
         # distinct k give distinct states even up to global phase
-        states = [public_key_state(PhaseFraction(k, p)).state for k in range(1, p + 1)]
+        states = [public_key_state(PhaseFraction(k, p)) for k in range(1, p + 1)]
         for i, a in enumerate(states):
             for b in states[i + 1:]:
                 assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1.0 - 1e-12
@@ -316,6 +316,23 @@ class TestKeyFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=f"'{field}' must be a JSON integer"):
+            read_private_key_file(path)
+
+    @pytest.mark.parametrize("drop", ["r", "s", "variant", "seed", "xs", "p"])
+    def test_rejects_missing_field(self, tmp_path, drop):
+        params = ProtocolParams(r=2, s=3)
+        payload = private_key_payload(params, 5, generate_private_key(params, 5))
+        del payload[drop]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"lacks the field\\(s\\) {drop}$"):
+            read_private_key_file(path)
+
+    @pytest.mark.parametrize("payload", [[1, 2], "key", 3, None])
+    def test_rejects_json_that_is_not_an_object(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
             read_private_key_file(path)
 
     def test_descriptor_redacts_by_default(self):

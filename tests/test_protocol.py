@@ -43,7 +43,6 @@ from phaseid.qsim import (
     DensityOperator,
     MeasurementResult,
     PureState,
-    equal_up_to_global_phase,
     partial_trace,
 )
 from phaseid.transport import RegisterHandle, Transport
@@ -59,8 +58,9 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi,
 class TestKernelChallenge:
     def test_prepared_challenge_is_valid(self):
         ch = bob_prepare_challenge()
-        assert ch.kept_register == 0
-        assert ch.sent_register == 1
+        assert ch.joint_state.dims == (2, 2)
+        np.testing.assert_array_equal(ch.joint_state.amplitudes,
+                                      [0.0, INV_SQRT2, INV_SQRT2, 0.0])
 
     def test_accepts_global_phase(self):
         amps = 1j * np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0])
@@ -75,10 +75,6 @@ class TestKernelChallenge:
         with pytest.raises(ValueError):
             KernelChallenge(PureState.basis_state((2,), (0,)))
 
-    def test_rejects_bad_register_labels(self):
-        amps = np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0])
-        with pytest.raises(ValueError):
-            KernelChallenge(PureState((2, 2), amps), kept_register=1, sent_register=1)
 
 
 @given(angles)
@@ -109,19 +105,13 @@ class TestAliceRespond:
             expect = np.outer(vec, vec.conj())
             np.testing.assert_allclose(kept.matrix, expect, atol=1e-12)
 
-    def test_sampled_draws_single_branch(self):
-        branch = alice_respond(bob_prepare_challenge(), PhaseFraction(1, 3),
-                               mode="sampled", rng=np.random.default_rng(4))
-        assert branch.outcome in (0, 1)
-        assert branch.probability == pytest.approx(0.5, abs=1e-12)
-
 
 class TestBobVerifyStep:
     def test_authentic_state_bit_zero(self):
         x = PhaseFraction(2, 5)
         pk = public_key_state(x)
         out = bob_verify_step(DensityOperator.from_pure(qubit_phase_state(x.angle())), 0, pk)
-        assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
+        assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_bit_one_corrects(self):
         # Z maps (|0> - e^{i a}|1>)/sqrt(2) onto the public element
@@ -129,25 +119,25 @@ class TestBobVerifyStep:
         _, b1 = phase_basis(x.angle())
         out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 1,
                               public_key_state(x))
-        assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
+        assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_without_correction_is_coin_flip(self):
         x = PhaseFraction(2, 5)
         _, b1 = phase_basis(x.angle())
         out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 0,
                               public_key_state(x))
-        assert out.pass_probability == pytest.approx(0.5, abs=1e-12)
+        assert out == pytest.approx(0.5, abs=1e-12)
 
     def test_unrelated_state(self):
         pk = public_key_state(PhaseFraction(4, 4))
         out = bob_verify_step(DensityOperator.from_pure(PureState.basis_state((2,), (0,))), 0, pk)
-        assert out.pass_probability == pytest.approx(0.75, abs=1e-12)
+        assert out == pytest.approx(0.75, abs=1e-12)
 
     def test_density_operator_input(self):
         pk = public_key_state(PhaseFraction(1, 3))
         rho = DensityOperator((2,), np.eye(2) / 2.0)
         out = bob_verify_step(rho, 1, pk)
-        assert out.pass_probability == pytest.approx(0.75, abs=1e-12)
+        assert out == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_real_density_operator_matches_its_complex_copy(self, bit):
@@ -158,7 +148,7 @@ class TestBobVerifyStep:
             pk = public_key_state(PhaseFraction(k, 5))
             real = bob_verify_step(DensityOperator((2,), mat), bit, pk)
             complex_copy = bob_verify_step(DensityOperator((2,), mat.astype(np.complex128)), bit, pk)
-            assert real.pass_probability == complex_copy.pass_probability
+            assert real == complex_copy
 
     def test_rejects_bad_bit(self):
         pk = public_key_state(PhaseFraction(1, 3))
@@ -171,12 +161,6 @@ class TestBobVerifyStep:
         for kept in (qubit_phase_state(0.0), np.eye(2) / 2.0):
             with pytest.raises(TypeError, match="DensityOperator"):
                 bob_verify_step(kept, 0, pk)
-
-    def test_sampled_requires_rng(self):
-        pk = public_key_state(PhaseFraction(1, 3))
-        with pytest.raises(ValueError):
-            bob_verify_step(DensityOperator.from_pure(qubit_phase_state(0.0)), 0, pk,
-                            mode="sampled")
 
 
 class TestExactSessions:
@@ -420,8 +404,7 @@ def test_honest_round_certainty_any_phase(p, data):
     total = 0.0
     for branch in alice_respond(bob_prepare_challenge(), x):
         kept = partial_trace(branch.post_state, (0,))
-        out = bob_verify_step(kept, branch.outcome, pk)
-        total += branch.probability * out.pass_probability
+        total += branch.probability * bob_verify_step(kept, branch.outcome, pk)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -432,7 +415,7 @@ def _scalar_honest_round(x):
     for branch in alice_respond(bob_prepare_challenge(), x):
         kept = partial_trace(branch.post_state, (0,))
         rows.append((branch.probability,
-                     bob_verify_step(kept, branch.outcome, pk).pass_probability))
+                     bob_verify_step(kept, branch.outcome, pk)))
     return rows
 
 

@@ -461,19 +461,6 @@ class TestMeasureInBasis:
         with pytest.raises(DimensionMismatchError):
             measure_in_basis(state, 0, (PLUS.amplitudes, MINUS.amplitudes))
 
-    def test_sampled_requires_rng(self):
-        with pytest.raises(ValueError):
-            measure_in_basis(ZERO, 0, (PLUS.amplitudes, MINUS.amplitudes), mode="sampled")
-
-    def test_sampled_mode_is_seed_deterministic(self):
-        basis = (PLUS.amplitudes, MINUS.amplitudes)
-        picks = [
-            measure_in_basis(ZERO, 0, basis, mode="sampled",
-                             rng=np.random.default_rng(9)).outcome
-            for _ in range(3)
-        ]
-        assert picks[0] == picks[1] == picks[2]
-
     def test_post_state_keeps_layout(self):
         joint = tensor(ZERO, PLUS)
         branches = measure_in_basis(joint, 1, (PLUS.amplitudes, MINUS.amplitudes))
