@@ -53,6 +53,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
+from .keys import phase_angles
 from .protocol import BranchTable, bob_prepare_challenge, verify_branches
 from .qsim import DensityOperator
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
@@ -214,17 +215,18 @@ def build_discrimination_pair(t: int) -> DiscriminationPair:
     One grid average serves both signs. The sign flips only the
     received qubit's |1> amplitude, so rho- = S rho+ S with the
     diagonal signature S = Z (x) I, which is exact in floating point.
-    The grid 2 pi k/g, k = 1..g, is closed under theta -> -theta and
-    each amplitude is a real coefficient times e^{i n theta}, so the
-    exact average is real: its imaginary part must stay within
-    CONSTRUCT_ATOL (NumericalError otherwise), and the real part is
-    kept. Both operators are still validated as DensityOperators.
+    The grid 2 pi (k mod g)/g, k = 1..g (``keys.phase_angles``, the one
+    angle formula), is closed under theta -> -theta and each amplitude
+    is a real coefficient times e^{i n theta}, so the exact average is
+    real: its imaginary part must stay within CONSTRUCT_ATOL
+    (NumericalError otherwise), and the real part is kept. Both
+    operators are still validated as DensityOperators.
     """
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
         raise ValueError(f"t={t} exceeds the explicit-construction cap {_MAX_ORACLE_T}")
     grid = _pair_grid(t)
-    angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
+    angles = phase_angles(np.arange(1, grid + 1), grid)
     dim = 2 * (t + 1)
     vecs = _challenge_and_frame(angles, t, +1).reshape(grid, dim)
     average = vecs.T @ vecs.conj() / grid
@@ -318,7 +320,7 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
     The verifier prepares the entangled challenge; the adversary
     measures {P+, P-} on the received register joined with her frame;
     the verifier applies the conditional Z and SWAP-tests his kept
-    register against a fresh authentic copy. The row is the same at
+    register against his own authentic copy. The row is the same at
     every relative phase (see ``eve_attack_round``), so it is evaluated
     at angle 0, where the challenge and the frame are real: the
     projected (kept, received, frame) amplitudes are float64, and
@@ -335,12 +337,15 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
 class CheatGuessReport:
     """Exact attack-round pass probability next to the guessing probability.
 
+    ``branches`` is the one-row table of ``attack_round_branches`` that
+    ``p_pass_exact`` sums; ``sample_attack_rounds`` draws from it.
     Construction enforces the identity p_pass = (1 + psucc)/2.
     """
 
     t: int
     p_pass_exact: float
     psucc_strategy: float
+    branches: BranchTable
 
     def __post_init__(self):
         if abs(self.p_pass_exact - 0.5 * (1.0 + self.psucc_strategy)) > COMPARE_ATOL:
@@ -389,7 +394,7 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
     plus, _ = strategy.project(np.stack([mags, mags]))
     _, minus = strategy.project(np.stack([mags, -mags]))
     psucc = 0.5 * (float(np.vdot(plus, plus)) + float(np.vdot(minus, minus)))
-    return CheatGuessReport(t, p_pass, psucc)
+    return CheatGuessReport(t, p_pass, psucc, table)
 
 
 @dataclass(frozen=True)
@@ -407,18 +412,20 @@ class EveProver:
                            np.broadcast_to(row.pass_probability, shape))
 
 
-def sample_attack_rounds(strategy: HelstromStrategy, trials: int, rng) -> np.ndarray:
+def sample_attack_rounds(branches: BranchTable, trials: int, rng) -> np.ndarray:
     """Sample independent attacked rounds; returns the boolean pass array.
 
-    The branch table is the same at every relative phase (see
-    ``eve_attack_round``), so a fresh key needs no draw of its own.
-    Each trial draws the adversary's measurement outcome, then the
-    SWAP-test verdict.
+    ``branches`` is the attacked round's one-row table, from
+    ``attack_round_branches`` or a ``CheatGuessReport``. The row is the
+    same at every relative phase (see ``eve_attack_round``), so a fresh
+    key needs no draw of its own. Each trial draws the adversary's
+    measurement outcome, then the SWAP-test verdict.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = attack_round_branches(strategy)
-    low, (pass_low, pass_high) = table.probability[0, 0], table.pass_probability[0]
+    if branches.rounds != 1:
+        raise DimensionMismatchError(f"expected one attacked row, got {branches.rounds}")
+    low, (pass_low, pass_high) = branches.probability[0, 0], branches.pass_probability[0]
     took_low = rng.random(trials) < low
     u_swap = rng.random(trials)
     return np.where(took_low, u_swap < pass_low, u_swap < pass_high)

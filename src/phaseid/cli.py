@@ -10,11 +10,13 @@ and 9 in CSV. Exit codes: 0 success or accept, 2 verifier reject,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,6 +60,25 @@ def _fmt_csv(value) -> str:
     if isinstance(value, float):
         return f"{value:.{CSV_SIG_DIGITS}g}"
     return str(value)
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an ``out`` that is a directory or lies in a missing directory.
+
+    ``main`` calls this before the command runs, so a bad path costs no
+    work and no file is created. Any other failure to open ``out``
+    surfaces when it is written (``_write_chunks``), with the same
+    message form.
+    """
+    if out is None or out == "-":
+        return
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot open --out for writing: {OSError(code, os.strerror(code), out)}")
 
 
 def _write_chunks(out: str | None, chunks) -> None:
@@ -168,12 +189,17 @@ def cmd_run_honest(args) -> int:
     # session writes nothing. Each session's lines are made as they are
     # written and never joined whole: they go out CHUNK_ROUNDS at a time,
     # since a write-through stdout is slow line by line.
-    lines = (f"{line}\n" for tr in transcripts for line in tr.to_json_lines())
-    chunks = iter(lambda: "".join(itertools.islice(lines, protocol.CHUNK_ROUNDS)), "")
-    _write_chunks(args.out, chunks)
+    lines = itertools.chain.from_iterable(tr.to_json_lines() for tr in transcripts)
+    _write_chunks(args.out, _joined_chunks(lines))
     if refused:
         return EXIT_REFUSAL
     return _verdict_exit(transcripts)
+
+
+def _joined_chunks(lines):
+    """Consecutive groups of CHUNK_ROUNDS lines, each as one newline-terminated string."""
+    while chunk := list(itertools.islice(lines, protocol.CHUNK_ROUNDS)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _verdict_exit(transcripts) -> int:
@@ -212,8 +238,7 @@ def cmd_run_attack(args) -> int:
 
     rows = []
     for t in t_values:
-        strategy = adversary.helstrom_strategy(t)
-        report = adversary.eve_attack_round(t, strategy)
+        report = adversary.eve_attack_round(t)
         row = {
             "t": t,
             "p_pass": report.p_pass_exact,
@@ -223,7 +248,7 @@ def cmd_run_attack(args) -> int:
         }
         if args.mode == "sampled":
             rng = make_rng(derive_seed(args.seed, t))
-            passes = adversary.sample_attack_rounds(strategy, args.trials, rng)
+            passes = adversary.sample_attack_rounds(report.branches, args.trials, rng)
             row["empirical_pass_rate"] = float(np.mean(passes))
             row["trials"] = args.trials
         rows.append(row)
@@ -459,6 +484,7 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (InternalError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"phaseid: numerical failure: {exc}\n")

@@ -26,8 +26,12 @@ Honest and attacked rounds share one verifier kernel,
 forms the kept 2x2 state P P^dagger and its probability, the trace,
 and works in closed form on the stacks: Z rho Z flips the sign of the
 off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
-and the positivity checks take the 2x2 smallest eigenvalue directly
-(``check_density_operators``).
+and the positivity checks take the 2x2 smallest eigenvalue directly.
+The verifier makes his authentic public-key copy himself, once per
+round, from the key angle. The kept states, their Z-corrected forms
+and the authentic projectors are validated together by one
+``check_density_operators`` call on a (3, live branch, 2, 2) stack.
+The challenge is one immutable value, built and validated at import.
 Exact mode reports each round's pass probability sum_b prob * pass
 (response bits are recorded as null). Sampled mode draws two uniforms
 per round from a seeded generator, in order: the response (bit 0 when
@@ -297,9 +301,16 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
+_CHALLENGE = KernelChallenge(PureState((2, 2), _BELL))
+
+
 def bob_prepare_challenge() -> KernelChallenge:
-    """Fresh entangled challenge (|01> + |10>)/sqrt(2)."""
-    return KernelChallenge(PureState((2, 2), _BELL))
+    """The entangled challenge (|01> + |10>)/sqrt(2).
+
+    Every call returns the same KernelChallenge, built and validated
+    once at import. It is an immutable value, so all rounds share it.
+    """
+    return _CHALLENGE
 
 
 def _phase_bases(angles) -> np.ndarray:
@@ -310,9 +321,11 @@ def _phase_bases(angles) -> np.ndarray:
     """
     inv = 1.0 / math.sqrt(2.0)
     ph = np.exp(1j * np.asarray(angles, dtype=np.float64))
-    first = np.full(ph.shape, inv, dtype=np.complex128)
-    return np.stack([np.stack([first, inv * ph], axis=-1),
-                     np.stack([first, -inv * ph], axis=-1)], axis=-2)
+    bases = np.empty(ph.shape + (2, 2), dtype=np.complex128)
+    bases[..., 0] = inv
+    bases[..., 0, 1] = inv * ph
+    bases[..., 1, 1] = -inv * ph
+    return bases
 
 
 def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
@@ -353,14 +366,20 @@ def verify_branches(amplitudes: np.ndarray,
     ``amplitudes`` (round, bit, kept, rest) holds each branch's
     projected, unnormalised state: the verifier's kept qubit against all
     that the prover holds, for response bit 0 and 1. ``angles`` holds
-    each round's key angle. A branch's kept 2x2 state is P P^dagger and
-    its probability the trace; branches below ZERO_BRANCH_PROB are not
-    live. The normalised live slices are validated as pure states;
-    each live kept state, its Z-corrected form and the authentic copy as
-    density operators (the copy also as a pure state). Returns the
-    branch probabilities and the SWAP-test pass probabilities
-    (1 + tr rho sigma)/2, both of shape (round, 2), with pass 0 for
-    every branch that is not live.
+    each round's key angle; from it the verifier makes his own authentic
+    copy of the round's public-key element, once per round, so the
+    prover never supplies the reference. A branch's kept 2x2 state is
+    P P^dagger and its probability the trace; branches below
+    ZERO_BRANCH_PROB are not live. The normalised live slices and the
+    authentic copies are validated as pure states. The live kept
+    states, their Z-corrected forms and the authentic projectors are
+    validated as density operators by one ``check_density_operators``
+    call on a (3, live, 2, 2) stack: a failure names (set, branch) as
+    its stack index, set 0 being the kept states, 1 the corrected ones
+    and 2 the projectors, and branch counting the live branches in
+    (round, bit) order. Returns the branch probabilities and the
+    SWAP-test pass probabilities (1 + tr rho sigma)/2, both of shape
+    (round, 2), with pass 0 for every branch that is not live.
     """
     kept = amplitudes @ amplitudes.conj().swapaxes(-1, -2)        # (round, bit, 2, 2)
     prob = np.trace(kept, axis1=-2, axis2=-1).real
@@ -368,18 +387,23 @@ def verify_branches(amplitudes: np.ndarray,
     rounds, bits = np.nonzero(live)
     weight = prob[live]
     check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
+    authentic = _phase_bases(angles)[:, 0]
+    check_pure_states(authentic)
+    authentic = authentic[rounds]
     kept = kept[live] / weight[:, None, None]
-    check_density_operators(kept)
     # Z rho Z flips the sign of the off-diagonal entries.
     corrected = kept.copy()
     flip = bits == 1
     corrected[flip, 0, 1] *= -1.0
     corrected[flip, 1, 0] *= -1.0
-    check_density_operators(corrected)
-    authentic = _phase_bases(angles[rounds])[:, 0, :]
-    check_pure_states(authentic)
-    sigma = authentic[:, :, None] * authentic.conj()[:, None, :]
-    check_density_operators(sigma)
+    # Real rows stay real in ``kept`` and ``corrected``, outside the
+    # complex stack: the einsum sums a real operand in another order.
+    states = np.empty((3, weight.size, 2, 2), dtype=np.complex128)
+    states[0] = kept
+    states[1] = corrected
+    sigma = states[2]
+    np.multiply(authentic[:, :, None], authentic.conj()[:, None, :], out=sigma)
+    check_density_operators(states)
     pass_prob = np.zeros(live.shape)
     pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
     return prob, pass_prob

@@ -1,5 +1,6 @@
 import numpy as np
 
+from phaseid import protocol
 from phaseid.qsim import PureState
 from phaseid.tolerances import EIGENVALUE_FLOOR
 
@@ -16,6 +17,23 @@ def random_unitary(rng, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def record_density_checks(monkeypatch) -> list:
+    """Wrap the verifier kernel's ``check_density_operators``.
+
+    Returns the list that receives a copy of every stack it is given;
+    each stack is still checked.
+    """
+    real = protocol.check_density_operators
+    seen = []
+
+    def record(states):
+        seen.append(np.array(states))
+        real(states)
+
+    monkeypatch.setattr(protocol, "check_density_operators", record)
+    return seen
 
 
 def reference_sampled_records(key, seed, branches):

@@ -144,10 +144,10 @@ def test_criterion_6_security_arithmetic():
 def test_criterion_7_monte_carlo_consistency():
     def body():
         trials = 100_000
-        strategy = helstrom_strategy(2)
-        exact = eve_attack_round(2, strategy).p_pass_exact
+        report = eve_attack_round(2, helstrom_strategy(2))
+        exact = report.p_pass_exact
         assert abs(exact - 0.9267767) <= 5e-8
-        passes = sample_attack_rounds(strategy, trials, make_rng(424242))
+        passes = sample_attack_rounds(report.branches, trials, make_rng(424242))
         sigma = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(float(np.mean(passes)) - exact) <= 3.0 * sigma
 

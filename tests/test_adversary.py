@@ -36,6 +36,7 @@ from phaseid.keys import (
     PrivateKey,
     ProtocolParams,
     generate_private_key,
+    phase_angles,
     public_key_state,
 )
 from phaseid.protocol import bob_prepare_challenge, bob_verify_step, run_session
@@ -43,7 +44,11 @@ from phaseid.qsim import DensityOperator, trace_norm
 from phaseid.rng import make_rng
 from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
-from conftest import reference_pass_probabilities, reference_sampled_records
+from conftest import (
+    record_density_checks,
+    reference_pass_probabilities,
+    reference_sampled_records,
+)
 
 # Closed-form guessing probabilities for small copy counts:
 # t = 2: 1/2 + sqrt(2)/4, t = 3: 1/2 + (3 + 2 sqrt(3))/16.
@@ -160,7 +165,7 @@ class TestFrames:
         # cos + i sin of the real exponent against np.exp on the imaginary one,
         # for one angle and for the oracle's grid
         grid = _pair_grid(t)
-        for angle in (0.7, 2.0 * math.pi * np.arange(1, grid + 1) / grid):
+        for angle in (0.7, phase_angles(np.arange(1, grid + 1), grid)):
             want = _frame_magnitudes(t) * np.exp(1j * np.multiply.outer(angle, np.arange(t + 1)))
             got = frame_vector(t, angle)
             assert got.shape == want.shape
@@ -199,7 +204,7 @@ class TestDiscriminationPair:
         # the pair's grid already integrates the trig polynomials exactly;
         # a grid of 4t + 9 points, about twice as fine, must not move any entry
         grid = 4 * t + 9
-        angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
+        angles = phase_angles(np.arange(1, grid + 1), grid)
         pair = build_discrimination_pair(t)
         for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
             vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
@@ -212,7 +217,7 @@ class TestDiscriminationPair:
         # are their real parts bit for bit.
         for t in range(1, 65):
             grid = _pair_grid(t)
-            angles = 2.0 * math.pi * np.arange(1, grid + 1) / grid
+            angles = phase_angles(np.arange(1, grid + 1), grid)
             pair = build_discrimination_pair(t)
             for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
                 vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
@@ -404,6 +409,36 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
             assert row.pass_probability[0, bit] == pytest.approx(pass_prob, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0, 1, 3, 8])
+def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
+    # One call on a (set, branch, 2, 2) stack: each live branch's kept
+    # state, its Z-corrected form and the authentic projector, against
+    # the round formed directly at angle 0. At t = 0, P- is zero and
+    # bit 1 is not live.
+    strategy = helstrom_strategy(t)
+    seen = record_density_checks(monkeypatch)
+    attack_round_branches(strategy)
+    (states,) = seen
+    x = PhaseFraction(2, 2)
+    assert x.angle() == 0.0
+    psi = bob_prepare_challenge().joint_state.as_tensor()[:, :, None] * frame_vector(t, 0.0)
+    sigma = DensityOperator.from_pure(public_key_state(x)).matrix
+    z = np.diag([1.0, -1.0])
+    want = []
+    for bit, collapsed in enumerate(strategy.project(psi)):
+        flat = collapsed.reshape(2, -1)
+        kept = flat @ flat.conj().T
+        prob = np.trace(kept).real
+        if prob >= ZERO_BRANCH_PROB:
+            kept = kept / prob
+            want.append((kept, z @ kept @ z if bit else kept, sigma))
+    assert len(want) == (1 if t == 0 else 2)
+    assert states.shape == (3, len(want), 2, 2)
+    for branch, ops in enumerate(want):
+        for got, op in zip(states[:, branch], ops):
+            np.testing.assert_allclose(got, op, rtol=0.0, atol=1e-15)
+
+
 def _reference_attack_table(strategy, angles):
     """Attacked branch table with the kept states formed by matrix products."""
     joint = bob_prepare_challenge().joint_state.as_tensor()
@@ -497,21 +532,27 @@ class TestEveProver:
 class TestSampledAttack:
     def test_deterministic_in_seed(self):
         strat = helstrom_strategy(1)
-        a = sample_attack_rounds(strat, 500, make_rng(3))
-        b = sample_attack_rounds(strat, 500, make_rng(3))
+        row = attack_round_branches(strat)
+        a = sample_attack_rounds(row, 500, make_rng(3))
+        b = sample_attack_rounds(row, 500, make_rng(3))
         np.testing.assert_array_equal(a, b)
 
     def test_empirical_rate_near_exact(self):
-        strat = helstrom_strategy(2)
-        exact = eve_attack_round(2).p_pass_exact
+        report = eve_attack_round(2)
+        exact = report.p_pass_exact
         n = 100_000
-        passes = sample_attack_rounds(strat, n, make_rng(424242))
+        passes = sample_attack_rounds(report.branches, n, make_rng(424242))
         sigma = math.sqrt(exact * (1.0 - exact) / n)
         assert abs(passes.mean() - exact) < 3.0 * sigma
 
+    def test_rejects_a_table_of_several_rows(self):
+        session = EveProver(helstrom_strategy(1)).round_branches(np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match="one attacked row, got 3"):
+            sample_attack_rounds(session, 10, make_rng(0))
+
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
-            sample_attack_rounds(helstrom_strategy(1), 0, make_rng(0))
+            sample_attack_rounds(attack_round_branches(helstrom_strategy(1)), 0, make_rng(0))
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))

@@ -240,7 +240,8 @@ class TestInternalFailureExit:
 
         monkeypatch.setattr(adv, "_challenge_and_frame", skewed)
         grid = adv._pair_grid(2)
-        vecs = skewed(2.0 * np.pi * np.arange(1, grid + 1) / grid, 2, +1).reshape(grid, 6)
+        angles = cli_mod.keys.phase_angles(np.arange(1, grid + 1), grid)
+        vecs = skewed(angles, 2, +1).reshape(grid, 6)
         assert 5e-10 < np.abs((vecs.T @ vecs.conj()).imag).max() / grid < 2e-9
         with pytest.raises(NumericalError, match="imaginary part"):
             adv.build_discrimination_pair(2)
@@ -315,6 +316,21 @@ class TestRunAttack:
         (row,) = json.loads(out)["rows"]
         assert row["trials"] == 4000
         assert 0.88 < row["empirical_pass_rate"] < 0.97
+
+    def test_sampled_evaluates_each_attacked_row_once(self, capsys, monkeypatch):
+        # the exact report and the sampled draws share one row per t
+        real = cli.adversary.attack_round_branches
+        calls = []
+
+        def spy(strategy):
+            calls.append(strategy.t)
+            return real(strategy)
+
+        monkeypatch.setattr(cli.adversary, "attack_round_branches", spy)
+        code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",
+                              "--trials", "100"], capsys)
+        assert code == EXIT_OK
+        assert calls == [1, 2, 3]
 
     def test_sampled_rerun_identical(self, capsys):
         argv = ["run-attack", "--t", "1", "--mode", "sampled", "--seed", "8",
@@ -480,6 +496,33 @@ class TestParsing:
         assert code == EXIT_CONFIG
         assert "invalid config: cannot open --out for writing: " in err
         assert str(out) in err
+
+    # a directory or a missing parent is refused before the command does any work
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["psucc-table", "--t-max", "120"],
+        ["run-honest", "--r", "2", "--s", "1000000"],
+        ["verify-identities"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_out_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv,
+                                                where):
+        calls = []
+        monkeypatch.setattr(cli.adversary, "helstrom_psucc_oracle", calls.append)
+        monkeypatch.setattr(cli.protocol, "run_session", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(cli, "_IDENTITY_CHECKS", (("stub", lambda: calls.append(0)),))
+        out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+        code, text, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert (code, text, calls) == (EXIT_CONFIG, "", [])
+        assert "invalid config: cannot open --out for writing: [Errno " in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_open_failures_are_reported_when_written(self, capsys, tmp_path):
+        # the parent exists, so only open() finds the name too long
+        out = tmp_path / ("x" * 300)
+        code, text, err = run_cli(["bounds", "--r", "2", "--s", "83", "--out", str(out)], capsys)
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "invalid config: cannot open --out for writing: [Errno " in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self):
         # the child imports the same phaseid as this process, installed or not

@@ -165,7 +165,8 @@ class TestVerifyIdentitiesOnStacks:
         code, _, _ = run_cli(["verify-identities"], capsys)
         assert code == EXIT_OK
         assert counts["alice_respond"] == 0
-        assert 0 < counts["PureState"] <= 24
+        # The challenge is one value built at import; the checks build no state object.
+        assert counts["PureState"] == 0
 
     def test_unnormalised_phase_bases_exit_numerical(self, capsys, monkeypatch):
         exact = protocol._phase_bases

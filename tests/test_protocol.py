@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseid import protocol
 from phaseid.adversary import EveProver, helstrom_strategy
 from phaseid.errors import (
     DimensionMismatchError,
     HandleReusedError,
     NumericalError,
+    StateValidationError,
     TransportEmptyError,
     UsageExhaustedError,
 )
@@ -47,7 +49,11 @@ from phaseid.qsim import (
 )
 from phaseid.transport import RegisterHandle, Transport
 
-from conftest import reference_pass_probabilities, reference_sampled_records
+from conftest import (
+    record_density_checks,
+    reference_pass_probabilities,
+    reference_sampled_records,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -478,6 +484,42 @@ def test_honest_table_is_the_same_across_chunks():
         one = honest_round_branches(angles[j:j + 1])
         np.testing.assert_array_equal(table.probability[j], one.probability[0])
         np.testing.assert_array_equal(table.pass_probability[j], one.pass_probability[0])
+
+
+def test_every_honest_branch_state_reaches_the_density_check(monkeypatch):
+    # One call on a (set, branch, 2, 2) stack: each branch's kept state,
+    # its Z-corrected form and the authentic projector, against the
+    # scalar kernel. Rounds are in increasing angle, the order in which
+    # the table evaluates its distinct angles.
+    xs = sorted((PhaseFraction(k, 7) for k in range(1, 8)), key=lambda x: x.angle())
+    seen = record_density_checks(monkeypatch)
+    honest_round_branches([x.angle() for x in xs])
+    (states,) = seen
+    assert states.shape == (3, 2 * len(xs), 2, 2)
+    z = np.diag([1.0, -1.0])
+    for j, x in enumerate(xs):
+        sigma = DensityOperator.from_pure(public_key_state(x)).matrix
+        for branch in alice_respond(bob_prepare_challenge(), x):
+            kept = partial_trace(branch.post_state, (0,)).matrix
+            corrected = z @ kept @ z if branch.outcome else kept
+            for got, want in zip(states[:, 2 * j + branch.outcome], (kept, corrected, sigma)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 3), (2, 5)])
+def test_a_corrupted_verifier_state_names_its_set_and_branch(monkeypatch, where):
+    # set 0 kept, 1 Z-corrected, 2 authentic; branch 2 j + bit
+    real = protocol.check_density_operators
+
+    def corrupted(states):
+        states = np.array(states)
+        states[where + (0, 1)] += 1e-6
+        real(states)
+
+    monkeypatch.setattr(protocol, "check_density_operators", corrupted)
+    with pytest.raises(StateValidationError,
+                       match=rf"not Hermitian \(stack index \({where[0]}, {where[1]}\)\)"):
+        honest_round_branches([PhaseFraction(k, 5).angle() for k in (1, 2, 3)])
 
 
 class TestBranchTable:
