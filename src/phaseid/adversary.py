@@ -52,6 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .bounds import fool_first_attempt_bound  # noqa: F401  (re-exported; defined in bounds)
 from .errors import DimensionMismatchError, NumericalError
 from .keys import phase_angles
 from .protocol import BranchTable, bob_prepare_challenge, verify_branches
@@ -140,18 +141,6 @@ def cheung_bound(t: int) -> float:
     """Resulting bound on psucc_formula(t): 1 - 1/(4(t+1))."""
     t = _check_t(t, minimum=1)
     return 1.0 - 1.0 / (4.0 * (t + 1))
-
-
-def fool_first_attempt_bound(t: int, s: int) -> float:
-    """Bound (1 - 1/(8(t+1)))^s on fooling all s rounds with t copies.
-
-    Evaluated as exp(s log1p(-1/(8(t+1)))), the form of the caps in
-    bounds, so the worst attempt of a union-bound chain equals its cap.
-    """
-    t = _check_t(t)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return math.exp(s * math.log1p(-1.0 / (8.0 * (t + 1))))
 
 
 def frame_vector(t: int, angle) -> np.ndarray:
@@ -296,6 +285,14 @@ def helstrom_strategy(t: int) -> HelstromStrategy:
 
     Its success probability is 1/2 + (1/4) sum_n ||gap_n||_1
     = 1/2 + (1/2) sum_n c_n c_{n-1}, which is psucc_formula(t).
+
+    It is optimal against a continuous phase average, and so against a
+    key whose phases are multiples of 2 pi/p only while t <= p - 2: the
+    p-point average equals the continuous one for every trigonometric
+    degree below p, and the pair has degree t + 1. At t >= p - 1 the
+    measurement is still a valid attack on such a key, but no longer
+    the best one. The union-bound chain never needs more than p - 2
+    copies (see ``bounds``).
     """
     t = _check_t(t)
     return HelstromStrategy(t, psucc_formula(t))
@@ -379,6 +376,9 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
     angle-independent for the same reason; at angle 0 they are the real
     u+- = [c, +-c]/sqrt(2), c the frame magnitudes. The report checks
     the identity p_pass = (1 + psucc)/2 between the two.
+
+    That value is the optimal attacked round against a key with phase
+    modulus p for t <= p - 2 only (see ``helstrom_strategy``).
     """
     t = _check_t(t)
     if strategy is None:
@@ -399,7 +399,12 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
 
 @dataclass(frozen=True)
 class EveProver:
-    """Adapter giving run_session an adversarial prover."""
+    """Adapter giving run_session an adversarial prover.
+
+    It runs against a key of any phase modulus p, but its strategy is the
+    optimal one for that key only while strategy.t <= p - 2 (see
+    ``helstrom_strategy``).
+    """
 
     strategy: HelstromStrategy
     tag: ClassVar[str] = "helstrom-eve"

@@ -20,26 +20,50 @@ The advisor inverts the cap in closed form plus a bracketed fix-up:
 the logarithm gives s to within rounding, and a gallop and bisection
 against the evaluated cap settle the last step, in O(log s)
 evaluations at worst.
+
+The chain never asks for more than p - 2 copies, where p is the key's
+phase modulus (keys.ProtocolParams.p). Attempt l of a chain that
+starts at t copies uses t + extra + l - 1 of them, with l <= r - t, so
+its largest copy count is
+
+    (t + extra + (r - t) - 1) = extra + r - 1,
+
+the same for every t. The standard variant has extra = 0 and p = r + 1,
+which gives r - 1 = p - 2; the hardened variant has extra = r and
+p = 2r + 1, which gives 2r - 1 = p - 2. So both moduli sit exactly at
+the threshold. That threshold matters because the per-attempt bound
+rests on the adversary's continuous phase average: a uniform average
+over the key's p phases equals it for every trigonometric degree below
+p, and the attacked pair with t copies has degree t + 1, so the
+continuous analysis is the discrete key's optimum exactly when
+t <= p - 2. Every term of the chain lies in that range.
+
+Apart from the standard library this module imports only ``errors``
+and ``tolerances``, so the command line answers ``bounds`` without
+loading numpy. ``VARIANTS`` and ``fool_first_attempt_bound`` live
+here for that reason; ``keys`` and ``adversary`` import them from here.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .adversary import fool_first_attempt_bound
 from .errors import ConfigError, NumericalError
-from .keys import VARIANTS
 from .tolerances import CONSTRUCT_ATOL
 
 __all__ = [
+    "VARIANTS",
     "SecurityEstimate",
     "chain_constant",
+    "fool_first_attempt_bound",
     "union_bound_chain",
     "p_break_bound",
     "min_security_parameter",
 ]
+
+VARIANTS = ("standard", "hardened")
 
 _CHAIN_CONSTANT = {"standard": 8, "hardened": 16}
 
@@ -50,31 +74,49 @@ def chain_constant(variant: str) -> int:
     return _CHAIN_CONSTANT[variant]
 
 
-@dataclass(frozen=True)
-class SecurityEstimate:
-    """Per-attempt fooling bounds and both closed-form caps."""
+def fool_first_attempt_bound(t: int, s: int) -> float:
+    """Bound (1 - 1/(8(t+1)))^s on fooling all s rounds with t copies.
 
-    r: int
-    s: int
-    t: int
-    variant: str
-    per_attempt: tuple[float, ...]
-    chain_sum: float
-    chain_cap: float
-    p_break_cap: float
+    Evaluated as exp(s log1p(-1/(8(t+1)))), the form of the caps below,
+    so the worst attempt of a union-bound chain equals its cap.
+    """
+    t = int(t)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    return math.exp(s * math.log1p(-1.0 / (8.0 * (t + 1))))
 
-    def __post_init__(self):
+
+class SecurityEstimate(namedtuple(
+        "SecurityEstimate", "r s t variant per_attempt chain_sum chain_cap p_break_cap")):
+    """Per-attempt fooling bounds and both closed-form caps.
+
+    Fields: the ints r, s and t, the str variant, per_attempt (a tuple
+    of floats, one per attempt) and the floats chain_sum, chain_cap and
+    p_break_cap. An immutable named tuple rather than a dataclass,
+    because ``dataclasses`` imports ``inspect`` and with it ``ast``,
+    ``dis`` and ``tokenize``, which the numpy-free command line would
+    otherwise not load at all.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.chain_sum > self.chain_cap * (1.0 + CONSTRUCT_ATOL):
             raise NumericalError(
                 f"chain sum {self.chain_sum!r} exceeds its cap {self.chain_cap!r}"
             )
+        return self
 
 
 def union_bound_chain(t: int, r: int, s: int, variant: str = "standard") -> SecurityEstimate:
     """Sum the per-attempt fooling bounds for attempts l = 1 .. r - t.
 
     Requires 0 <= t < r. Attempt l reuses fool_first_attempt_bound with
-    t + l - 1 copies (plus r more under the hardened accounting).
+    t + l - 1 copies (plus r more under the hardened accounting); the
+    last attempt has p - 2 of them (see the module docstring).
     """
     c = chain_constant(variant)
     if not 0 <= t < r:

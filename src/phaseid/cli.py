@@ -15,16 +15,13 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
-from . import adversary, bounds, keys, protocol
+# Only numpy-free modules at import time: each command imports the modules
+# it runs, so ``--help`` and ``bounds`` never load numpy.
+from . import bounds
 from .errors import ConfigError, InternalError, UsageExhaustedError
-from .qsim import check_pure_states
-from .rng import derive_seed, make_rng
 from .tolerances import IDENTITY_ATOL
 
 __all__ = ["main", "build_parser"]
@@ -121,12 +118,14 @@ def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
     _write_text(out, _rows_as_json(rows) if fmt == "json" else _rows_as_csv(rows))
 
 
-def _params_from(args) -> keys.ProtocolParams:
+def _params_from(args):
+    from .keys import ProtocolParams
+
     if args.r is None:
         raise ConfigError("--r is required")
     if args.s is None:
         raise ConfigError("--s is required")
-    return keys.ProtocolParams(args.r, args.s, args.variant)
+    return ProtocolParams(args.r, args.s, args.variant)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +133,8 @@ def _params_from(args) -> keys.ProtocolParams:
 
 
 def cmd_keygen(args) -> int:
+    from . import keys
+
     params = _params_from(args)
     if args.seed is None:
         raise ConfigError("keygen requires --seed")
@@ -153,6 +154,9 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_run_honest(args) -> int:
+    from . import keys, protocol
+    from .rng import derive_seed
+
     params = _params_from(args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -190,15 +194,15 @@ def cmd_run_honest(args) -> int:
     # written and never joined whole: they go out CHUNK_ROUNDS at a time,
     # since a write-through stdout is slow line by line.
     lines = itertools.chain.from_iterable(tr.to_json_lines() for tr in transcripts)
-    _write_chunks(args.out, _joined_chunks(lines))
+    _write_chunks(args.out, _joined_chunks(lines, protocol.CHUNK_ROUNDS))
     if refused:
         return EXIT_REFUSAL
     return _verdict_exit(transcripts)
 
 
-def _joined_chunks(lines):
-    """Consecutive groups of CHUNK_ROUNDS lines, each as one newline-terminated string."""
-    while chunk := list(itertools.islice(lines, protocol.CHUNK_ROUNDS)):
+def _joined_chunks(lines, size: int):
+    """Consecutive groups of ``size`` lines, each as one newline-terminated string."""
+    while chunk := list(itertools.islice(lines, size)):
         yield "\n".join(chunk) + "\n"
 
 
@@ -226,6 +230,11 @@ def _attack_t_values(args) -> list[int]:
 
 
 def cmd_run_attack(args) -> int:
+    import numpy as np
+
+    from . import adversary
+    from .rng import derive_seed, make_rng
+
     t_values = _attack_t_values(args)
     s = args.s if args.s is not None else 1
     if s < 1:
@@ -244,7 +253,7 @@ def cmd_run_attack(args) -> int:
             "p_pass": report.p_pass_exact,
             "p_pass_from_psucc": 0.5 * (1.0 + adversary.psucc_formula(t)),
             "p_pass_bound": 1.0 - 1.0 / (8.0 * (t + 1)),
-            "fool_prob_s": adversary.fool_first_attempt_bound(t, s),
+            "fool_prob_s": bounds.fool_first_attempt_bound(t, s),
         }
         if args.mode == "sampled":
             rng = make_rng(derive_seed(args.seed, t))
@@ -261,6 +270,8 @@ def cmd_run_attack(args) -> int:
 
 
 def cmd_psucc_table(args) -> int:
+    from . import adversary
+
     t_max = args.t_max if args.t_max is not None else 8
     if t_max < 1:
         raise ConfigError(f"--t-max must be >= 1, got {t_max}")
@@ -303,88 +314,13 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify-identities
-#
-# The checks build their cases as stacked arrays and validate each stack once
-# with the stacked validators of ``qsim``, not one state object per case.
-
-
-def _phase_angles() -> np.ndarray:
-    """Angle of every phase k/p with p = 2..7 and k = 1..p, 27 in all."""
-    ks, ps = np.array([(k, p) for p in range(2, 8) for k in range(1, p + 1)]).T
-    return keys.phase_angles(ks, ps)
-
-
-def _challenge_overlaps() -> np.ndarray:
-    """Overlap of the challenge with (|x+ x+> - |x- x->)/sqrt(2), one per ``_phase_angles``.
-
-    {|x+>, |x->} is the phase basis of the angle.
-    """
-    bell = protocol.bob_prepare_challenge().joint_state
-    bases = protocol._phase_bases(_phase_angles())                 # (case, outcome, 2)
-    pairs = bases[:, :, :, None] * bases[:, :, None, :]            # |x x> of each outcome
-    vecs = (pairs[:, 0] - pairs[:, 1]).reshape(-1, 4) / math.sqrt(2.0)
-    check_pure_states(vecs)
-    return vecs @ bell.amplitudes.conj()
-
-
-def _check_challenge_decomposition() -> float:
-    # The challenge has this form, up to phase, in every phase basis.
-    return float(np.max(np.abs(np.abs(_challenge_overlaps()) - 1.0)))
-
-
-def _check_phase_average() -> float:
-    a = np.arange(-12, 13)
-    worst = 0.0
-    for p in range(2, 10):
-        want = (a % p == 0).astype(np.float64)
-        worst = max(worst, float(np.max(np.abs(keys.phase_average_exponential(a, p) - want))))
-    return worst
-
-
-def _check_averaging_equivalence() -> float:
-    worst = 0.0
-    for n in range(1, 7):
-        target = keys.symmetric_mixture(n).matrix
-        for p in (n + 1, n + 2, 2 * n + 3):
-            got = keys.averaged_key_operator_discrete(p, n).matrix
-            worst = max(worst, float(np.max(np.abs(got - target))))
-    return worst
-
-
-def _check_honest_round_certainty() -> float:
-    # One session per (variant, r), whose key runs through every phase 1..p.
-    worst = 0.0
-    for variant, r_top in (("standard", 5), ("hardened", 3)):
-        for r in range(1, r_top + 1):
-            p = keys.ProtocolParams(r, 1, variant).p
-            params = keys.ProtocolParams(r, p, variant)
-            key = keys.PrivateKey.from_ks(np.arange(1, p + 1), p)
-            tr = protocol.run_session(params, key, "honest", mode="exact")
-            worst = max(worst, float(np.max(np.abs(1.0 - tr.pass_probability))))
-    return worst
-
-
-def _response_probabilities() -> np.ndarray:
-    """Honest response-bit probabilities at every ``_phase_angles``, shape (case, bit)."""
-    return protocol.honest_round_branches(_phase_angles()).probability
-
-
-def _check_response_uniformity() -> float:
-    return float(np.max(np.abs(_response_probabilities() - 0.5)))
-
-
-_IDENTITY_CHECKS = (
-    ("challenge-decomposition", _check_challenge_decomposition),
-    ("phase-average-vanishing", _check_phase_average),
-    ("averaging-equivalence", _check_averaging_equivalence),
-    ("honest-round-certainty", _check_honest_round_certainty),
-    ("response-uniformity", _check_response_uniformity),
-)
 
 
 def cmd_verify_identities(args) -> int:
+    from . import identities
+
     results = []
-    for name, check in _IDENTITY_CHECKS:
+    for name, check in identities._IDENTITY_CHECKS:
         deviation = float(check())
         passed = deviation < IDENTITY_ATOL
         results.append({"check": name, "passed": passed, "max_deviation": deviation})
@@ -415,7 +351,7 @@ def build_parser() -> _Parser:
         if want_s:
             p.add_argument("--s", type=int, default=None, help="kernel repetitions")
         if variant:
-            p.add_argument("--variant", choices=keys.VARIANTS, default="standard")
+            p.add_argument("--variant", choices=bounds.VARIANTS, default="standard")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -481,12 +417,27 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _internal_errors() -> tuple[type[Exception], ...]:
+    """The exception types that ``main`` reports as internal numerical failure.
+
+    numpy's ``LinAlgError`` derives from ``ValueError``, so it must be
+    named before the handler for bad input. It is looked up, not
+    imported: while numpy is not in ``sys.modules`` no ``LinAlgError``
+    can have been raised, and importing numpy to name it would cost the
+    start-up that ``bounds`` and ``--help`` avoid.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        return (InternalError,)
+    return (InternalError, numpy.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         _check_out(args.out)
         return args.func(args)
-    except (InternalError, np.linalg.LinAlgError) as exc:
+    except _internal_errors() as exc:
         sys.stderr.write(f"phaseid: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError included: bad input

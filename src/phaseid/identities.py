@@ -1,0 +1,93 @@
+"""The exact identities that ``phaseid verify-identities`` re-checks.
+
+Each check returns the largest deviation it sees from an identity that
+holds exactly; the command passes a check whose deviation lies below
+``tolerances.IDENTITY_ATOL``. The checks build their cases as stacked
+arrays and validate each stack once with the stacked validators of
+``qsim``, not one state object per case. They are numpy code, so they
+live apart from ``cli``, which imports this module only when the
+command runs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import keys, protocol
+from .qsim import check_pure_states
+
+
+def _phase_angles() -> np.ndarray:
+    """Angle of every phase k/p with p = 2..7 and k = 1..p, 27 in all."""
+    ks, ps = np.array([(k, p) for p in range(2, 8) for k in range(1, p + 1)]).T
+    return keys.phase_angles(ks, ps)
+
+
+def _challenge_overlaps() -> np.ndarray:
+    """Overlap of the challenge with (|x+ x+> - |x- x->)/sqrt(2), one per ``_phase_angles``.
+
+    {|x+>, |x->} is the phase basis of the angle.
+    """
+    bell = protocol.bob_prepare_challenge().joint_state
+    bases = protocol._phase_bases(_phase_angles())                 # (case, outcome, 2)
+    pairs = bases[:, :, :, None] * bases[:, :, None, :]            # |x x> of each outcome
+    vecs = (pairs[:, 0] - pairs[:, 1]).reshape(-1, 4) / math.sqrt(2.0)
+    check_pure_states(vecs)
+    return vecs @ bell.amplitudes.conj()
+
+
+def _check_challenge_decomposition() -> float:
+    # The challenge has this form, up to phase, in every phase basis.
+    return float(np.max(np.abs(np.abs(_challenge_overlaps()) - 1.0)))
+
+
+def _check_phase_average() -> float:
+    a = np.arange(-12, 13)
+    worst = 0.0
+    for p in range(2, 10):
+        want = (a % p == 0).astype(np.float64)
+        worst = max(worst, float(np.max(np.abs(keys.phase_average_exponential(a, p) - want))))
+    return worst
+
+
+def _check_averaging_equivalence() -> float:
+    worst = 0.0
+    for n in range(1, 7):
+        target = keys.symmetric_mixture(n).matrix
+        for p in (n + 1, n + 2, 2 * n + 3):
+            got = keys.averaged_key_operator_discrete(p, n).matrix
+            worst = max(worst, float(np.max(np.abs(got - target))))
+    return worst
+
+
+def _check_honest_round_certainty() -> float:
+    # One session per (variant, r), whose key runs through every phase 1..p.
+    worst = 0.0
+    for variant, r_top in (("standard", 5), ("hardened", 3)):
+        for r in range(1, r_top + 1):
+            p = keys.ProtocolParams(r, 1, variant).p
+            params = keys.ProtocolParams(r, p, variant)
+            key = keys.PrivateKey.from_ks(np.arange(1, p + 1), p)
+            tr = protocol.run_session(params, key, "honest", mode="exact")
+            worst = max(worst, float(np.max(np.abs(1.0 - tr.pass_probability))))
+    return worst
+
+
+def _response_probabilities() -> np.ndarray:
+    """Honest response-bit probabilities at every ``_phase_angles``, shape (case, bit)."""
+    return protocol.honest_round_branches(_phase_angles()).probability
+
+
+def _check_response_uniformity() -> float:
+    return float(np.max(np.abs(_response_probabilities() - 0.5)))
+
+
+_IDENTITY_CHECKS = (
+    ("challenge-decomposition", _check_challenge_decomposition),
+    ("phase-average-vanishing", _check_phase_average),
+    ("averaging-equivalence", _check_averaging_equivalence),
+    ("honest-round-certainty", _check_honest_round_certainty),
+    ("response-uniformity", _check_response_uniformity),
+)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import VARIANTS
 from .errors import ConfigError, NumericalError
 from .qsim import DensityOperator, PureState, check_pure_states
 from .rng import make_rng
@@ -45,8 +46,6 @@ __all__ = [
     "read_private_key_file",
     "public_key_descriptor",
 ]
-
-VARIANTS = ("standard", "hardened")
 
 # Explicit bitstring enumeration caps (memory, not correctness).
 _MAX_SYMMETRIC_N = 20

@@ -16,7 +16,6 @@ from phaseid.adversary import (
     cheung_bound,
     cheung_sum_bound,
     eve_attack_round,
-    fool_first_attempt_bound,
     frame_vector,
     helstrom_psucc_oracle,
     helstrom_strategy,
@@ -30,6 +29,7 @@ from phaseid.adversary import (
     _frame_magnitudes,
     _pair_grid,
 )
+from phaseid.bounds import fool_first_attempt_bound
 from phaseid.errors import DimensionMismatchError, NumericalError
 from phaseid.keys import (
     PhaseFraction,

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseid.adversary import fool_first_attempt_bound
 from phaseid.bounds import (
     SecurityEstimate,
     chain_constant,
+    fool_first_attempt_bound,
     min_security_parameter,
     p_break_bound,
     union_bound_chain,
 )
 from phaseid.cli import EXIT_CONFIG, EXIT_OK, main
 from phaseid.errors import ConfigError, NumericalError
+from phaseid.keys import ProtocolParams
 
 
 def _p_break_fraction(r: int, s: int, c: int) -> Fraction:
@@ -146,6 +147,15 @@ class TestUnionBoundChain:
             for r, s in ((10, 100_000), (50, 20_000), (50, 100_000)):
                 est = union_bound_chain(t=r - 1, r=r, s=s, variant=variant)
                 assert est.per_attempt == (est.chain_cap,)
+
+    @pytest.mark.parametrize("variant", ["standard", "hardened"])
+    def test_largest_copy_count_is_p_minus_2(self, variant):
+        # the chain stays where the continuous phase average is the key's
+        # own: its last attempt holds exactly p - 2 copies
+        for r in range(1, 201):
+            p = ProtocolParams(r, 1, variant).p
+            est = union_bound_chain(t=0, r=r, s=83, variant=variant)
+            assert est.per_attempt[-1] == fool_first_attempt_bound(p - 2, 83)
 
     def test_chain_sum_above_cap_is_internal_failure(self):
         # the cap is a theorem about computed values: breaking it is an

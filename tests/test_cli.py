@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phaseid
-from phaseid import cli
+from phaseid import adversary, cli, identities, keys, protocol
 from phaseid.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -199,26 +199,35 @@ class TestInternalFailureExit:
     @pytest.mark.parametrize("error", [StateValidationError, DimensionMismatchError,
                                        InvalidBasisError, NumericalError, InternalError])
     def test_invariant_failure_exits_numerical(self, capsys, monkeypatch, error):
-        import phaseid.cli as cli_mod
-
         # one base, and never a ValueError, which reports bad input
         assert issubclass(error, InternalError) and not issubclass(error, ValueError)
 
         def broken(*args, **kwargs):
             raise error("stub invariant failure")
 
-        monkeypatch.setattr(cli_mod.protocol, "run_session", broken)
+        monkeypatch.setattr(protocol, "run_session", broken)
         code, _, err = run_cli(["run-honest", "--r", "2", "--s", "3"], capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure: stub invariant failure" in err
 
+    def test_linalg_error_exits_numerical(self, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, yet it is an internal
+        # failure: it must never be reported as bad input (exit 4)
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("stub")
+
+        monkeypatch.setattr(protocol, "run_session", broken)
+        code, _, err = run_cli(["run-honest", "--r", "2", "--s", "3"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert err == "phaseid: numerical failure: stub\n"
+
     def test_out_of_range_psucc_exits_numerical(self, capsys, monkeypatch):
         # psucc is computed, not given: a value outside [1/2, 1] is an
         # internal failure, never bad input
-        import phaseid.cli as cli_mod
-
-        adv = cli_mod.adversary
-        monkeypatch.setattr(adv, "helstrom_strategy", lambda t: adv.HelstromStrategy(t, 1.5))
+        monkeypatch.setattr(adversary, "helstrom_strategy",
+                            lambda t: adversary.HelstromStrategy(t, 1.5))
         code, _, err = run_cli(["run-attack", "--t", "2"], capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure: psucc 1.5 outside" in err
@@ -228,23 +237,20 @@ class TestInternalFailureExit:
         # 1e-9 imaginary part is an internal failure, never bad input.
         # Turning the received qubit's |1> by a small phase keeps every
         # DensityOperator check satisfied, so only the reality guard sees it.
-        import phaseid.cli as cli_mod
-
-        adv = cli_mod.adversary
-        exact = adv._challenge_and_frame
+        exact = adversary._challenge_and_frame
 
         def skewed(angles, t, sign):
             vecs = exact(angles, t, sign)
             vecs[..., 1, :] *= np.exp(6e-9j)
             return vecs
 
-        monkeypatch.setattr(adv, "_challenge_and_frame", skewed)
-        grid = adv._pair_grid(2)
-        angles = cli_mod.keys.phase_angles(np.arange(1, grid + 1), grid)
+        monkeypatch.setattr(adversary, "_challenge_and_frame", skewed)
+        grid = adversary._pair_grid(2)
+        angles = keys.phase_angles(np.arange(1, grid + 1), grid)
         vecs = skewed(angles, 2, +1).reshape(grid, 6)
         assert 5e-10 < np.abs((vecs.T @ vecs.conj()).imag).max() / grid < 2e-9
         with pytest.raises(NumericalError, match="imaginary part"):
-            adv.build_discrimination_pair(2)
+            adversary.build_discrimination_pair(2)
         code, out, err = run_cli(["psucc-table", "--t-max", "2"], capsys)
         assert code == EXIT_NUMERICAL
         assert out == ""
@@ -319,14 +325,14 @@ class TestRunAttack:
 
     def test_sampled_evaluates_each_attacked_row_once(self, capsys, monkeypatch):
         # the exact report and the sampled draws share one row per t
-        real = cli.adversary.attack_round_branches
+        real = adversary.attack_round_branches
         calls = []
 
         def spy(strategy):
             calls.append(strategy.t)
             return real(strategy)
 
-        monkeypatch.setattr(cli.adversary, "attack_round_branches", spy)
+        monkeypatch.setattr(adversary, "attack_round_branches", spy)
         code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",
                               "--trials", "100"], capsys)
         assert code == EXIT_OK
@@ -355,7 +361,7 @@ class TestPsuccTable:
 
     def test_above_the_oracle_cap_is_refused_before_any_oracle(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli.adversary, "helstrom_psucc_oracle", calls.append)
+        monkeypatch.setattr(adversary, "helstrom_psucc_oracle", calls.append)
         code, out, err = run_cli(["psucc-table", "--t-max", "257"], capsys)
         assert code == EXIT_CONFIG
         assert out == ""
@@ -446,10 +452,8 @@ class TestVerifyIdentities:
 
     def test_failing_check_exits_numerical(self, capsys, monkeypatch):
         # exit-code plumbing for the failure path, driven by a stub check
-        import phaseid.cli as cli_mod
-
         monkeypatch.setattr(
-            cli_mod, "_IDENTITY_CHECKS", (("stub-check", lambda: 1.0),)
+            identities, "_IDENTITY_CHECKS", (("stub-check", lambda: 1.0),)
         )
         code, out, _ = run_cli(["verify-identities"], capsys)
         assert code == 5
@@ -507,9 +511,9 @@ class TestParsing:
     def test_bad_out_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv,
                                                 where):
         calls = []
-        monkeypatch.setattr(cli.adversary, "helstrom_psucc_oracle", calls.append)
-        monkeypatch.setattr(cli.protocol, "run_session", lambda *args, **kw: calls.append(args))
-        monkeypatch.setattr(cli, "_IDENTITY_CHECKS", (("stub", lambda: calls.append(0)),))
+        monkeypatch.setattr(adversary, "helstrom_psucc_oracle", calls.append)
+        monkeypatch.setattr(protocol, "run_session", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(identities, "_IDENTITY_CHECKS", (("stub", lambda: calls.append(0)),))
         out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
         code, text, err = run_cli(argv + ["--out", str(out)], capsys)
         assert (code, text, calls) == (EXIT_CONFIG, "", [])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_keys import _averaged_oracle
 
-from phaseid import cli, keys, protocol, qsim
+from phaseid import identities, keys, protocol, qsim
 from phaseid.cli import EXIT_NUMERICAL, EXIT_OK, main
 from phaseid.errors import NumericalError
 
@@ -34,7 +34,7 @@ def _old_scalar_phase_average(a: int, p: int) -> float:
 class TestScalarOracle:
     def test_angles_are_the_phase_fractions(self):
         want = [keys.PhaseFraction(k, p).angle() for p, k in PHASES]
-        assert cli._phase_angles().tolist() == want
+        assert identities._phase_angles().tolist() == want
 
     def test_challenge_overlaps(self):
         bell = protocol.bob_prepare_challenge().joint_state
@@ -43,14 +43,14 @@ class TestScalarOracle:
             plus, minus = protocol.phase_basis(keys.PhaseFraction(k, p).angle())
             vec = (np.kron(plus, plus) - np.kron(minus, minus)) / math.sqrt(2.0)
             want.append(qsim.overlap(bell, qsim.PureState((2, 2), vec)))
-        np.testing.assert_allclose(cli._challenge_overlaps(), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(identities._challenge_overlaps(), want, rtol=0, atol=1e-15)
 
     def test_response_probabilities(self):
         challenge = protocol.bob_prepare_challenge()
         want = [[branch.probability
                  for branch in protocol.alice_respond(challenge, keys.PhaseFraction(k, p))]
                 for p, k in PHASES]
-        np.testing.assert_allclose(cli._response_probabilities(), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(identities._response_probabilities(), want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("p", range(1, 10))
     def test_phase_averages_bitwise(self, p):
