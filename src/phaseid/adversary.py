@@ -52,15 +52,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bounds import fool_first_attempt_bound  # noqa: F401  (re-exported; defined in bounds)
 from .errors import DimensionMismatchError, NumericalError
-from .keys import phase_angles
+from .keys import phase_angles, phase_bases
 from .protocol import BranchTable, bob_prepare_challenge, verify_branches
 from .qsim import DensityOperator
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
 
 __all__ = [
-    "DiscriminationPair",
     "HelstromStrategy",
     "CheatGuessReport",
     "EveProver",
@@ -69,7 +67,6 @@ __all__ = [
     "psucc_formula",
     "cheung_sum_bound",
     "cheung_bound",
-    "fool_first_attempt_bound",
     "build_discrimination_pair",
     "helstrom_strategy",
     "helstrom_psucc_oracle",
@@ -169,29 +166,15 @@ def _pair_grid(t: int) -> int:
 def _challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
     """(|0> + sign e^{i angle}|1>)/sqrt(2) (x) frame(angle) for each angle.
 
-    Shape ``np.shape(angles) + (2, t+1)``: (received qubit, frame weight).
+    The qubit is the sign's row of ``keys.phase_bases``. Shape
+    ``np.shape(angles) + (2, t+1)``: (received qubit, frame weight).
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    qubit = np.stack([np.ones_like(angles), sign * np.exp(1j * angles)], axis=-1)
-    return qubit[..., :, None] * frame_vector(t, angles)[..., None, :] / math.sqrt(2.0)
+    qubit = phase_bases(angles)[..., (1 - sign) // 2, :]
+    return qubit[..., :, None] * frame_vector(t, angles)[..., None, :]
 
 
-@dataclass(frozen=True)
-class DiscriminationPair:
-    """The two phase-averaged states the adversary must tell apart."""
-
-    t: int
-    rho_plus: DensityOperator
-    rho_minus: DensityOperator
-
-    def __post_init__(self):
-        want = (2, self.t + 1)
-        if self.rho_plus.dims != want or self.rho_minus.dims != want:
-            raise ValueError(f"pair must live on dims {want}")
-
-
-def build_discrimination_pair(t: int) -> DiscriminationPair:
-    """Average challenge (x) frame over the relative phase, both signs.
+def build_discrimination_pair(t: int) -> tuple[DensityOperator, DensityOperator]:
+    """Average challenge (x) frame over the relative phase: (rho+, rho-), on dims (2, t+1).
 
     The received qubit and the frame are both defined relative to the
     honest phase convention, which is uniformly unknown to the
@@ -227,8 +210,7 @@ def build_discrimination_pair(t: int) -> DiscriminationPair:
     # sign -1 average itself makes it, not as -0.0.
     signature = np.repeat([1.0, -1.0], t + 1)
     minus = plus * np.multiply.outer(signature, signature) + 0.0
-    return DiscriminationPair(t, DensityOperator((2, t + 1), plus),
-                              DensityOperator((2, t + 1), minus))
+    return DensityOperator((2, t + 1), plus), DensityOperator((2, t + 1), minus)
 
 
 @dataclass(frozen=True)
@@ -306,8 +288,8 @@ def helstrom_psucc_oracle(t: int) -> float:
     eigenvalues are +-2 sigma_i(B). Hence ||rho+ - rho-||_1 =
     4 sum_i sigma_i(B), and the oracle is 1/2 + sum_i sigma_i(B).
     """
-    pair = build_discrimination_pair(t)
-    block = pair.rho_plus.matrix[: t + 1, t + 1:]
+    plus, _ = build_discrimination_pair(t)
+    block = plus.matrix[: t + 1, t + 1:]
     return 0.5 + float(np.linalg.svd(block, compute_uv=False).sum())
 
 

@@ -77,15 +77,16 @@ def chain_constant(variant: str) -> int:
 def fool_first_attempt_bound(t: int, s: int) -> float:
     """Bound (1 - 1/(8(t+1)))^s on fooling all s rounds with t copies.
 
-    Evaluated as exp(s log1p(-1/(8(t+1)))), the form of the caps below,
-    so the worst attempt of a union-bound chain equals its cap.
+    Evaluated by ``_decay``, the form of the caps below, so the worst
+    attempt of a union-bound chain equals its cap, and an s past the
+    float range is a ConfigError.
     """
     t = int(t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return math.exp(s * math.log1p(-1.0 / (8.0 * (t + 1))))
+    return _decay(t + 1, s, 8)
 
 
 class SecurityEstimate(namedtuple(

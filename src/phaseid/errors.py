@@ -29,10 +29,6 @@ class UsageExhaustedError(RuntimeError):
     """
 
 
-class HandleReusedError(RuntimeError):
-    """A register handle was consumed twice (no-cloning guard)."""
-
-
 class TransportEmptyError(RuntimeError):
     """A receive was attempted on an empty transport queue."""
 

@@ -16,34 +16,30 @@ whenever p >= n + 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import VARIANTS
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .qsim import DensityOperator, PureState, check_pure_states
 from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL
 
 __all__ = [
-    "VARIANTS",
     "ProtocolParams",
     "PhaseFraction",
     "PrivateKey",
     "phase_angles",
+    "phase_bases",
     "generate_private_key",
     "qubit_phase_state",
     "public_key_state",
     "averaged_key_operator_discrete",
     "symmetric_mixture",
-    "symmetric_basis_state",
     "phase_average_exponential",
     "private_key_payload",
-    "write_private_key_file",
-    "read_private_key_file",
     "public_key_descriptor",
 ]
 
@@ -62,6 +58,22 @@ def phase_angles(ks, p):
     arrays an array. Every key phase's angle is made here.
     """
     return 2.0 * math.pi * (ks % p) / p
+
+
+def phase_bases(angles) -> np.ndarray:
+    """Phase bases for an array of angles, shape ``angles.shape + (2, 2)``.
+
+    Axis -2 is the outcome (0 for "+", 1 for "-"), axis -1 the component:
+    (|0> +- e^{i angle}|1>)/sqrt(2). The "+" vector is the public-key
+    element of the angle; every such qubit's amplitudes are made here.
+    """
+    inv = 1.0 / math.sqrt(2.0)
+    ph = np.exp(1j * np.asarray(angles, dtype=np.float64))
+    bases = np.empty(ph.shape + (2, 2), dtype=np.complex128)
+    bases[..., 0] = inv
+    bases[..., 0, 1] = inv * ph
+    bases[..., 1, 1] = -inv * ph
+    return bases
 
 
 @dataclass(frozen=True)
@@ -181,8 +193,7 @@ def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
 
 def qubit_phase_state(angle: float) -> PureState:
     """The equatorial qubit (|0> + e^{i angle}|1>)/sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    return PureState((2,), np.array([inv, inv * np.exp(1j * angle)]))
+    return PureState((2,), phase_bases(angle)[0])
 
 
 def public_key_state(x: PhaseFraction) -> PureState:
@@ -239,27 +250,18 @@ def _product_state_average(p: int, n: int) -> np.ndarray:
     return acc / p
 
 
-def _weight_states(n: int, weights) -> np.ndarray:
-    """Amplitudes of the weight-w states of n qubits, one row per w of ``weights``.
+def _weight_states(n: int) -> np.ndarray:
+    """Amplitudes of the weight-w states of n qubits, one row per w = 0..n.
 
     Row w is the uniform superposition of the bitstrings that
     ``itertools.combinations`` lists with w ones.
     """
-    amps = np.zeros((len(weights), 2**n), dtype=np.complex128)
-    for row, w in enumerate(weights):
+    amps = np.zeros((n + 1, 2**n), dtype=np.complex128)
+    for w in range(n + 1):
         index = [sum(1 << (n - 1 - pos) for pos in ones)
                  for ones in itertools.combinations(range(n), w)]
-        amps[row, index] = 1.0 / math.sqrt(math.comb(n, w))
+        amps[w, index] = 1.0 / math.sqrt(math.comb(n, w))
     return amps
-
-
-def symmetric_basis_state(n: int, w: int) -> PureState:
-    """Uniform superposition of all weight-w bitstrings of length n."""
-    if not 1 <= n <= _MAX_SYMMETRIC_N:
-        raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
-    if not 0 <= w <= n:
-        raise ValueError(f"weight must lie in 0..{n}, got {w}")
-    return PureState((2,) * n, _weight_states(n, (w,))[0])
 
 
 def symmetric_mixture(n: int) -> DensityOperator:
@@ -269,7 +271,7 @@ def symmetric_mixture(n: int) -> DensityOperator:
     """
     if not 1 <= n <= _MAX_SYMMETRIC_N:
         raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
-    states = _weight_states(n, range(n + 1))
+    states = _weight_states(n)
     check_pure_states(states)
     coeffs = np.array([math.comb(n, w) / 2**n for w in range(n + 1)])
     return DensityOperator((2,) * n, (states.T * coeffs) @ states.conj())
@@ -322,41 +324,6 @@ def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> d
         "xs": key.ks.tolist(),
         "p": params.p,
     }
-
-
-def write_private_key_file(path, params: ProtocolParams, seed: int, key: PrivateKey) -> None:
-    """Serialize a private key to ``path``. Keep the file private."""
-    payload = private_key_payload(params, seed, key)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def read_private_key_file(path) -> tuple[ProtocolParams, int, PrivateKey]:
-    """Read a key file: a JSON object with every field of ``private_key_payload``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"key file must hold a JSON object, got {type(payload).__name__}")
-    missing = [name for name in ("r", "s", "variant", "seed", "xs", "p") if name not in payload]
-    if missing:
-        raise ConfigError(f"key file lacks the field(s) {', '.join(missing)}")
-    for name in ("r", "s", "seed", "p"):
-        if type(payload[name]) is not int:
-            raise ConfigError(f"key file field {name!r} must be a JSON integer, "
-                              f"got {payload[name]!r}")
-    params = ProtocolParams(payload["r"], payload["s"], str(payload["variant"]))
-    if payload["p"] != params.p:
-        raise ConfigError(
-            f"key file modulus {payload['p']} does not match params (expected {params.p})"
-        )
-    xs = payload["xs"]
-    if not isinstance(xs, list) or any(type(k) is not int for k in xs):
-        raise ConfigError("key file phases must be a list of JSON integers")
-    key = PrivateKey.from_ks(xs, params.p)
-    if key.s != params.s:
-        raise ConfigError("key length does not match s")
-    return params, payload["seed"], key
 
 
 def public_key_descriptor(params: ProtocolParams, key: PrivateKey | None = None,

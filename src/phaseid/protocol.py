@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError
-from .keys import PhaseFraction, PrivateKey, ProtocolParams
+from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_bases
 from .qsim import (
     PAULI_Z,
     DensityOperator,
@@ -313,24 +313,9 @@ def bob_prepare_challenge() -> KernelChallenge:
     return _CHALLENGE
 
 
-def _phase_bases(angles) -> np.ndarray:
-    """Phase bases for an array of angles, shape ``angles.shape + (2, 2)``.
-
-    Axis -2 is the outcome (0 for "+", 1 for "-"), axis -1 the component.
-    The "+" vector is the public-key element of the angle.
-    """
-    inv = 1.0 / math.sqrt(2.0)
-    ph = np.exp(1j * np.asarray(angles, dtype=np.float64))
-    bases = np.empty(ph.shape + (2, 2), dtype=np.complex128)
-    bases[..., 0] = inv
-    bases[..., 0, 1] = inv * ph
-    bases[..., 1, 1] = -inv * ph
-    return bases
-
-
 def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis {(|0> + e^{i angle}|1>)/sqrt(2), (|0> - ...)}."""
-    plus, minus = _phase_bases(angle)
+    plus, minus = phase_bases(angle)
     return plus, minus
 
 
@@ -387,7 +372,7 @@ def verify_branches(amplitudes: np.ndarray,
     rounds, bits = np.nonzero(live)
     weight = prob[live]
     check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
-    authentic = _phase_bases(angles)[:, 0]
+    authentic = phase_bases(angles)[:, 0]
     check_pure_states(authentic)
     authentic = authentic[rounds]
     kept = kept[live] / weight[:, None, None]
@@ -425,7 +410,7 @@ def honest_round_branches(angles) -> BranchTable:
 
 def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probability, pass_probability) of honest rounds against the (kept, sent) ``joint``."""
-    bases = _phase_bases(angles)                                  # (round, outcome, 2)
+    bases = phase_bases(angles)                                   # (round, outcome, 2)
     check_orthonormal_bases(bases)
     # Contract each basis vector with the sent register:
     # inner[j, b, i] = sum_k conj(bases[j, b, k]) joint[i, k], i the kept register.

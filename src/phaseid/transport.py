@@ -1,39 +1,12 @@
-"""FIFO message transport with consume-once register handles.
-
-The channel between the two parties carries either classical bits or
-handles to quantum registers. A handle points into a joint state and
-can be consumed exactly once; consuming it again is a hard error. That
-is the no-cloning guard: the simulator never lets a register travel or
-be measured twice.
-"""
+"""Strictly ordered FIFO message transport between the two parties."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
-from .errors import HandleReusedError, TransportEmptyError
+from .errors import TransportEmptyError
 
-__all__ = ["RegisterHandle", "Transport"]
-
-
-@dataclass
-class RegisterHandle:
-    """Single-use reference to one register inside a carried payload."""
-
-    payload: object
-    register: int
-    _consumed: bool = field(default=False, repr=False)
-
-    def consume(self):
-        if self._consumed:
-            raise HandleReusedError("register handle was already consumed")
-        self._consumed = True
-        return self.payload, self.register
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
+__all__ = ["Transport"]
 
 
 class Transport:

@@ -194,10 +194,10 @@ class TestDiscriminationPair:
     def test_zero_copies_pair_is_identical(self):
         # with no reference copies the averaged challenge qubit is
         # maximally mixed for either response, so nothing distinguishes
-        pair = build_discrimination_pair(0)
+        rho_plus, rho_minus = build_discrimination_pair(0)
         want = np.eye(2) / 2.0
-        np.testing.assert_allclose(pair.rho_plus.matrix, want, atol=1e-12)
-        np.testing.assert_allclose(pair.rho_minus.matrix, want, atol=1e-12)
+        np.testing.assert_allclose(rho_plus.matrix, want, atol=1e-12)
+        np.testing.assert_allclose(rho_minus.matrix, want, atol=1e-12)
 
     @pytest.mark.parametrize("t", range(0, 6))
     def test_grid_refinement_is_stable(self, t):
@@ -205,8 +205,7 @@ class TestDiscriminationPair:
         # a grid of 4t + 9 points, about twice as fine, must not move any entry
         grid = 4 * t + 9
         angles = phase_angles(np.arange(1, grid + 1), grid)
-        pair = build_discrimination_pair(t)
-        for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
+        for sign, rho in zip((+1, -1), build_discrimination_pair(t)):
             vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
             finer = vecs.T @ vecs.conj() / grid
             assert np.max(np.abs(rho.matrix - finer)) < 1e-12
@@ -218,8 +217,7 @@ class TestDiscriminationPair:
         for t in range(1, 65):
             grid = _pair_grid(t)
             angles = phase_angles(np.arange(1, grid + 1), grid)
-            pair = build_discrimination_pair(t)
-            for sign, rho in ((+1, pair.rho_plus), (-1, pair.rho_minus)):
+            for sign, rho in zip((+1, -1), build_discrimination_pair(t)):
                 vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
                 explicit = vecs.T @ vecs.conj() / grid
                 assert np.abs(explicit.imag).max() <= CONSTRUCT_ATOL
@@ -228,8 +226,8 @@ class TestDiscriminationPair:
                                       explicit.real.view(np.int64)), (t, sign)
 
     def test_pair_states_differ_with_copies(self):
-        pair = build_discrimination_pair(2)
-        assert np.max(np.abs(pair.rho_plus.matrix - pair.rho_minus.matrix)) > 0.1
+        rho_plus, rho_minus = build_discrimination_pair(2)
+        assert np.max(np.abs(rho_plus.matrix - rho_minus.matrix)) > 0.1
 
 
 class TestHelstrom:
@@ -247,8 +245,8 @@ class TestHelstrom:
         # ||rho+ - rho-||_1 = 4 sum_i sigma_i(B), B the off-diagonal block
         # of rho+, against the trace norm of the dense gap
         for t in range(1, 65):
-            pair = build_discrimination_pair(t)
-            dense = 0.5 + 0.25 * trace_norm(pair.rho_plus.matrix - pair.rho_minus.matrix)
+            rho_plus, rho_minus = build_discrimination_pair(t)
+            dense = 0.5 + 0.25 * trace_norm(rho_plus.matrix - rho_minus.matrix)
             assert abs(helstrom_psucc_oracle(t) - dense) <= 1e-14, t
 
     def test_valid_oracle_call_makes_no_eigendecomposition(self, monkeypatch):
@@ -289,8 +287,8 @@ class TestHelstrom:
         # tr(P+ (rho+ - rho-)) reaches (1/2)||rho+ - rho-||_1 only for a
         # Helstrom-optimal projector
         for t in range(0, 65):
-            pair = build_discrimination_pair(t)
-            gap = pair.rho_plus.matrix - pair.rho_minus.matrix
+            rho_plus, rho_minus = build_discrimination_pair(t)
+            gap = rho_plus.matrix - rho_minus.matrix
             proj = helstrom_strategy(t).projector_plus
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
             assert float(np.trace(proj @ gap).real) == pytest.approx(

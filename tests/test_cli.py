@@ -298,6 +298,13 @@ class TestRunAttack:
         code, _, _ = run_cli(["run-attack", "--t", "0"], capsys)
         assert code == EXIT_CONFIG
 
+    def test_s_past_the_float_range(self, capsys):
+        # the per-attempt bound checks s as the caps do: bad input (exit 4), no traceback
+        code, out, err = run_cli(["run-attack", "--t", "3", "--s", str(10**400)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "invalid config" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             ["run-attack", "--t-max", "2", "--format", "csv"], capsys
@@ -541,6 +548,24 @@ class TestParsing:
         assert proc.returncode == 0
         rows = json.loads(proc.stdout)["rows"]
         assert rows[0]["t"] == 1
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the help goldens were rendered by Python 3.11, and argparse's "
+                           "layout differs between minor versions")
+class TestHelpText:
+    # tests/data/help/<command>.txt holds the text of ``phaseid <command>
+    # --help`` (phaseid.txt that of ``phaseid --help``); a change that moves
+    # one replaces the file and names the change in CHANGES.md.
+    @pytest.mark.parametrize("command", ["phaseid", "keygen", "run-honest", "run-attack",
+                                         "psucc-table", "bounds", "verify-identities"])
+    def test_help_reproduces_golden_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(([] if command == "phaseid" else [command]) + ["--help"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        golden = Path(__file__).parent / "data" / "help" / f"{command}.txt"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestOutputBytes:

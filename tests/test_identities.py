@@ -86,9 +86,12 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetric_mixture(self, n):
-        want = sum(math.comb(n, w) / 2**n
-                   * qsim.DensityOperator.from_pure(keys.symmetric_basis_state(n, w)).matrix
-                   for w in range(n + 1))
+        # each weight state built by counting the ones of every bitstring
+        weights = np.array([bin(i).count("1") for i in range(2**n)])
+        states = [qsim.PureState((2,) * n, (weights == w) / math.sqrt(math.comb(n, w)))
+                  for w in range(n + 1)]
+        want = sum(math.comb(n, w) / 2**n * qsim.DensityOperator.from_pure(state).matrix
+                   for w, state in enumerate(states))
         np.testing.assert_allclose(keys.symmetric_mixture(n).matrix, want, rtol=0, atol=1e-15)
 
 
@@ -169,8 +172,8 @@ class TestVerifyIdentitiesOnStacks:
         assert counts["PureState"] == 0
 
     def test_unnormalised_phase_bases_exit_numerical(self, capsys, monkeypatch):
-        exact = protocol._phase_bases
-        monkeypatch.setattr(protocol, "_phase_bases", lambda angles: exact(angles) * (1 + 1e-9))
+        exact = keys.phase_bases
+        monkeypatch.setattr(keys, "phase_bases", lambda angles: exact(angles) * (1 + 1e-9))
         code, _, err = run_cli(["verify-identities"], capsys)
         assert code == EXIT_NUMERICAL  # an internal failure, never bad input (4)
         assert "numerical failure" in err

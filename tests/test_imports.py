@@ -107,10 +107,3 @@ def test_star_import_gives_the_same_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         phaseid.no_such_name
-
-
-def test_moved_names_keep_their_old_paths():
-    from phaseid import adversary, bounds, keys
-
-    assert adversary.fool_first_attempt_bound is bounds.fool_first_attempt_bound
-    assert keys.VARIANTS is bounds.VARIANTS

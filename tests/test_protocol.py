@@ -13,7 +13,6 @@ from phaseid import protocol
 from phaseid.adversary import EveProver, helstrom_strategy
 from phaseid.errors import (
     DimensionMismatchError,
-    HandleReusedError,
     NumericalError,
     StateValidationError,
     TransportEmptyError,
@@ -47,7 +46,7 @@ from phaseid.qsim import (
     PureState,
     partial_trace,
 )
-from phaseid.transport import RegisterHandle, Transport
+from phaseid.transport import Transport
 
 from conftest import (
     record_density_checks,
@@ -391,14 +390,6 @@ class TestTransport:
     def test_recv_on_empty(self):
         with pytest.raises(TransportEmptyError):
             Transport().recv()
-
-    def test_handle_single_use(self):
-        handle = RegisterHandle(payload="state", register=1)
-        assert not handle.consumed
-        assert handle.consume() == ("state", 1)
-        assert handle.consumed
-        with pytest.raises(HandleReusedError):
-            handle.consume()
 
 
 @given(st.integers(min_value=2, max_value=9), st.data())
