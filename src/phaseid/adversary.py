@@ -36,10 +36,11 @@ phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
 the grid average exact, not approximate. One grid average serves both
 states, since rho- is rho+ with its off-diagonal blocks negated. The
-average is real, so both states are stored and validated as real
-matrices, and the gap's trace norm is four times the sum of the
-singular values of rho+'s (t+1)-dimensional off-diagonal block: one
-real SVD of half the dimension in place of an eigendecomposition.
+average is real, so both states are stored as one real stack,
+validated by one stacked check, and the gap's trace norm is four
+times the sum of the singular values of rho+'s (t+1)-dimensional
+off-diagonal block: one real SVD of half the dimension in place of an
+eigendecomposition.
 Grids and dense matrices survive only in that oracle.
 """
 
@@ -54,8 +55,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .keys import phase_angles, phase_bases
-from .protocol import BranchTable, bob_prepare_challenge, verify_branches
-from .qsim import DensityOperator
+from .protocol import BranchTable, bob_prepare_challenge, kept_states, verify_kept_states
+from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
 
 __all__ = [
@@ -72,6 +73,7 @@ __all__ = [
     "helstrom_psucc_oracle",
     "attack_round_branches",
     "eve_attack_round",
+    "eve_attack_rounds",
     "sample_attack_rounds",
 ]
 
@@ -116,7 +118,14 @@ def overlap_sum(t: int) -> float:
 
     The sum of c_m c_{m+1} over neighbouring frame magnitudes.
     """
-    mags = _frame_magnitudes(_check_t(t))
+    return _overlap_sum(_check_t(t))
+
+
+@functools.lru_cache(maxsize=1024)
+def _overlap_sum(t: int) -> float:
+    # Memoised on t: a run-attack row reads psucc twice, once for the
+    # strategy and once for its printed column.
+    mags = _frame_magnitudes(t)
     return math.fsum(mags[1:] * mags[:-1])
 
 
@@ -173,10 +182,12 @@ def _challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
     return qubit[..., :, None] * frame_vector(t, angles)[..., None, :]
 
 
-def build_discrimination_pair(t: int) -> tuple[DensityOperator, DensityOperator]:
-    """Average challenge (x) frame over the relative phase: (rho+, rho-), on dims (2, t+1).
+def build_discrimination_pair(t: int) -> np.ndarray:
+    """Average challenge (x) frame over the relative phase: the stack [rho+, rho-].
 
-    The received qubit and the frame are both defined relative to the
+    Both operators act on (received qubit, frame weight), dims (2, t+1),
+    and come back as one read-only (2, 2t+2, 2t+2) float64 stack. The
+    received qubit and the frame are both defined relative to the
     honest phase convention, which is uniformly unknown to the
     adversary, so one shared angle rotates the whole product. A uniform
     grid of at least t+2 points reproduces the continuous average
@@ -190,9 +201,12 @@ def build_discrimination_pair(t: int) -> tuple[DensityOperator, DensityOperator]
     The grid 2 pi (k mod g)/g, k = 1..g (``keys.phase_angles``, the one
     angle formula), is closed under theta -> -theta and each amplitude
     is a real coefficient times e^{i n theta}, so the exact average is
-    real: its imaginary part must stay within CONSTRUCT_ATOL
-    (NumericalError otherwise), and the real part is kept. Both
-    operators are still validated as DensityOperators.
+    real: the imaginary part of the grid sum, divided by the grid size,
+    must stay within CONSTRUCT_ATOL (NumericalError otherwise), and only
+    the real part is divided and kept. Both operators are validated as
+    density operators by one ``check_density_operators`` call on the
+    stack, so a failure names the sign (0 for rho+, 1 for rho-) as its
+    stack index.
     """
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
@@ -201,16 +215,21 @@ def build_discrimination_pair(t: int) -> tuple[DensityOperator, DensityOperator]
     angles = phase_angles(np.arange(1, grid + 1), grid)
     dim = 2 * (t + 1)
     vecs = _challenge_and_frame(angles, t, +1).reshape(grid, dim)
-    average = vecs.T @ vecs.conj() / grid
-    imag = float(np.abs(average.imag).max())
+    total = vecs.T @ vecs.conj()
+    imag = float(np.abs(total.imag).max()) / grid
     if imag > CONSTRUCT_ATOL:
         raise NumericalError(f"grid average at t={t} has imaginary part {imag!r}")
-    plus = average.real
+    pair = np.empty((2, dim, dim))
+    plus, minus = pair
+    np.divide(total.real, grid, out=plus)
     # rho- = S rho+ S; adding +0.0 leaves an exact zero as +0.0, as the
     # sign -1 average itself makes it, not as -0.0.
     signature = np.repeat([1.0, -1.0], t + 1)
-    minus = plus * np.multiply.outer(signature, signature) + 0.0
-    return DensityOperator((2, t + 1), plus), DensityOperator((2, t + 1), minus)
+    np.multiply(plus, np.multiply.outer(signature, signature), out=minus)
+    minus += 0.0
+    check_density_operators(pair)
+    pair.setflags(write=False)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -288,8 +307,7 @@ def helstrom_psucc_oracle(t: int) -> float:
     eigenvalues are +-2 sigma_i(B). Hence ||rho+ - rho-||_1 =
     4 sum_i sigma_i(B), and the oracle is 1/2 + sum_i sigma_i(B).
     """
-    plus, _ = build_discrimination_pair(t)
-    block = plus.matrix[: t + 1, t + 1:]
+    block = build_discrimination_pair(t)[0, : t + 1, t + 1:]
     return 0.5 + float(np.linalg.svd(block, compute_uv=False).sum())
 
 
@@ -303,21 +321,38 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
     every relative phase (see ``eve_attack_round``), so it is evaluated
     at angle 0, where the challenge and the frame are real: the
     projected (kept, received, frame) amplitudes are float64, and
-    ``verify_branches`` forms each branch's kept 2x2 state from them in
-    O(t).
+    ``protocol.kept_states`` forms each branch's kept 2x2 state from
+    them in O(t).
+    """
+    return _attack_table((strategy,))
+
+
+def _attack_table(strategies) -> BranchTable:
+    """The attacked round's row for each strategy, in order.
+
+    Each strategy's kept states are formed on their own
+    (``protocol.kept_states``), since the frames differ in length; the
+    verifier's step then runs once over all of them, at angle 0
+    (``protocol.verify_kept_states``), and one table validates every row.
     """
     joint = bob_prepare_challenge().joint_state.as_tensor().real
-    psi = joint[:, :, None] * _frame_magnitudes(strategy.t)       # kept, received, frame
-    amps = np.stack(strategy.project(psi)).reshape(1, 2, 2, -1)   # round, bit, kept, rest
-    return BranchTable(*verify_branches(amps, np.zeros(1)))
+    formed = []
+    for strategy in strategies:
+        psi = joint[:, :, None] * _frame_magnitudes(strategy.t)       # kept, received, frame
+        amps = np.stack(strategy.project(psi)).reshape(1, 2, 2, -1)   # round, bit, kept, rest
+        formed.append(kept_states(amps))
+    kept, prob = formed[0] if len(formed) == 1 else map(np.concatenate, zip(*formed))
+    return BranchTable(prob, verify_kept_states(kept, prob, np.zeros(len(formed))))
 
 
 @dataclass(frozen=True)
 class CheatGuessReport:
     """Exact attack-round pass probability next to the guessing probability.
 
-    ``branches`` is the one-row table of ``attack_round_branches`` that
-    ``p_pass_exact`` sums; ``sample_attack_rounds`` draws from it.
+    ``branches`` is the attacked round's one-row table (from
+    ``attack_round_branches``, or a row of the table of
+    ``eve_attack_rounds``) that ``p_pass_exact`` sums;
+    ``sample_attack_rounds`` draws from it.
     Construction enforces the identity p_pass = (1 + psucc)/2.
     """
 
@@ -369,14 +404,33 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
         raise DimensionMismatchError(
             f"strategy was built for t={strategy.t}, round has t={t}"
         )
-    table = attack_round_branches(strategy)
-    (low, high), (pass_low, pass_high) = table.probability[0], table.pass_probability[0]
+    return _report(strategy, attack_round_branches(strategy))
+
+
+def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
+    """``eve_attack_round(t)`` for each t of ``t_values``, in order.
+
+    The rows come from one verifier pass and one validated table
+    (``_attack_table``); each report's ``branches`` is its row of that
+    table (``BranchTable.row``), bit for bit the table
+    ``eve_attack_round(t)`` makes.
+    """
+    strategies = [helstrom_strategy(t) for t in t_values]
+    if not strategies:
+        return []
+    table = _attack_table(strategies)
+    return [_report(strategy, table.row(j)) for j, strategy in enumerate(strategies)]
+
+
+def _report(strategy: HelstromStrategy, row: BranchTable) -> CheatGuessReport:
+    """The report of ``strategy``'s attacked round, whose one-row table is ``row``."""
+    (low, high), (pass_low, pass_high) = row.probability[0], row.pass_probability[0]
     p_pass = float(low * pass_low + high * pass_high)
-    mags = _frame_magnitudes(t) / math.sqrt(2.0)
+    mags = _frame_magnitudes(strategy.t) / math.sqrt(2.0)
     plus, _ = strategy.project(np.stack([mags, mags]))
     _, minus = strategy.project(np.stack([mags, -mags]))
     psucc = 0.5 * (float(np.vdot(plus, plus)) + float(np.vdot(minus, minus)))
-    return CheatGuessReport(t, p_pass, psucc, table)
+    return CheatGuessReport(strategy.t, p_pass, psucc, row)
 
 
 @dataclass(frozen=True)
@@ -415,4 +469,6 @@ def sample_attack_rounds(branches: BranchTable, trials: int, rng) -> np.ndarray:
     low, (pass_low, pass_high) = branches.probability[0, 0], branches.pass_probability[0]
     took_low = rng.random(trials) < low
     u_swap = rng.random(trials)
-    return np.where(took_low, u_swap < pass_low, u_swap < pass_high)
+    # Boolean algebra on the two verdicts: the same booleans as a select,
+    # at a tenth of np.where's cost.
+    return (took_low & (u_swap < pass_low)) | (~took_low & (u_swap < pass_high))

@@ -216,17 +216,23 @@ def _verdict_exit(transcripts) -> int:
 # run-attack
 
 
-def _attack_t_values(args) -> list[int]:
+def _attack_t_values(args) -> range:
     if args.t is not None and args.t_max is not None:
         raise ConfigError("give --t or --t-max, not both")
     if args.t is not None:
-        if args.t < 1:
-            raise ConfigError(f"--t must be >= 1, got {args.t}")
-        return [args.t]
+        _check_size("--t", args.t)
+        return range(args.t, args.t + 1)
     t_max = args.t_max if args.t_max is not None else 8
-    if t_max < 1:
-        raise ConfigError(f"--t-max must be >= 1, got {t_max}")
-    return list(range(1, t_max + 1))
+    _check_size("--t-max", t_max)
+    return range(1, t_max + 1)
+
+
+def _check_size(flag: str, value: int) -> None:
+    """A copy count must be >= 1 and at most sys.maxsize, the largest array length."""
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if value > sys.maxsize:
+        raise ConfigError(f"{flag} must be at most {sys.maxsize}")
 
 
 def cmd_run_attack(args) -> int:
@@ -239,6 +245,11 @@ def cmd_run_attack(args) -> int:
     s = args.s if args.s is not None else 1
     if s < 1:
         raise ConfigError(f"--s must be >= 1, got {s}")
+    try:
+        float(s)
+    except OverflowError:
+        raise ConfigError(
+            f"--s must not exceed the float range ({sys.float_info.max:.4g})") from None
     if args.mode == "sampled":
         if args.seed is None:
             raise ConfigError("sampled mode requires --seed")
@@ -246,8 +257,8 @@ def cmd_run_attack(args) -> int:
             raise ConfigError(f"--trials must be >= 1, got {args.trials}")
 
     rows = []
-    for t in t_values:
-        report = adversary.eve_attack_round(t)
+    for report in adversary.eve_attack_rounds(t_values):
+        t = report.t
         row = {
             "t": t,
             "p_pass": report.p_pass_exact,
@@ -258,7 +269,7 @@ def cmd_run_attack(args) -> int:
         if args.mode == "sampled":
             rng = make_rng(derive_seed(args.seed, t))
             passes = adversary.sample_attack_rounds(report.branches, args.trials, rng)
-            row["empirical_pass_rate"] = float(np.mean(passes))
+            row["empirical_pass_rate"] = np.count_nonzero(passes) / args.trials
             row["trials"] = args.trials
         rows.append(row)
     _emit_rows(rows, args.format, args.out)

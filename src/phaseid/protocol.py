@@ -22,11 +22,14 @@ chunks of CHUNK_ROUNDS distinct angles, and gathered back to one row
 per round (``BranchTable.in_chunks``, ``honest_round_branches``). An
 adversary supplies its table through its ``round_branches(angles)``.
 Honest and attacked rounds share one verifier kernel,
-``verify_branches``: it takes each branch's projected amplitudes,
-forms the kept 2x2 state P P^dagger and its probability, the trace,
+``verify_branches``, in two parts. ``kept_states`` takes each branch's
+projected amplitudes and forms the kept 2x2 state P P^dagger and its
+probability, the trace. ``verify_kept_states`` takes those kept states
 and works in closed form on the stacks: Z rho Z flips the sign of the
 off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
 and the positivity checks take the 2x2 smallest eigenvalue directly.
+An attacked sweep forms each copy count's kept states on its own and
+verifies them all in one call.
 The verifier makes his authentic public-key copy himself, once per
 round, from the key angle. The kept states, their Z-corrected forms
 and the authentic projectors are validated together by one
@@ -83,6 +86,8 @@ __all__ = [
     "phase_basis",
     "alice_respond",
     "bob_verify_step",
+    "kept_states",
+    "verify_kept_states",
     "verify_branches",
     "honest_round_branches",
     "CHUNK_ROUNDS",
@@ -145,8 +150,9 @@ class BranchTable:
                 f"and {pass_prob.shape}"
             )
         for name, arr in (("branch", prob), ("pass", pass_prob)):
-            if not (np.isfinite(arr).all() and (arr >= -CONSTRUCT_ATOL).all()
-                    and (arr <= 1.0 + CONSTRUCT_ATOL).all()):
+            # Every comparison with NaN is false, and +-inf falls outside
+            # the range, so the range test also tests finiteness.
+            if not ((arr >= -CONSTRUCT_ATOL) & (arr <= 1.0 + CONSTRUCT_ATOL)).all():
                 raise NumericalError(f"{name} probabilities must be finite and in [0, 1]")
         total = prob[:, 0] + prob[:, 1]
         bad = np.flatnonzero(np.abs(total - 1.0) > CONSTRUCT_ATOL)
@@ -162,6 +168,19 @@ class BranchTable:
     @property
     def rounds(self) -> int:
         return self.probability.shape[0]
+
+    def row(self, j: int) -> "BranchTable":
+        """Row j as a one-row table, not validated again.
+
+        Every row of a valid table is a valid table, so the row's arrays
+        are read-only views of this table's, without the copies and
+        checks of construction.
+        """
+        j = range(self.rounds)[j]
+        table = object.__new__(type(self))
+        object.__setattr__(table, "probability", self.probability[j:j + 1])
+        object.__setattr__(table, "pass_probability", self.pass_probability[j:j + 1])
+        return table
 
     @classmethod
     def in_chunks(cls, build, angles) -> "BranchTable":
@@ -344,34 +363,48 @@ def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> 
     return swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk))
 
 
-def verify_branches(amplitudes: np.ndarray,
-                    angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bob_verify_step`` over both branches of a set of rounds.
+def kept_states(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's kept 2x2 state and its trace, the branch probability.
 
     ``amplitudes`` (round, bit, kept, rest) holds each branch's
     projected, unnormalised state: the verifier's kept qubit against all
-    that the prover holds, for response bit 0 and 1. ``angles`` holds
-    each round's key angle; from it the verifier makes his own authentic
-    copy of the round's public-key element, once per round, so the
-    prover never supplies the reference. A branch's kept 2x2 state is
-    P P^dagger and its probability the trace; branches below
-    ZERO_BRANCH_PROB are not live. The normalised live slices and the
-    authentic copies are validated as pure states. The live kept
-    states, their Z-corrected forms and the authentic projectors are
-    validated as density operators by one ``check_density_operators``
-    call on a (3, live, 2, 2) stack: a failure names (set, branch) as
-    its stack index, set 0 being the kept states, 1 the corrected ones
-    and 2 the projectors, and branch counting the live branches in
-    (round, bit) order. Returns the branch probabilities and the
-    SWAP-test pass probabilities (1 + tr rho sigma)/2, both of shape
-    (round, 2), with pass 0 for every branch that is not live.
+    that the prover holds, for response bit 0 and 1. A branch's kept
+    state is P P^dagger and its probability the trace; branches below
+    ZERO_BRANCH_PROB are not live. The normalised live slices are
+    validated as pure states. Returns the kept states, shape
+    (round, bit, 2, 2), and the probabilities, shape (round, bit), as
+    ``verify_kept_states`` takes them.
     """
     kept = amplitudes @ amplitudes.conj().swapaxes(-1, -2)        # (round, bit, 2, 2)
     prob = np.trace(kept, axis1=-2, axis2=-1).real
     live = prob >= ZERO_BRANCH_PROB
-    rounds, bits = np.nonzero(live)
     weight = prob[live]
     check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
+    return kept, prob
+
+
+def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The verifier's step on the kept states of ``kept_states``: the pass probabilities.
+
+    ``kept`` (round, bit, 2, 2) holds each branch's unnormalised kept
+    state and ``prob`` (round, bit) its trace; ``angles`` holds each
+    round's key angle. From it the verifier makes his own authentic
+    copy of the round's public-key element, once per round, so the
+    prover never supplies the reference; the copies are validated as
+    pure states. The live kept states (prob >= ZERO_BRANCH_PROB),
+    normalised, their Z-corrected forms and the authentic projectors
+    are validated as density operators by one ``check_density_operators``
+    call on a (3, live, 2, 2) stack: a failure names (set, branch) as
+    its stack index, set 0 being the kept states, 1 the corrected ones
+    and 2 the projectors, and branch counting the live branches in
+    (round, bit) order. A ``prob`` that is not the trace of its kept
+    state fails the trace check there. Returns the SWAP-test pass
+    probabilities (1 + tr rho sigma)/2, shape (round, bit), with pass 0
+    for every branch that is not live.
+    """
+    live = prob >= ZERO_BRANCH_PROB
+    rounds, bits = np.nonzero(live)
+    weight = prob[live]
     authentic = phase_bases(angles)[:, 0]
     check_pure_states(authentic)
     authentic = authentic[rounds]
@@ -379,8 +412,8 @@ def verify_branches(amplitudes: np.ndarray,
     # Z rho Z flips the sign of the off-diagonal entries.
     corrected = kept.copy()
     flip = bits == 1
-    corrected[flip, 0, 1] *= -1.0
-    corrected[flip, 1, 0] *= -1.0
+    for i, j in ((0, 1), (1, 0)):
+        np.negative(corrected[:, i, j], out=corrected[:, i, j], where=flip)
     # Real rows stay real in ``kept`` and ``corrected``, outside the
     # complex stack: the einsum sums a real operand in another order.
     states = np.empty((3, weight.size, 2, 2), dtype=np.complex128)
@@ -391,7 +424,22 @@ def verify_branches(amplitudes: np.ndarray,
     check_density_operators(states)
     pass_prob = np.zeros(live.shape)
     pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
-    return prob, pass_prob
+    return pass_prob
+
+
+def verify_branches(amplitudes: np.ndarray,
+                    angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bob_verify_step`` over both branches of a set of rounds.
+
+    The two parts in turn: ``kept_states`` forms each branch's kept
+    state and probability from its projected amplitudes (round, bit,
+    kept, rest), and ``verify_kept_states`` checks them against the
+    verifier's authentic copies made from ``angles``. Returns the branch
+    probabilities and the SWAP-test pass probabilities, both of shape
+    (round, 2), with pass 0 for every branch that is not live.
+    """
+    kept, prob = kept_states(amplitudes)
+    return prob, verify_kept_states(kept, prob, angles)
 
 
 def honest_round_branches(angles) -> BranchTable:

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseid import adversary
 from phaseid.adversary import (
     EveProver,
     attack_round_branches,
@@ -16,6 +17,7 @@ from phaseid.adversary import (
     cheung_bound,
     cheung_sum_bound,
     eve_attack_round,
+    eve_attack_rounds,
     frame_vector,
     helstrom_psucc_oracle,
     helstrom_strategy,
@@ -39,7 +41,7 @@ from phaseid.keys import (
     phase_angles,
     public_key_state,
 )
-from phaseid.protocol import bob_prepare_challenge, bob_verify_step, run_session
+from phaseid.protocol import BranchTable, bob_prepare_challenge, bob_verify_step, run_session
 from phaseid.qsim import DensityOperator, trace_norm
 from phaseid.rng import make_rng
 from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
@@ -196,8 +198,15 @@ class TestDiscriminationPair:
         # maximally mixed for either response, so nothing distinguishes
         rho_plus, rho_minus = build_discrimination_pair(0)
         want = np.eye(2) / 2.0
-        np.testing.assert_allclose(rho_plus.matrix, want, atol=1e-12)
-        np.testing.assert_allclose(rho_minus.matrix, want, atol=1e-12)
+        np.testing.assert_allclose(rho_plus, want, atol=1e-12)
+        np.testing.assert_allclose(rho_minus, want, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 32])
+    def test_pair_is_one_read_only_real_stack(self, t):
+        pair = build_discrimination_pair(t)
+        assert pair.shape == (2, 2 * t + 2, 2 * t + 2)
+        assert pair.dtype == np.float64
+        assert not pair.flags.writeable
 
     @pytest.mark.parametrize("t", range(0, 6))
     def test_grid_refinement_is_stable(self, t):
@@ -208,26 +217,48 @@ class TestDiscriminationPair:
         for sign, rho in zip((+1, -1), build_discrimination_pair(t)):
             vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
             finer = vecs.T @ vecs.conj() / grid
-            assert np.max(np.abs(rho.matrix - finer)) < 1e-12
+            assert np.max(np.abs(rho - finer)) < 1e-12
 
     def test_one_grid_average_equals_both_sign_averages(self):
-        # The pair against the definition: one explicit grid average per
-        # sign. Each is real to CONSTRUCT_ATOL, and the pair's operators
-        # are their real parts bit for bit.
+        # The pair against the definition: one explicit grid sum per
+        # sign. Each is real to CONSTRUCT_ATOL once divided by the grid
+        # size, and the pair's operators are its real part divided by
+        # the grid size, bit for bit.
         for t in range(1, 65):
             grid = _pair_grid(t)
             angles = phase_angles(np.arange(1, grid + 1), grid)
-            for sign, rho in zip((+1, -1), build_discrimination_pair(t)):
+            pair = build_discrimination_pair(t)
+            assert pair.dtype == np.float64
+            for sign, rho in zip((+1, -1), pair):
                 vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
-                explicit = vecs.T @ vecs.conj() / grid
-                assert np.abs(explicit.imag).max() <= CONSTRUCT_ATOL
-                assert rho.matrix.dtype == np.float64
-                assert np.array_equal(rho.matrix.real.view(np.int64),
-                                      explicit.real.view(np.int64)), (t, sign)
+                total = vecs.T @ vecs.conj()
+                assert np.abs(total.imag).max() / grid <= CONSTRUCT_ATOL
+                explicit = total.real / grid
+                assert np.array_equal(rho.view(np.int64), explicit.view(np.int64)), (t, sign)
+
+    @pytest.mark.parametrize("p,aliased", [(3, 0.978553), (5, 0.962436), (11, 0.975731)])
+    def test_key_phase_average_is_the_formula_up_to_p_minus_2(self, p, aliased):
+        # The pair averaged over a key's own p phases 2 pi k/p. Its
+        # entries have trig degree <= t + 1, which the p-point average
+        # integrates exactly while t <= p - 2: there the Helstrom value
+        # is the formula's. At t = p - 1 the end sectors |0,0> and |1,t>
+        # alias and the value exceeds it.
+        angles = phase_angles(np.arange(1, p + 1), p)
+        for t in range(p):
+            plus, minus = (
+                vecs.T @ vecs.conj() / p
+                for vecs in (_challenge_and_frame(angles, t, sign).reshape(p, 2 * (t + 1))
+                             for sign in (+1, -1)))
+            value = 0.5 + 0.25 * trace_norm(plus - minus)
+            if t <= p - 2:
+                assert value == pytest.approx(psucc_formula(t), abs=1e-12), (p, t)
+            else:
+                assert value == pytest.approx(aliased, abs=5e-7)
+                assert value > psucc_formula(t) + 1e-4
 
     def test_pair_states_differ_with_copies(self):
         rho_plus, rho_minus = build_discrimination_pair(2)
-        assert np.max(np.abs(rho_plus.matrix - rho_minus.matrix)) > 0.1
+        assert np.max(np.abs(rho_plus - rho_minus)) > 0.1
 
 
 class TestHelstrom:
@@ -246,24 +277,25 @@ class TestHelstrom:
         # of rho+, against the trace norm of the dense gap
         for t in range(1, 65):
             rho_plus, rho_minus = build_discrimination_pair(t)
-            dense = 0.5 + 0.25 * trace_norm(rho_plus.matrix - rho_minus.matrix)
+            dense = 0.5 + 0.25 * trace_norm(rho_plus - rho_minus)
             assert abs(helstrom_psucc_oracle(t) - dense) <= 1e-14, t
 
     def test_valid_oracle_call_makes_no_eigendecomposition(self, monkeypatch):
-        # both states are still validated, by the Cholesky certificate,
-        # and the trace norm comes from the block SVD
+        # both states are still validated, by one stacked check that the
+        # Cholesky certificate passes, and the trace norm comes from the
+        # block SVD
         calls, validated = [], []
-        eigvalsh, post_init = np.linalg.eigvalsh, DensityOperator.__post_init__
+        eigvalsh, check = np.linalg.eigvalsh, adversary.check_density_operators
 
-        def counted_post_init(self):
-            validated.append(self.dims)
-            post_init(self)
+        def counted_check(stack):
+            validated.append(np.shape(stack))
+            check(stack)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        monkeypatch.setattr(DensityOperator, "__post_init__", counted_post_init)
+        monkeypatch.setattr(adversary, "check_density_operators", counted_check)
         assert helstrom_psucc_oracle(32) == pytest.approx(psucc_formula(32), abs=1e-14)
         assert calls == []
-        assert validated == [(2, 33), (2, 33)]
+        assert validated == [(2, 66, 66)]
 
     @pytest.mark.parametrize("psucc", [0.25, 1.5, float("nan")])
     def test_psucc_out_of_range_is_internal_failure(self, psucc):
@@ -288,7 +320,7 @@ class TestHelstrom:
         # Helstrom-optimal projector
         for t in range(0, 65):
             rho_plus, rho_minus = build_discrimination_pair(t)
-            gap = rho_plus.matrix - rho_minus.matrix
+            gap = rho_plus - rho_minus
             proj = helstrom_strategy(t).projector_plus
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
             assert float(np.trace(proj @ gap).real) == pytest.approx(
@@ -347,6 +379,31 @@ class TestAttackRounds:
         strat = helstrom_strategy(1)
         with pytest.raises(DimensionMismatchError):
             eve_attack_round(2, strategy=strat)
+
+    def test_stacked_rows_equal_one_t_rows_bit_for_bit(self):
+        # one verifier pass over every t gives each t the row, and the
+        # exact pass probability, of its own pass
+        ts = [*range(0, 301), 1000, 4096, 100_000]
+        reports = eve_attack_rounds(ts)
+        assert [report.t for report in reports] == ts
+        for t, stacked in zip(ts, reports):
+            alone = eve_attack_round(t)
+            assert stacked.branches.rounds == 1
+            for name in ("probability", "pass_probability"):
+                got, want = getattr(stacked.branches, name), getattr(alone.branches, name)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (t, name)
+            assert stacked.p_pass_exact.hex() == alone.p_pass_exact.hex(), t
+            assert stacked.psucc_strategy.hex() == alone.psucc_strategy.hex(), t
+
+    def test_stacked_rows_are_read_only_views(self):
+        reports = eve_attack_rounds([1, 2, 3])
+        for report in reports:
+            assert not report.branches.probability.flags.writeable
+            assert not report.branches.pass_probability.flags.writeable
+        assert reports[0].branches.probability.base is reports[2].branches.probability.base
+
+    def test_no_copy_counts_make_no_reports(self):
+        assert eve_attack_rounds([]) == []
 
     def test_zero_copy_round_is_blind(self):
         report = eve_attack_round(0)
@@ -551,6 +608,34 @@ class TestSampledAttack:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
             sample_attack_rounds(attack_round_branches(helstrom_strategy(1)), 0, make_rng(0))
+
+    @pytest.mark.parametrize("trials", [1, 7, 99_991, 100_000])
+    def test_rate_by_count_is_the_mean_bit_for_bit(self, trials):
+        passes = sample_attack_rounds(eve_attack_round(2).branches, trials, make_rng(trials))
+        assert (np.count_nonzero(passes) / trials).hex() == float(np.mean(passes)).hex()
+
+
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(low=_PROBABILITIES, pass_low=_PROBABILITIES, pass_high=_PROBABILITIES,
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       trials=st.integers(min_value=1, max_value=3000))
+@example(low=0.4, pass_low=0.9, pass_high=0.2, seed=1, trials=1000)
+@example(low=0.4, pass_low=0.2, pass_high=0.9, seed=1, trials=1000)
+@settings(max_examples=80, deadline=None)
+def test_sampled_verdict_equals_the_select_reference(low, pass_low, pass_high, seed, trials):
+    # The same draws, in the same order, through np.where's select; the
+    # rate by count equals np.mean bit for bit.
+    row = BranchTable([[low, 1.0 - low]], [[pass_low, pass_high]])
+    passes = sample_attack_rounds(row, trials, make_rng(seed))
+    rng = make_rng(seed)
+    took_low = rng.random(trials) < low
+    u_swap = rng.random(trials)
+    want = np.where(took_low, u_swap < pass_low, u_swap < pass_high)
+    assert passes.dtype == np.bool_ and passes.shape == (trials,)
+    assert np.array_equal(passes, want)
+    assert (np.count_nonzero(passes) / trials).hex() == float(np.mean(passes)).hex()
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))

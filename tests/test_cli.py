@@ -299,11 +299,51 @@ class TestRunAttack:
         assert code == EXIT_CONFIG
 
     def test_s_past_the_float_range(self, capsys):
-        # the per-attempt bound checks s as the caps do: bad input (exit 4), no traceback
+        # bad input (exit 4), no traceback, and the message names the flag
         code, out, err = run_cli(["run-attack", "--t", "3", "--s", str(10**400)], capsys)
         assert code == EXIT_CONFIG
         assert out == ""
-        assert "invalid config" in err
+        assert err == ("phaseid: invalid config: --s must not exceed the float range "
+                       "(1.798e+308)\n")
+
+    @pytest.mark.parametrize("flag", ["--t", "--t-max"])
+    @pytest.mark.parametrize("value", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "10**400"])
+    def test_copy_count_past_the_largest_array_length(self, capsys, flag, value):
+        # refused before any array is made, with a message that names the flag
+        code, out, err = run_cli(["run-attack", flag, str(value)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"phaseid: invalid config: {flag} must be at most {sys.maxsize}\n"
+
+    def test_bounds_keeps_its_float_range_message(self, capsys):
+        code, out, err = run_cli(["bounds", "--r", "2", "--s", str(10**400)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("phaseid: invalid config: c*r (c=8) and s must not exceed the float "
+                       "range (1.798e+308)\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_t_max_40_reproduces_golden_bytes(self, capsys, tmp_path, fmt):
+        # tests/data holds the output of the one-verifier-pass-per-t sweep
+        # that the stacked sweep replaced; every byte must survive.
+        path = tmp_path / f"attack.{fmt}"
+        code, out, _ = run_cli(["run-attack", "--t-max", "40", "--s", "83", "--format", fmt,
+                                "--out", str(path)], capsys)
+        assert code == EXIT_OK and out == ""
+        golden = Path(__file__).parent / "data" / f"run_attack_t40.{fmt}"
+        assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_row_does_not_depend_on_the_sweep(self, capsys, fmt):
+        # the first 8 rows of a 40-row sweep are the 8-row sweep, byte for byte
+        _, short, _ = run_cli(["run-attack", "--t-max", "8", "--format", fmt], capsys)
+        _, long, _ = run_cli(["run-attack", "--t-max", "40", "--format", fmt], capsys)
+        if fmt == "csv":
+            assert long.splitlines()[:9] == short.splitlines()
+        else:
+            # the text up to the 8th row's closing brace, then the 9th row
+            assert long.startswith(short[:short.rindex("\n  ]")] + ",\n    {")
+            assert json.loads(long)["rows"][:8] == json.loads(short)["rows"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -331,19 +371,26 @@ class TestRunAttack:
         assert 0.88 < row["empirical_pass_rate"] < 0.97
 
     def test_sampled_evaluates_each_attacked_row_once(self, capsys, monkeypatch):
-        # the exact report and the sampled draws share one row per t
-        real = adversary.attack_round_branches
-        calls = []
+        # the exact report and the sampled draws share one row per t, and
+        # one verifier pass covers t = 1, 2, 3
+        formed, verified = [], []
+        kept_states, verify_kept_states = adversary.kept_states, adversary.verify_kept_states
 
-        def spy(strategy):
-            calls.append(strategy.t)
-            return real(strategy)
+        def spy_form(amplitudes):
+            formed.append(amplitudes.shape)
+            return kept_states(amplitudes)
 
-        monkeypatch.setattr(adversary, "attack_round_branches", spy)
+        def spy_verify(kept, prob, angles):
+            verified.append((kept.shape, angles.tolist()))
+            return verify_kept_states(kept, prob, angles)
+
+        monkeypatch.setattr(adversary, "kept_states", spy_form)
+        monkeypatch.setattr(adversary, "verify_kept_states", spy_verify)
         code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",
                               "--trials", "100"], capsys)
         assert code == EXIT_OK
-        assert calls == [1, 2, 3]
+        assert formed == [(1, 2, 2, 2 * (t + 1)) for t in (1, 2, 3)]
+        assert verified == [((3, 2, 2, 2), [0.0, 0.0, 0.0])]
 
     def test_sampled_rerun_identical(self, capsys):
         argv = ["run-attack", "--t", "1", "--mode", "sampled", "--seed", "8",

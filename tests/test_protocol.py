@@ -37,8 +37,11 @@ from phaseid.protocol import (
     bob_prepare_challenge,
     bob_verify_step,
     honest_round_branches,
+    kept_states,
     phase_basis,
     run_session,
+    verify_branches,
+    verify_kept_states,
 )
 from phaseid.qsim import (
     DensityOperator,
@@ -497,6 +500,45 @@ def test_every_honest_branch_state_reaches_the_density_check(monkeypatch):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
+def _honest_amplitudes(angles):
+    """(round, bit, kept, sent) amplitudes of honest rounds, as ``_honest_rows`` forms them."""
+    bases = np.stack([np.stack(phase_basis(a)) for a in angles])             # round, bit, 2
+    inner = bases.conj() @ bob_prepare_challenge().joint_state.as_tensor().T
+    return inner[..., :, None] * bases[..., None, :]
+
+
+def test_verify_branches_is_its_two_parts():
+    angles = np.array([PhaseFraction(k, 7).angle() for k in range(1, 8)])
+    amps = _honest_amplitudes(angles)
+    kept, prob = kept_states(amps)
+    assert kept.shape == (7, 2, 2, 2) and prob.shape == (7, 2)
+    np.testing.assert_array_equal(prob, np.trace(kept, axis1=-2, axis2=-1).real)
+    got_prob, got_pass = verify_branches(amps, angles)
+    np.testing.assert_array_equal(got_prob, prob)
+    np.testing.assert_array_equal(got_pass, verify_kept_states(kept, prob, angles))
+
+
+def test_kept_states_check_the_normalised_live_slices():
+    # |1e200|^2 overflows, so the branch's trace is inf: live, and its
+    # slice normalises to zero. It is the third live branch in
+    # (round, bit) order.
+    amps = _honest_amplitudes(np.array([0.3, 1.1]))
+    amps[1, 0, 0, 0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            StateValidationError, match=r"not normalized.*stack index \(2,\)"):
+        kept_states(amps)
+
+
+def test_verifier_refuses_a_probability_that_is_not_the_trace():
+    # the normalised kept state then has trace != 1 (set 0, branch 1)
+    angles = np.array([0.3, 1.1])
+    kept, prob = kept_states(_honest_amplitudes(angles))
+    prob = prob.copy()
+    prob[0, 1] *= 1.0 + 1e-6
+    with pytest.raises(StateValidationError, match=r"trace .* \(stack index \(0, 1\)\)"):
+        verify_kept_states(kept, prob, angles)
+
+
 @pytest.mark.parametrize("where", [(0, 0), (1, 3), (2, 5)])
 def test_a_corrupted_verifier_state_names_its_set_and_branch(monkeypatch, where):
     # set 0 kept, 1 Z-corrected, 2 authentic; branch 2 j + bit
@@ -551,6 +593,20 @@ class TestBranchTable:
         assert table.probability[0, 0] == 0.5
         with pytest.raises(ValueError):
             table.pass_probability[0, 0] = 0.0
+
+    def test_row_is_a_read_only_view_of_one_row(self):
+        table = BranchTable(np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]),
+                            np.array([[1.0, 0.5], [0.9, 0.0], [0.0, 1.0]]))
+        for j in (0, 1, 2, -1):
+            row = table.row(j)
+            assert row.rounds == 1
+            np.testing.assert_array_equal(row.probability, table.probability[[j]])
+            np.testing.assert_array_equal(row.pass_probability, table.pass_probability[[j]])
+            assert row.probability.base is table.probability
+            with pytest.raises(ValueError):
+                row.pass_probability[0, 0] = 0.0
+        with pytest.raises(IndexError):
+            table.row(3)
 
     def test_session_rejects_table_of_wrong_length(self):
         class _Short:
