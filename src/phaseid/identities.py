@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import keys, protocol
-from .qsim import check_pure_states
+from .qsim import check_density_operators, check_pure_states
 
 
 def _phase_angles() -> np.ndarray:
@@ -53,26 +53,34 @@ def _check_phase_average() -> float:
 
 
 def _check_averaging_equivalence() -> float:
+    # Per n, the three averages are built in one pass and validated with
+    # the weight mixture in one stack.
     worst = 0.0
     for n in range(1, 7):
-        target = keys.symmetric_mixture(n).matrix
-        for p in (n + 1, n + 2, 2 * n + 3):
-            got = keys.averaged_key_operator_discrete(p, n).matrix
-            worst = max(worst, float(np.max(np.abs(got - target))))
+        averages = keys.averaged_key_operators((n + 1, n + 2, 2 * n + 3), n)
+        target = keys._symmetric_mixture_matrix(n)
+        check_density_operators(np.concatenate([averages, target[None]]))
+        worst = max(worst, float(np.max(np.abs(averages - target))))
     return worst
 
 
-def _check_honest_round_certainty() -> float:
-    # One session per (variant, r), whose key runs through every phase 1..p.
-    worst = 0.0
+def _certainty_angles() -> np.ndarray:
+    """Key angles of one session per (variant, r), whose key runs through every phase 1..p."""
+    angles = []
     for variant, r_top in (("standard", 5), ("hardened", 3)):
         for r in range(1, r_top + 1):
             p = keys.ProtocolParams(r, 1, variant).p
-            params = keys.ProtocolParams(r, p, variant)
-            key = keys.PrivateKey.from_ks(np.arange(1, p + 1), p)
-            tr = protocol.run_session(params, key, "honest", mode="exact")
-            worst = max(worst, float(np.max(np.abs(1.0 - tr.pass_probability))))
-    return worst
+            angles.append(keys.PrivateKey.from_ks(np.arange(1, p + 1), p).angles())
+    return np.concatenate(angles)
+
+
+def _check_honest_round_certainty() -> float:
+    # Every round of the sessions in one branch table; each round's pass
+    # probability is its marginal, as an exact session takes it.
+    table = protocol.honest_round_branches(_certainty_angles())
+    prob, pass_prob = table.probability, table.pass_probability
+    marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
+    return float(np.max(np.abs(1.0 - marginal)))
 
 
 def _response_probabilities() -> np.ndarray:

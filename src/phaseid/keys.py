@@ -15,7 +15,6 @@ whenever p >= n + 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ __all__ = [
     "qubit_phase_state",
     "public_key_state",
     "averaged_key_operator_discrete",
+    "averaged_key_operators",
     "symmetric_mixture",
     "phase_average_exponential",
     "private_key_payload",
@@ -213,68 +213,130 @@ def _weights(n: int) -> np.ndarray:
 def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
     """Uniform average of (|psi_x><psi_x|)^(x n) over x in {1..p}.
 
-    The average is real for every p: the entry for labels of weights w
-    and v is the mean of e^{i theta (w - v)} over the p-th roots of
-    unity, which is 1 or 0. The computed average's imaginary part,
-    rounding noise, must stay within CONSTRUCT_ATOL (NumericalError
-    otherwise), and the real part is kept.
+    The one-modulus case of ``averaged_key_operators``, validated as a
+    density operator.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    return DensityOperator((2,) * n, averaged_key_operators((p,), n)[0])
+
+
+def averaged_key_operators(ps, n: int) -> np.ndarray:
+    """Uniform averages of (|psi_x><psi_x|)^(x n) over x in {1..p}, one per p of ``ps``.
+
+    Returns a float64 stack of shape (len(ps), 2^n, 2^n). Each average
+    is real for every p: the entry for labels of weights w and v is the
+    mean of e^{i theta (w - v)} over the p-th roots of unity, which is 1
+    or 0. Each computed average's imaginary part, rounding noise, must
+    stay within CONSTRUCT_ATOL; the moduli are checked in order, and
+    NumericalError names the first that fails. The real parts are kept.
+    They are not validated as density operators here: the caller
+    validates them, with whatever else it builds, in one stacked check.
+    """
+    ps = [int(p) for p in ps]
+    for p in ps:
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
     if not 1 <= n <= _MAX_AVERAGED_N:
         raise ValueError(f"n must lie in 1..{_MAX_AVERAGED_N}, got {n}")
-    average = _product_state_average(p, n)
-    imag = float(np.abs(average.imag).max())
-    if imag > CONSTRUCT_ATOL:
-        raise NumericalError(f"phase average at p={p}, n={n} has imaginary part {imag!r}")
-    return DensityOperator((2,) * n, average.real)
+    real, imag = _product_state_averages(ps, n)
+    worst = np.abs(imag).max(axis=(-2, -1))
+    bad = np.flatnonzero(worst > CONSTRUCT_ATOL)
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"phase average at p={ps[i]}, n={n} has imaginary part {float(worst[i])!r}"
+        )
+    return real
 
 
-def _product_state_average(p: int, n: int) -> np.ndarray:
-    """The complex average behind ``averaged_key_operator_discrete``.
+def _product_state_averages(ps: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the averages behind ``averaged_key_operators``.
 
     Built directly from the product amplitudes e^{i theta w}/2^{n/2},
-    where w is the Hamming weight of the basis label: the product
-    vectors of up to _AVERAGE_CHUNK // 2^n phases at a time are made
-    with one ``exp`` and summed by one matrix product, so the
-    temporaries stay bounded however large p is.
+    where w is the Hamming weight of the basis label, as real arrays:
+    with c and s the cosine and sine parts of one modulus's product
+    vectors, its average is (c^T c + s^T s)/p plus i (s^T c - c^T s)/p,
+    and s^T c - c^T s is M - M^T for M = s^T c. Each modulus runs
+    through its phases from k = 1 in chunks of _AVERAGE_CHUNK // 2^n;
+    consecutive chunks, across moduli, share one cos and one sin call
+    up to that many phases. So the temporaries stay bounded however
+    large p is, and each modulus's average is the same bit for bit
+    whatever other moduli share the call.
     """
     w = _weights(n)
     scale = 2.0 ** (-n / 2.0)
-    acc = np.zeros((w.size, w.size), dtype=np.complex128)
     step = max(1, _AVERAGE_CHUNK // w.size)
-    for start in range(1, p + 1, step):
-        ks = np.arange(start, min(start + step, p + 1))
-        vecs = scale * np.exp(1j * phase_angles(ks, p)[:, None] * w)
-        acc += vecs.T @ vecs.conj()
-    return acc / p
+    real = np.zeros((len(ps), w.size, w.size))
+    cross = np.zeros_like(real)
+    for group in _chunk_passes(ps, step):
+        ks = np.concatenate([np.arange(start, stop) for _, start, stop in group])
+        moduli = np.concatenate([np.full(stop - start, ps[i]) for i, start, stop in group])
+        theta = phase_angles(ks, moduli)[:, None] * w
+        amps = np.empty((2,) + theta.shape)                       # (cos/sin, phase, label)
+        np.cos(theta, out=amps[0])
+        np.sin(theta, out=amps[1])
+        amps *= scale
+        row = 0
+        for i, start, stop in group:
+            part = amps[:, row:row + stop - start]
+            stacked = part.reshape(-1, w.size)                    # rows c, then rows s
+            real[i] += stacked.T @ stacked
+            cross[i] += part[1].T @ part[0]
+            row += stop - start
+    divisor = np.array(ps, dtype=np.float64)[:, None, None]
+    return real / divisor, (cross - cross.swapaxes(-1, -2)) / divisor
+
+
+def _chunk_passes(ps: list[int], step: int):
+    """Every modulus's chunks (index, first k, last k + 1), grouped into passes.
+
+    Modulus i's phases k = 1..p run in chunks of at most ``step``;
+    the chunks, in order, are packed greedily into passes of at most
+    ``step`` phases.
+    """
+    group, size = [], 0
+    for i, p in enumerate(ps):
+        for start in range(1, p + 1, step):
+            stop = min(start + step, p + 1)
+            if group and size + stop - start > step:
+                yield group
+                group, size = [], 0
+            group.append((i, start, stop))
+            size += stop - start
+    if group:
+        yield group
 
 
 def _weight_states(n: int) -> np.ndarray:
     """Amplitudes of the weight-w states of n qubits, one row per w = 0..n.
 
-    Row w is the uniform superposition of the bitstrings that
-    ``itertools.combinations`` lists with w ones.
+    Row w is the uniform superposition of the bitstrings with w ones:
+    each basis label's amplitude sits in the row of its Hamming weight.
     """
+    weights = _weights(n)
+    norms = 1.0 / np.sqrt([float(math.comb(n, w)) for w in range(n + 1)])
     amps = np.zeros((n + 1, 2**n), dtype=np.complex128)
-    for w in range(n + 1):
-        index = [sum(1 << (n - 1 - pos) for pos in ones)
-                 for ones in itertools.combinations(range(n), w)]
-        amps[w, index] = 1.0 / math.sqrt(math.comb(n, w))
+    amps[weights, np.arange(2**n)] = norms[weights]
     return amps
 
 
-def symmetric_mixture(n: int) -> DensityOperator:
-    """Mixture sum_w C(n,w)/2^n |S_w><S_w| over weight states.
+def _symmetric_mixture_matrix(n: int) -> np.ndarray:
+    """The matrix of ``symmetric_mixture``, not validated as a density operator.
 
-    The n+1 weight states are built as one array and validated once.
+    The n+1 weight states are built as one array and validated once as
+    pure states.
     """
     if not 1 <= n <= _MAX_SYMMETRIC_N:
         raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
     states = _weight_states(n)
     check_pure_states(states)
+    real = states.real                      # every weight state's amplitudes are real
     coeffs = np.array([math.comb(n, w) / 2**n for w in range(n + 1)])
-    return DensityOperator((2,) * n, (states.T * coeffs) @ states.conj())
+    return (real.T * coeffs) @ real
+
+
+def symmetric_mixture(n: int) -> DensityOperator:
+    """Mixture sum_w C(n,w)/2^n |S_w><S_w| over weight states."""
+    return DensityOperator((2,) * n, _symmetric_mixture_matrix(n))
 
 
 def _phase_means(a, p: int) -> np.ndarray:

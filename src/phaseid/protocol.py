@@ -370,14 +370,15 @@ def kept_states(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     projected, unnormalised state: the verifier's kept qubit against all
     that the prover holds, for response bit 0 and 1. A branch's kept
     state is P P^dagger and its probability the trace; branches below
-    ZERO_BRANCH_PROB are not live. The normalised live slices are
-    validated as pure states. Returns the kept states, shape
-    (round, bit, 2, 2), and the probabilities, shape (round, bit), as
-    ``verify_kept_states`` takes them.
+    ZERO_BRANCH_PROB are not live; a NaN trace is live, so its slice
+    fails the checks. The normalised live slices are validated as pure
+    states. Returns the kept states, shape (round, bit, 2, 2), and the
+    probabilities, shape (round, bit), as ``verify_kept_states`` takes
+    them.
     """
     kept = amplitudes @ amplitudes.conj().swapaxes(-1, -2)        # (round, bit, 2, 2)
     prob = np.trace(kept, axis1=-2, axis2=-1).real
-    live = prob >= ZERO_BRANCH_PROB
+    live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
     weight = prob[live]
     check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
     return kept, prob
@@ -391,18 +392,18 @@ def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -
     round's key angle. From it the verifier makes his own authentic
     copy of the round's public-key element, once per round, so the
     prover never supplies the reference; the copies are validated as
-    pure states. The live kept states (prob >= ZERO_BRANCH_PROB),
-    normalised, their Z-corrected forms and the authentic projectors
-    are validated as density operators by one ``check_density_operators``
-    call on a (3, live, 2, 2) stack: a failure names (set, branch) as
-    its stack index, set 0 being the kept states, 1 the corrected ones
-    and 2 the projectors, and branch counting the live branches in
-    (round, bit) order. A ``prob`` that is not the trace of its kept
-    state fails the trace check there. Returns the SWAP-test pass
-    probabilities (1 + tr rho sigma)/2, shape (round, bit), with pass 0
-    for every branch that is not live.
+    pure states. The live kept states (prob not below ZERO_BRANCH_PROB,
+    so NaN too), normalised, their Z-corrected forms and the authentic
+    projectors are validated as density operators by one
+    ``check_density_operators`` call on a (3, live, 2, 2) stack: a
+    failure names (set, branch) as its stack index, set 0 being the
+    kept states, 1 the corrected ones and 2 the projectors, and branch
+    counting the live branches in (round, bit) order. A ``prob`` that
+    is not the trace of its kept state fails the trace check there.
+    Returns the SWAP-test pass probabilities (1 + tr rho sigma)/2,
+    shape (round, bit), with pass 0 for every branch that is not live.
     """
-    live = prob >= ZERO_BRANCH_PROB
+    live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
     rounds, bits = np.nonzero(live)
     weight = prob[live]
     authentic = phase_bases(angles)[:, 0]

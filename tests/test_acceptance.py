@@ -190,3 +190,13 @@ def test_criterion_8_reproduces_golden_bytes(tmp_path, capsys, name):
     capsys.readouterr()
     golden = Path(__file__).parent / "data" / "criterion8" / f"{name}.out"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_identities_reproduces_golden_stdout(capsys):
+    # tests/data/criterion8/verify-identities.stdout holds the five lines
+    # the command prints, recorded from a known-good build as the --out
+    # goldens above are; a change that moves them replaces the file and
+    # names the change in CHANGES.md.
+    assert main(CRITERION_8_COMMANDS["verify-identities"]) == 0
+    golden = Path(__file__).parent / "data" / "criterion8" / "verify-identities.stdout"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -6,6 +6,7 @@ one ``phase_average_exponential`` call per exponent, and the averaged
 key operator from tensor products of single-qubit states.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -77,12 +78,35 @@ class TestScalarOracle:
             got = keys.averaged_key_operator_discrete(p, n).matrix
             np.testing.assert_allclose(got, _averaged_oracle(p, n), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("chunk", [None, 24, 1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacked_averages_are_the_one_modulus_averages(self, monkeypatch, n, chunk):
+        # bit for bit, also when the moduli share chunked cos/sin passes
+        if chunk is not None:
+            monkeypatch.setattr(keys, "_AVERAGE_CHUNK", chunk)
+        ps = [p for p in (n, n + 1, n + 2, 2 * n + 3) if p >= 2]
+        stacked = keys.averaged_key_operators(ps, n)
+        assert stacked.shape == (len(ps), 2**n, 2**n) and stacked.dtype == np.float64
+        for p, got in zip(ps, stacked):
+            assert np.array_equal(got, keys.averaged_key_operator_discrete(p, n).matrix)
+
     def test_averaged_operator_in_chunks(self, monkeypatch):
         # Small chunks give the operator of one chunk.
         want = keys.averaged_key_operator_discrete(11, 3).matrix
         monkeypatch.setattr(keys, "_AVERAGE_CHUNK", 24)
         got = keys.averaged_key_operator_discrete(11, 3).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weight_states_are_the_combinations(self, n):
+        # row w: the bitstrings itertools.combinations lists with w ones
+        want = np.zeros((n + 1, 2**n), dtype=np.complex128)
+        for w in range(n + 1):
+            index = [sum(1 << (n - 1 - pos) for pos in ones)
+                     for ones in itertools.combinations(range(n), w)]
+            want[w, index] = 1.0 / math.sqrt(math.comb(n, w))
+        got = keys._weight_states(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetric_mixture(self, n):
@@ -93,6 +117,40 @@ class TestScalarOracle:
         want = sum(math.comb(n, w) / 2**n * qsim.DensityOperator.from_pure(state).matrix
                    for w, state in enumerate(states))
         np.testing.assert_allclose(keys.symmetric_mixture(n).matrix, want, rtol=0, atol=1e-15)
+
+
+def _session_certainty() -> float:
+    """Honest-round certainty as one exact ``run_session`` per (variant, r)."""
+    worst = 0.0
+    for variant, r_top in (("standard", 5), ("hardened", 3)):
+        for r in range(1, r_top + 1):
+            p = keys.ProtocolParams(r, 1, variant).p
+            params = keys.ProtocolParams(r, p, variant)
+            key = keys.PrivateKey.from_ks(np.arange(1, p + 1), p)
+            tr = protocol.run_session(params, key, "honest", mode="exact")
+            worst = max(worst, float(np.max(np.abs(1.0 - tr.pass_probability))))
+    return worst
+
+
+def _operator_by_operator_averaging() -> float:
+    """Averaging equivalence from one public operator per (n, p)."""
+    worst = 0.0
+    for n in range(1, 7):
+        target = keys.symmetric_mixture(n).matrix
+        for p in (n + 1, n + 2, 2 * n + 3):
+            got = keys.averaged_key_operator_discrete(p, n).matrix
+            worst = max(worst, float(np.max(np.abs(got - target))))
+    return worst
+
+
+class TestOldLoopsAsOracles:
+    def test_certainty_is_the_session_loop(self):
+        got = identities._check_honest_round_certainty()
+        assert np.float64(got).tobytes() == np.float64(_session_certainty()).tobytes()
+
+    def test_averaging_is_the_operator_loop(self):
+        got = identities._check_averaging_equivalence()
+        assert np.float64(got).tobytes() == np.float64(_operator_by_operator_averaging()).tobytes()
 
 
 class TestPhaseAverageGuard:
@@ -115,30 +173,40 @@ class TestPhaseAverageGuard:
 
 class TestAveragedOperatorGuard:
     @staticmethod
-    def _skew(monkeypatch):
-        exact = keys._product_state_average
+    def _skew(monkeypatch, at=slice(None)):
+        exact = keys._product_state_averages
 
-        def skewed(p, n):
-            average = exact(p, n)
-            average[0, -1] += 1e-9j
-            average[-1, 0] -= 1e-9j
-            return average
+        def skewed(ps, n):
+            real, imag = exact(ps, n)
+            imag[at, 0, -1] += 1e-9
+            imag[at, -1, 0] -= 1e-9
+            return real, imag
 
-        monkeypatch.setattr(keys, "_product_state_average", skewed)
+        monkeypatch.setattr(keys, "_product_state_averages", skewed)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_keeps_the_real_part(self, n):
-        for p in (n + 1, 2 * n + 3):
+        ps = [n + 1, n + 2, 2 * n + 3]
+        stacked = keys.averaged_key_operators(ps, n)
+        real, imag = keys._product_state_averages(ps, n)
+        assert np.abs(imag).max() <= 1e-15
+        assert stacked.dtype == np.float64
+        assert np.array_equal(stacked, real)
+        for p, average in zip(ps, real):
             rho = keys.averaged_key_operator_discrete(p, n)
-            average = keys._product_state_average(p, n)
-            assert np.abs(average.imag).max() <= 1e-15
             assert rho.matrix.dtype == np.float64
-            assert np.array_equal(rho.matrix, average.real)
+            assert np.array_equal(rho.matrix, average)
 
     def test_imaginary_part_is_a_numerical_failure(self, monkeypatch):
         self._skew(monkeypatch)
         with pytest.raises(NumericalError, match="phase average at p=3, n=2 has imaginary part"):
             keys.averaged_key_operator_discrete(3, 2)
+
+    def test_names_the_first_failing_modulus(self, monkeypatch):
+        self._skew(monkeypatch, at=slice(1, None))
+        with pytest.raises(NumericalError, match="phase average at p=4, n=2 has imaginary part"):
+            keys.averaged_key_operators([3, 4, 7], 2)
+        assert keys.averaged_key_operators([3], 2).shape == (1, 4, 4)
 
     def test_imaginary_average_exits_numerical(self, capsys, monkeypatch):
         self._skew(monkeypatch)
@@ -170,6 +238,31 @@ class TestVerifyIdentitiesOnStacks:
         assert counts["alice_respond"] == 0
         # The challenge is one value built at import; the checks build no state object.
         assert counts["PureState"] == 0
+
+    def test_one_kernel_pass_for_certainty_and_one_density_check_per_n(self, capsys,
+                                                                         monkeypatch):
+        sessions, kernel, checked = [], [], []
+        honest = protocol.honest_round_branches
+        check = identities.check_density_operators
+
+        def spy_kernel(angles):
+            kernel.append(len(angles))
+            return honest(angles)
+
+        def spy_check(matrices):
+            checked.append(np.shape(matrices))
+            check(matrices)
+
+        monkeypatch.setattr(protocol, "run_session", lambda *args, **kw: sessions.append(args))
+        monkeypatch.setattr(protocol, "honest_round_branches", spy_kernel)
+        monkeypatch.setattr(identities, "check_density_operators", spy_check)
+        code, _, _ = run_cli(["verify-identities"], capsys)
+        assert code == EXIT_OK
+        assert sessions == []
+        # certainty: the keys of p = 2..6 and 3, 5, 7; uniformity: 27 phases
+        assert kernel == [35, 27]
+        # the three averages of each n with its weight mixture
+        assert checked == [(4, 2**n, 2**n) for n in range(1, 7)]
 
     def test_unnormalised_phase_bases_exit_numerical(self, capsys, monkeypatch):
         exact = keys.phase_bases

@@ -529,6 +529,25 @@ def test_kept_states_check_the_normalised_live_slices():
         kept_states(amps)
 
 
+def test_a_nan_branch_is_live_and_fails_its_checks():
+    # NaN compares false with everything: a branch whose trace is NaN must
+    # reach the checks, not pass as a dead branch with pass 0. Branch
+    # (1, 0) is the third in (round, bit) order.
+    angles = np.array([0.3, 1.1])
+    amps = _honest_amplitudes(angles)
+    amps[1, 0, 0, 0] = np.nan
+    for form in (kept_states, lambda amps: verify_branches(amps, angles)):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                StateValidationError, match=r"amplitudes must be finite \(stack index \(2,\)\)"):
+            form(amps)
+    kept, prob = kept_states(_honest_amplitudes(angles))
+    kept, prob = kept.copy(), prob.copy()
+    kept[1, 0, 0, 0] = prob[1, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            StateValidationError, match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
+        verify_kept_states(kept, prob, angles)
+
+
 def test_verifier_refuses_a_probability_that_is_not_the_trace():
     # the normalised kept state then has trace != 1 (set 0, branch 1)
     angles = np.array([0.3, 1.1])
