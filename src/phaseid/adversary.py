@@ -16,10 +16,11 @@ applied in O(t). It commutes with the phase rotation, so an attacked
 round has the same branch and pass probabilities at every relative
 phase, and one evaluation equals the phase average. The exact attack
 round is that one evaluation, at angle 0, where every amplitude is
-real: one row that the verifier's own kernel (entangled challenge,
-conditional Z, SWAP test, ``protocol.verify_branches``) evaluates
-against that measurement, reproducing p_pass = (1 + psucc)/2. An
-adversarial session gathers the row to every round, whatever its key.
+real. Each branch leaves the verifier a kept 2x2 state in closed form,
+with no frame-length array, and his own step (entangled challenge,
+conditional Z, SWAP test) turns the two into one row, reproducing
+p_pass = (1 + psucc)/2. An adversarial session gathers the row to
+every round, whatever its key.
 
 The closed form
 
@@ -34,14 +35,9 @@ averaged states outright as dense (2t+2)-dimensional matrices and
 applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
-the grid average exact, not approximate. One grid average serves both
-states, since rho- is rho+ with its off-diagonal blocks negated. The
-average is real, so both states are stored as one real stack,
-validated by one stacked check, and the gap's trace norm is four
-times the sum of the singular values of rho+'s (t+1)-dimensional
-off-diagonal block: one real SVD of half the dimension in place of an
-eigendecomposition.
-Grids and dense matrices survive only in that oracle.
+the grid average exact, not approximate (``build_discrimination_pair``
+and ``helstrom_psucc_oracle`` give the details). Grids and dense
+matrices survive only in that oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .keys import phase_angles, phase_bases
-from .protocol import BranchTable, bob_prepare_challenge, kept_states, verify_kept_states
+from .protocol import BranchTable, verify_kept_states
 from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
 
@@ -94,20 +90,31 @@ def _frame_magnitudes(t: int) -> np.ndarray:
 
     The one source of the binomial amplitudes, for every t: the frame,
     the overlap sum and psucc read these. Memoised on t and returned
-    read-only: an attacked session asks for the same t every round.
+    read-only: ``psucc-table`` reads each t twice, once for the formula
+    and once for the oracle's frame.
     """
     # Log-pmf recurrence outward from the mode m, with step
     # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
     # stay small wherever the mass is. Log-gamma values have size
     # t log t, and their rounding alone would push the norm off 1 by
-    # 1e-11 at t = 1e4.
+    # 1e-11 at t = 1e4. Each step writes into its operand, so at most
+    # two arrays of length t are alive at once.
     m = t // 2
-    w = np.arange(t, dtype=np.float64)
-    step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
-    log_pmf = np.zeros(t + 1)
-    log_pmf[m + 1:] = np.cumsum(step[m:])
-    log_pmf[:m] = -np.cumsum(step[:m][::-1])[::-1]
-    mags = np.exp(0.5 * log_pmf)
+    step = np.arange(t, dtype=np.float64)                 # w, then the step
+    den = step + 1.0
+    step *= 2.0
+    np.subtract(t, step, out=step)
+    step -= 1.0
+    step /= den
+    del den
+    np.log1p(step, out=step)
+    mags = np.empty(t + 1)                                # log pmf, then the magnitudes
+    mags[m] = 0.0
+    np.cumsum(step[m:], out=mags[m + 1:])
+    np.negative(np.cumsum(step[:m][::-1], out=mags[:m][::-1]), out=mags[:m][::-1])
+    del step
+    mags *= 0.5
+    np.exp(mags, out=mags)
     mags /= math.sqrt(math.fsum(mags * mags))
     mags.setflags(write=False)
     return mags
@@ -123,8 +130,8 @@ def overlap_sum(t: int) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def _overlap_sum(t: int) -> float:
-    # Memoised on t: a run-attack row reads psucc twice, once for the
-    # strategy and once for its printed column.
+    # Memoised on t: a run-attack row reads it twice, once for the
+    # strategy's psucc and once for the attacked round's kept states.
     mags = _frame_magnitudes(t)
     return math.fsum(mags[1:] * mags[:-1])
 
@@ -319,10 +326,7 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
     the verifier applies the conditional Z and SWAP-tests his kept
     register against his own authentic copy. The row is the same at
     every relative phase (see ``eve_attack_round``), so it is evaluated
-    at angle 0, where the challenge and the frame are real: the
-    projected (kept, received, frame) amplitudes are float64, and
-    ``protocol.kept_states`` forms each branch's kept 2x2 state from
-    them in O(t).
+    at angle 0, in closed form (``_attack_table``).
     """
     return _attack_table((strategy,))
 
@@ -330,19 +334,22 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
 def _attack_table(strategies) -> BranchTable:
     """The attacked round's row for each strategy, in order.
 
-    Each strategy's kept states are formed on their own
-    (``protocol.kept_states``), since the frames differ in length; the
-    verifier's step then runs once over all of them, at angle 0
-    (``protocol.verify_kept_states``), and one table validates every row.
+    At angle 0, P+- act on each sector's real amplitudes (c_n, c_{n-1})
+    on (|0,n>, |1,n-1>). Summed over the sectors, with S =
+    ``overlap_sum(t)`` and c_0^2 = c_t^2 = 2^-t from the end sectors,
+    each branch's kept state is K+- = (1/4) [[1 +- 2^-t, +-S], [+-S,
+    1 +- 2^-t]], of trace (1 +- 2^-t)/2. One verifier step at angle 0
+    (``protocol.verify_kept_states``) and one table take every t.
     """
-    joint = bob_prepare_challenge().joint_state.as_tensor().real
-    formed = []
-    for strategy in strategies:
-        psi = joint[:, :, None] * _frame_magnitudes(strategy.t)       # kept, received, frame
-        amps = np.stack(strategy.project(psi)).reshape(1, 2, 2, -1)   # round, bit, kept, rest
-        formed.append(kept_states(amps))
-    kept, prob = formed[0] if len(formed) == 1 else map(np.concatenate, zip(*formed))
-    return BranchTable(prob, verify_kept_states(kept, prob, np.zeros(len(formed))))
+    ts = [strategy.t for strategy in strategies]
+    edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
+    overlap = np.array([_overlap_sum(t) for t in ts])[:, None]
+    sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
+    prob = 0.5 * (1.0 + sign * edge)
+    kept = np.empty((len(ts), 2, 2, 2))
+    kept[..., 0, 0] = kept[..., 1, 1] = 0.5 * prob
+    kept[..., 0, 1] = kept[..., 1, 0] = 0.25 * sign * overlap
+    return BranchTable(prob, verify_kept_states(kept, prob, np.zeros(len(ts))))
 
 
 @dataclass(frozen=True)
@@ -353,7 +360,11 @@ class CheatGuessReport:
     ``attack_round_branches``, or a row of the table of
     ``eve_attack_rounds``) that ``p_pass_exact`` sums;
     ``sample_attack_rounds`` draws from it.
-    Construction enforces the identity p_pass = (1 + psucc)/2.
+    Construction enforces p_pass = (1 + psucc)/2 between the kernel's
+    p_pass (Z correction, SWAP test against the verifier's own authentic
+    copy) and the strategy's psucc. So the report checks the verifier
+    kernel, and the test oracle, which forms the kept states by
+    ``HelstromStrategy.project``, checks the projector.
     """
 
     t: int
@@ -388,12 +399,6 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
       the conditional Z and turns with the authentic copy, so the
       SWAP-test overlap is unchanged too.
 
-    The guessing probability of the strategy, (<u+|P+|u+> +
-    <u-|P-|u->)/2 on the two signed challenge-and-frame vectors, is
-    angle-independent for the same reason; at angle 0 they are the real
-    u+- = [c, +-c]/sqrt(2), c the frame magnitudes. The report checks
-    the identity p_pass = (1 + psucc)/2 between the two.
-
     That value is the optimal attacked round against a key with phase
     modulus p for t <= p - 2 only (see ``helstrom_strategy``).
     """
@@ -410,10 +415,10 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
 def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     """``eve_attack_round(t)`` for each t of ``t_values``, in order.
 
-    The rows come from one verifier pass and one validated table
-    (``_attack_table``); each report's ``branches`` is its row of that
-    table (``BranchTable.row``), bit for bit the table
-    ``eve_attack_round(t)`` makes.
+    The closed-form kept states of every t go through one verifier pass
+    and one validated table (``_attack_table``); each report's
+    ``branches`` is its row of that table (``BranchTable.row``), bit for
+    bit the table ``eve_attack_round(t)`` makes.
     """
     strategies = [helstrom_strategy(t) for t in t_values]
     if not strategies:
@@ -425,12 +430,8 @@ def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
 def _report(strategy: HelstromStrategy, row: BranchTable) -> CheatGuessReport:
     """The report of ``strategy``'s attacked round, whose one-row table is ``row``."""
     (low, high), (pass_low, pass_high) = row.probability[0], row.pass_probability[0]
-    p_pass = float(low * pass_low + high * pass_high)
-    mags = _frame_magnitudes(strategy.t) / math.sqrt(2.0)
-    plus, _ = strategy.project(np.stack([mags, mags]))
-    _, minus = strategy.project(np.stack([mags, -mags]))
-    psucc = 0.5 * (float(np.vdot(plus, plus)) + float(np.vdot(minus, minus)))
-    return CheatGuessReport(strategy.t, p_pass, psucc, row)
+    return CheatGuessReport(strategy.t, float(low * pass_low + high * pass_high),
+                            strategy.psucc, row)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def cmd_run_attack(args) -> int:
         row = {
             "t": t,
             "p_pass": report.p_pass_exact,
-            "p_pass_from_psucc": 0.5 * (1.0 + adversary.psucc_formula(t)),
+            "p_pass_from_psucc": 0.5 * (1.0 + report.psucc_strategy),
             "p_pass_bound": 1.0 - 1.0 / (8.0 * (t + 1)),
             "fool_prob_s": bounds.fool_first_attempt_bound(t, s),
         }

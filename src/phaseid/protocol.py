@@ -21,15 +21,14 @@ honest table is built once per distinct angle, with numpy operations in
 chunks of CHUNK_ROUNDS distinct angles, and gathered back to one row
 per round (``BranchTable.in_chunks``, ``honest_round_branches``). An
 adversary supplies its table through its ``round_branches(angles)``.
-Honest and attacked rounds share one verifier kernel,
-``verify_branches``, in two parts. ``kept_states`` takes each branch's
-projected amplitudes and forms the kept 2x2 state P P^dagger and its
-probability, the trace. ``verify_kept_states`` takes those kept states
-and works in closed form on the stacks: Z rho Z flips the sign of the
+Honest and attacked rounds share one verifier step,
+``verify_kept_states``. It takes each branch's kept 2x2 state and works
+in closed form on the stacks: Z rho Z flips the sign of the
 off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
 and the positivity checks take the 2x2 smallest eigenvalue directly.
-An attacked sweep forms each copy count's kept states on its own and
-verifies them all in one call.
+Honest rounds form their kept states, P P^dagger of each branch's
+projected amplitudes, with ``kept_states`` (``verify_branches`` runs
+both); an attacked round brings its own in closed form.
 The verifier makes his authentic public-key copy himself, once per
 round, from the key angle. The kept states, their Z-corrected forms
 and the authentic projectors are validated together by one

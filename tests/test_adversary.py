@@ -1,6 +1,7 @@
 """Adversary side: frames, discrimination, attack rounds, combinatorial bounds."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -184,6 +185,35 @@ class TestFrames:
         cached = _frame_magnitudes(t)
         assert _frame_magnitudes(t) is cached
         np.testing.assert_array_equal(cached, _frame_magnitudes.__wrapped__(t))
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 50, 51, 10**3, 4096, 10**5, 10**6 + 1])
+    def test_magnitudes_in_place_equal_the_plain_expressions(self, t):
+        # the in-place recurrence against its plain array expressions,
+        # bit for bit
+        m = t // 2
+        w = np.arange(t, dtype=np.float64)
+        step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
+        log_pmf = np.zeros(t + 1)
+        log_pmf[m + 1:] = np.cumsum(step[m:])
+        log_pmf[:m] = -np.cumsum(step[:m][::-1])[::-1]
+        want = np.exp(0.5 * log_pmf)
+        want /= math.sqrt(math.fsum(want * want))
+        got = _frame_magnitudes.__wrapped__(t)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_attacked_round_holds_no_frame_length_temporaries(self):
+        # the closed-form kept states need only the magnitudes themselves
+        # (1.6 MB at t = 2e5) and the recurrence's one step array
+        _frame_magnitudes.cache_clear()
+        adversary._overlap_sum.cache_clear()
+        tracemalloc.start()
+        try:
+            eve_attack_round(200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_cached_magnitudes_reject_writes(self):
         mags = _frame_magnitudes(4)
@@ -464,12 +494,13 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
             assert row.pass_probability[0, bit] == pytest.approx(pass_prob, abs=1e-12)
 
 
-@pytest.mark.parametrize("t", [0, 1, 3, 8])
+@pytest.mark.parametrize("t", [0, 1, 3, 8, 64, 4096, 100_000])
 def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
     # One call on a (set, branch, 2, 2) stack: each live branch's kept
     # state, its Z-corrected form and the authentic projector, against
-    # the round formed directly at angle 0. At t = 0, P- is zero and
-    # bit 1 is not live.
+    # the round formed directly at angle 0 from the projected amplitudes,
+    # the oracle of the closed-form kept states. At t = 0, P- is zero
+    # and bit 1 is not live.
     strategy = helstrom_strategy(t)
     seen = record_density_checks(monkeypatch)
     attack_round_branches(strategy)

@@ -294,6 +294,18 @@ class TestRunAttack:
         assert row["p_pass_from_psucc"] <= row["p_pass_bound"]
         assert row["p_pass_from_psucc"] == row["p_pass"]
 
+    def test_exact_p_pass_prints_as_its_formula_value(self, capsys):
+        # the kernel's p_pass and (1 + psucc)/2 are equal by the identity,
+        # and print equal in every row; at t = 364 the true value
+        # 0.99965682698350031785... rounds up to ...984
+        code, out, _ = run_cli(["run-attack", "--t-max", "400"], capsys)
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 400
+        assert [row["t"] for row in rows if row["p_pass"] != row["p_pass_from_psucc"]] == []
+        _, out, _ = run_cli(["run-attack", "--t", "364"], capsys)
+        assert '"p_pass": 0.999656826984,' in out
+
     def test_t_zero_rejected(self, capsys):
         code, _, _ = run_cli(["run-attack", "--t", "0"], capsys)
         assert code == EXIT_CONFIG
@@ -371,25 +383,27 @@ class TestRunAttack:
         assert 0.88 < row["empirical_pass_rate"] < 0.97
 
     def test_sampled_evaluates_each_attacked_row_once(self, capsys, monkeypatch):
-        # the exact report and the sampled draws share one row per t, and
-        # one verifier pass covers t = 1, 2, 3
-        formed, verified = [], []
-        kept_states, verify_kept_states = adversary.kept_states, adversary.verify_kept_states
+        # the exact report and the sampled draws share one row per t, one
+        # verifier pass covers t = 1, 2, 3, and the kept states come in
+        # closed form: no projected amplitudes
+        projected, verified = [], []
+        project = adversary.HelstromStrategy.project
+        verify_kept_states = adversary.verify_kept_states
 
-        def spy_form(amplitudes):
-            formed.append(amplitudes.shape)
-            return kept_states(amplitudes)
+        def spy_project(strategy, psi):
+            projected.append(strategy.t)
+            return project(strategy, psi)
 
         def spy_verify(kept, prob, angles):
             verified.append((kept.shape, angles.tolist()))
             return verify_kept_states(kept, prob, angles)
 
-        monkeypatch.setattr(adversary, "kept_states", spy_form)
+        monkeypatch.setattr(adversary.HelstromStrategy, "project", spy_project)
         monkeypatch.setattr(adversary, "verify_kept_states", spy_verify)
         code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",
                               "--trials", "100"], capsys)
         assert code == EXIT_OK
-        assert formed == [(1, 2, 2, 2 * (t + 1)) for t in (1, 2, 3)]
+        assert projected == []
         assert verified == [((3, 2, 2, 2), [0.0, 0.0, 0.0])]
 
     def test_sampled_rerun_identical(self, capsys):
