@@ -19,8 +19,8 @@ round is that one evaluation, at angle 0, where every amplitude is
 real. Each branch leaves the verifier a kept 2x2 state in closed form,
 with no frame-length array, and his own step (entangled challenge,
 conditional Z, SWAP test) turns the two into one row, reproducing
-p_pass = (1 + psucc)/2. An adversarial session gathers the row to
-every round, whatever its key.
+p_pass = (1 + psucc)/2. An adversarial session is that one row with
+every round indexing it, whatever its key.
 
 The closed form
 
@@ -50,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .keys import phase_angles, phase_bases
+from .keys import PrivateKey, phase_angles, phase_bases
 from .protocol import BranchTable, verify_kept_states
 from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
@@ -89,9 +89,11 @@ def _frame_magnitudes(t: int) -> np.ndarray:
     """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
 
     The one source of the binomial amplitudes, for every t: the frame,
-    the overlap sum and psucc read these. Memoised on t and returned
-    read-only: ``psucc-table`` reads each t twice, once for the formula
-    and once for the oracle's frame.
+    the overlap sum and psucc read these. Returned read-only. The memo
+    serves ``psucc-table``, which reads each t up to the oracle's cap
+    twice, for the formula and the oracle's frame, and again on a
+    repeat call; ``_overlap_sum`` bypasses it for a larger t, so no
+    array of a large t stays alive.
     """
     # Log-pmf recurrence outward from the mode m, with step
     # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
@@ -132,7 +134,7 @@ def overlap_sum(t: int) -> float:
 def _overlap_sum(t: int) -> float:
     # Memoised on t: a run-attack row reads it twice, once for the
     # strategy's psucc and once for the attacked round's kept states.
-    mags = _frame_magnitudes(t)
+    mags = (_frame_magnitudes if t <= _MAX_ORACLE_T else _frame_magnitudes.__wrapped__)(t)
     return math.fsum(mags[1:] * mags[:-1])
 
 
@@ -436,7 +438,7 @@ def _report(strategy: HelstromStrategy, row: BranchTable) -> CheatGuessReport:
 
 @dataclass(frozen=True)
 class EveProver:
-    """Adapter giving run_session an adversarial prover.
+    """Adapter giving run_session an adversarial prover: ``round_branches(key)``.
 
     It runs against a key of any phase modulus p, but its strategy is the
     optimal one for that key only while strategy.t <= p - 2 (see
@@ -446,12 +448,9 @@ class EveProver:
     strategy: HelstromStrategy
     tag: ClassVar[str] = "helstrom-eve"
 
-    def round_branches(self, angles) -> BranchTable:
-        """The attacked round's one row, gathered to every round."""
-        row = attack_round_branches(self.strategy)
-        shape = (len(angles), 2)
-        return BranchTable(np.broadcast_to(row.probability, shape),
-                           np.broadcast_to(row.pass_probability, shape))
+    def round_branches(self, key: PrivateKey) -> tuple[BranchTable, np.ndarray]:
+        """The attacked round's one row, the same at every phase, for every round of ``key``."""
+        return attack_round_branches(self.strategy), np.zeros(key.s, dtype=np.intp)
 
 
 def sample_attack_rounds(branches: BranchTable, trials: int, rng) -> np.ndarray:

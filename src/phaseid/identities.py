@@ -11,6 +11,7 @@ command runs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,32 +65,25 @@ def _check_averaging_equivalence() -> float:
     return worst
 
 
-def _certainty_angles() -> np.ndarray:
-    """Key angles of one session per (variant, r), whose key runs through every phase 1..p."""
-    angles = []
-    for variant, r_top in (("standard", 5), ("hardened", 3)):
-        for r in range(1, r_top + 1):
-            p = keys.ProtocolParams(r, 1, variant).p
-            angles.append(keys.PrivateKey.from_ks(np.arange(1, p + 1), p).angles())
-    return np.concatenate(angles)
+@functools.lru_cache(maxsize=1)
+def _phase_table() -> protocol.BranchTable:
+    """The honest branch table of every ``_phase_angles``, built once for both honest checks."""
+    return protocol.honest_round_branches(_phase_angles())
 
 
 def _check_honest_round_certainty() -> float:
-    # Every round of the sessions in one branch table; each round's pass
-    # probability is its marginal, as an exact session takes it.
-    table = protocol.honest_round_branches(_certainty_angles())
+    # Each row's marginal, as an exact session takes it. One session per
+    # (variant, r), its key running through every phase 1..p (standard
+    # r <= 5, hardened r <= 3), uses exactly the moduli p = 2..7, so its
+    # rounds read exactly these rows and have the same largest deviation.
+    table = _phase_table()
     prob, pass_prob = table.probability, table.pass_probability
     marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
     return float(np.max(np.abs(1.0 - marginal)))
 
 
-def _response_probabilities() -> np.ndarray:
-    """Honest response-bit probabilities at every ``_phase_angles``, shape (case, bit)."""
-    return protocol.honest_round_branches(_phase_angles()).probability
-
-
 def _check_response_uniformity() -> float:
-    return float(np.max(np.abs(_response_probabilities() - 0.5)))
+    return float(np.max(np.abs(_phase_table().probability - 0.5)))
 
 
 _IDENTITY_CHECKS = (

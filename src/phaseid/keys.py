@@ -180,10 +180,6 @@ class PrivateKey:
     def xs(self) -> tuple[PhaseFraction, ...]:
         return tuple(PhaseFraction(k, self.p) for k in self.ks.tolist())
 
-    def angles(self) -> np.ndarray:
-        """Every round's angle, as ``PhaseFraction.angle()`` of its entry gives it."""
-        return phase_angles(self.ks, self.p)
-
 
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
     """Draw s phases uniformly from {1..p}, deterministically in ``seed``."""

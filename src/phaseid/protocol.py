@@ -13,14 +13,13 @@ decomposes as (|x+ x+> - |x- x->)/sqrt(2) in any phase basis: the
 prover's outcome steers the kept register onto |x+> or |x->, and the
 conditional Z folds the second case onto the first.
 
-A session is evaluated as one branch table: for every round, both
+A session is a branch table of distinct rows, each holding both
 response bits with their probabilities and the SWAP-test pass
-probability that follows each. An honest round's rows depend on nothing
-but its key angle, and a key takes at most p distinct angles, so the
-honest table is built once per distinct angle, with numpy operations in
-chunks of CHUNK_ROUNDS distinct angles, and gathered back to one row
-per round (``BranchTable.in_chunks``, ``honest_round_branches``). An
-adversary supplies its table through its ``round_branches(angles)``.
+probabilities that follow, plus one row index per round. An honest
+round depends on nothing but its key phase k/p, so an honest table has
+one row per distinct numerator of the key, and the index comes from one
+integer ``np.unique`` (``_honest_session``). An adversary supplies both
+through its ``round_branches(key)``. Each row is validated once.
 Honest and attacked rounds share one verifier step,
 ``verify_kept_states``. It takes each branch's kept 2x2 state and works
 in closed form on the stacks: Z rho Z flips the sign of the
@@ -30,23 +29,22 @@ Honest rounds form their kept states, P P^dagger of each branch's
 projected amplitudes, with ``kept_states`` (``verify_branches`` runs
 both); an attacked round brings its own in closed form.
 The verifier makes his authentic public-key copy himself, once per
-round, from the key angle. The kept states, their Z-corrected forms
+row, from the row's key angle. The kept states, their Z-corrected forms
 and the authentic projectors are validated together by one
 ``check_density_operators`` call on a (3, live branch, 2, 2) stack.
 The challenge is one immutable value, built and validated at import.
 Exact mode reports each round's pass probability sum_b prob * pass
-(response bits are recorded as null). Sampled mode draws two uniforms
-per round from a seeded generator, in order: the response (bit 0 when
-the draw falls below its probability), then the SWAP test. No message
-transport is involved. The transcript keeps the per-round results as
-arrays. ``alice_respond`` and ``bob_verify_step`` are the scalar,
-per-round form of the kernel, exact only: ``alice_respond`` returns
-the ``MeasurementResult`` of each response (its ``outcome`` is the bit),
-and ``bob_verify_step`` takes the kept qubit as a ``DensityOperator``,
-the ``partial_trace`` of a branch's post state, and returns the pass
-probability. No command calls them;
-the tests use them as the independent oracle of the stacked kernel,
-and library callers can run a single round with them.
+(response bits are recorded as null), once per row. Sampled mode draws
+two uniforms per round from a seeded generator, in order: the response
+(bit 0 when the draw falls below its row's probability), then the SWAP
+test. No message transport is involved. ``alice_respond`` and
+``bob_verify_step`` are the scalar, per-round form of the kernel, exact
+only: ``alice_respond`` returns the ``MeasurementResult`` of each
+response (its ``outcome`` is the bit), and ``bob_verify_step`` takes
+the kept qubit as a ``DensityOperator``, the ``partial_trace`` of a
+branch's post state, and returns the pass probability. No command
+calls them; the tests use them as the independent oracle of the
+stacked kernel, and library callers can run a single round with them.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError
-from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_bases
+from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_angles, phase_bases
 from .qsim import (
     PAULI_Z,
     DensityOperator,
@@ -95,10 +93,10 @@ __all__ = [
 
 _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
-# Distinct angles per vectorised chunk of a branch table. An honest
-# chunk's temporaries take about 1.2 KB per angle, so they stay near
-# 0.3 MB however many phases the key has, while the fixed cost of a
-# chunk stays small next to its work.
+# Angles per vectorised chunk of ``honest_round_branches``. A chunk's
+# temporaries take about 1.2 KB per angle, so they stay near 0.3 MB
+# however many phases a key has, while the fixed cost of a chunk stays
+# small next to its work.
 CHUNK_ROUNDS = 256
 
 
@@ -181,37 +179,6 @@ class BranchTable:
         object.__setattr__(table, "pass_probability", self.pass_probability[j:j + 1])
         return table
 
-    @classmethod
-    def in_chunks(cls, build, angles) -> "BranchTable":
-        """Table of ``build`` at every angle, one row per angle in order.
-
-        ``build(chunk)`` returns the (probability, pass_probability)
-        arrays of a chunk of key angles, one row per angle and each row
-        a function of its angle alone. It is called only on the distinct
-        angles (equal as bit patterns), in consecutive chunks of at most
-        CHUNK_ROUNDS, and the rows are gathered back to every angle. So a
-        session costs one evaluation per distinct key phase, and the
-        transient arrays are bounded by the chunk. Construction still
-        validates the gathered table.
-        """
-        distinct, where = _distinct(np.asarray(angles, dtype=np.float64).reshape(-1))
-        parts = [build(distinct[i:i + CHUNK_ROUNDS])
-                 for i in range(0, distinct.size, CHUNK_ROUNDS)]
-        if not parts:
-            return cls(np.empty((0, 2)), np.empty((0, 2)))
-        return cls(np.concatenate([prob for prob, _ in parts])[where],
-                   np.concatenate([pass_prob for _, pass_prob in parts])[where])
-
-
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, where) of a float64 array, told apart by bit pattern.
-
-    ``distinct[where]`` is ``values`` bit for bit: -0.0 and 0.0, and
-    NaNs of different payloads, stay apart.
-    """
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), where.reshape(-1)
-
 
 @dataclass
 class UsageCounter:
@@ -235,11 +202,11 @@ class UsageCounter:
 class SessionTranscript:
     """One session's header, per-round results and verdict.
 
-    The per-round results are arrays, one entry per round. Exact mode
-    fills ``pass_probability`` (float64); sampled mode fills
-    ``response_bit`` (int64, 0 or 1) and ``passed`` (bool). The arrays
-    a mode does not fill are None. ``records`` views the rounds as
-    RoundRecord values.
+    Exact mode fills ``row``, each round's branch-table row (integer),
+    and ``row_pass_probability``, each row's pass probability (float64).
+    Sampled mode fills ``response_bit`` (int64, 0 or 1) and ``passed``
+    (bool), per round. The arrays a mode does not fill are None.
+    ``records`` views the rounds as RoundRecord values.
     """
 
     session_id: int
@@ -248,9 +215,15 @@ class SessionTranscript:
     seed: int | None
     prover_tag: str
     verdict: str
-    pass_probability: np.ndarray | None = None
+    row: np.ndarray | None = None
+    row_pass_probability: np.ndarray | None = None
     response_bit: np.ndarray | None = None
     passed: np.ndarray | None = None
+
+    @property
+    def pass_probability(self) -> np.ndarray | None:
+        """Each round's pass probability in exact mode, gathered on read; else None."""
+        return None if self.row is None else self.row_pass_probability[self.row]
 
     @property
     def records(self) -> "Sequence[RoundRecord]":
@@ -275,12 +248,12 @@ class SessionTranscript:
         yield json.dumps(head)
         # Round rows are formatted directly; each gives the bytes json.dumps
         # gives for the row's dict. A row is its index followed by one of a
-        # few distinct tails: one per distinct pass probability in exact
-        # mode, one per (bit, flag) pair in sampled mode.
+        # few tails: one per branch-table row in exact mode, one per
+        # (bit, flag) pair in sampled mode.
         if self.mode == "exact":
-            values, which = _distinct(self.pass_probability)
+            which = self.row
             tails = [f', "response_bit": null, "pass_probability": {_json_float(_sig12(x))}}}'
-                     for x in values.tolist()]
+                     for x in self.row_pass_probability.tolist()]
         else:
             which = 2 * self.response_bit + self.passed
             tails = [f', "response_bit": {bit}, "pass": {flag}}}'
@@ -297,7 +270,7 @@ class _RoundRecords(Sequence):
 
     def __len__(self) -> int:
         tr = self._tr
-        return (tr.pass_probability if tr.mode == "exact" else tr.passed).size
+        return (tr.row if tr.mode == "exact" else tr.passed).size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -305,7 +278,7 @@ class _RoundRecords(Sequence):
         i = range(len(self))[index]
         tr = self._tr
         if tr.mode == "exact":
-            return RoundRecord(i + 1, None, float(tr.pass_probability[i]), None)
+            return RoundRecord(i + 1, None, float(tr.row_pass_probability[tr.row[i]]), None)
         return RoundRecord(i + 1, int(tr.response_bit[i]), None, bool(tr.passed[i]))
 
 
@@ -443,17 +416,28 @@ def verify_branches(amplitudes: np.ndarray,
 
 
 def honest_round_branches(angles) -> BranchTable:
-    """Branch table of honest rounds at the given key angles.
+    """Branch table of honest rounds, one row per given key angle, in order.
 
-    The rounds are evaluated in vectorised chunks of CHUNK_ROUNDS. Every
-    round makes the checks of its scalar form (``alice_respond``,
+    Every angle is evaluated, in vectorised chunks of CHUNK_ROUNDS. Every
+    row makes the checks of its scalar form (``alice_respond``,
     ``partial_trace``, ``bob_verify_step``) on stacked arrays: the
     phase bases are orthonormal, each collapsed (kept, sent) state is
     normalised, and every 2x2 state is a density operator. The Bell
     challenge is the same in every round and is validated once.
     """
     joint = bob_prepare_challenge().joint_state.as_tensor()
-    return BranchTable.in_chunks(lambda chunk: _honest_rows(joint, chunk), angles)
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
+    prob, pass_prob = np.empty((2, angles.size, 2))
+    for i in range(0, angles.size, CHUNK_ROUNDS):
+        chunk = slice(i, i + CHUNK_ROUNDS)
+        prob[chunk], pass_prob[chunk] = _honest_rows(joint, angles[chunk])
+    return BranchTable(prob, pass_prob)
+
+
+def _honest_session(key: PrivateKey) -> tuple[BranchTable, np.ndarray]:
+    """(table, row) of an honest session: distinct numerators in 1..p give distinct angles."""
+    ks, row = np.unique(key.ks, return_inverse=True)
+    return honest_round_branches(phase_angles(ks, key.p)), row
 
 
 def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -473,11 +457,12 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     """Run one full s-round session and return its transcript.
 
     ``prover`` is "honest" or an adversary object exposing
-    ``round_branches(angles)``, which returns the BranchTable of a
-    session at an array of key angles. Honest sessions draw on a
-    UsageCounter (a fresh single-use one when none is given) and
-    refuse, rather than reject, once it is exhausted. All s rounds
-    always run; the verdict is decided at the end.
+    ``round_branches(key)``, which returns (table, row): a BranchTable
+    of distinct rows and an integer array of shape (s,), round j reading
+    row ``row[j]``. Honest sessions draw on a UsageCounter (a fresh
+    single-use one when none is given) and refuse, rather than reject,
+    once it is exhausted. All s rounds always run; the verdict is
+    decided at the end.
 
     In exact mode the verdict is "accept" only when every round passes
     with certainty, which is the honest-prover case. Sampled mode draws
@@ -499,24 +484,20 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
             usage = UsageCounter(1)
         usage.consume()
         prover_tag = "honest"
+        table, row = _honest_session(private_key)
     else:
         prover_tag = getattr(prover, "tag", "adversary")
-
-    angles = private_key.angles()
-    table = honest_round_branches(angles) if honest else prover.round_branches(angles)
-    if table.rounds != params.s:
-        raise DimensionMismatchError(
-            f"branch table has {table.rounds} rounds, the session {params.s}"
-        )
+        table, row = prover.round_branches(private_key)
+        row = _checked_row(row, params.s, table.rounds)
     prob, pass_prob = table.probability, table.pass_probability
     if mode == "exact":
         marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
-        rounds = {"pass_probability": marginal}
-        ok = bool(np.all(marginal >= 1.0 - CONSTRUCT_ATOL))
+        rounds = {"row": row, "row_pass_probability": marginal}
+        ok = bool((marginal >= 1.0 - CONSTRUCT_ATOL)[row].all())
     else:
         u = make_rng(seed).random((params.s, 2))
-        bits = (u[:, 0] >= prob[:, 0]).astype(np.int64)
-        passed = u[:, 1] < pass_prob[np.arange(params.s), bits]
+        bits = (u[:, 0] >= prob[row, 0]).astype(np.int64)
+        passed = u[:, 1] < pass_prob[row, bits]
         rounds = {"response_bit": bits, "passed": passed}
         ok = bool(np.all(passed))
     for arr in rounds.values():
@@ -530,3 +511,18 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
         verdict="accept" if ok else "reject",
         **rounds,
     )
+
+
+def _checked_row(row, s: int, rows: int) -> np.ndarray:
+    """A copy of an adversary's row index, which must be integers of shape (s,) in 0..rows-1.
+
+    Numpy would read a negative entry from the end of the table.
+    """
+    row = np.array(row)
+    if row.shape != (s,) or not np.issubdtype(row.dtype, np.integer):
+        raise DimensionMismatchError(f"row index must be integers of shape ({s},), "
+                                     f"got {row.dtype} of shape {row.shape}")
+    bad = row[(row < 0) | (row >= rows)]
+    if bad.size:
+        raise DimensionMismatchError(f"row index must lie in 0..{rows - 1}, got {bad[0]}")
+    return row

@@ -215,6 +215,19 @@ class TestFrames:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_large_t_sweep_keeps_no_magnitudes(self):
+        # the memo keeps only t up to the oracle's cap: a sweep over large
+        # copy counts keeps none of its arrays (0.8 MB each near t = 1e5)
+        _frame_magnitudes.cache_clear()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            eve_attack_rounds(range(10**5, 10**5 + 16))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2 * 2**20
+
     def test_cached_magnitudes_reject_writes(self):
         mags = _frame_magnitudes(4)
         with pytest.raises(ValueError):
@@ -484,11 +497,12 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
     xs = [PhaseFraction(k, p) for k in ks]
     strategy = helstrom_strategy(t)
     row = attack_round_branches(strategy)
-    table = EveProver(strategy).round_branches([x.angle() for x in xs])
-    assert table.rounds == len(xs)
-    for j, x in enumerate(xs):
-        assert table.probability[j].tolist() == row.probability[0].tolist()
-        assert table.pass_probability[j].tolist() == row.pass_probability[0].tolist()
+    table, index = EveProver(strategy).round_branches(PrivateKey(tuple(xs)))
+    assert table.rounds == 1
+    assert np.issubdtype(index.dtype, np.integer) and index.tolist() == [0] * len(xs)
+    assert table.probability.tolist() == row.probability.tolist()
+    assert table.pass_probability.tolist() == row.pass_probability.tolist()
+    for x in xs:
         for bit, (prob, pass_prob) in enumerate(_scalar_attack_round(strategy, x)):
             assert row.probability[0, bit] == pytest.approx(prob, abs=1e-12)
             assert row.pass_probability[0, bit] == pytest.approx(pass_prob, abs=1e-12)
@@ -632,7 +646,9 @@ class TestSampledAttack:
         assert abs(passes.mean() - exact) < 3.0 * sigma
 
     def test_rejects_a_table_of_several_rows(self):
-        session = EveProver(helstrom_strategy(1)).round_branches(np.zeros(3))
+        row = attack_round_branches(helstrom_strategy(1))
+        session = BranchTable(np.repeat(row.probability, 3, axis=0),
+                              np.repeat(row.pass_probability, 3, axis=0))
         with pytest.raises(DimensionMismatchError, match="one attacked row, got 3"):
             sample_attack_rounds(session, 10, make_rng(0))
 

@@ -631,13 +631,25 @@ class TestHelpText:
 
 class TestOutputBytes:
     # sha256 of the --out bytes, recorded before sessions were built per
-    # distinct key phase: that change must leave every byte as it was
+    # distinct key phase, and again before a session was carried as its
+    # distinct rows and one row index per round: neither change may move
+    # a byte. The hardened r = 1000 keys have about 2000 distinct phases,
+    # over many chunks.
     @pytest.mark.parametrize("argv,digest", [
         (["run-honest", "--r", "2", "--s", "100000", "--seed", "3"],
          "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
         (["run-honest", "--r", "100", "--s", "20000", "--seed", "5", "--mode", "sampled",
           "--trials", "2"],
          "6f5a2b53408a354b1dbb25dc2db8c58e5efbbbb25bcc6d8dc23f8f579a6d29f3"),
+        (["run-honest", "--r", "2", "--s", "100000"],
+         "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
+        (["run-honest", "--r", "2", "--s", "100000", "--mode", "sampled", "--seed", "5"],
+         "4fca218496fdf647e468f3f256ec106af1006370be75ed79c79c49e7d66ac762"),
+        (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9"],
+         "c518df6eacd70bcc590e27269d8c931fc007bdf9b2d00a1efd0ffd9d80c8ab58"),
+        (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9",
+          "--mode", "sampled", "--trials", "2"],
+         "0b679a9ed76913b67898933187074e9d7a09fc25e338bb5ff8f6e7dab7868c26"),
     ])
     def test_session_output_bytes(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "session.out"

@@ -51,7 +51,8 @@ class TestScalarOracle:
         want = [[branch.probability
                  for branch in protocol.alice_respond(challenge, keys.PhaseFraction(k, p))]
                 for p, k in PHASES]
-        np.testing.assert_allclose(identities._response_probabilities(), want, rtol=0, atol=1e-15)
+        got = identities._phase_table().probability
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("p", range(1, 10))
     def test_phase_averages_bitwise(self, p):
@@ -256,11 +257,12 @@ class TestVerifyIdentitiesOnStacks:
         monkeypatch.setattr(protocol, "run_session", lambda *args, **kw: sessions.append(args))
         monkeypatch.setattr(protocol, "honest_round_branches", spy_kernel)
         monkeypatch.setattr(identities, "check_density_operators", spy_check)
+        identities._phase_table.cache_clear()
         code, _, _ = run_cli(["verify-identities"], capsys)
         assert code == EXIT_OK
         assert sessions == []
-        # certainty: the keys of p = 2..6 and 3, 5, 7; uniformity: 27 phases
-        assert kernel == [35, 27]
+        # certainty and uniformity read one table of the 27 phases
+        assert kernel == [27]
         # the three averages of each n with its weight mixture
         assert checked == [(4, 2**n, 2**n) for n in range(1, 7)]
 

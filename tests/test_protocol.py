@@ -227,8 +227,8 @@ class TestUsageBudget:
         class _Flat:
             tag = "flat"
 
-            def round_branches(self, angles):
-                return BranchTable(np.full((len(angles), 2), 0.5), np.ones((len(angles), 2)))
+            def round_branches(self, key):
+                return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2))), np.zeros(key.s, int)
 
         counter = UsageCounter(0)
         params = ProtocolParams(r=1, s=2)
@@ -347,16 +347,17 @@ class TestTranscript:
     def test_hand_built_rows_match_json_dumps(self, mode):
         # every bit and flag value, including the bit 1 next to the flag
         # True (equal as dict keys); floats that stress repr; repeated
-        # values, which share one formatted tail, and zeros of both signs,
-        # which must not
+        # values, in rows of their own and through rows read by several
+        # rounds, and zeros of both signs, which must not share a tail
         probs = [1.0, 0.0, -0.0, 0.875, 1.0 / 3.0, 0.1 + 0.2, 1.0 - 1e-13, 1e-300,
                  5e-324, 123456.789, math.nan, math.inf, -math.inf, 1.0, 0.0, 0.875]
+        row = list(range(len(probs))) + [13, 0, 1, 2, 2, 10, 11, 12, 3, 15, 14]
         bits, flags = zip(*itertools.product([0, 1, 1, 0], [True, False, False]))
         if mode == "exact":
-            rounds = {"pass_probability": np.array(probs)}
+            rounds = {"row": np.array(row), "row_pass_probability": np.array(probs)}
         else:
             rounds = {"response_bit": np.array(bits), "passed": np.array(flags)}
-        n = len(probs) if mode == "exact" else len(bits)
+        n = len(row) if mode == "exact" else len(bits)
         transcript = SessionTranscript(0, ProtocolParams(r=2, s=n), mode, None, "honest",
                                        "reject", **rounds)
         lines = self._assert_rows_match_json_dumps(transcript)
@@ -367,6 +368,10 @@ class TestTranscript:
             assert any(line.endswith('"pass_probability": NaN}') for line in lines)
             assert '{"j": 2, "response_bit": null, "pass_probability": 0.0}' in lines
             assert '{"j": 3, "response_bit": null, "pass_probability": -0.0}' in lines
+            assert '{"j": 19, "response_bit": null, "pass_probability": 0.0}' in lines
+            assert '{"j": 20, "response_bit": null, "pass_probability": -0.0}' in lines
+            assert '{"j": 17, "response_bit": null, "pass_probability": 1.0}' in lines
+            assert transcript.pass_probability.tobytes() == np.array(probs)[row].tobytes()
 
     def test_records_view(self):
         params = ProtocolParams(r=2, s=5)
@@ -574,19 +579,31 @@ def test_a_corrupted_verifier_state_names_its_set_and_branch(monkeypatch, where)
         honest_round_branches([PhaseFraction(k, 5).angle() for k in (1, 2, 3)])
 
 
+def test_honest_table_is_evaluated_in_chunks_in_order(monkeypatch):
+    # every angle once, in consecutive chunks of CHUNK_ROUNDS, and each
+    # chunk's rows land on its own angles
+    real = protocol._honest_rows
+    chunks = []
+
+    def spy(joint, angles):
+        chunks.append(angles.copy())
+        return real(joint, angles)
+
+    monkeypatch.setattr(protocol, "_honest_rows", spy)
+    angles = 2.0 * math.pi * np.arange(2 * CHUNK_ROUNDS + 11)[::-1] / 1000
+    table = honest_round_branches(angles)
+    assert [chunk.size for chunk in chunks] == [CHUNK_ROUNDS, CHUNK_ROUNDS, 11]
+    assert np.concatenate(chunks).tobytes() == angles.tobytes()
+    for j in (0, CHUNK_ROUNDS, 2 * CHUNK_ROUNDS + 10):
+        one = real(bob_prepare_challenge().joint_state.as_tensor(), angles[j:j + 1])
+        assert table.probability[j].tobytes() == one[0][0].tobytes()
+        assert table.pass_probability[j].tobytes() == one[1][0].tobytes()
+    chunks.clear()
+    assert honest_round_branches([]).rounds == 0
+    assert chunks == []
+
+
 class TestBranchTable:
-    def test_in_chunks_concatenates_in_order(self):
-        sizes = []
-
-        def build(chunk):
-            sizes.append(chunk.size)
-            return np.stack([chunk, 1.0 - chunk], axis=1), np.ones((chunk.size, 2))
-
-        angles = np.linspace(0.0, 1.0, 2 * CHUNK_ROUNDS + 11)
-        table = BranchTable.in_chunks(build, angles)
-        np.testing.assert_array_equal(table.probability[:, 0], angles)
-        assert sizes == [CHUNK_ROUNDS, CHUNK_ROUNDS, 11]
-        assert BranchTable.in_chunks(build, []).rounds == 0
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(NumericalError):
@@ -627,12 +644,36 @@ class TestBranchTable:
         with pytest.raises(IndexError):
             table.row(3)
 
-    def test_session_rejects_table_of_wrong_length(self):
-        class _Short:
-            def round_branches(self, angles):
-                return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2)))
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("row,match", [
+        pytest.param([0, 1], r"integers of shape \(3,\), got int\d+ of shape \(2,\)",
+                     id="short"),
+        pytest.param([[0, 1, 1]], r"shape \(3,\), got int\d+ of shape \(1, 3\)", id="2d"),
+        pytest.param([0, -1, 1], "must lie in 0..1, got -1", id="negative"),
+        pytest.param([0, 2, 1], "must lie in 0..1, got 2", id="too-large"),
+        pytest.param([0.0, 1.0, 1.0], r"integers of shape \(3,\), got float64", id="float"),
+        pytest.param([False, True, True], "got bool", id="bool"),
+    ])
+    def test_session_rejects_a_bad_row_index(self, row, match, mode):
+        class _Prover:
+            def round_branches(self, key):
+                return BranchTable(np.full((2, 2), 0.5), np.ones((2, 2))), row
 
         params = ProtocolParams(r=2, s=3)
         key = generate_private_key(params, 4)
-        with pytest.raises(DimensionMismatchError):
-            run_session(params, key, prover=_Short())
+        with pytest.raises(DimensionMismatchError, match=match):
+            run_session(params, key, prover=_Prover(), mode=mode, seed=1)
+
+    def test_session_keeps_its_own_copy_of_the_row_index(self):
+        row = np.array([0, 1, 1])
+
+        class _Prover:
+            def round_branches(self, key):
+                return BranchTable(np.array([[0.5, 0.5], [1.0, 0.0]]),
+                                   np.array([[1.0, 1.0], [0.5, 0.5]])), row
+
+        params = ProtocolParams(r=2, s=3)
+        transcript = run_session(params, generate_private_key(params, 4), prover=_Prover())
+        row[:] = 0
+        assert transcript.pass_probability.tolist() == [1.0, 0.5, 0.5]
+        assert transcript.verdict == "reject"
