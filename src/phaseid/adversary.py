@@ -35,9 +35,12 @@ averaged states outright as dense (2t+2)-dimensional matrices and
 applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
-the grid average exact, not approximate (``build_discrimination_pair``
-and ``helstrom_psucc_oracle`` give the details). Grids and dense
-matrices survive only in that oracle.
+the grid average exact, not approximate. Every entry is a grid sum,
+with no sector structure assumed: its phases come from one table of
+the grid's unit roots, indexed by exact integers, and the sum is one
+real Gram product (``build_discrimination_pair`` and
+``helstrom_psucc_oracle`` give the details). Grids and dense matrices
+survive only in that oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .keys import PrivateKey, phase_angles, phase_bases
+from .keys import PrivateKey, phase_angles
 from .protocol import BranchTable, verify_kept_states
 from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
@@ -59,7 +62,6 @@ __all__ = [
     "HelstromStrategy",
     "CheatGuessReport",
     "EveProver",
-    "frame_vector",
     "overlap_sum",
     "psucc_formula",
     "cheung_sum_bound",
@@ -84,7 +86,7 @@ def _check_t(t: int, minimum: int = 0) -> int:
     return t
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_MAX_ORACLE_T + 1)
 def _frame_magnitudes(t: int) -> np.ndarray:
     """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
 
@@ -92,8 +94,10 @@ def _frame_magnitudes(t: int) -> np.ndarray:
     the overlap sum and psucc read these. Returned read-only. The memo
     serves ``psucc-table``, which reads each t up to the oracle's cap
     twice, for the formula and the oracle's frame, and again on a
-    repeat call; ``_overlap_sum`` bypasses it for a larger t, so no
-    array of a large t stays alive.
+    repeat call. It has one slot for each t = 0..cap, so a repeat call
+    of a whole table finds every t (at most about 265 KB);
+    ``_overlap_sum`` bypasses it for a larger t, so no array of a large
+    t stays alive.
     """
     # Log-pmf recurrence outward from the mode m, with step
     # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
@@ -132,8 +136,9 @@ def overlap_sum(t: int) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def _overlap_sum(t: int) -> float:
-    # Memoised on t: a run-attack row reads it twice, once for the
-    # strategy's psucc and once for the attacked round's kept states.
+    # Memoised on t: ``eve_attack_round`` and an Eve session read it
+    # twice, once for the strategy's psucc and once for the attacked
+    # round's kept states. A run-attack sweep reads it once per t.
     mags = (_frame_magnitudes if t <= _MAX_ORACLE_T else _frame_magnitudes.__wrapped__)(t)
     return math.fsum(mags[1:] * mags[:-1])
 
@@ -158,80 +163,78 @@ def cheung_bound(t: int) -> float:
     return 1.0 - 1.0 / (4.0 * (t + 1))
 
 
-def frame_vector(t: int, angle) -> np.ndarray:
-    """Weight-basis amplitudes of t phase-state copies at a given angle.
-
-    Entry w is sqrt(C(t,w)/2^t) e^{i w angle}; the t-qubit product state
-    lives entirely in the symmetric subspace, so this (t+1)-vector is
-    the whole story. An array of angles gives one vector per angle, on
-    a trailing axis. The phases are cos + i sin of the real exponents,
-    the value ``np.exp`` gives on an imaginary argument, without its
-    complex-typed work.
-    """
-    t = _check_t(t)
-    exponent = np.multiply.outer(angle, np.arange(t + 1))
-    phases = np.empty(np.shape(exponent), dtype=np.complex128)
-    np.cos(exponent, out=phases.real)
-    np.sin(exponent, out=phases.imag)
-    return _frame_magnitudes(t) * phases
-
-
 def _pair_grid(t: int) -> int:
     # Entries of the averaged pair have trig degree <= t+1.
     return 2 * t + 5
 
 
-def _challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
-    """(|0> + sign e^{i angle}|1>)/sqrt(2) (x) frame(angle) for each angle.
-
-    The qubit is the sign's row of ``keys.phase_bases``. Shape
-    ``np.shape(angles) + (2, t+1)``: (received qubit, frame weight).
-    """
-    qubit = phase_bases(angles)[..., (1 - sign) // 2, :]
-    return qubit[..., :, None] * frame_vector(t, angles)[..., None, :]
+def _unit_roots(grid: int) -> np.ndarray:
+    """The grid's unit roots e^{2 pi i m/g}, m = 0..g-1: cosines, then sines, shape (2, g)."""
+    angles = phase_angles(np.arange(grid), grid)
+    roots = np.empty((2, grid))
+    np.cos(angles, out=roots[0])
+    np.sin(angles, out=roots[1])
+    return roots
 
 
 def build_discrimination_pair(t: int) -> np.ndarray:
     """Average challenge (x) frame over the relative phase: the stack [rho+, rho-].
 
-    Both operators act on (received qubit, frame weight), dims (2, t+1),
-    and come back as one read-only (2, 2t+2, 2t+2) float64 stack. The
-    received qubit and the frame are both defined relative to the
-    honest phase convention, which is uniformly unknown to the
+    Both operators act on (received qubit b, frame weight w), dims
+    (2, t+1), and come back as one read-only (2, 2t+2, 2t+2) float64
+    stack. The received qubit and the frame are both defined relative
+    to the honest phase convention, which is uniformly unknown to the
     adversary, so one shared angle rotates the whole product. A uniform
     grid of at least t+2 points reproduces the continuous average
     exactly (every matrix entry is a trig polynomial of degree <= t+1);
     ``_pair_grid`` keeps a safety margin. This dense construction is the
-    independent oracle; the main path never builds it.
+    independent oracle; the main path never builds it, and it assumes
+    none of the pair's block structure: every entry is a grid sum.
+
+    At grid point k, theta_k = 2 pi k/g (k = 1..g, as
+    ``keys.phase_angles`` maps it), the rho+ amplitude of |b, w> is
+    (c_w/sqrt 2) omega^{(b+w)k}, with omega = e^{2 pi i/g}. So one
+    table of the g unit roots (``_unit_roots``), indexed by the exact
+    integer (b+w)k mod g, gives every phase, and no large angle is
+    rounded before a trig call. With C and S the real arrays c_w cos
+    and c_w sin of shape (g, 2t+2), the grid sum's real part is the one
+    stacked product [C; S]^T [C; S] (a symmetric rank-k update) and its
+    imaginary part is M - M^T, M = S^T C. The 1/sqrt 2 of the received
+    qubit is folded into the divisor 2g, which rounds nothing. The grid
+    is closed under theta -> -theta, so the exact average is real: the
+    imaginary part's largest entry, divided by 2g, must stay within
+    CONSTRUCT_ATOL (NumericalError otherwise), and only the real part
+    is divided and kept.
 
     One grid average serves both signs. The sign flips only the
-    received qubit's |1> amplitude, so rho- = S rho+ S with the
-    diagonal signature S = Z (x) I, which is exact in floating point.
-    The grid 2 pi (k mod g)/g, k = 1..g (``keys.phase_angles``, the one
-    angle formula), is closed under theta -> -theta and each amplitude
-    is a real coefficient times e^{i n theta}, so the exact average is
-    real: the imaginary part of the grid sum, divided by the grid size,
-    must stay within CONSTRUCT_ATOL (NumericalError otherwise), and only
-    the real part is divided and kept. Both operators are validated as
-    density operators by one ``check_density_operators`` call on the
-    stack, so a failure names the sign (0 for rho+, 1 for rho-) as its
-    stack index.
+    received qubit's |1> amplitude, so rho- = Z rho+ Z with Z acting on
+    the received qubit (a diagonal signature), which is exact in
+    floating point. Both operators are validated as density operators
+    by one ``check_density_operators`` call on the stack, so a failure
+    names the sign (0 for rho+, 1 for rho-) as its stack index.
     """
     t = _check_t(t)
     if t > _MAX_ORACLE_T:
         raise ValueError(f"t={t} exceeds the explicit-construction cap {_MAX_ORACLE_T}")
     grid = _pair_grid(t)
-    angles = phase_angles(np.arange(1, grid + 1), grid)
     dim = 2 * (t + 1)
-    vecs = _challenge_and_frame(angles, t, +1).reshape(grid, dim)
-    total = vecs.T @ vecs.conj()
-    imag = float(np.abs(total.imag).max()) / grid
+    power = np.multiply.outer(np.arange(1, grid + 1), np.arange(t + 2))  # k (b+w), b+w <= t+1
+    power %= grid
+    phases = np.take(_unit_roots(grid), power, axis=1)                   # (cos/sin, k, b+w)
+    mags = _frame_magnitudes(t)
+    parts = np.empty((2, grid, 2, t + 1))                                # (cos/sin, k, b, w)
+    np.multiply(phases[..., :-1], mags, out=parts[..., 0, :])
+    np.multiply(phases[..., 1:], mags, out=parts[..., 1, :])
+    parts = parts.reshape(2, grid, dim)                                  # C, S
+    stacked = parts.reshape(2 * grid, dim)
+    skew = parts[1].T @ parts[0]
+    imag = float(np.abs(skew - skew.T).max()) / (2 * grid)
     if imag > CONSTRUCT_ATOL:
         raise NumericalError(f"grid average at t={t} has imaginary part {imag!r}")
     pair = np.empty((2, dim, dim))
     plus, minus = pair
-    np.divide(total.real, grid, out=plus)
-    # rho- = S rho+ S; adding +0.0 leaves an exact zero as +0.0, as the
+    np.divide(stacked.T @ stacked, 2 * grid, out=plus)
+    # rho- = Z rho+ Z; adding +0.0 leaves an exact zero as +0.0, as the
     # sign -1 average itself makes it, not as -0.0.
     signature = np.repeat([1.0, -1.0], t + 1)
     np.multiply(plus, np.multiply.outer(signature, signature), out=minus)
@@ -330,22 +333,22 @@ def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
     every relative phase (see ``eve_attack_round``), so it is evaluated
     at angle 0, in closed form (``_attack_table``).
     """
-    return _attack_table((strategy,))
+    return _attack_table([strategy.t], [_overlap_sum(strategy.t)])
 
 
-def _attack_table(strategies) -> BranchTable:
-    """The attacked round's row for each strategy, in order.
+def _attack_table(ts, overlaps) -> BranchTable:
+    """The attacked round's row for each copy count t, in order.
 
-    At angle 0, P+- act on each sector's real amplitudes (c_n, c_{n-1})
-    on (|0,n>, |1,n-1>). Summed over the sectors, with S =
-    ``overlap_sum(t)`` and c_0^2 = c_t^2 = 2^-t from the end sectors,
-    each branch's kept state is K+- = (1/4) [[1 +- 2^-t, +-S], [+-S,
-    1 +- 2^-t]], of trace (1 +- 2^-t)/2. One verifier step at angle 0
-    (``protocol.verify_kept_states``) and one table take every t.
+    ``overlaps`` holds S = ``overlap_sum(t)`` for each t. At angle 0,
+    P+- act on each sector's real amplitudes (c_n, c_{n-1}) on
+    (|0,n>, |1,n-1>). Summed over the sectors, with c_0^2 = c_t^2 =
+    2^-t from the end sectors, each branch's kept state is K+- = (1/4)
+    [[1 +- 2^-t, +-S], [+-S, 1 +- 2^-t]], of trace (1 +- 2^-t)/2. One
+    verifier step at angle 0 (``protocol.verify_kept_states``) and one
+    table take every t.
     """
-    ts = [strategy.t for strategy in strategies]
     edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
-    overlap = np.array([_overlap_sum(t) for t in ts])[:, None]
+    overlap = np.array(overlaps)[:, None]
     sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
     prob = 0.5 * (1.0 + sign * edge)
     kept = np.empty((len(ts), 2, 2, 2))
@@ -417,15 +420,19 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
 def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     """``eve_attack_round(t)`` for each t of ``t_values``, in order.
 
-    The closed-form kept states of every t go through one verifier pass
-    and one validated table (``_attack_table``); each report's
-    ``branches`` is its row of that table (``BranchTable.row``), bit for
-    bit the table ``eve_attack_round(t)`` makes.
+    S(t) is computed once per t: each strategy's psucc is 0.5 + 0.5 S,
+    bit for bit ``psucc_formula(t)``, and the same S gives the kept
+    states. The closed-form kept states of every t go through one
+    verifier pass and one validated table (``_attack_table``); each
+    report's ``branches`` is its row of that table (``BranchTable.row``),
+    bit for bit the table ``eve_attack_round(t)`` makes.
     """
-    strategies = [helstrom_strategy(t) for t in t_values]
-    if not strategies:
+    ts = [_check_t(t) for t in t_values]
+    if not ts:
         return []
-    table = _attack_table(strategies)
+    overlaps = [_overlap_sum(t) for t in ts]
+    strategies = [HelstromStrategy(t, 0.5 + 0.5 * overlap) for t, overlap in zip(ts, overlaps)]
+    table = _attack_table(ts, overlaps)
     return [_report(strategy, table.row(j)) for j, strategy in enumerate(strategies)]
 
 

@@ -65,7 +65,10 @@ def phase_bases(angles) -> np.ndarray:
 
     Axis -2 is the outcome (0 for "+", 1 for "-"), axis -1 the component:
     (|0> +- e^{i angle}|1>)/sqrt(2). The "+" vector is the public-key
-    element of the angle; every such qubit's amplitudes are made here.
+    element of the angle. The verifier kernel's and ``verify-identities``'
+    public-key qubits are made here; the adversary's dense oracle takes
+    its grid's phases from its own table of unit roots, in real
+    arithmetic, and the tests check it against these bases.
     """
     inv = 1.0 / math.sqrt(2.0)
     ph = np.exp(1j * np.asarray(angles, dtype=np.float64))

@@ -1,6 +1,8 @@
 import numpy as np
 
 from phaseid import protocol
+from phaseid.adversary import _frame_magnitudes
+from phaseid.keys import phase_bases
 from phaseid.qsim import PureState
 from phaseid.tolerances import EIGENVALUE_FLOOR
 
@@ -65,3 +67,30 @@ def reference_pass_probabilities(kept, bits, angles):
     for ops in (kept, corrected, sigma):
         assert np.linalg.eigvalsh(ops).min() >= EIGENVALUE_FLOOR
     return 0.5 * (1.0 + np.trace(corrected @ sigma, axis1=-2, axis2=-1).real)
+
+
+def frame_vector(t: int, angle) -> np.ndarray:
+    """Weight-basis amplitudes of t phase-state copies at a given angle.
+
+    Entry w is sqrt(C(t,w)/2^t) e^{i w angle}; the t-qubit product state
+    lives entirely in the symmetric subspace, so this (t+1)-vector is
+    the whole story. An array of angles gives one vector per angle, on
+    a trailing axis. The phases are cos + i sin of the real exponents,
+    the value ``np.exp`` gives on an imaginary argument.
+    """
+    exponent = np.multiply.outer(angle, np.arange(t + 1))
+    phases = np.empty(np.shape(exponent), dtype=np.complex128)
+    np.cos(exponent, out=phases.real)
+    np.sin(exponent, out=phases.imag)
+    return _frame_magnitudes(t) * phases
+
+
+def challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
+    """(|0> + sign e^{i angle}|1>)/sqrt(2) (x) frame(angle) for each angle.
+
+    The complex route to the discrimination pair's amplitudes: the
+    qubit is the sign's row of ``keys.phase_bases``. Shape
+    ``np.shape(angles) + (2, t+1)``: (received qubit, frame weight).
+    """
+    qubit = phase_bases(angles)[..., (1 - sign) // 2, :]
+    return qubit[..., :, None] * frame_vector(t, angles)[..., None, :]

@@ -19,7 +19,6 @@ from phaseid.adversary import (
     cheung_sum_bound,
     eve_attack_round,
     eve_attack_rounds,
-    frame_vector,
     helstrom_psucc_oracle,
     helstrom_strategy,
     overlap_sum,
@@ -28,7 +27,6 @@ from phaseid.adversary import (
 )
 from phaseid.adversary import (
     HelstromStrategy,
-    _challenge_and_frame,
     _frame_magnitudes,
     _pair_grid,
 )
@@ -48,6 +46,8 @@ from phaseid.rng import make_rng
 from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 from conftest import (
+    challenge_and_frame,
+    frame_vector,
     record_density_checks,
     reference_pass_probabilities,
     reference_sampled_records,
@@ -258,26 +258,40 @@ class TestDiscriminationPair:
         grid = 4 * t + 9
         angles = phase_angles(np.arange(1, grid + 1), grid)
         for sign, rho in zip((+1, -1), build_discrimination_pair(t)):
-            vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
+            vecs = challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
             finer = vecs.T @ vecs.conj() / grid
             assert np.max(np.abs(rho - finer)) < 1e-12
 
     def test_one_grid_average_equals_both_sign_averages(self):
-        # The pair against the definition: one explicit grid sum per
-        # sign. Each is real to CONSTRUCT_ATOL once divided by the grid
-        # size, and the pair's operators are its real part divided by
-        # the grid size, bit for bit.
+        # The pair against the definition, written out for each sign.
+        # Real route: one table of the grid's unit roots, indexed by the
+        # integer (b + w) k mod g and scaled by the frame magnitudes,
+        # gives C and S; the real Gram [C; S]^T [C; S] over 2g (the
+        # received qubit's 1/sqrt 2, squared) is the sign's operator bit
+        # for bit, and the imaginary part (M - M^T)/2g, M = S^T C, is
+        # within CONSTRUCT_ATOL. Complex route: the explicit grid sum of
+        # phase_bases (x) frame, real to CONSTRUCT_ATOL and equal to the
+        # operator entrywise within 1e-15.
         for t in range(1, 65):
             grid = _pair_grid(t)
-            angles = phase_angles(np.arange(1, grid + 1), grid)
             pair = build_discrimination_pair(t)
             assert pair.dtype == np.float64
+            root_angles = phase_angles(np.arange(grid), grid)
+            charge = np.add.outer(np.arange(2), np.arange(t + 1)).reshape(-1)
+            power = np.multiply.outer(np.arange(1, grid + 1), charge) % grid
+            angles = phase_angles(np.arange(1, grid + 1), grid)
             for sign, rho in zip((+1, -1), pair):
-                vecs = _challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
+                amp = np.concatenate([_frame_magnitudes(t), sign * _frame_magnitudes(t)])
+                cos, sin = (table[power] * amp for table in (np.cos(root_angles), np.sin(root_angles)))
+                skew = sin.T @ cos
+                assert np.abs(skew - skew.T).max() / (2 * grid) <= CONSTRUCT_ATOL
+                stacked = np.concatenate([cos, sin])
+                real = stacked.T @ stacked / (2 * grid)
+                assert np.array_equal(rho.view(np.int64), real.view(np.int64)), (t, sign)
+                vecs = challenge_and_frame(angles, t, sign).reshape(grid, 2 * (t + 1))
                 total = vecs.T @ vecs.conj()
                 assert np.abs(total.imag).max() / grid <= CONSTRUCT_ATOL
-                explicit = total.real / grid
-                assert np.array_equal(rho.view(np.int64), explicit.view(np.int64)), (t, sign)
+                np.testing.assert_allclose(rho, total.real / grid, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("p,aliased", [(3, 0.978553), (5, 0.962436), (11, 0.975731)])
     def test_key_phase_average_is_the_formula_up_to_p_minus_2(self, p, aliased):
@@ -290,7 +304,7 @@ class TestDiscriminationPair:
         for t in range(p):
             plus, minus = (
                 vecs.T @ vecs.conj() / p
-                for vecs in (_challenge_and_frame(angles, t, sign).reshape(p, 2 * (t + 1))
+                for vecs in (challenge_and_frame(angles, t, sign).reshape(p, 2 * (t + 1))
                              for sign in (+1, -1)))
             value = 0.5 + 0.25 * trace_norm(plus - minus)
             if t <= p - 2:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phaseid
-from phaseid import adversary, cli, identities, keys, protocol
+from phaseid import adversary, cli, identities, protocol
 from phaseid.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -225,9 +225,9 @@ class TestInternalFailureExit:
 
     def test_out_of_range_psucc_exits_numerical(self, capsys, monkeypatch):
         # psucc is computed, not given: a value outside [1/2, 1] is an
-        # internal failure, never bad input
-        monkeypatch.setattr(adversary, "helstrom_strategy",
-                            lambda t: adversary.HelstromStrategy(t, 1.5))
+        # internal failure, never bad input. An overlap sum S = 2 makes
+        # the sweep's psucc 1/2 + S/2 = 1.5.
+        monkeypatch.setattr(adversary, "_overlap_sum", lambda t: 2.0)
         code, _, err = run_cli(["run-attack", "--t", "2"], capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure: psucc 1.5 outside" in err
@@ -235,26 +235,35 @@ class TestInternalFailureExit:
     def test_imaginary_grid_average_exits_numerical(self, capsys, monkeypatch):
         # The oracle's grid average is real in exact arithmetic; a
         # 1e-9 imaginary part is an internal failure, never bad input.
-        # Turning the received qubit's |1> by a small phase keeps every
-        # DensityOperator check satisfied, so only the reality guard sees it.
-        exact = adversary._challenge_and_frame
+        # The exact table of unit roots is closed under conjugation,
+        # m -> g - m. Turning every root but 1 by a small phase breaks
+        # that and keeps every DensityOperator check satisfied, so only
+        # the reality guard sees it.
+        exact = adversary._unit_roots
+        turn = 3e-8
 
-        def skewed(angles, t, sign):
-            vecs = exact(angles, t, sign)
-            vecs[..., 1, :] *= np.exp(6e-9j)
-            return vecs
+        def skewed(grid):
+            cos, sin = exact(grid)
+            roots = np.stack([cos * np.cos(turn) - sin * np.sin(turn),
+                              sin * np.cos(turn) + cos * np.sin(turn)])
+            roots[:, 0] = 1.0, 0.0
+            return roots
 
-        monkeypatch.setattr(adversary, "_challenge_and_frame", skewed)
-        grid = adversary._pair_grid(2)
-        angles = keys.phase_angles(np.arange(1, grid + 1), grid)
-        vecs = skewed(angles, 2, +1).reshape(grid, 6)
-        assert 5e-10 < np.abs((vecs.T @ vecs.conj()).imag).max() / grid < 2e-9
+        monkeypatch.setattr(adversary, "_unit_roots", skewed)
+        # at t = 1 both frame magnitudes are 1/sqrt 2: each product of two
+        # amplitudes carries 1/2 from the frame and 1/2 from the qubit
+        grid = adversary._pair_grid(1)
+        cos, sin = skewed(grid)[:, np.multiply.outer(np.arange(1, grid + 1), [0, 1, 1, 2]) % grid]
+        skew = sin.T @ cos
+        assert 5e-10 < np.abs(skew - skew.T).max() / (4 * grid) < 2e-9
         with pytest.raises(NumericalError, match="imaginary part"):
             adversary.build_discrimination_pair(2)
         code, out, err = run_cli(["psucc-table", "--t-max", "2"], capsys)
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert "numerical failure: grid average at t=1 has imaginary part" in err
+        prefix = "phaseid: numerical failure: grid average at t=1 has imaginary part "
+        assert err.startswith(prefix) and err.endswith("\n")
+        assert 5e-10 < float(err[len(prefix):]) < 2e-9
 
 
 class TestRunAttack:
@@ -344,6 +353,16 @@ class TestRunAttack:
         assert code == EXIT_OK and out == ""
         golden = Path(__file__).parent / "data" / f"run_attack_t40.{fmt}"
         assert path.read_bytes() == golden.read_bytes()
+
+    def test_sweep_computes_each_overlap_sum_once(self, capsys, monkeypatch):
+        # the strategies' psucc and the kept states read one S(t) per t,
+        # and the golden bytes survive
+        calls, exact = [], adversary._overlap_sum
+        monkeypatch.setattr(adversary, "_overlap_sum", lambda t: calls.append(t) or exact(t))
+        code, out, _ = run_cli(["run-attack", "--t-max", "40", "--s", "83"], capsys)
+        assert code == EXIT_OK
+        assert calls == list(range(1, 41))
+        assert out == (Path(__file__).parent / "data" / "run_attack_t40.json").read_text()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_row_does_not_depend_on_the_sweep(self, capsys, fmt):
@@ -446,6 +465,23 @@ class TestPsuccTable:
         assert code == EXIT_OK and out == ""
         golden = Path(__file__).parent / "data" / f"psucc_table_t64.{fmt}"
         assert path.read_bytes() == golden.read_bytes()
+
+    def test_t_max_256_output_bytes(self, capsys):
+        # sha256 of the stdout of the whole table, up to the oracle's cap,
+        # recorded from the complex grid sum that the real Gram replaced
+        code, out, _ = run_cli(["psucc-table", "--t-max", "256"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e45316a21e2ceb49e4f2915386d0966a32c42dc064e6e0896ec40ce74f825eb7")
+
+    def test_repeat_table_computes_no_magnitudes(self, capsys):
+        # the memo covers every t up to the oracle's cap, so a repeat
+        # call reads each t's frame magnitudes from it
+        run_cli(["psucc-table", "--t-max", "32"], capsys)
+        misses = adversary._frame_magnitudes.cache_info().misses
+        code, _, _ = run_cli(["psucc-table", "--t-max", "32"], capsys)
+        assert code == EXIT_OK
+        assert adversary._frame_magnitudes.cache_info().misses == misses
 
     def test_default_depth(self, capsys):
         _, out, _ = run_cli(["psucc-table"], capsys)
