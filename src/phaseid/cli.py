@@ -15,8 +15,10 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 # Only numpy-free modules at import time: each command imports the modules
 # it runs, so ``--help`` and ``bounds`` never load numpy.
@@ -98,9 +100,53 @@ def _write_text(out: str | None, text: str) -> None:
     _write_chunks(out, (text,))
 
 
+def _json_scalar(value) -> str:
+    """One scalar as ``json.dumps`` writes it."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    return int.__repr__(value)
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` laid out as ``json.dumps(..., indent=2)`` lays it out at depth ``indent``."""
+    if isinstance(value, dict):
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        inner = indent + "  "
+        if set(map(type, value)) <= {int}:              # a key's phases: no dispatch per element
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json_value(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return _json_scalar(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _json_document(obj: dict) -> str:
+    """The bytes of ``json.dumps(obj, indent=2) + "\\n"``, written directly.
+
+    Every JSON document of the CLI is written here. Dict keys must be
+    strings. Strings and keys go through the C escaper, finite floats
+    and ints through ``repr``; only NaN, the infinities, None and bools
+    go to ``json.dumps``, so no document takes the stdlib's pure-Python
+    indenting encoder.
+    """
+    return _json_value(obj, "") + "\n"
+
+
 def _rows_as_json(rows: list[dict]) -> str:
     shaped = [{k: _sig(v, JSON_SIG_DIGITS) for k, v in row.items()} for row in rows]
-    return json.dumps({"rows": shaped}, indent=2) + "\n"
+    return _json_document({"rows": shaped})
 
 
 def _rows_as_csv(rows: list[dict]) -> str:
@@ -145,7 +191,7 @@ def cmd_keygen(args) -> int:
         if args.expose_phases:
             raise ConfigError("--expose-phases only applies to --public exports")
         payload = keys.private_key_payload(params, args.seed, key)
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, _json_document(payload))
     return EXIT_OK
 
 
@@ -340,7 +386,7 @@ def cmd_verify_identities(args) -> int:
         shaped = [
             {k: _sig(v, JSON_SIG_DIGITS) for k, v in row.items()} for row in results
         ]
-        _write_text(args.out, json.dumps({"checks": shaped}, indent=2) + "\n")
+        _write_text(args.out, _json_document({"checks": shaped}))
     if all(row["passed"] for row in results):
         return EXIT_OK
     return EXIT_NUMERICAL
@@ -397,8 +443,8 @@ def build_parser() -> _Parser:
         description="Guessing probability for t = 1..t_max copies: the closed form, the "
                     "dense trace-norm oracle and Cheung's bound. For every t the oracle "
                     "builds and validates (2t+2)-dimensional states and takes the trace "
-                    "norm from one (t+1)-dimensional SVD, O(T^4) in total for --t-max T: "
-                    "--t-max 256 (the largest it accepts) takes about 6.5 s.")
+                    "norm from one (t+1)-dimensional SVD, O(T^4) in total for --t-max T. "
+                    "The largest --t-max it accepts is 256.")
     common(p, fmt=True)
     p.add_argument("--t-max", dest="t_max", type=int, default=None,
                    help="largest t (default 8); the dense oracle's cost grows as t_max^4")

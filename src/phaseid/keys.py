@@ -10,11 +10,14 @@ The module also carries the two averaging facts the security analysis
 rests on: the discrete uniform average of e^{2 pi i a k / p} vanishes
 unless p divides a, and a uniform phase mixture of n-fold product keys
 equals the binomially weighted mixture of Hamming-weight states
-whenever p >= n + 1.
+whenever p >= n + 1. Both evaluate each transcendental value once:
+the exponential sums once per (exponent, phase) over all the moduli
+asked for, the product amplitudes once per (phase, Hamming weight).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -259,7 +262,12 @@ def _product_state_averages(ps: list[int], n: int) -> tuple[np.ndarray, np.ndarr
     consecutive chunks, across moduli, share one cos and one sin call
     up to that many phases. So the temporaries stay bounded however
     large p is, and each modulus's average is the same bit for bit
-    whatever other moduli share the call.
+    whatever other moduli share the call. A label's amplitude depends
+    only on its weight, so cos and sin run once per (phase, weight),
+    n + 1 values where there are 2^n labels, and one gather lays them
+    out per label in a new C-contiguous array: the products then see
+    the same values in the same layout as if each label had its own
+    cos and sin call, and give the same sums bit for bit.
     """
     w = _weights(n)
     scale = 2.0 ** (-n / 2.0)
@@ -269,11 +277,12 @@ def _product_state_averages(ps: list[int], n: int) -> tuple[np.ndarray, np.ndarr
     for group in _chunk_passes(ps, step):
         ks = np.concatenate([np.arange(start, stop) for _, start, stop in group])
         moduli = np.concatenate([np.full(stop - start, ps[i]) for i, start, stop in group])
-        theta = phase_angles(ks, moduli)[:, None] * w
-        amps = np.empty((2,) + theta.shape)                       # (cos/sin, phase, label)
-        np.cos(theta, out=amps[0])
-        np.sin(theta, out=amps[1])
-        amps *= scale
+        theta = phase_angles(ks, moduli)[:, None] * np.arange(n + 1)
+        trig = np.empty((2,) + theta.shape)                       # (cos/sin, phase, weight)
+        np.cos(theta, out=trig[0])
+        np.sin(theta, out=trig[1])
+        trig *= scale
+        amps = np.take(trig, w, axis=-1)                          # (cos/sin, phase, label)
         row = 0
         for i, start, stop in group:
             part = amps[:, row:row + stop - start]
@@ -338,16 +347,42 @@ def symmetric_mixture(n: int) -> DensityOperator:
     return DensityOperator((2,) * n, _symmetric_mixture_matrix(n))
 
 
-def _phase_means(a, p: int) -> np.ndarray:
-    """(1/p) sum_{k=1..p} e^{2 pi i a k / p} at every exponent of ``a``, complex.
+def _phase_means(a, ps) -> np.ndarray:
+    """(1/p) sum_{k=1..p} e^{2 pi i a k / p} for each p of ``ps``, complex.
 
-    A scalar exponent is multiplied by 2 pi i in Python, as it always
-    was, so its value stays the same bit for bit, also for integers
-    beyond int64.
+    One exponential pass serves every modulus: row i holds the means of
+    ``ps[i]`` at every exponent of ``a``, each bit for bit its value for
+    that modulus alone. A scalar exponent is multiplied by 2 pi i in
+    Python, as it always was, so its value stays the same bit for bit,
+    also for integers beyond int64.
     """
-    ks = np.arange(1, p + 1)
+    ks = np.concatenate([np.arange(1, p + 1) for p in ps])
     turns = 2j * np.pi * (a if np.isscalar(a) else np.asarray(a))
-    return np.mean(np.exp(np.asarray(turns)[..., None] * ks / p), axis=-1)
+    terms = np.exp(np.asarray(turns)[..., None] * ks / np.repeat(ps, ps))
+    return np.stack([terms[..., stop - p:stop].sum(axis=-1) / p
+                     for p, stop in zip(ps, itertools.accumulate(ps))])
+
+
+def _phase_average_rows(a, ps) -> np.ndarray:
+    """``phase_average_exponential(a, p)`` for every p of ``ps``, from one exponential pass.
+
+    Row i is bit for bit the value of the call for ``ps[i]``. The
+    imaginary parts are checked modulus by modulus, in order, so a
+    failure names the modulus and exponent that those calls, made in
+    turn, would name.
+    """
+    ps = tuple(ps)
+    if min(ps) < 1:
+        raise ValueError(f"p must be >= 1, got {min(ps)}")
+    vals = _phase_means(a, ps)
+    bad = np.flatnonzero(np.abs(vals.imag) > CONSTRUCT_ATOL)
+    if bad.size:
+        row, i = divmod(int(bad[0]), np.size(a))
+        raise NumericalError(
+            f"phase average at a={np.ravel(a)[i]}, p={ps[row]} has imaginary part "
+            f"{float(np.ravel(vals)[bad[0]].imag)!r}"
+        )
+    return vals.real.copy()
 
 
 def phase_average_exponential(a, p: int):
@@ -360,19 +395,8 @@ def phase_average_exponential(a, p: int):
     its element alone. The imaginary parts are checked over the whole
     array; NumericalError names the first exponent that fails.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    vals = _phase_means(a, p)
-    bad = np.flatnonzero(np.abs(vals.imag) > CONSTRUCT_ATOL)
-    if bad.size:
-        i = int(bad[0])
-        raise NumericalError(
-            f"phase average at a={np.ravel(a)[i]}, p={p} has imaginary part "
-            f"{float(np.ravel(vals)[i].imag)!r}"
-        )
-    if vals.ndim == 0:
-        return float(vals.real)
-    return vals.real.copy()
+    (vals,) = _phase_average_rows(a, (p,))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> dict:

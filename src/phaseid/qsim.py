@@ -18,15 +18,18 @@ Each construction invariant is written once, in a validator that takes
 a stack of values on leading axes: ``check_pure_states``,
 ``check_density_operators`` and ``check_orthonormal_bases``. The value
 classes and ``measure_in_basis`` call them on a single value; batched
-callers call them once on a whole stack. On a stack of 2x2 operators,
-the form every kept qubit of a session takes, the positivity check uses
-the closed-form smallest eigenvalue instead of ``eigvalsh``. On larger
+callers call them once on a whole stack. A passing stack costs one
+fused test per validator; only a failing one runs the checks one by
+one, to name the first failure. On a stack of 2x2 operators, the form
+every kept qubit of a session takes, the positivity check uses the
+closed-form smallest eigenvalue instead of ``eigvalsh``. On larger
 operators one Cholesky factorisation of the shifted Hermitian part
 certifies positivity; ``eigvalsh`` runs only when that certificate
 fails, to decide and to report the offending eigenvalue. Either LAPACK
-call takes a Hermitian part whose imaginary part is exactly zero as a
-real symmetric matrix. A density operator built from a real matrix
-stays real (float64); any other input is stored as complex128.
+call takes a real, exactly symmetric matrix as it is, and a Hermitian
+part whose imaginary part is exactly zero as a real symmetric matrix.
+A density operator built from a real matrix stays real (float64); any
+other input is stored as complex128.
 """
 
 from __future__ import annotations
@@ -93,15 +96,22 @@ def check_pure_states(amplitudes) -> None:
     Every amplitude must be finite and every vector must have unit norm
     to CONSTRUCT_ATOL. Leading axes index the stack; a 1-D array is one
     state. Raises StateValidationError naming the first failing index.
+
+    A passing stack costs one test, of the norm deviation, which is NaN
+    or inf wherever an amplitude is not finite. Only a stack that fails
+    it runs the checks in turn, so the first failure is named as before.
     """
     amps = np.asarray(amplitudes)
+    with np.errstate(invalid="ignore"):                 # non-finite input fails below
+        norm = np.linalg.norm(amps, axis=-1)
+    deviation = np.abs(norm - 1.0)
+    if (deviation <= CONSTRUCT_ATOL).all():
+        return
     _require_finite(amps, (-1,), "amplitudes")
-    norm = np.linalg.norm(amps, axis=-1)
-    idx = _first_bad(np.abs(norm - 1.0) > CONSTRUCT_ATOL)
-    if idx is not None:
-        raise StateValidationError(
-            f"state is not normalized: norm={float(norm[idx])!r}" + _where(idx)
-        )
+    idx = _first_bad(deviation > CONSTRUCT_ATOL)
+    raise StateValidationError(
+        f"state is not normalized: norm={float(norm[idx])!r}" + _where(idx)
+    )
 
 
 def _real_if_exact(herm: np.ndarray) -> np.ndarray:
@@ -194,24 +204,38 @@ def check_density_operators(matrices) -> None:
     2-D array is one operator. Raises StateValidationError naming the
     first failing index.
 
+    A passing stack costs one fused test of the Hermitian gap
+    max |M - M^dagger| and the trace; the gap is NaN or inf wherever an
+    entry is not finite, so the same test also refuses those. Only a
+    stack that fails it runs the checks in turn, reusing the gap and the
+    trace, so the first failure and its stack index are named as if each
+    check had run on its own.
+
     For 2x2 matrices the smallest eigenvalue of the Hermitian part
     [[a, b], [conj b, d]] is taken in closed form,
     (a + d)/2 - hypot((a - d)/2, |b|), with no LAPACK call. Larger
     matrices are first certified by one shifted Cholesky factorisation
     (``_above_floor_certified``); only when that fails does ``eigvalsh``
-    decide, and name the smallest eigenvalue of a failure. Both take the
-    real part alone when the Hermitian part's imaginary part is exactly
-    zero (see ``_real_if_exact``). All are compared with the same floor.
+    decide, and name the smallest eigenvalue of a failure. Both run on
+    the matrix itself when it is real and exactly symmetric, since it is
+    then its own Hermitian part bit for bit, and otherwise take the real
+    part alone when the Hermitian part's imaginary part is exactly zero
+    (see ``_real_if_exact``). All are compared with the same floor; a
+    NaN eigenvalue fails it.
     """
     mats = np.asarray(matrices)
-    _require_finite(mats, (-2, -1), "matrix entries")
-    adjoint = mats.conj().swapaxes(-1, -2)
-    idx = _first_bad(np.abs(mats - adjoint).max(axis=(-2, -1)) > CONSTRUCT_ATOL)
-    if idx is not None:
-        raise StateValidationError("density operator is not Hermitian" + _where(idx))
-    tr = np.trace(mats, axis1=-2, axis2=-1)
-    idx = _first_bad(np.abs(tr - 1.0) > CONSTRUCT_ATOL)
-    if idx is not None:
+    adjoint = mats.swapaxes(-1, -2)
+    if np.iscomplexobj(mats):
+        adjoint = adjoint.conj()
+    with np.errstate(invalid="ignore"):                 # non-finite input fails below
+        gap = np.abs(mats - adjoint).max(axis=(-2, -1))
+        tr = np.trace(mats, axis1=-2, axis2=-1)
+    if not ((gap <= CONSTRUCT_ATOL) & (np.abs(tr - 1.0) <= CONSTRUCT_ATOL)).all():
+        _require_finite(mats, (-2, -1), "matrix entries")
+        idx = _first_bad(gap > CONSTRUCT_ATOL)
+        if idx is not None:
+            raise StateValidationError("density operator is not Hermitian" + _where(idx))
+        idx = _first_bad(np.abs(tr - 1.0) > CONSTRUCT_ATOL)
         raise StateValidationError(
             f"density operator trace is {complex(tr[idx])!r}, not 1" + _where(idx)
         )
@@ -220,11 +244,14 @@ def check_density_operators(matrices) -> None:
         b = 0.5 * (mats[..., 0, 1] + adjoint[..., 0, 1])
         low = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
     else:
-        herm = _real_if_exact((mats + adjoint) / 2.0)
+        if mats.dtype.kind == "f" and not gap.any():
+            herm = mats
+        else:
+            herm = _real_if_exact((mats + adjoint) / 2.0)
         if _above_floor_certified(herm):
             return
         low = np.linalg.eigvalsh(herm).min(axis=-1)
-    idx = _first_bad(low < EIGENVALUE_FLOOR)
+    idx = _first_bad(~(low >= EIGENVALUE_FLOOR))
     if idx is not None:
         raise StateValidationError(
             f"density operator has eigenvalue {float(low[idx])!r} < 0" + _where(idx)

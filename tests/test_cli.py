@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phaseid
 from phaseid import adversary, cli, identities, protocol
@@ -663,6 +665,77 @@ class TestHelpText:
         assert err == ""
         golden = Path(__file__).parent / "data" / "help" / f"{command}.txt"
         assert out == golden.read_text(encoding="utf-8")
+
+
+# Every JSON scalar the CLI can meet, and the edges of their layout:
+# NaN, the infinities, -0.0, subnormals, 1e16 (repr switches to an
+# exponent), floats that ``_sig`` rounds, ints beyond int64, and strings
+# with quotes, escapes and non-ASCII characters.
+JSON_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 0.1 + 0.2, 1 / 3, 123456789.1234567]),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "ünïcødé ∞", "\U0001f600"]),
+)
+JSON_ROWS = st.lists(st.dictionaries(st.text(), JSON_SCALARS, max_size=5), max_size=4)
+KEYGEN_PAYLOADS = st.one_of(
+    st.fixed_dictionaries({
+        "r": st.integers(1, 10**6), "s": st.integers(1, 10**6),
+        "variant": st.sampled_from(["standard", "hardened"]),
+        "seed": st.integers(-2**70, 2**70), "xs": st.lists(st.integers(1, 10**6)),
+        "p": st.integers(2, 10**6)}),
+    st.fixed_dictionaries(
+        {"p": st.integers(2, 10**6), "xs_redacted": st.booleans(),
+         "elements": st.integers(1, 10**6)},
+        optional={"xs": st.lists(st.integers(1, 10**6))}),
+)
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer lays out the bytes of ``json.dumps(obj, indent=2) + "\\n"``."""
+
+    @given(JSON_ROWS)
+    @example([])
+    @example([{}])
+    @settings(max_examples=300, deadline=None)
+    def test_rows(self, rows):
+        assert cli._json_document({"rows": rows}) == _stdlib_json({"rows": rows})
+        shaped = [{k: cli._sig(v, cli.JSON_SIG_DIGITS) for k, v in row.items()} for row in rows]
+        assert cli._rows_as_json(rows) == _stdlib_json({"rows": shaped})
+
+    @given(KEYGEN_PAYLOADS)
+    @example({"r": 1, "s": 1, "variant": "standard", "seed": 0, "xs": [], "p": 2})
+    @example({"p": 2, "xs_redacted": False, "elements": 1, "xs": []})
+    @settings(max_examples=200, deadline=None)
+    def test_keygen_payloads(self, payload):
+        assert cli._json_document(payload) == _stdlib_json(payload)
+
+    @given(st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)),
+        max_leaves=12))
+    @example([1, True, 0, False, 2**64])            # bools are ints, but not written as ints
+    @settings(max_examples=200, deadline=None)
+    def test_nested_documents(self, value):
+        assert cli._json_document({"value": value}) == _stdlib_json({"value": value})
+
+    def test_commands_write_through_it(self, capsys, monkeypatch, tmp_path):
+        written = []
+        writer = cli._json_document
+        monkeypatch.setattr(cli, "_json_document", lambda obj: written.append(obj) or writer(obj))
+        # the stdlib's pure-Python (indenting) encoder is never reached
+        monkeypatch.setattr(json.encoder, "_make_iterencode", None)
+        for argv in (["keygen", "--r", "2", "--s", "4", "--seed", "1"],
+                     ["bounds", "--r", "2", "--s", "83"],
+                     ["verify-identities", "--out", str(tmp_path / "checks.json")]):
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+        assert [next(iter(obj)) for obj in written] == ["r", "rows", "checks"]
 
 
 class TestOutputBytes:

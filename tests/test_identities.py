@@ -32,6 +32,12 @@ def _old_scalar_phase_average(a: int, p: int) -> float:
     return complex(np.mean(np.exp(2j * np.pi * a * ks / p))).real
 
 
+def _old_phase_averages(a, p: int) -> np.ndarray:
+    """The array expression ``phase_average_exponential`` evaluated, one modulus per call."""
+    ks = np.arange(1, p + 1)
+    return np.mean(np.exp(2j * np.pi * np.asarray(a)[..., None] * ks / p), axis=-1).real
+
+
 class TestScalarOracle:
     def test_angles_are_the_phase_fractions(self):
         want = [keys.PhaseFraction(k, p).angle() for p, k in PHASES]
@@ -154,6 +160,71 @@ class TestOldLoopsAsOracles:
         assert np.float64(got).tobytes() == np.float64(_operator_by_operator_averaging()).tobytes()
 
 
+def _per_label_averages(ps, n):
+    """``keys._product_state_averages`` with cos and sin taken per (phase, label).
+
+    The form before the trigonometry moved to one call per (phase,
+    Hamming weight): the same chunks and products, with the angle of
+    every label's weight formed and fed to cos and sin label by label.
+    """
+    w = keys._weights(n)
+    scale = 2.0 ** (-n / 2.0)
+    step = max(1, keys._AVERAGE_CHUNK // w.size)
+    real = np.zeros((len(ps), w.size, w.size))
+    cross = np.zeros_like(real)
+    for group in keys._chunk_passes(ps, step):
+        ks = np.concatenate([np.arange(start, stop) for _, start, stop in group])
+        moduli = np.concatenate([np.full(stop - start, ps[i]) for i, start, stop in group])
+        theta = keys.phase_angles(ks, moduli)[:, None] * w
+        amps = np.empty((2,) + theta.shape)
+        np.cos(theta, out=amps[0])
+        np.sin(theta, out=amps[1])
+        amps *= scale
+        row = 0
+        for i, start, stop in group:
+            part = amps[:, row:row + stop - start]
+            stacked = part.reshape(-1, w.size)
+            real[i] += stacked.T @ stacked
+            cross[i] += part[1].T @ part[0]
+            row += stop - start
+    divisor = np.array(ps, dtype=np.float64)[:, None, None]
+    return real / divisor, (cross - cross.swapaxes(-1, -2)) / divisor
+
+
+class TestOneTrigonometryPass:
+    """The one-pass forms give the values of the forms they replace, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("moduli", ["n+1, n+2, 2n+3", "3, 1000", "97, 5, 4096"])
+    def test_product_state_averages_are_the_per_label_form(self, n, moduli):
+        # (3, 1000) and (97, 5, 4096) span several chunks for every n
+        ps = {"n+1, n+2, 2n+3": [n + 1, n + 2, 2 * n + 3], "3, 1000": [3, 1000],
+              "97, 5, 4096": [97, 5, 4096]}[moduli]
+        real, imag = keys._product_state_averages(ps, n)
+        want_real, want_imag = _per_label_averages(ps, n)
+        assert real.tobytes() == want_real.tobytes()
+        assert imag.tobytes() == want_imag.tobytes()
+
+    def test_phase_average_rows_are_the_one_modulus_calls(self):
+        a = np.arange(-12, 13)
+        want = np.stack([keys.phase_average_exponential(a, p) for p in range(2, 10)])
+        got = keys._phase_average_rows(a, range(2, 10))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        old = np.stack([_old_phase_averages(a, p) for p in range(2, 10)])
+        assert got.tobytes() == old.tobytes()
+        worst = float(np.max(np.abs(want - (a % np.arange(2, 10)[:, None] == 0))))
+        assert np.float64(identities._check_phase_average()).tobytes() == \
+            np.float64(worst).tobytes()
+
+    @pytest.mark.parametrize("ps", [(1,), (4, 1, 9), tuple(range(1, 30)), (64, 3)])
+    def test_phase_means_of_many_moduli_are_each_modulus_alone(self, ps):
+        a = np.arange(-40, 41).reshape(9, 9)
+        got = keys._phase_means(a, ps)
+        assert got.shape == (len(ps),) + a.shape
+        for p, row in zip(ps, got):
+            assert row.tobytes() == keys._phase_means(a, (p,))[0].tobytes()
+
+
 class TestPhaseAverageGuard:
     @staticmethod
     def _skew(monkeypatch, at: int):
@@ -170,6 +241,18 @@ class TestPhaseAverageGuard:
         with pytest.raises(NumericalError, match="imaginary part"):
             keys.phase_average_exponential(-3, 5)
         assert keys.phase_average_exponential(4, 5) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rows_name_the_first_failing_modulus(self, monkeypatch):
+        exact = keys._phase_means
+
+        def skewed(a, ps):
+            vals = exact(a, ps)
+            vals[3:, 20] += 1e-9j                      # p = 5..9, at a = 8
+            return vals
+
+        monkeypatch.setattr(keys, "_phase_means", skewed)
+        with pytest.raises(NumericalError, match="a=8, p=5 has imaginary part"):
+            keys._phase_average_rows(np.arange(-12, 13), range(2, 10))
 
 
 class TestAveragedOperatorGuard:
