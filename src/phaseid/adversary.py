@@ -11,13 +11,13 @@ discriminating two explicit mixed states at equal priors.
 The main path works in sector form. The phase average makes both
 states block diagonal in the charge sectors n = b + w, where b is the
 received qubit and w the frame weight, and no block is larger than
-2x2. Helstrom's measurement is then a closed-form projector per sector,
-applied in O(t). It commutes with the phase rotation, so an attacked
-round has the same branch and pass probabilities at every relative
-phase, and one evaluation equals the phase average. The exact attack
-round is that one evaluation, at angle 0, where every amplitude is
-real. Each branch leaves the verifier a kept 2x2 state in closed form,
-with no frame-length array, and his own step (entangled challenge,
+2x2. Helstrom's measurement is then a closed-form projector per
+sector. It commutes with the phase rotation, so an attacked round has
+the same branch and pass probabilities at every relative phase, and
+one evaluation equals the phase average. The exact attack round is
+that one evaluation, at angle 0, where every amplitude is real. Each
+branch leaves the verifier a kept 2x2 state in closed form, with no
+frame-length array, and his own step (entangled challenge,
 conditional Z, SWAP test) turns the two into one row, reproducing
 p_pass = (1 + psucc)/2. An adversarial session is that one row with
 every round indexing it, whatever its key.
@@ -248,7 +248,7 @@ def build_discrimination_pair(t: int) -> np.ndarray:
 class HelstromStrategy:
     """Optimal binary measurement {P+, P-} on the (received, frame) registers.
 
-    Stored in sector form. The phase-averaged pair is block diagonal in
+    Given in sector form. The phase-averaged pair is block diagonal in
     the charge sectors n = b + w. In each interior sector 1 <= n <= t
     the gap rho+ - rho- is c_n c_{n-1} sigma_x on {|0,n>, |1,n-1>}
     (c_w the frame magnitudes), so by Helstrom's theorem P+ projects
@@ -264,33 +264,6 @@ class HelstromStrategy:
         _check_t(self.t)
         if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
             raise NumericalError(f"psucc {self.psucc!r} outside [1/2, 1]")
-
-    def project(self, psi) -> tuple[np.ndarray, np.ndarray]:
-        """(P+ psi, P- psi), sector by sector, in O(t).
-
-        The last two axes of ``psi`` are (received qubit, frame weight),
-        of shape (2, t+1); any leading axes are carried along.
-        """
-        psi = np.asarray(psi)
-        if psi.shape[-2:] != (2, self.t + 1):
-            raise DimensionMismatchError(
-                f"expected trailing axes (2, {self.t + 1}), got shape {psi.shape}"
-            )
-        zero, one = psi[..., 0, :], psi[..., 1, :]
-        mid = 0.5 * (zero[..., 1:] + one[..., :-1])
-        plus = np.empty_like(psi)
-        plus[..., 0, 0] = zero[..., 0]
-        plus[..., 0, 1:] = mid
-        plus[..., 1, :-1] = mid
-        plus[..., 1, -1] = one[..., -1]
-        return plus, psi - plus
-
-    @property
-    def projector_plus(self) -> np.ndarray:
-        """Dense 2(t+1)-dimensional matrix of P+, built on demand."""
-        dim = 2 * (self.t + 1)
-        columns, _ = self.project(np.eye(dim, dtype=np.complex128).reshape(dim, 2, self.t + 1))
-        return columns.reshape(dim, dim).T
 
 
 def helstrom_strategy(t: int) -> HelstromStrategy:
@@ -368,8 +341,8 @@ class CheatGuessReport:
     Construction enforces p_pass = (1 + psucc)/2 between the kernel's
     p_pass (Z correction, SWAP test against the verifier's own authentic
     copy) and the strategy's psucc. So the report checks the verifier
-    kernel, and the test oracle, which forms the kept states by
-    ``HelstromStrategy.project``, checks the projector.
+    kernel; the projector is checked by the test oracle, which applies
+    P+- to the attacked amplitudes and forms the kept states from them.
     """
 
     t: int

@@ -375,7 +375,7 @@ def _phase_average_rows(a, ps) -> np.ndarray:
     if min(ps) < 1:
         raise ValueError(f"p must be >= 1, got {min(ps)}")
     vals = _phase_means(a, ps)
-    bad = np.flatnonzero(np.abs(vals.imag) > CONSTRUCT_ATOL)
+    bad = np.flatnonzero(~(np.abs(vals.imag) <= CONSTRUCT_ATOL))    # NaN fails too
     if bad.size:
         row, i = divmod(int(bad[0]), np.size(a))
         raise NumericalError(

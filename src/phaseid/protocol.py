@@ -25,9 +25,9 @@ Honest and attacked rounds share one verifier step,
 in closed form on the stacks: Z rho Z flips the sign of the
 off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
 and the positivity checks take the 2x2 smallest eigenvalue directly.
-Honest rounds form their kept states, P P^dagger of each branch's
-projected amplitudes, with ``kept_states`` (``verify_branches`` runs
-both); an attacked round brings its own in closed form.
+An honest branch leaves the kept qubit as one factor of a product
+state, so its kept state is a a^dagger, a its kept amplitude
+(``_honest_rows``); an attacked round brings its own in closed form.
 The verifier makes his authentic public-key copy himself, once per
 row, from the row's key angle. The kept states, their Z-corrected forms
 and the authentic projectors are validated together by one
@@ -80,12 +80,9 @@ __all__ = [
     "SessionTranscript",
     "UsageCounter",
     "bob_prepare_challenge",
-    "phase_basis",
     "alice_respond",
     "bob_verify_step",
-    "kept_states",
     "verify_kept_states",
-    "verify_branches",
     "honest_round_branches",
     "CHUNK_ROUNDS",
     "run_session",
@@ -94,7 +91,7 @@ __all__ = [
 _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
 # Angles per vectorised chunk of ``honest_round_branches``. A chunk's
-# temporaries take about 1.2 KB per angle, so they stay near 0.3 MB
+# temporaries peak at about 2.2 KB per angle, so they stay near 0.6 MB
 # however many phases a key has, while the fixed cost of a chunk stays
 # small next to its work.
 CHUNK_ROUNDS = 256
@@ -304,12 +301,6 @@ def bob_prepare_challenge() -> KernelChallenge:
     return _CHALLENGE
 
 
-def phase_basis(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis {(|0> + e^{i angle}|1>)/sqrt(2), (|0> - ...)}."""
-    plus, minus = phase_bases(angle)
-    return plus, minus
-
-
 def alice_respond(challenge: KernelChallenge, x: PhaseFraction):
     """Measure the received register 1 in the key's phase basis.
 
@@ -317,7 +308,7 @@ def alice_respond(challenge: KernelChallenge, x: PhaseFraction):
     MeasurementResult's ``outcome`` is the response bit. Both branches
     are returned; each has probability exactly 1/2 for this challenge.
     """
-    return measure_in_basis(challenge.joint_state, 1, phase_basis(x.angle()))
+    return measure_in_basis(challenge.joint_state, 1, phase_bases(x.angle()))
 
 
 def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> float:
@@ -335,29 +326,8 @@ def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> 
     return swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk))
 
 
-def kept_states(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's kept 2x2 state and its trace, the branch probability.
-
-    ``amplitudes`` (round, bit, kept, rest) holds each branch's
-    projected, unnormalised state: the verifier's kept qubit against all
-    that the prover holds, for response bit 0 and 1. A branch's kept
-    state is P P^dagger and its probability the trace; branches below
-    ZERO_BRANCH_PROB are not live; a NaN trace is live, so its slice
-    fails the checks. The normalised live slices are validated as pure
-    states. Returns the kept states, shape (round, bit, 2, 2), and the
-    probabilities, shape (round, bit), as ``verify_kept_states`` takes
-    them.
-    """
-    kept = amplitudes @ amplitudes.conj().swapaxes(-1, -2)        # (round, bit, 2, 2)
-    prob = np.trace(kept, axis1=-2, axis2=-1).real
-    live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
-    weight = prob[live]
-    check_pure_states(amplitudes[live].reshape(weight.size, -1) / np.sqrt(weight)[:, None])
-    return kept, prob
-
-
 def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The verifier's step on the kept states of ``kept_states``: the pass probabilities.
+    """The verifier's step on the provers' kept 2x2 states: the pass probabilities.
 
     ``kept`` (round, bit, 2, 2) holds each branch's unnormalised kept
     state and ``prob`` (round, bit) its trace; ``angles`` holds each
@@ -400,29 +370,14 @@ def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -
     return pass_prob
 
 
-def verify_branches(amplitudes: np.ndarray,
-                    angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bob_verify_step`` over both branches of a set of rounds.
-
-    The two parts in turn: ``kept_states`` forms each branch's kept
-    state and probability from its projected amplitudes (round, bit,
-    kept, rest), and ``verify_kept_states`` checks them against the
-    verifier's authentic copies made from ``angles``. Returns the branch
-    probabilities and the SWAP-test pass probabilities, both of shape
-    (round, 2), with pass 0 for every branch that is not live.
-    """
-    kept, prob = kept_states(amplitudes)
-    return prob, verify_kept_states(kept, prob, angles)
-
-
 def honest_round_branches(angles) -> BranchTable:
     """Branch table of honest rounds, one row per given key angle, in order.
 
     Every angle is evaluated, in vectorised chunks of CHUNK_ROUNDS. Every
     row makes the checks of its scalar form (``alice_respond``,
     ``partial_trace``, ``bob_verify_step``) on stacked arrays: the
-    phase bases are orthonormal, each collapsed (kept, sent) state is
-    normalised, and every 2x2 state is a density operator. The Bell
+    phase bases are orthonormal and every 2x2 state is a density
+    operator (``_honest_rows`` says why that suffices). The Bell
     challenge is the same in every round and is validated once.
     """
     joint = bob_prepare_challenge().joint_state.as_tensor()
@@ -441,14 +396,24 @@ def _honest_session(key: PrivateKey) -> tuple[BranchTable, np.ndarray]:
 
 
 def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(probability, pass_probability) of honest rounds against the (kept, sent) ``joint``."""
+    """(probability, pass_probability) of honest rounds against the (kept, sent) ``joint``.
+
+    Outcome b leaves the product a (x) v_b, v_b the prover's basis
+    vector and a = <v_b|_sent joint the kept amplitude, so the kept
+    state a a^dagger, of trace the branch probability, goes to
+    ``verify_kept_states`` as it is. No check is lost with the collapsed
+    state: normalised, it has unit norm for every finite branch whatever
+    |v_b|; a non-finite amplitude fails the verifier's density check;
+    and the norms of the v_b are checked by ``check_orthonormal_bases``.
+    """
     bases = phase_bases(angles)                                   # (round, outcome, 2)
     check_orthonormal_bases(bases)
     # Contract each basis vector with the sent register:
     # inner[j, b, i] = sum_k conj(bases[j, b, k]) joint[i, k], i the kept register.
     inner = bases.conj() @ joint.T
-    # The collapsed (kept, sent) state of each branch, unnormalised.
-    return verify_branches(inner[..., :, None] * bases[..., None, :], angles)
+    kept = inner[..., :, None] * inner.conj()[..., None, :]      # (round, outcome, 2, 2)
+    prob = np.trace(kept, axis1=-2, axis2=-1).real
+    return prob, verify_kept_states(kept, prob, angles)
 
 
 def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest", *,

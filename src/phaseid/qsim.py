@@ -262,13 +262,13 @@ def check_orthonormal_bases(bases) -> None:
     """Validate bases of row vectors on the last two axes of a stack.
 
     Row i of each (n, d) matrix is basis vector i; the Gram matrix must
-    equal the identity to CONSTRUCT_ATOL. Raises InvalidBasisError
-    naming the first failing index.
+    equal the identity to CONSTRUCT_ATOL, so a NaN or infinite entry
+    fails. Raises InvalidBasisError naming the first failing index.
     """
     vecs = np.asarray(bases)
     gram = vecs.conj() @ vecs.swapaxes(-1, -2)
     off = np.abs(gram - np.eye(vecs.shape[-2])).max(axis=(-2, -1))
-    idx = _first_bad(off > CONSTRUCT_ATOL)
+    idx = _first_bad(~(off <= CONSTRUCT_ATOL))
     if idx is not None:
         raise InvalidBasisError("basis is not orthonormal within tolerance" + _where(idx))
 

@@ -94,3 +94,30 @@ def challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:
     """
     qubit = phase_bases(angles)[..., (1 - sign) // 2, :]
     return qubit[..., :, None] * frame_vector(t, angles)[..., None, :]
+
+
+def helstrom_project(t: int, psi) -> tuple[np.ndarray, np.ndarray]:
+    """(P+ psi, P- psi) of the Helstrom measurement for t copies, sector by sector.
+
+    The projector oracle. The last two axes of ``psi`` are (received
+    qubit, frame weight), of shape (2, t+1); any leading axes are
+    carried along. In each interior sector n = b + w, P+ projects onto
+    (|0,n> + |1,n-1>)/sqrt(2); the end sectors |0,0> and |1,t> go to P+.
+    """
+    psi = np.asarray(psi)
+    assert psi.shape[-2:] == (2, t + 1), psi.shape
+    zero, one = psi[..., 0, :], psi[..., 1, :]
+    mid = 0.5 * (zero[..., 1:] + one[..., :-1])
+    plus = np.empty_like(psi)
+    plus[..., 0, 0] = zero[..., 0]
+    plus[..., 0, 1:] = mid
+    plus[..., 1, :-1] = mid
+    plus[..., 1, -1] = one[..., -1]
+    return plus, psi - plus
+
+
+def helstrom_projector_plus(t: int) -> np.ndarray:
+    """Dense 2(t+1)-dimensional matrix of the Helstrom P+ for t copies."""
+    dim = 2 * (t + 1)
+    columns, _ = helstrom_project(t, np.eye(dim, dtype=np.complex128).reshape(dim, 2, t + 1))
+    return columns.reshape(dim, dim).T

@@ -48,6 +48,8 @@ from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 from conftest import (
     challenge_and_frame,
     frame_vector,
+    helstrom_project,
+    helstrom_projector_plus,
     record_density_checks,
     reference_pass_probabilities,
     reference_sampled_records,
@@ -361,14 +363,13 @@ class TestHelstrom:
             HelstromStrategy(3, psucc)
 
     def test_projector_rank(self):
-        strat = helstrom_strategy(2)
-        rank = int(round(float(np.trace(strat.projector_plus).real)))
-        dim = strat.projector_plus.shape[0]
+        proj = helstrom_projector_plus(2)
+        rank = int(round(float(np.trace(proj).real)))
+        dim = proj.shape[0]
         assert 0 < rank < dim
 
     def test_projector_hermitian(self):
-        strat = helstrom_strategy(3)
-        proj = strat.projector_plus
+        proj = helstrom_projector_plus(3)
         assert np.max(np.abs(proj - proj.conj().T)) < 1e-10
 
     def test_sector_projector_is_optimal_for_dense_pair(self):
@@ -378,7 +379,7 @@ class TestHelstrom:
         for t in range(0, 65):
             rho_plus, rho_minus = build_discrimination_pair(t)
             gap = rho_plus - rho_minus
-            proj = helstrom_strategy(t).projector_plus
+            proj = helstrom_projector_plus(t)
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
             assert float(np.trace(proj @ gap).real) == pytest.approx(
                 0.5 * trace_norm(gap), abs=1e-9
@@ -387,15 +388,11 @@ class TestHelstrom:
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 8, 64])
     def test_projector_commutes_with_phase_rotation(self, t):
         # R(theta) = diag(e^{i(b+w) theta}) over (received b, frame weight w)
-        proj = helstrom_strategy(t).projector_plus
+        proj = helstrom_projector_plus(t)
         charge = np.add.outer(np.arange(2), np.arange(t + 1)).reshape(-1)
         for theta in (0.3, 1.0, 2.0 * math.pi / 5.0):
             rot = np.diag(np.exp(1j * theta * charge))
             assert np.max(np.abs(proj @ rot - rot @ proj)) <= 1e-12
-
-    def test_project_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            helstrom_strategy(2).project(np.zeros((2, 4)))
 
     def test_strategy_beyond_oracle_cap(self):
         t = 10_000
@@ -491,7 +488,7 @@ def _scalar_attack_round(strategy, x):
     psi = bob_prepare_challenge().joint_state.as_tensor()[:, :, None] * frame_vector(
         strategy.t, angle)
     rows = []
-    for bit, collapsed in enumerate(strategy.project(psi)):
+    for bit, collapsed in enumerate(helstrom_project(strategy.t, psi)):
         flat = collapsed.reshape(2, -1)
         kept = flat @ flat.conj().T
         prob = float(np.trace(kept).real)
@@ -539,7 +536,7 @@ def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
     sigma = DensityOperator.from_pure(public_key_state(x)).matrix
     z = np.diag([1.0, -1.0])
     want = []
-    for bit, collapsed in enumerate(strategy.project(psi)):
+    for bit, collapsed in enumerate(helstrom_project(strategy.t, psi)):
         flat = collapsed.reshape(2, -1)
         kept = flat @ flat.conj().T
         prob = np.trace(kept).real
@@ -557,7 +554,7 @@ def _reference_attack_table(strategy, angles):
     """Attacked branch table with the kept states formed by matrix products."""
     joint = bob_prepare_challenge().joint_state.as_tensor()
     psi = joint[None, :, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
-    rows = np.stack(strategy.project(psi), axis=1).reshape(angles.size, 2, 2, -1)
+    rows = np.stack(helstrom_project(strategy.t, psi), axis=1).reshape(angles.size, 2, 2, -1)
     kept = rows @ rows.conj().swapaxes(-1, -2)                    # (round, bit, 2, 2)
     prob = np.trace(kept, axis1=-2, axis2=-1).real
     live = prob >= ZERO_BRANCH_PROB

@@ -404,27 +404,19 @@ class TestRunAttack:
         assert 0.88 < row["empirical_pass_rate"] < 0.97
 
     def test_sampled_evaluates_each_attacked_row_once(self, capsys, monkeypatch):
-        # the exact report and the sampled draws share one row per t, one
-        # verifier pass covers t = 1, 2, 3, and the kept states come in
-        # closed form: no projected amplitudes
-        projected, verified = [], []
-        project = adversary.HelstromStrategy.project
+        # the exact report and the sampled draws share one row per t, and
+        # one verifier pass covers t = 1, 2, 3
+        verified = []
         verify_kept_states = adversary.verify_kept_states
-
-        def spy_project(strategy, psi):
-            projected.append(strategy.t)
-            return project(strategy, psi)
 
         def spy_verify(kept, prob, angles):
             verified.append((kept.shape, angles.tolist()))
             return verify_kept_states(kept, prob, angles)
 
-        monkeypatch.setattr(adversary.HelstromStrategy, "project", spy_project)
         monkeypatch.setattr(adversary, "verify_kept_states", spy_verify)
         code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",
                               "--trials", "100"], capsys)
         assert code == EXIT_OK
-        assert projected == []
         assert verified == [((3, 2, 2, 2), [0.0, 0.0, 0.0])]
 
     def test_sampled_rerun_identical(self, capsys):

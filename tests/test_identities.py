@@ -47,7 +47,7 @@ class TestScalarOracle:
         bell = protocol.bob_prepare_challenge().joint_state
         want = []
         for p, k in PHASES:
-            plus, minus = protocol.phase_basis(keys.PhaseFraction(k, p).angle())
+            plus, minus = keys.phase_bases(keys.PhaseFraction(k, p).angle())
             vec = (np.kron(plus, plus) - np.kron(minus, minus)) / math.sqrt(2.0)
             want.append(qsim.overlap(bell, qsim.PureState((2, 2), vec)))
         np.testing.assert_allclose(identities._challenge_overlaps(), want, rtol=0, atol=1e-15)
@@ -253,6 +253,14 @@ class TestPhaseAverageGuard:
         monkeypatch.setattr(keys, "_phase_means", skewed)
         with pytest.raises(NumericalError, match="a=8, p=5 has imaginary part"):
             keys._phase_average_rows(np.arange(-12, 13), range(2, 10))
+
+    def test_a_nan_average_is_refused(self):
+        # e^{i inf} is NaN, whose imaginary part compares false with the tolerance
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="a=inf, p=3 has imaginary part nan"):
+                keys.phase_average_exponential(np.inf, 3)
+            with pytest.raises(NumericalError, match="a=nan, p=2 has imaginary part nan"):
+                keys._phase_average_rows(np.array([4.0, np.nan]), range(2, 5))
 
 
 class TestAveragedOperatorGuard:

@@ -13,6 +13,7 @@ from phaseid import protocol
 from phaseid.adversary import EveProver, helstrom_strategy
 from phaseid.errors import (
     DimensionMismatchError,
+    InvalidBasisError,
     NumericalError,
     StateValidationError,
     TransportEmptyError,
@@ -23,6 +24,7 @@ from phaseid.keys import (
     PrivateKey,
     ProtocolParams,
     generate_private_key,
+    phase_bases,
     public_key_state,
     qubit_phase_state,
 )
@@ -37,10 +39,7 @@ from phaseid.protocol import (
     bob_prepare_challenge,
     bob_verify_step,
     honest_round_branches,
-    kept_states,
-    phase_basis,
     run_session,
-    verify_branches,
     verify_kept_states,
 )
 from phaseid.qsim import (
@@ -88,7 +87,7 @@ class TestKernelChallenge:
 @given(angles)
 @settings(max_examples=60, deadline=None)
 def test_phase_basis_orthonormal(angle):
-    b0, b1 = phase_basis(angle)
+    b0, b1 = phase_bases(angle)
     assert np.vdot(b0, b0) == pytest.approx(1.0, abs=1e-12)
     assert np.vdot(b1, b1) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(b0, b1)) == pytest.approx(0.0, abs=1e-12)
@@ -107,7 +106,7 @@ class TestAliceRespond:
         # challenge = (|x+ x+> - |x- x->)/sqrt(2) in the prover's basis,
         # so her outcome dictates the verifier's marginal exactly
         x = PhaseFraction(k, p)
-        b0, b1 = phase_basis(x.angle())
+        b0, b1 = phase_bases(x.angle())
         for branch, vec in zip(alice_respond(bob_prepare_challenge(), x), (b0, b1)):
             kept = partial_trace(branch.post_state, (0,))
             expect = np.outer(vec, vec.conj())
@@ -124,14 +123,14 @@ class TestBobVerifyStep:
     def test_minus_state_bit_one_corrects(self):
         # Z maps (|0> - e^{i a}|1>)/sqrt(2) onto the public element
         x = PhaseFraction(2, 5)
-        _, b1 = phase_basis(x.angle())
+        _, b1 = phase_bases(x.angle())
         out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 1,
                               public_key_state(x))
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_without_correction_is_coin_flip(self):
         x = PhaseFraction(2, 5)
-        _, b1 = phase_basis(x.angle())
+        _, b1 = phase_bases(x.angle())
         out = bob_verify_step(DensityOperator.from_pure(PureState((2,), b1)), 0,
                               public_key_state(x))
         assert out == pytest.approx(0.5, abs=1e-12)
@@ -454,7 +453,7 @@ def test_honest_sampled_transcript_matches_reference_loop(r, s, seed, data):
 def _reference_honest_table(angles):
     """Honest branch table with the kept states formed by matrix products."""
     joint = bob_prepare_challenge().joint_state.as_tensor()
-    bases = np.stack([np.stack(phase_basis(a)) for a in angles])   # (round, outcome, 2)
+    bases = phase_bases(angles)                                     # (round, outcome, 2)
     inner = bases.conj() @ joint.T
     prob = np.sum(np.abs(inner) ** 2, axis=-1)
     post = inner[..., :, None] * bases[..., None, :] / np.sqrt(prob)[..., None, None]
@@ -505,33 +504,48 @@ def test_every_honest_branch_state_reaches_the_density_check(monkeypatch):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
-def _honest_amplitudes(angles):
-    """(round, bit, kept, sent) amplitudes of honest rounds, as ``_honest_rows`` forms them."""
-    bases = np.stack([np.stack(phase_basis(a)) for a in angles])             # round, bit, 2
-    inner = bases.conj() @ bob_prepare_challenge().joint_state.as_tensor().T
-    return inner[..., :, None] * bases[..., None, :]
+def _honest_kept_states(angles, corrupt=None):
+    """(kept, prob) of honest rounds, formed as ``_honest_rows`` forms them.
+
+    ``corrupt`` is (round, bit, value): that branch's first kept
+    amplitude is set to ``value`` before the outer product.
+    """
+    inner = phase_bases(angles).conj() @ bob_prepare_challenge().joint_state.as_tensor().T
+    if corrupt is not None:
+        inner[corrupt[:2] + (0,)] = corrupt[2]
+    kept = inner[..., :, None] * inner.conj()[..., None, :]
+    return kept, np.trace(kept, axis1=-2, axis2=-1).real
 
 
-def test_verify_branches_is_its_two_parts():
+def test_honest_rows_give_the_verifier_their_kept_states(monkeypatch):
+    # the kept states reach ``verify_kept_states`` as they are formed
     angles = np.array([PhaseFraction(k, 7).angle() for k in range(1, 8)])
-    amps = _honest_amplitudes(angles)
-    kept, prob = kept_states(amps)
-    assert kept.shape == (7, 2, 2, 2) and prob.shape == (7, 2)
-    np.testing.assert_array_equal(prob, np.trace(kept, axis1=-2, axis2=-1).real)
-    got_prob, got_pass = verify_branches(amps, angles)
-    np.testing.assert_array_equal(got_prob, prob)
-    np.testing.assert_array_equal(got_pass, verify_kept_states(kept, prob, angles))
+    seen = []
+
+    def spy(kept, prob, angles):
+        seen.append((kept, prob))
+        return verify_kept_states(kept, prob, angles)
+
+    monkeypatch.setattr(protocol, "verify_kept_states", spy)
+    table = honest_round_branches(angles)
+    ((kept, prob),) = seen
+    want_kept, want_prob = _honest_kept_states(angles)
+    np.testing.assert_array_equal(kept, want_kept)
+    np.testing.assert_array_equal(prob, want_prob)
+    np.testing.assert_array_equal(table.probability, prob)
 
 
-def test_kept_states_check_the_normalised_live_slices():
+def test_an_overflowing_kept_amplitude_fails_the_density_check():
     # |1e200|^2 overflows, so the branch's trace is inf: live, and its
-    # slice normalises to zero. It is the third live branch in
-    # (round, bit) order.
-    amps = _honest_amplitudes(np.array([0.3, 1.1]))
-    amps[1, 0, 0, 0] = 1e200
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            StateValidationError, match=r"not normalized.*stack index \(2,\)"):
-        kept_states(amps)
+    # normalised kept state holds inf/inf = NaN. It is the third live
+    # branch in (round, bit) order.
+    angles = np.array([0.3, 1.1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept, prob = _honest_kept_states(angles, corrupt=(1, 0, 1e200))
+        assert prob[1, 0] == np.inf
+        with pytest.raises(StateValidationError,
+                           match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
+            verify_kept_states(kept, prob, angles)
 
 
 def test_a_nan_branch_is_live_and_fails_its_checks():
@@ -539,25 +553,31 @@ def test_a_nan_branch_is_live_and_fails_its_checks():
     # reach the checks, not pass as a dead branch with pass 0. Branch
     # (1, 0) is the third in (round, bit) order.
     angles = np.array([0.3, 1.1])
-    amps = _honest_amplitudes(angles)
-    amps[1, 0, 0, 0] = np.nan
-    for form in (kept_states, lambda amps: verify_branches(amps, angles)):
-        with np.errstate(invalid="ignore"), pytest.raises(
-                StateValidationError, match=r"amplitudes must be finite \(stack index \(2,\)\)"):
-            form(amps)
-    kept, prob = kept_states(_honest_amplitudes(angles))
-    kept, prob = kept.copy(), prob.copy()
+    with np.errstate(invalid="ignore"):
+        kept, prob = _honest_kept_states(angles, corrupt=(1, 0, np.nan))
+        assert np.isnan(prob[1, 0])
+        with pytest.raises(StateValidationError,
+                           match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
+            verify_kept_states(kept, prob, angles)
+    kept, prob = _honest_kept_states(angles)
     kept[1, 0, 0, 0] = prob[1, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
             StateValidationError, match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
         verify_kept_states(kept, prob, angles)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf])
+def test_a_non_finite_angle_fails_the_basis_check(angle):
+    # its phase basis is not finite, so its Gram matrix is not the identity
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidBasisError, match=r"not orthonormal.*\(stack index \(1,\)\)"):
+        honest_round_branches([0.3, angle])
+
+
 def test_verifier_refuses_a_probability_that_is_not_the_trace():
     # the normalised kept state then has trace != 1 (set 0, branch 1)
     angles = np.array([0.3, 1.1])
-    kept, prob = kept_states(_honest_amplitudes(angles))
-    prob = prob.copy()
+    kept, prob = _honest_kept_states(angles)
     prob[0, 1] *= 1.0 + 1e-6
     with pytest.raises(StateValidationError, match=r"trace .* \(stack index \(0, 1\)\)"):
         verify_kept_states(kept, prob, angles)

@@ -150,6 +150,17 @@ class TestStackedValidators:
         with pytest.raises(InvalidBasisError, match=r"stack index \(777,\)"):
             check_orthonormal_bases(bases)
 
+    @pytest.mark.parametrize("bad", [[[np.nan] * 2] * 2, [[1.0, 0.0], [0.0, np.inf]]])
+    def test_non_finite_bases_are_refused(self, bad):
+        # a NaN deviation from the identity compares false with the tolerance
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidBasisError, match="not orthonormal"):
+                check_orthonormal_bases(np.array(bad))
+            bases = np.stack([np.eye(2, dtype=np.complex128)] * STACK)
+            bases[777] = bad
+            with pytest.raises(InvalidBasisError, match=r"stack index \(777,\)"):
+                check_orthonormal_bases(bases)
+
 
 def _rotated(eigenvalues, seed: int) -> np.ndarray:
     """U diag(eigenvalues) U^dagger for a random unitary U."""
