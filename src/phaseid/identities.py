@@ -32,7 +32,7 @@ def _challenge_overlaps() -> np.ndarray:
 
     {|x+>, |x->} is the phase basis of the angle.
     """
-    bell = protocol.bob_prepare_challenge().joint_state
+    bell = protocol.bob_prepare_challenge()
     bases = keys.phase_bases(_phase_angles())                      # (case, outcome, 2)
     pairs = bases[:, :, :, None] * bases[:, :, None, :]            # |x x> of each outcome
     vecs = (pairs[:, 0] - pairs[:, 1]).reshape(-1, 4) / math.sqrt(2.0)

@@ -10,9 +10,11 @@ The module also carries the two averaging facts the security analysis
 rests on: the discrete uniform average of e^{2 pi i a k / p} vanishes
 unless p divides a, and a uniform phase mixture of n-fold product keys
 equals the binomially weighted mixture of Hamming-weight states
-whenever p >= n + 1. Both evaluate each transcendental value once:
-the exponential sums once per (exponent, phase) over all the moduli
-asked for, the product amplitudes once per (phase, Hamming weight).
+whenever p >= n + 1. The second is the first read entry by entry: the
+product keys' entry for labels of Hamming weights w and v averages
+e^{2 pi i (w - v) k / p}, so one exponential pass over the 2n + 1
+weight differences, shared by all the moduli asked for, gives every
+average.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ __all__ = [
     "public_key_descriptor",
 ]
 
-# Explicit bitstring enumeration caps (memory, not correctness).
-_MAX_SYMMETRIC_N = 20
-_MAX_AVERAGED_N = 10
-
-# Amplitudes per vectorised chunk of product vectors in the phase average.
-_AVERAGE_CHUNK = 2**16
+# Bitstring enumeration cap (memory, not correctness): the weight mixture
+# and the phase averages are 2^n x 2^n float64 matrices, 8 MiB each at n = 10.
+_MAX_N = 10
 
 
 def phase_angles(ks, p):
@@ -224,94 +223,27 @@ def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
 def averaged_key_operators(ps, n: int) -> np.ndarray:
     """Uniform averages of (|psi_x><psi_x|)^(x n) over x in {1..p}, one per p of ``ps``.
 
-    Returns a float64 stack of shape (len(ps), 2^n, 2^n). Each average
-    is real for every p: the entry for labels of weights w and v is the
-    mean of e^{i theta (w - v)} over the p-th roots of unity, which is 1
-    or 0. Each computed average's imaginary part, rounding noise, must
-    stay within CONSTRUCT_ATOL; the moduli are checked in order, and
-    NumericalError names the first that fails. The real parts are kept.
-    They are not validated as density operators here: the caller
-    validates them, with whatever else it builds, in one stacked check.
+    Returns a float64 stack of shape (len(ps), 2^n, 2^n); no moduli give
+    an empty stack. The entry for labels of Hamming weights w and v is
+    2^-n times the mean of e^{2 pi i (w - v) k / p} over k = 1..p, which
+    is 1 or 0: one ``_phase_average_rows`` pass over the differences
+    -n..n, gathered per pair of labels into one C-contiguous stack,
+    gives every average, each bit for bit its own call's value. That pass checks the imaginary parts,
+    rounding noise, against CONSTRUCT_ATOL, modulus by modulus in order,
+    and NumericalError names the first exponent and modulus that fail.
+    The averages are not validated as density operators here: the
+    caller validates them, with whatever else it builds, in one stacked
+    check.
     """
     ps = [int(p) for p in ps]
     for p in ps:
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
-    if not 1 <= n <= _MAX_AVERAGED_N:
-        raise ValueError(f"n must lie in 1..{_MAX_AVERAGED_N}, got {n}")
-    real, imag = _product_state_averages(ps, n)
-    worst = np.abs(imag).max(axis=(-2, -1))
-    bad = np.flatnonzero(worst > CONSTRUCT_ATOL)
-    if bad.size:
-        i = int(bad[0])
-        raise NumericalError(
-            f"phase average at p={ps[i]}, n={n} has imaginary part {float(worst[i])!r}"
-        )
-    return real
-
-
-def _product_state_averages(ps: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the averages behind ``averaged_key_operators``.
-
-    Built directly from the product amplitudes e^{i theta w}/2^{n/2},
-    where w is the Hamming weight of the basis label, as real arrays:
-    with c and s the cosine and sine parts of one modulus's product
-    vectors, its average is (c^T c + s^T s)/p plus i (s^T c - c^T s)/p,
-    and s^T c - c^T s is M - M^T for M = s^T c. Each modulus runs
-    through its phases from k = 1 in chunks of _AVERAGE_CHUNK // 2^n;
-    consecutive chunks, across moduli, share one cos and one sin call
-    up to that many phases. So the temporaries stay bounded however
-    large p is, and each modulus's average is the same bit for bit
-    whatever other moduli share the call. A label's amplitude depends
-    only on its weight, so cos and sin run once per (phase, weight),
-    n + 1 values where there are 2^n labels, and one gather lays them
-    out per label in a new C-contiguous array: the products then see
-    the same values in the same layout as if each label had its own
-    cos and sin call, and give the same sums bit for bit.
-    """
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
     w = _weights(n)
-    scale = 2.0 ** (-n / 2.0)
-    step = max(1, _AVERAGE_CHUNK // w.size)
-    real = np.zeros((len(ps), w.size, w.size))
-    cross = np.zeros_like(real)
-    for group in _chunk_passes(ps, step):
-        ks = np.concatenate([np.arange(start, stop) for _, start, stop in group])
-        moduli = np.concatenate([np.full(stop - start, ps[i]) for i, start, stop in group])
-        theta = phase_angles(ks, moduli)[:, None] * np.arange(n + 1)
-        trig = np.empty((2,) + theta.shape)                       # (cos/sin, phase, weight)
-        np.cos(theta, out=trig[0])
-        np.sin(theta, out=trig[1])
-        trig *= scale
-        amps = np.take(trig, w, axis=-1)                          # (cos/sin, phase, label)
-        row = 0
-        for i, start, stop in group:
-            part = amps[:, row:row + stop - start]
-            stacked = part.reshape(-1, w.size)                    # rows c, then rows s
-            real[i] += stacked.T @ stacked
-            cross[i] += part[1].T @ part[0]
-            row += stop - start
-    divisor = np.array(ps, dtype=np.float64)[:, None, None]
-    return real / divisor, (cross - cross.swapaxes(-1, -2)) / divisor
-
-
-def _chunk_passes(ps: list[int], step: int):
-    """Every modulus's chunks (index, first k, last k + 1), grouped into passes.
-
-    Modulus i's phases k = 1..p run in chunks of at most ``step``;
-    the chunks, in order, are packed greedily into passes of at most
-    ``step`` phases.
-    """
-    group, size = [], 0
-    for i, p in enumerate(ps):
-        for start in range(1, p + 1, step):
-            stop = min(start + step, p + 1)
-            if group and size + stop - start > step:
-                yield group
-                group, size = [], 0
-            group.append((i, start, stop))
-            size += stop - start
-    if group:
-        yield group
+    means = _phase_average_rows(np.arange(-n, n + 1), ps)
+    return 2.0**-n * np.take(means, w[:, None] - w + n, axis=1)
 
 
 def _weight_states(n: int) -> np.ndarray:
@@ -333,8 +265,8 @@ def _symmetric_mixture_matrix(n: int) -> np.ndarray:
     The n+1 weight states are built as one array and validated once as
     pure states.
     """
-    if not 1 <= n <= _MAX_SYMMETRIC_N:
-        raise ValueError(f"n must lie in 1..{_MAX_SYMMETRIC_N}, got {n}")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
     states = _weight_states(n)
     check_pure_states(states)
     real = states.real                      # every weight state's amplitudes are real
@@ -366,12 +298,14 @@ def _phase_means(a, ps) -> np.ndarray:
 def _phase_average_rows(a, ps) -> np.ndarray:
     """``phase_average_exponential(a, p)`` for every p of ``ps``, from one exponential pass.
 
-    Row i is bit for bit the value of the call for ``ps[i]``. The
-    imaginary parts are checked modulus by modulus, in order, so a
-    failure names the modulus and exponent that those calls, made in
-    turn, would name.
+    Row i is bit for bit the value of the call for ``ps[i]``; no moduli
+    give an empty ``(0,) + a.shape`` array. The imaginary parts are
+    checked modulus by modulus, in order, so a failure names the
+    modulus and exponent that those calls, made in turn, would name.
     """
     ps = tuple(ps)
+    if not ps:
+        return np.empty((0,) + np.shape(a))
     if min(ps) < 1:
         raise ValueError(f"p must be >= 1, got {min(ps)}")
     vals = _phase_means(a, ps)

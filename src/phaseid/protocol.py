@@ -32,7 +32,8 @@ The verifier makes his authentic public-key copy himself, once per
 row, from the row's key angle. The kept states, their Z-corrected forms
 and the authentic projectors are validated together by one
 ``check_density_operators`` call on a (3, live branch, 2, 2) stack.
-The challenge is one immutable value, built and validated at import.
+The challenge is one immutable two-qubit ``PureState``, built and
+validated at import, and ``bob_prepare_challenge`` returns it.
 Exact mode reports each round's pass probability sum_b prob * pass
 (response bits are recorded as null), once per row. Sampled mode draws
 two uniforms per round from a seeded generator, in order: the response
@@ -65,7 +66,6 @@ from .qsim import (
     check_density_operators,
     check_orthonormal_bases,
     check_pure_states,
-    equal_up_to_global_phase,
     measure_in_basis,
     partial_trace,  # noqa: F401  (kept importable here: the benchmark's tests look it up)
     swap_test_pass_probability_mixed,
@@ -74,7 +74,6 @@ from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
-    "KernelChallenge",
     "BranchTable",
     "RoundRecord",
     "SessionTranscript",
@@ -95,20 +94,6 @@ _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 # however many phases a key has, while the fixed cost of a chunk stays
 # small next to its work.
 CHUNK_ROUNDS = 256
-
-
-@dataclass(frozen=True)
-class KernelChallenge:
-    """The verifier's entangled challenge: he keeps register 0 and sends register 1."""
-
-    joint_state: PureState
-
-    def __post_init__(self):
-        if self.joint_state.dims != (2, 2):
-            raise ValueError("challenge must live on two qubits")
-        reference = PureState((2, 2), _BELL)
-        if not equal_up_to_global_phase(self.joint_state, reference):
-            raise ValueError("challenge must equal (|01>+|10>)/sqrt(2) up to phase")
 
 
 @dataclass(frozen=True)
@@ -289,26 +274,27 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-_CHALLENGE = KernelChallenge(PureState((2, 2), _BELL))
+_CHALLENGE = PureState((2, 2), _BELL)
 
 
-def bob_prepare_challenge() -> KernelChallenge:
-    """The entangled challenge (|01> + |10>)/sqrt(2).
+def bob_prepare_challenge() -> PureState:
+    """The entangled challenge (|01> + |10>)/sqrt(2) as a two-qubit PureState.
 
-    Every call returns the same KernelChallenge, built and validated
-    once at import. It is an immutable value, so all rounds share it.
+    The verifier keeps register 0 and sends register 1. Every call
+    returns the same PureState, built and validated once at import. It
+    is an immutable value, so all rounds share it.
     """
     return _CHALLENGE
 
 
-def alice_respond(challenge: KernelChallenge, x: PhaseFraction):
+def alice_respond(challenge: PureState, x: PhaseFraction):
     """Measure the received register 1 in the key's phase basis.
 
     Outcome "+" answers bit 0, outcome "-" answers bit 1: each
     MeasurementResult's ``outcome`` is the response bit. Both branches
     are returned; each has probability exactly 1/2 for this challenge.
     """
-    return measure_in_basis(challenge.joint_state, 1, phase_bases(x.angle()))
+    return measure_in_basis(challenge, 1, phase_bases(x.angle()))
 
 
 def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> float:
@@ -380,7 +366,7 @@ def honest_round_branches(angles) -> BranchTable:
     operator (``_honest_rows`` says why that suffices). The Bell
     challenge is the same in every round and is validated once.
     """
-    joint = bob_prepare_challenge().joint_state.as_tensor()
+    joint = bob_prepare_challenge().as_tensor()
     angles = np.asarray(angles, dtype=np.float64).reshape(-1)
     prob, pass_prob = np.empty((2, angles.size, 2))
     for i in range(0, angles.size, CHUNK_ROUNDS):

@@ -53,8 +53,6 @@ __all__ = [
     "MeasurementResult",
     "PAULI_Z",
     "tensor",
-    "overlap",
-    "equal_up_to_global_phase",
     "measure_in_basis",
     "swap_test_pass_probability_mixed",
     "partial_trace",
@@ -294,20 +292,6 @@ class PureState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def basis_state(cls, dims, labels) -> "PureState":
-        """Computational basis state |labels...> over the given registers."""
-        dims = tuple(int(d) for d in dims)
-        labels = tuple(int(x) for x in labels)
-        if len(labels) != len(dims):
-            raise DimensionMismatchError("one label per register required")
-        for x, d in zip(labels, dims):
-            if not 0 <= x < d:
-                raise StateValidationError(f"label {x} out of range for dim {d}")
-        amps = np.zeros(math.prod(dims), dtype=np.complex128)
-        amps[int(np.ravel_multi_index(labels, dims))] = 1.0
-        return cls(dims, amps)
-
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
@@ -360,18 +344,6 @@ class MeasurementResult:
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; ``a`` supplies the more significant registers."""
     return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>. Requires identical register layouts."""
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"layouts differ: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def equal_up_to_global_phase(a: PureState, b: PureState) -> bool:
-    """Whether |<a|b>| = 1 within CONSTRUCT_ATOL."""
-    return abs(abs(overlap(a, b)) - 1.0) <= CONSTRUCT_ATOL
 
 
 def _collapse_register(state: PureState, register: int, vec: np.ndarray, prob: float) -> PureState:

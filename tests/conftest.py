@@ -1,10 +1,32 @@
+import math
+
 import numpy as np
 
 from phaseid import protocol
 from phaseid.adversary import _frame_magnitudes
+from phaseid.errors import DimensionMismatchError
 from phaseid.keys import phase_bases
 from phaseid.qsim import PureState
-from phaseid.tolerances import EIGENVALUE_FLOOR
+from phaseid.tolerances import CONSTRUCT_ATOL, EIGENVALUE_FLOOR
+
+
+def basis_state(dims, labels) -> PureState:
+    """Computational basis state |labels...> over the given registers (big-endian)."""
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    amps[np.ravel_multi_index(labels, dims)] = 1.0
+    return PureState(dims, amps)
+
+
+def overlap(a: PureState, b: PureState) -> complex:
+    """Inner product <a|b>. Requires identical register layouts."""
+    if a.dims != b.dims:
+        raise DimensionMismatchError(f"layouts differ: {a.dims} vs {b.dims}")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def equal_up_to_global_phase(a: PureState, b: PureState) -> bool:
+    """Whether |<a|b>| = 1 within CONSTRUCT_ATOL."""
+    return abs(abs(overlap(a, b)) - 1.0) <= CONSTRUCT_ATOL
 
 
 def random_pure_state(rng, dims) -> PureState:

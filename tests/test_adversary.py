@@ -485,7 +485,7 @@ def _scalar_attack_round(strategy, x):
     Returns ((prob, pass), (prob, pass)) for response bits 0 and 1.
     """
     angle = x.angle()
-    psi = bob_prepare_challenge().joint_state.as_tensor()[:, :, None] * frame_vector(
+    psi = bob_prepare_challenge().as_tensor()[:, :, None] * frame_vector(
         strategy.t, angle)
     rows = []
     for bit, collapsed in enumerate(helstrom_project(strategy.t, psi)):
@@ -532,7 +532,7 @@ def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
     (states,) = seen
     x = PhaseFraction(2, 2)
     assert x.angle() == 0.0
-    psi = bob_prepare_challenge().joint_state.as_tensor()[:, :, None] * frame_vector(t, 0.0)
+    psi = bob_prepare_challenge().as_tensor()[:, :, None] * frame_vector(t, 0.0)
     sigma = DensityOperator.from_pure(public_key_state(x)).matrix
     z = np.diag([1.0, -1.0])
     want = []
@@ -552,7 +552,7 @@ def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
 
 def _reference_attack_table(strategy, angles):
     """Attacked branch table with the kept states formed by matrix products."""
-    joint = bob_prepare_challenge().joint_state.as_tensor()
+    joint = bob_prepare_challenge().as_tensor()
     psi = joint[None, :, :, None] * frame_vector(strategy.t, angles)[:, None, None, :]
     rows = np.stack(helstrom_project(strategy.t, psi), axis=1).reshape(angles.size, 2, 2, -1)
     kept = rows @ rows.conj().swapaxes(-1, -2)                    # (round, bit, 2, 2)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import overlap
 from test_keys import _averaged_oracle
 
 from phaseid import identities, keys, protocol, qsim
@@ -44,12 +45,12 @@ class TestScalarOracle:
         assert identities._phase_angles().tolist() == want
 
     def test_challenge_overlaps(self):
-        bell = protocol.bob_prepare_challenge().joint_state
+        bell = protocol.bob_prepare_challenge()
         want = []
         for p, k in PHASES:
             plus, minus = keys.phase_bases(keys.PhaseFraction(k, p).angle())
             vec = (np.kron(plus, plus) - np.kron(minus, minus)) / math.sqrt(2.0)
-            want.append(qsim.overlap(bell, qsim.PureState((2, 2), vec)))
+            want.append(overlap(bell, qsim.PureState((2, 2), vec)))
         np.testing.assert_allclose(identities._challenge_overlaps(), want, rtol=0, atol=1e-15)
 
     def test_response_probabilities(self):
@@ -85,24 +86,14 @@ class TestScalarOracle:
             got = keys.averaged_key_operator_discrete(p, n).matrix
             np.testing.assert_allclose(got, _averaged_oracle(p, n), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("chunk", [None, 24, 1])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_stacked_averages_are_the_one_modulus_averages(self, monkeypatch, n, chunk):
-        # bit for bit, also when the moduli share chunked cos/sin passes
-        if chunk is not None:
-            monkeypatch.setattr(keys, "_AVERAGE_CHUNK", chunk)
+    def test_stacked_averages_are_the_one_modulus_averages(self, n):
+        # bit for bit, though the moduli share one exponential pass
         ps = [p for p in (n, n + 1, n + 2, 2 * n + 3) if p >= 2]
         stacked = keys.averaged_key_operators(ps, n)
         assert stacked.shape == (len(ps), 2**n, 2**n) and stacked.dtype == np.float64
         for p, got in zip(ps, stacked):
             assert np.array_equal(got, keys.averaged_key_operator_discrete(p, n).matrix)
-
-    def test_averaged_operator_in_chunks(self, monkeypatch):
-        # Small chunks give the operator of one chunk.
-        want = keys.averaged_key_operator_discrete(11, 3).matrix
-        monkeypatch.setattr(keys, "_AVERAGE_CHUNK", 24)
-        got = keys.averaged_key_operator_discrete(11, 3).matrix
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_weight_states_are_the_combinations(self, n):
@@ -160,50 +151,8 @@ class TestOldLoopsAsOracles:
         assert np.float64(got).tobytes() == np.float64(_operator_by_operator_averaging()).tobytes()
 
 
-def _per_label_averages(ps, n):
-    """``keys._product_state_averages`` with cos and sin taken per (phase, label).
-
-    The form before the trigonometry moved to one call per (phase,
-    Hamming weight): the same chunks and products, with the angle of
-    every label's weight formed and fed to cos and sin label by label.
-    """
-    w = keys._weights(n)
-    scale = 2.0 ** (-n / 2.0)
-    step = max(1, keys._AVERAGE_CHUNK // w.size)
-    real = np.zeros((len(ps), w.size, w.size))
-    cross = np.zeros_like(real)
-    for group in keys._chunk_passes(ps, step):
-        ks = np.concatenate([np.arange(start, stop) for _, start, stop in group])
-        moduli = np.concatenate([np.full(stop - start, ps[i]) for i, start, stop in group])
-        theta = keys.phase_angles(ks, moduli)[:, None] * w
-        amps = np.empty((2,) + theta.shape)
-        np.cos(theta, out=amps[0])
-        np.sin(theta, out=amps[1])
-        amps *= scale
-        row = 0
-        for i, start, stop in group:
-            part = amps[:, row:row + stop - start]
-            stacked = part.reshape(-1, w.size)
-            real[i] += stacked.T @ stacked
-            cross[i] += part[1].T @ part[0]
-            row += stop - start
-    divisor = np.array(ps, dtype=np.float64)[:, None, None]
-    return real / divisor, (cross - cross.swapaxes(-1, -2)) / divisor
-
-
 class TestOneTrigonometryPass:
     """The one-pass forms give the values of the forms they replace, bit for bit."""
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    @pytest.mark.parametrize("moduli", ["n+1, n+2, 2n+3", "3, 1000", "97, 5, 4096"])
-    def test_product_state_averages_are_the_per_label_form(self, n, moduli):
-        # (3, 1000) and (97, 5, 4096) span several chunks for every n
-        ps = {"n+1, n+2, 2n+3": [n + 1, n + 2, 2 * n + 3], "3, 1000": [3, 1000],
-              "97, 5, 4096": [97, 5, 4096]}[moduli]
-        real, imag = keys._product_state_averages(ps, n)
-        want_real, want_imag = _per_label_averages(ps, n)
-        assert real.tobytes() == want_real.tobytes()
-        assert imag.tobytes() == want_imag.tobytes()
 
     def test_phase_average_rows_are_the_one_modulus_calls(self):
         a = np.arange(-12, 13)
@@ -263,42 +212,65 @@ class TestPhaseAverageGuard:
                 keys._phase_average_rows(np.array([4.0, np.nan]), range(2, 5))
 
 
+class TestAveragesAreThePhaseMeans:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_each_entry_is_the_mean_of_its_weight_difference(self, n):
+        # one scalar call per difference d = w(x) - w(y) in -n..n, gathered per entry
+        ps = (n + 1, 2 * n + 3, 4096)
+        w = np.array([bin(i).count("1") for i in range(2**n)])
+        diff = w[:, None] - w[None, :]
+        stacked = keys.averaged_key_operators(ps, n)
+        # laid out in order, as the density check's transpose reads it fastest
+        assert stacked.flags.c_contiguous
+        for p, got in zip(ps, stacked):
+            means = np.array([2.0**-n * keys.phase_average_exponential(d, p)
+                              for d in range(-n, n + 1)])
+            assert got.dtype == np.float64 and got.tobytes() == means[diff + n].tobytes()
+
+    def test_no_moduli_give_empty_stacks(self):
+        assert keys.averaged_key_operators([], 3).shape == (0, 8, 8)
+        rows = keys._phase_average_rows(np.arange(-3, 3).reshape(2, 3), ())
+        assert rows.shape == (0, 2, 3) and rows.dtype == np.float64
+
+
 class TestAveragedOperatorGuard:
+    """The averages share the one imaginary-part guard of ``_phase_average_rows``."""
+
     @staticmethod
-    def _skew(monkeypatch, at=slice(None)):
-        exact = keys._product_state_averages
+    def _skew(monkeypatch, at=2):
+        # Only the averaging check uses p = 11, 13, 15 (2n + 3 for n = 4..6).
+        exact = keys._phase_means
 
-        def skewed(ps, n):
-            real, imag = exact(ps, n)
-            imag[at, 0, -1] += 1e-9
-            imag[at, -1, 0] -= 1e-9
-            return real, imag
+        def skewed(a, ps):
+            vals = exact(a, ps)
+            for i, p in enumerate(ps):
+                if p in (11, 13, 15):
+                    vals[i] += np.where(np.asarray(a) == at, 1e-9j, 0.0)
+            return vals
 
-        monkeypatch.setattr(keys, "_product_state_averages", skewed)
+        monkeypatch.setattr(keys, "_phase_means", skewed)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_keeps_the_real_part(self, n):
         ps = [n + 1, n + 2, 2 * n + 3]
+        assert np.abs(keys._phase_means(np.arange(-n, n + 1), ps).imag).max() <= 1e-15
         stacked = keys.averaged_key_operators(ps, n)
-        real, imag = keys._product_state_averages(ps, n)
-        assert np.abs(imag).max() <= 1e-15
         assert stacked.dtype == np.float64
-        assert np.array_equal(stacked, real)
-        for p, average in zip(ps, real):
+        for p, average in zip(ps, stacked):
             rho = keys.averaged_key_operator_discrete(p, n)
             assert rho.matrix.dtype == np.float64
             assert np.array_equal(rho.matrix, average)
 
     def test_imaginary_part_is_a_numerical_failure(self, monkeypatch):
         self._skew(monkeypatch)
-        with pytest.raises(NumericalError, match="phase average at p=3, n=2 has imaginary part"):
-            keys.averaged_key_operator_discrete(3, 2)
+        with pytest.raises(NumericalError, match="phase average at a=2, p=11 has imaginary part"):
+            keys.averaged_key_operator_discrete(11, 4)
 
     def test_names_the_first_failing_modulus(self, monkeypatch):
-        self._skew(monkeypatch, at=slice(1, None))
-        with pytest.raises(NumericalError, match="phase average at p=4, n=2 has imaginary part"):
-            keys.averaged_key_operators([3, 4, 7], 2)
-        assert keys.averaged_key_operators([3], 2).shape == (1, 4, 4)
+        self._skew(monkeypatch, at=-1)
+        with pytest.raises(NumericalError, match="phase average at a=-1, p=13 has imaginary part"):
+            keys.averaged_key_operators([3, 13, 11], 2)
+        assert keys.averaged_key_operators([3, 4], 2).shape == (2, 4, 4)
 
     def test_imaginary_average_exits_numerical(self, capsys, monkeypatch):
         self._skew(monkeypatch)
@@ -306,7 +278,7 @@ class TestAveragedOperatorGuard:
         assert code == EXIT_NUMERICAL  # an internal failure, never bad input (4)
         assert out.splitlines()[-1].startswith("phase-average-vanishing: pass")
         assert out.count("\n") == 2
-        assert "numerical failure: phase average at p=2, n=1 has imaginary part" in err
+        assert "numerical failure: phase average at a=2, p=11 has imaginary part" in err
 
 
 class TestVerifyIdentitiesOnStacks:

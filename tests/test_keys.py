@@ -223,6 +223,11 @@ class TestSymmetricStates:
             val = float(np.real(v.conj() @ mix.matrix @ v))
             assert val == pytest.approx(math.comb(3, w) / 8.0, abs=1e-12)
 
+    def test_rejects_n_above_the_enumeration_cap(self):
+        # n = 11 would be refused before any array is built
+        with pytest.raises(ValueError, match="n must lie in 1..10, got 11"):
+            symmetric_mixture(11)
+
 
 @given(st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=9))
 @settings(max_examples=120, deadline=None)

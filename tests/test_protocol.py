@@ -31,7 +31,6 @@ from phaseid.keys import (
 from phaseid.protocol import (
     CHUNK_ROUNDS,
     BranchTable,
-    KernelChallenge,
     RoundRecord,
     SessionTranscript,
     UsageCounter,
@@ -51,6 +50,7 @@ from phaseid.qsim import (
 from phaseid.transport import Transport
 
 from conftest import (
+    basis_state,
     record_density_checks,
     reference_pass_probabilities,
     reference_sampled_records,
@@ -63,25 +63,11 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi,
 
 
 class TestKernelChallenge:
-    def test_prepared_challenge_is_valid(self):
+    def test_every_call_returns_the_same_bell_state(self):
         ch = bob_prepare_challenge()
-        assert ch.joint_state.dims == (2, 2)
-        np.testing.assert_array_equal(ch.joint_state.amplitudes,
-                                      [0.0, INV_SQRT2, INV_SQRT2, 0.0])
-
-    def test_accepts_global_phase(self):
-        amps = 1j * np.array([0.0, INV_SQRT2, INV_SQRT2, 0.0])
-        KernelChallenge(PureState((2, 2), amps))
-
-    def test_rejects_other_entangled_state(self):
-        amps = np.array([INV_SQRT2, 0.0, 0.0, INV_SQRT2])
-        with pytest.raises(ValueError):
-            KernelChallenge(PureState((2, 2), amps))
-
-    def test_rejects_wrong_layout(self):
-        with pytest.raises(ValueError):
-            KernelChallenge(PureState.basis_state((2,), (0,)))
-
+        assert isinstance(ch, PureState) and bob_prepare_challenge() is ch
+        assert ch.dims == (2, 2)
+        np.testing.assert_array_equal(ch.amplitudes, [0.0, INV_SQRT2, INV_SQRT2, 0.0])
 
 
 @given(angles)
@@ -137,7 +123,7 @@ class TestBobVerifyStep:
 
     def test_unrelated_state(self):
         pk = public_key_state(PhaseFraction(4, 4))
-        out = bob_verify_step(DensityOperator.from_pure(PureState.basis_state((2,), (0,))), 0, pk)
+        out = bob_verify_step(DensityOperator.from_pure(basis_state((2,), (0,))), 0, pk)
         assert out == pytest.approx(0.75, abs=1e-12)
 
     def test_density_operator_input(self):
@@ -452,7 +438,7 @@ def test_honest_sampled_transcript_matches_reference_loop(r, s, seed, data):
 
 def _reference_honest_table(angles):
     """Honest branch table with the kept states formed by matrix products."""
-    joint = bob_prepare_challenge().joint_state.as_tensor()
+    joint = bob_prepare_challenge().as_tensor()
     bases = phase_bases(angles)                                     # (round, outcome, 2)
     inner = bases.conj() @ joint.T
     prob = np.sum(np.abs(inner) ** 2, axis=-1)
@@ -510,7 +496,7 @@ def _honest_kept_states(angles, corrupt=None):
     ``corrupt`` is (round, bit, value): that branch's first kept
     amplitude is set to ``value`` before the outer product.
     """
-    inner = phase_bases(angles).conj() @ bob_prepare_challenge().joint_state.as_tensor().T
+    inner = phase_bases(angles).conj() @ bob_prepare_challenge().as_tensor().T
     if corrupt is not None:
         inner[corrupt[:2] + (0,)] = corrupt[2]
     kept = inner[..., :, None] * inner.conj()[..., None, :]
@@ -615,7 +601,7 @@ def test_honest_table_is_evaluated_in_chunks_in_order(monkeypatch):
     assert [chunk.size for chunk in chunks] == [CHUNK_ROUNDS, CHUNK_ROUNDS, 11]
     assert np.concatenate(chunks).tobytes() == angles.tobytes()
     for j in (0, CHUNK_ROUNDS, 2 * CHUNK_ROUNDS + 10):
-        one = real(bob_prepare_challenge().joint_state.as_tensor(), angles[j:j + 1])
+        one = real(bob_prepare_challenge().as_tensor(), angles[j:j + 1])
         assert table.probability[j].tobytes() == one[0][0].tobytes()
         assert table.pass_probability[j].tobytes() == one[1][0].tobytes()
     chunks.clear()

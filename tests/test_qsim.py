@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pure_state, random_unitary
+from conftest import (
+    basis_state,
+    equal_up_to_global_phase,
+    overlap,
+    random_pure_state,
+    random_unitary,
+)
 from phaseid import qsim
 from phaseid.errors import (
     DimensionMismatchError,
@@ -21,9 +27,7 @@ from phaseid.qsim import (
     check_density_operators,
     check_orthonormal_bases,
     check_pure_states,
-    equal_up_to_global_phase,
     measure_in_basis,
-    overlap,
     partial_trace,
     swap_test_pass_probability_mixed,
     tensor,
@@ -33,8 +37,8 @@ from phaseid.tolerances import EIGENVALUE_FLOOR
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-ZERO = PureState.basis_state((2,), (0,))
-ONE = PureState.basis_state((2,), (1,))
+ZERO = basis_state((2,), (0,))
+ONE = basis_state((2,), (1,))
 PLUS = PureState((2,), np.array([INV_SQRT2, INV_SQRT2]))
 MINUS = PureState((2,), np.array([INV_SQRT2, -INV_SQRT2]))
 
@@ -60,7 +64,7 @@ class TestPureState:
 
     def test_basis_state_big_endian(self):
         # first register is the most significant digit of the index
-        state = PureState.basis_state((2, 3), (1, 2))
+        state = basis_state((2, 3), (1, 2))
         assert state.amplitudes[1 * 3 + 2] == 1.0
 
 
@@ -468,7 +472,7 @@ class TestMeasureInBasis:
             measure_in_basis(ZERO, 1, (PLUS.amplitudes, MINUS.amplitudes))
 
     def test_rejects_non_qubit_register(self):
-        state = PureState.basis_state((3,), (0,))
+        state = basis_state((3,), (0,))
         with pytest.raises(DimensionMismatchError):
             measure_in_basis(state, 0, (PLUS.amplitudes, MINUS.amplitudes))
 
