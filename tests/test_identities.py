@@ -227,6 +227,23 @@ class TestAveragesAreThePhaseMeans:
                               for d in range(-n, n + 1)])
             assert got.dtype == np.float64 and got.tobytes() == means[diff + n].tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("moduli", ["n+1, n+2, 2n+3", "3, 1000", "97, 5, 4096"])
+    def test_average_is_the_mean_product_state_projector(self, n, moduli):
+        # the definition: (1/p) sum_k |psi_k><psi_k|, psi_k the n-fold product of
+        # (|0> + e^{2 pi i k / p}|1>) / sqrt 2, built label by label as amplitudes
+        ps = {"n+1, n+2, 2n+3": [n + 1, n + 2, 2 * n + 3], "3, 1000": [3, 1000],
+              "97, 5, 4096": [97, 5, 4096]}[moduli]
+        stacked = keys.averaged_key_operators(ps, n)
+        for p, got in zip(ps, stacked):
+            theta = 2.0 * np.pi * np.arange(1, p + 1) / p
+            qubit = np.stack([np.ones(p), np.exp(1j * theta)], axis=1) / math.sqrt(2.0)
+            amps = np.ones((p, 1), dtype=np.complex128)
+            for _ in range(n):
+                amps = (amps[:, :, None] * qubit[:, None, :]).reshape(p, -1)
+            want = amps.T @ amps.conj() / p
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_no_moduli_give_empty_stacks(self):
         assert keys.averaged_key_operators([], 3).shape == (0, 8, 8)
         rows = keys._phase_average_rows(np.arange(-3, 3).reshape(2, 3), ())

@@ -12,6 +12,7 @@ from phaseid.keys import (
     PrivateKey,
     ProtocolParams,
     averaged_key_operator_discrete,
+    averaged_key_operators,
     generate_private_key,
     phase_average_exponential,
     public_key_descriptor,
@@ -223,10 +224,16 @@ class TestSymmetricStates:
             val = float(np.real(v.conj() @ mix.matrix @ v))
             assert val == pytest.approx(math.comb(3, w) / 8.0, abs=1e-12)
 
-    def test_rejects_n_above_the_enumeration_cap(self):
-        # n = 11 would be refused before any array is built
-        with pytest.raises(ValueError, match="n must lie in 1..10, got 11"):
-            symmetric_mixture(11)
+    @pytest.mark.parametrize("n", [0, 11])
+    @pytest.mark.parametrize("build", [
+        symmetric_mixture,
+        lambda n: averaged_key_operators([3], n),
+        lambda n: averaged_key_operator_discrete(3, n),
+    ], ids=["symmetric_mixture", "averaged_key_operators", "averaged_key_operator_discrete"])
+    def test_rejects_n_outside_the_enumeration_cap(self, build, n):
+        # one cap for the mixture and the averages; refused before any array is built
+        with pytest.raises(ValueError, match=f"n must lie in 1..10, got {n}"):
+            build(n)
 
 
 @given(st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=9))
