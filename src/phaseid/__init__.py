@@ -25,7 +25,7 @@ _HOMES = {
                "p_break_bound", "union_bound_chain"),
     "keys": ("PhaseFraction", "PrivateKey", "ProtocolParams",
              "averaged_key_operator_discrete", "generate_private_key",
-             "phase_average_exponential", "public_key_state", "symmetric_mixture"),
+             "public_key_state", "symmetric_mixture"),
     "protocol": ("SessionTranscript", "UsageCounter", "alice_respond",
                  "bob_prepare_challenge", "bob_verify_step", "run_session"),
     "qsim": ("DensityOperator", "PureState", "measure_in_basis", "partial_trace",

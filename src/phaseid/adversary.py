@@ -19,8 +19,11 @@ that one evaluation, at angle 0, where every amplitude is real. Each
 branch leaves the verifier a kept 2x2 state in closed form, with no
 frame-length array, and his own step (entangled challenge,
 conditional Z, SWAP test) turns the two into one row, reproducing
-p_pass = (1 + psucc)/2. An adversarial session is that one row with
-every round indexing it, whatever its key.
+p_pass = (1 + psucc)/2. ``eve_attack_rounds`` is the one route to
+that row, for any number of copy counts at once; ``eve_attack_round``
+and the Eve prover's ``attack_round_branches`` read one t of it. An
+adversarial session is that one row with every round indexing it,
+whatever its key.
 
 The closed form
 
@@ -136,9 +139,9 @@ def overlap_sum(t: int) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def _overlap_sum(t: int) -> float:
-    # Memoised on t: ``eve_attack_round`` and an Eve session read it
-    # twice, once for the strategy's psucc and once for the attacked
-    # round's kept states. A run-attack sweep reads it once per t.
+    # Memoised on t: an Eve session reads it twice, once for its
+    # strategy's psucc and once for the attacked round's kept states
+    # (``eve_attack_rounds``). A run-attack sweep reads it once per t.
     mags = (_frame_magnitudes if t <= _MAX_ORACLE_T else _frame_magnitudes.__wrapped__)(t)
     return math.fsum(mags[1:] * mags[:-1])
 
@@ -246,15 +249,17 @@ def build_discrimination_pair(t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HelstromStrategy:
-    """Optimal binary measurement {P+, P-} on the (received, frame) registers.
+    """The optimal binary measurement {P+, P-} for t copies, recorded as t and psucc.
 
-    Given in sector form. The phase-averaged pair is block diagonal in
-    the charge sectors n = b + w. In each interior sector 1 <= n <= t
-    the gap rho+ - rho- is c_n c_{n-1} sigma_x on {|0,n>, |1,n-1>}
-    (c_w the frame magnitudes), so by Helstrom's theorem P+ projects
-    onto (|0,n> + |1,n-1>)/sqrt(2). The 1x1 end sectors |0,0> and
-    |1,t> carry no gap; both go to P+. Being block diagonal in n, P+
-    commutes with the phase rotation e^{i(b+w) theta}.
+    The measurement acts on the (received, frame) registers in sector
+    form. The phase-averaged pair is block diagonal in the charge
+    sectors n = b + w. In each interior sector 1 <= n <= t the gap
+    rho+ - rho- is c_n c_{n-1} sigma_x on {|0,n>, |1,n-1>} (c_w the
+    frame magnitudes), so by Helstrom's theorem P+ projects onto
+    (|0,n> + |1,n-1>)/sqrt(2). The 1x1 end sectors |0,0> and |1,t>
+    carry no gap; both go to P+. Being block diagonal in n, P+ commutes
+    with the phase rotation e^{i(b+w) theta}. t fixes the projector, so
+    the value holds none; the projector itself is the tests' oracle.
     """
 
     t: int
@@ -297,52 +302,30 @@ def helstrom_psucc_oracle(t: int) -> float:
 
 
 def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:
-    """Exact branch analysis of an attacked kernel round: a one-row table.
+    """The attacked round's one-row branch table for ``strategy.t`` copies.
 
     The verifier prepares the entangled challenge; the adversary
     measures {P+, P-} on the received register joined with her frame;
     the verifier applies the conditional Z and SWAP-tests his kept
-    register against his own authentic copy. The row is the same at
-    every relative phase (see ``eve_attack_round``), so it is evaluated
-    at angle 0, in closed form (``_attack_table``).
+    register against his own authentic copy. The row is
+    ``eve_attack_round(strategy.t).branches``, the same at every
+    relative phase.
     """
-    return _attack_table([strategy.t], [_overlap_sum(strategy.t)])
-
-
-def _attack_table(ts, overlaps) -> BranchTable:
-    """The attacked round's row for each copy count t, in order.
-
-    ``overlaps`` holds S = ``overlap_sum(t)`` for each t. At angle 0,
-    P+- act on each sector's real amplitudes (c_n, c_{n-1}) on
-    (|0,n>, |1,n-1>). Summed over the sectors, with c_0^2 = c_t^2 =
-    2^-t from the end sectors, each branch's kept state is K+- = (1/4)
-    [[1 +- 2^-t, +-S], [+-S, 1 +- 2^-t]], of trace (1 +- 2^-t)/2. One
-    verifier step at angle 0 (``protocol.verify_kept_states``) and one
-    table take every t.
-    """
-    edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
-    overlap = np.array(overlaps)[:, None]
-    sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
-    prob = 0.5 * (1.0 + sign * edge)
-    kept = np.empty((len(ts), 2, 2, 2))
-    kept[..., 0, 0] = kept[..., 1, 1] = 0.5 * prob
-    kept[..., 0, 1] = kept[..., 1, 0] = 0.25 * sign * overlap
-    return BranchTable(prob, verify_kept_states(kept, prob, np.zeros(len(ts))))
+    return eve_attack_round(strategy.t).branches
 
 
 @dataclass(frozen=True)
 class CheatGuessReport:
     """Exact attack-round pass probability next to the guessing probability.
 
-    ``branches`` is the attacked round's one-row table (from
-    ``attack_round_branches``, or a row of the table of
-    ``eve_attack_rounds``) that ``p_pass_exact`` sums;
-    ``sample_attack_rounds`` draws from it.
-    Construction enforces p_pass = (1 + psucc)/2 between the kernel's
-    p_pass (Z correction, SWAP test against the verifier's own authentic
-    copy) and the strategy's psucc. So the report checks the verifier
-    kernel; the projector is checked by the test oracle, which applies
-    P+- to the attacked amplitudes and forms the kept states from them.
+    ``branches`` is the attacked round's one-row table, a row of the
+    table ``eve_attack_rounds`` validates; ``p_pass_exact`` sums it,
+    and ``sample_attack_rounds`` draws from it. Construction enforces
+    p_pass = (1 + psucc)/2 between the verifier's p_pass (Z correction,
+    SWAP test against his own authentic copy) and the strategy's psucc.
+    So the report checks the verifier kernel against the closed form;
+    the kept states themselves are checked by the tests' oracle, which
+    applies P+- to the attacked amplitudes and forms them directly.
     """
 
     t: int
@@ -358,12 +341,12 @@ class CheatGuessReport:
             )
 
 
-def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatGuessReport:
+def eve_attack_round(t: int) -> CheatGuessReport:
     """Exact attacked-round evaluation, equal to its average over the relative phase.
 
-    One evaluation, at angle 0, suffices; no grid is needed, because
-    every branch probability and every pass probability is exactly
-    independent of the angle theta:
+    ``eve_attack_rounds([t])[0]``. One evaluation, at angle 0,
+    suffices; no grid is needed, because every branch probability and
+    every pass probability is exactly independent of the angle theta:
 
     - P+ and P- commute with the phase rotation R(theta) =
       e^{i(b+w) theta} on (received, frame), being block diagonal in
@@ -380,40 +363,41 @@ def eve_attack_round(t: int, strategy: HelstromStrategy | None = None) -> CheatG
     That value is the optimal attacked round against a key with phase
     modulus p for t <= p - 2 only (see ``helstrom_strategy``).
     """
-    t = _check_t(t)
-    if strategy is None:
-        strategy = helstrom_strategy(t)
-    if strategy.t != t:
-        raise DimensionMismatchError(
-            f"strategy was built for t={strategy.t}, round has t={t}"
-        )
-    return _report(strategy, attack_round_branches(strategy))
+    return eve_attack_rounds([t])[0]
 
 
 def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
-    """``eve_attack_round(t)`` for each t of ``t_values``, in order.
+    """The attacked round's report for each copy count t of ``t_values``, in order.
 
-    S(t) is computed once per t: each strategy's psucc is 0.5 + 0.5 S,
-    bit for bit ``psucc_formula(t)``, and the same S gives the kept
-    states. The closed-form kept states of every t go through one
-    verifier pass and one validated table (``_attack_table``); each
-    report's ``branches`` is its row of that table (``BranchTable.row``),
-    bit for bit the table ``eve_attack_round(t)`` makes.
+    S = ``overlap_sum(t)`` is computed once per t: each strategy's
+    psucc is 0.5 + 0.5 S, bit for bit ``psucc_formula(t)``, and the
+    same S gives the kept states. The strategies are built first, so
+    an out-of-range psucc is reported before any density check. At
+    angle 0, P+- act on each sector's real amplitudes (c_n, c_{n-1}) on
+    (|0,n>, |1,n-1>). Summed over the sectors, with c_0^2 = c_t^2 =
+    2^-t from the end sectors, each branch's kept state is K+- = (1/4)
+    [[1 +- 2^-t, +-S], [+-S, 1 +- 2^-t]], of trace (1 +- 2^-t)/2. One
+    verifier step at angle 0 (``protocol.verify_kept_states``) and one
+    validated table take every t; each report's ``branches`` is its
+    row of that table (``BranchTable.row``).
     """
     ts = [_check_t(t) for t in t_values]
     if not ts:
         return []
     overlaps = [_overlap_sum(t) for t in ts]
     strategies = [HelstromStrategy(t, 0.5 + 0.5 * overlap) for t, overlap in zip(ts, overlaps)]
-    table = _attack_table(ts, overlaps)
-    return [_report(strategy, table.row(j)) for j, strategy in enumerate(strategies)]
-
-
-def _report(strategy: HelstromStrategy, row: BranchTable) -> CheatGuessReport:
-    """The report of ``strategy``'s attacked round, whose one-row table is ``row``."""
-    (low, high), (pass_low, pass_high) = row.probability[0], row.pass_probability[0]
-    return CheatGuessReport(strategy.t, float(low * pass_low + high * pass_high),
-                            strategy.psucc, row)
+    edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
+    overlap = np.array(overlaps)[:, None]
+    sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
+    prob = 0.5 * (1.0 + sign * edge)
+    kept = np.empty((len(ts), 2, 2, 2))
+    kept[..., 0, 0] = kept[..., 1, 1] = 0.5 * prob
+    kept[..., 0, 1] = kept[..., 1, 0] = 0.25 * sign * overlap
+    pass_prob = verify_kept_states(kept, prob, np.zeros(len(ts)))
+    table = BranchTable(prob, pass_prob)
+    p_pass = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
+    return [CheatGuessReport(strategy.t, value, strategy.psucc, table.row(j))
+            for j, (strategy, value) in enumerate(zip(strategies, p_pass.tolist()))]
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class UsageExhaustedError(RuntimeError):
     """
 
 
-class TransportEmptyError(RuntimeError):
-    """A receive was attempted on an empty transport queue."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration (bad flag value or combination)."""
 

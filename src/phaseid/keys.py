@@ -38,12 +38,10 @@ __all__ = [
     "phase_angles",
     "phase_bases",
     "generate_private_key",
-    "qubit_phase_state",
     "public_key_state",
     "averaged_key_operator_discrete",
     "averaged_key_operators",
     "symmetric_mixture",
-    "phase_average_exponential",
     "private_key_payload",
     "public_key_descriptor",
 ]
@@ -126,8 +124,7 @@ class PrivateKey:
     """Phases k/p, one per kernel round: a read-only int64 array ``ks`` over modulus ``p``.
 
     ``PrivateKey(xs)`` takes PhaseFraction values sharing one modulus;
-    ``PrivateKey.from_ks`` takes the numerators as an array. ``xs`` is
-    the scalar view, one PhaseFraction per round.
+    ``PrivateKey.from_ks`` takes the numerators as an array.
     """
 
     ks: np.ndarray
@@ -181,10 +178,6 @@ class PrivateKey:
     def s(self) -> int:
         return self.ks.size
 
-    @property
-    def xs(self) -> tuple[PhaseFraction, ...]:
-        return tuple(PhaseFraction(k, self.p) for k in self.ks.tolist())
-
 
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
     """Draw s phases uniformly from {1..p}, deterministically in ``seed``."""
@@ -192,14 +185,9 @@ def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
     return PrivateKey.from_ks(rng.integers(1, params.p + 1, size=params.s), params.p)
 
 
-def qubit_phase_state(angle: float) -> PureState:
-    """The equatorial qubit (|0> + e^{i angle}|1>)/sqrt(2)."""
-    return PureState((2,), phase_bases(angle)[0])
-
-
 def public_key_state(x: PhaseFraction) -> PureState:
-    """The public-key element of the phase ``x``: its single-qubit state."""
-    return qubit_phase_state(x.angle())
+    """The public-key element of the phase k/p: (|0> + e^{2 pi i k/p}|1>)/sqrt(2)."""
+    return PureState((2,), phase_bases(x.angle())[0])
 
 
 def _weights(n: int) -> np.ndarray:
@@ -282,26 +270,28 @@ def symmetric_mixture(n: int) -> DensityOperator:
 def _phase_means(a, ps) -> np.ndarray:
     """(1/p) sum_{k=1..p} e^{2 pi i a k / p} for each p of ``ps``, complex.
 
-    One exponential pass serves every modulus: row i holds the means of
-    ``ps[i]`` at every exponent of ``a``, each bit for bit its value for
-    that modulus alone. A scalar exponent is multiplied by 2 pi i in
-    Python, as it always was, so its value stays the same bit for bit,
-    also for integers beyond int64.
+    ``a`` is an array of exponents. One exponential pass serves every
+    modulus: row i holds the means of ``ps[i]`` at every exponent of
+    ``a``, each bit for bit its value for that modulus alone.
     """
     ks = np.concatenate([np.arange(1, p + 1) for p in ps])
-    turns = 2j * np.pi * (a if np.isscalar(a) else np.asarray(a))
-    terms = np.exp(np.asarray(turns)[..., None] * ks / np.repeat(ps, ps))
+    turns = 2j * np.pi * np.asarray(a)[..., None]
+    terms = np.exp(turns * ks / np.repeat(ps, ps))
     return np.stack([terms[..., stop - p:stop].sum(axis=-1) / p
                      for p, stop in zip(ps, itertools.accumulate(ps))])
 
 
 def _phase_average_rows(a, ps) -> np.ndarray:
-    """``phase_average_exponential(a, p)`` for every p of ``ps``, from one exponential pass.
+    """The real means (1/p) sum_{k=1..p} e^{2 pi i a k / p}, one row per p of ``ps``.
 
-    Row i is bit for bit the value of the call for ``ps[i]``; no moduli
-    give an empty ``(0,) + a.shape`` array. The imaginary parts are
-    checked modulus by modulus, in order, so a failure names the
-    modulus and exponent that those calls, made in turn, would name.
+    ``a`` is an array of exponents. Each mean is 1 when p divides its
+    exponent and 0 otherwise; the sum is evaluated explicitly, in one
+    exponential pass for every modulus (``_phase_means``), and its
+    imaginary part must vanish to CONSTRUCT_ATOL. Row i is bit for bit
+    the means of ``ps[i]`` alone; no moduli give an empty
+    ``(0,) + a.shape`` array. The imaginary parts are checked modulus
+    by modulus, in order, and NumericalError names the first modulus
+    and exponent that fail.
     """
     ps = tuple(ps)
     if not ps:
@@ -317,20 +307,6 @@ def _phase_average_rows(a, ps) -> np.ndarray:
             f"{float(np.ravel(vals)[bad[0]].imag)!r}"
         )
     return vals.real.copy()
-
-
-def phase_average_exponential(a, p: int):
-    """Numerical value of (1/p) sum_{k=1..p} e^{2 pi i a k / p}.
-
-    Equals 1 when p divides a and 0 otherwise; the sum is evaluated
-    explicitly and its imaginary part is required to vanish. ``a`` is
-    an integer or an integer array: an integer gives a float, an array
-    the array of its elements' values, each bit for bit the value of
-    its element alone. The imaginary parts are checked over the whole
-    array; NumericalError names the first exponent that fails.
-    """
-    (vals,) = _phase_average_rows(a, (p,))
-    return float(vals) if vals.ndim == 0 else vals
 
 
 def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> dict:

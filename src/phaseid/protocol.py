@@ -29,9 +29,10 @@ An honest branch leaves the kept qubit as one factor of a product
 state, so its kept state is a a^dagger, a its kept amplitude
 (``_honest_rows``); an attacked round brings its own in closed form.
 The verifier makes his authentic public-key copy himself, once per
-row, from the row's key angle. The kept states, their Z-corrected forms
-and the authentic projectors are validated together by one
-``check_density_operators`` call on a (3, live branch, 2, 2) stack.
+row, from the row's key angle. The kept states and the authentic
+projectors are validated together by one ``check_density_operators``
+call on a (2, live branch, 2, 2) stack; the Z-corrected states pass or
+fail exactly as the kept states do (``verify_kept_states``).
 The challenge is one immutable two-qubit ``PureState``, built and
 validated at import, and ``bob_prepare_challenge`` returns it.
 Exact mode reports each round's pass probability sum_b prob * pass
@@ -203,11 +204,6 @@ class SessionTranscript:
     passed: np.ndarray | None = None
 
     @property
-    def pass_probability(self) -> np.ndarray | None:
-        """Each round's pass probability in exact mode, gathered on read; else None."""
-        return None if self.row is None else self.row_pass_probability[self.row]
-
-    @property
     def records(self) -> "Sequence[RoundRecord]":
         return _RoundRecords(self)
 
@@ -321,13 +317,15 @@ def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -
     copy of the round's public-key element, once per round, so the
     prover never supplies the reference; the copies are validated as
     pure states. The live kept states (prob not below ZERO_BRANCH_PROB,
-    so NaN too), normalised, their Z-corrected forms and the authentic
-    projectors are validated as density operators by one
-    ``check_density_operators`` call on a (3, live, 2, 2) stack: a
-    failure names (set, branch) as its stack index, set 0 being the
-    kept states, 1 the corrected ones and 2 the projectors, and branch
+    so NaN too), normalised, and the authentic projectors are validated
+    as density operators by one ``check_density_operators`` call on a
+    (2, live, 2, 2) stack: a failure names (set, branch) as its stack
+    index, set 0 being the kept states and 1 the projectors, and branch
     counting the live branches in (round, bit) order. A ``prob`` that
-    is not the trace of its kept state fails the trace check there.
+    is not the trace of its kept state fails the trace check there. The
+    Z-corrected states are not checked apart: Z rho Z negates only the
+    off-diagonal entries, exactly, so its Hermitian gap, trace,
+    finiteness and smallest eigenvalue are bit for bit those of rho.
     Returns the SWAP-test pass probabilities (1 + tr rho sigma)/2,
     shape (round, bit), with pass 0 for every branch that is not live.
     """
@@ -343,12 +341,11 @@ def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -
     flip = bits == 1
     for i, j in ((0, 1), (1, 0)):
         np.negative(corrected[:, i, j], out=corrected[:, i, j], where=flip)
-    # Real rows stay real in ``kept`` and ``corrected``, outside the
-    # complex stack: the einsum sums a real operand in another order.
-    states = np.empty((3, weight.size, 2, 2), dtype=np.complex128)
+    # Real rows stay real in ``corrected``, outside the complex stack:
+    # the einsum sums a real operand in another order.
+    states = np.empty((2, weight.size, 2, 2), dtype=np.complex128)
     states[0] = kept
-    states[1] = corrected
-    sigma = states[2]
+    sigma = states[1]
     np.multiply(authentic[:, :, None], authentic.conj()[:, None, :], out=sigma)
     check_density_operators(states)
     pass_prob = np.zeros(live.shape)

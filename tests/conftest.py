@@ -5,7 +5,7 @@ import numpy as np
 from phaseid import protocol
 from phaseid.adversary import _frame_magnitudes
 from phaseid.errors import DimensionMismatchError
-from phaseid.keys import phase_bases
+from phaseid.keys import PhaseFraction, phase_bases
 from phaseid.qsim import PureState
 from phaseid.tolerances import CONSTRUCT_ATOL, EIGENVALUE_FLOOR
 
@@ -67,7 +67,7 @@ def reference_sampled_records(key, seed, branches):
     """
     rng = np.random.default_rng(seed)
     records = []
-    for j, x in enumerate(key.xs, start=1):
+    for j, x in enumerate((PhaseFraction(k, key.p) for k in key.ks.tolist()), start=1):
         low, high = branches(x)
         bit = 0 if rng.random() < low[0] else 1
         passed = bool(rng.random() < (low, high)[bit][1])

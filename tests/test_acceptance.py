@@ -17,7 +17,6 @@ from phaseid.adversary import (
     cheung_sum_bound,
     eve_attack_round,
     helstrom_psucc_oracle,
-    helstrom_strategy,
     overlap_sum,
     psucc_formula,
     sample_attack_rounds,
@@ -144,7 +143,7 @@ def test_criterion_6_security_arithmetic():
 def test_criterion_7_monte_carlo_consistency():
     def body():
         trials = 100_000
-        report = eve_attack_round(2, helstrom_strategy(2))
+        report = eve_attack_round(2)
         exact = report.p_pass_exact
         assert abs(exact - 0.9267767) <= 5e-8
         passes = sample_attack_rounds(report.branches, trials, make_rng(424242))

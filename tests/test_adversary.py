@@ -1,5 +1,6 @@
 """Adversary side: frames, discrimination, attack rounds, combinatorial bounds."""
 
+import hashlib
 import math
 import tracemalloc
 from decimal import Decimal
@@ -429,11 +430,6 @@ class TestAttackRounds:
         report = eve_attack_round(t)
         assert report.p_pass_exact <= 1.0 - 1.0 / (8.0 * (t + 1)) + 1e-12
 
-    def test_strategy_copy_count_mismatch(self):
-        strat = helstrom_strategy(1)
-        with pytest.raises(DimensionMismatchError):
-            eve_attack_round(2, strategy=strat)
-
     def test_stacked_rows_equal_one_t_rows_bit_for_bit(self):
         # one verifier pass over every t gives each t the row, and the
         # exact pass probability, of its own pass
@@ -448,6 +444,34 @@ class TestAttackRounds:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (t, name)
             assert stacked.p_pass_exact.hex() == alone.p_pass_exact.hex(), t
             assert stacked.psucc_strategy.hex() == alone.psucc_strategy.hex(), t
+
+    def test_rows_are_pinned_bit_for_bit(self):
+        # sha256 of each row's probability bytes, then its pass_probability
+        # bytes. The literals were recorded from the code that still built
+        # one-t rows apart from sweeps; a changed bit in any row fails here.
+        def digest(tables):
+            h = hashlib.sha256()
+            for table in tables:
+                h.update(table.probability.tobytes())
+                h.update(table.pass_probability.tobytes())
+            return h.hexdigest()
+
+        reports = eve_attack_rounds(range(0, 301))
+        sweep = [report.branches for report in reports]
+        assert digest(sweep) == "631d5c78211793d687a0dbad7ec2b9aaa1276887aa8670b51e996cea4cb25e21"
+        scalars = np.array([(r.p_pass_exact, r.psucc_strategy) for r in reports]).tobytes()
+        assert hashlib.sha256(scalars).hexdigest() == \
+            "76d70024315983e56c5b414af68fac7704a9823507271d1bab1330e6d3bd5612"
+        pinned = {
+            0: "deae2229d156a3a162f3d6da12372432ce339e856700aac56a42536a6b349b88",
+            1: "2366809b70122f93f5c8319ee33d3ef537b569a40d67ee4262cb43951626521a",
+            8: "bf770ee2524186bde2ddbbca72ae377d201544c627a21e98522721e04c6e1e1b",
+            64: "94da419ef388b8c49ed4cb43bd75b375b99f1aa511e3e5c049efc5ff54595757",
+            4096: "f7b3054531a306e243d213c980f63779329713f1a4edc5c7a508e464c5d5b529",
+            100_000: "4f8b2a1470c06d569aa5671c0850aa2d0e5598b9da64428c333ded422a939cac",
+        }
+        for t, want in pinned.items():
+            assert digest([attack_round_branches(helstrom_strategy(t))]) == want, t
 
     def test_stacked_rows_are_read_only_views(self):
         reports = eve_attack_rounds([1, 2, 3])
@@ -474,7 +498,7 @@ class TestAttackRounds:
         for k in range(1, grid + 1):
             for prob, pass_prob in _scalar_attack_round(strat, PhaseFraction(k, grid)):
                 p_pass += prob * pass_prob
-        assert eve_attack_round(t, strat).p_pass_exact == pytest.approx(
+        assert eve_attack_round(t).p_pass_exact == pytest.approx(
             p_pass / grid, abs=1e-12
         )
 
@@ -522,10 +546,10 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
 @pytest.mark.parametrize("t", [0, 1, 3, 8, 64, 4096, 100_000])
 def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
     # One call on a (set, branch, 2, 2) stack: each live branch's kept
-    # state, its Z-corrected form and the authentic projector, against
-    # the round formed directly at angle 0 from the projected amplitudes,
-    # the oracle of the closed-form kept states. At t = 0, P- is zero
-    # and bit 1 is not live.
+    # state and the authentic projector, against the round formed
+    # directly at angle 0 from the projected amplitudes, the oracle of
+    # the closed-form kept states. At t = 0, P- is zero and bit 1 is
+    # not live.
     strategy = helstrom_strategy(t)
     seen = record_density_checks(monkeypatch)
     attack_round_branches(strategy)
@@ -534,17 +558,15 @@ def test_every_attacked_branch_state_reaches_the_density_check(monkeypatch, t):
     assert x.angle() == 0.0
     psi = bob_prepare_challenge().as_tensor()[:, :, None] * frame_vector(t, 0.0)
     sigma = DensityOperator.from_pure(public_key_state(x)).matrix
-    z = np.diag([1.0, -1.0])
     want = []
-    for bit, collapsed in enumerate(helstrom_project(strategy.t, psi)):
+    for collapsed in helstrom_project(strategy.t, psi):
         flat = collapsed.reshape(2, -1)
         kept = flat @ flat.conj().T
         prob = np.trace(kept).real
         if prob >= ZERO_BRANCH_PROB:
-            kept = kept / prob
-            want.append((kept, z @ kept @ z if bit else kept, sigma))
+            want.append((kept / prob, sigma))
     assert len(want) == (1 if t == 0 else 2)
-    assert states.shape == (3, len(want), 2, 2)
+    assert states.shape == (2, len(want), 2, 2)
     for branch, ops in enumerate(want):
         for got, op in zip(states[:, branch], ops):
             np.testing.assert_allclose(got, op, rtol=0.0, atol=1e-15)

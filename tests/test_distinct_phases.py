@@ -44,7 +44,8 @@ def _assert_session_is_per_round(params, key, prover, mode, seed):
     prob, pass_prob = _per_round_table(key, prover)
     if mode == "exact":
         marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
-        assert transcript.pass_probability.tobytes() == marginal.tobytes()
+        got = transcript.row_pass_probability[transcript.row]
+        assert got.tobytes() == marginal.tobytes()
         want = [json.dumps({"j": j, "response_bit": None,
                             "pass_probability": float(f"{x:.12g}")})
                 for j, x in enumerate(marginal.tolist(), start=1)]

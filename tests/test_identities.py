@@ -2,7 +2,7 @@
 
 Each stacked check is recomputed case by case the scalar way: one
 ``PureState`` and ``overlap`` per phase, one ``alice_respond`` per phase,
-one ``phase_average_exponential`` call per exponent, and the averaged
+one one-modulus ``_phase_average_rows`` call per exponent, and the averaged
 key operator from tensor products of single-qubit states.
 """
 
@@ -28,13 +28,13 @@ def run_cli(argv, capsys):
 
 
 def _old_scalar_phase_average(a: int, p: int) -> float:
-    """The scalar expression ``phase_average_exponential`` has always evaluated."""
+    """The scalar expression of one exponent's phase average, as it has always been."""
     ks = np.arange(1, p + 1)
     return complex(np.mean(np.exp(2j * np.pi * a * ks / p))).real
 
 
 def _old_phase_averages(a, p: int) -> np.ndarray:
-    """The array expression ``phase_average_exponential`` evaluated, one modulus per call."""
+    """The array expression of the phase averages, one modulus per call."""
     ks = np.arange(1, p + 1)
     return np.mean(np.exp(2j * np.pi * np.asarray(a)[..., None] * ks / p), axis=-1).real
 
@@ -64,18 +64,17 @@ class TestScalarOracle:
     @pytest.mark.parametrize("p", range(1, 10))
     def test_phase_averages_bitwise(self, p):
         a = np.arange(-12, 13)
-        got = keys.phase_average_exponential(a, p)
+        got = keys._phase_average_rows(a, (p,))[0]
         assert isinstance(got, np.ndarray) and got.shape == a.shape
         for ai, value in zip(a.tolist(), got.tolist()):
-            scalar = keys.phase_average_exponential(ai, p)
-            assert type(scalar) is float
+            scalar = keys._phase_average_rows(np.asarray(ai), (p,))[0]
             old = _old_scalar_phase_average(ai, p)
             assert np.float64(value).tobytes() == np.float64(scalar).tobytes()
             assert np.float64(scalar).tobytes() == np.float64(old).tobytes()
 
     def test_phase_average_keeps_the_array_shape(self):
         a = np.arange(-6, 6).reshape(3, 4)
-        got = keys.phase_average_exponential(a, 4)
+        got = keys._phase_average_rows(a, (4,))[0]
         np.testing.assert_allclose(got, (a % 4 == 0).astype(float), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -126,7 +125,7 @@ def _session_certainty() -> float:
             params = keys.ProtocolParams(r, p, variant)
             key = keys.PrivateKey.from_ks(np.arange(1, p + 1), p)
             tr = protocol.run_session(params, key, "honest", mode="exact")
-            worst = max(worst, float(np.max(np.abs(1.0 - tr.pass_probability))))
+            worst = max(worst, float(np.max(np.abs(1.0 - tr.row_pass_probability[tr.row]))))
     return worst
 
 
@@ -156,7 +155,7 @@ class TestOneTrigonometryPass:
 
     def test_phase_average_rows_are_the_one_modulus_calls(self):
         a = np.arange(-12, 13)
-        want = np.stack([keys.phase_average_exponential(a, p) for p in range(2, 10)])
+        want = np.stack([keys._phase_average_rows(a, (p,))[0] for p in range(2, 10)])
         got = keys._phase_average_rows(a, range(2, 10))
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         old = np.stack([_old_phase_averages(a, p) for p in range(2, 10)])
@@ -186,10 +185,10 @@ class TestPhaseAverageGuard:
     def test_names_the_first_failing_exponent(self, monkeypatch):
         self._skew(monkeypatch, at=-3)
         with pytest.raises(NumericalError, match="a=-3, p=5 has imaginary part"):
-            keys.phase_average_exponential(np.arange(-12, 13), 5)
+            keys._phase_average_rows(np.arange(-12, 13), (5,))
         with pytest.raises(NumericalError, match="imaginary part"):
-            keys.phase_average_exponential(-3, 5)
-        assert keys.phase_average_exponential(4, 5) == pytest.approx(0.0, abs=1e-12)
+            keys._phase_average_rows(np.asarray(-3), (5,))
+        assert keys._phase_average_rows(np.asarray(4), (5,))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_name_the_first_failing_modulus(self, monkeypatch):
         exact = keys._phase_means
@@ -207,7 +206,7 @@ class TestPhaseAverageGuard:
         # e^{i inf} is NaN, whose imaginary part compares false with the tolerance
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalError, match="a=inf, p=3 has imaginary part nan"):
-                keys.phase_average_exponential(np.inf, 3)
+                keys._phase_average_rows(np.asarray(np.inf), (3,))
             with pytest.raises(NumericalError, match="a=nan, p=2 has imaginary part nan"):
                 keys._phase_average_rows(np.array([4.0, np.nan]), range(2, 5))
 
@@ -223,7 +222,7 @@ class TestAveragesAreThePhaseMeans:
         # laid out in order, as the density check's transpose reads it fastest
         assert stacked.flags.c_contiguous
         for p, got in zip(ps, stacked):
-            means = np.array([2.0**-n * keys.phase_average_exponential(d, p)
+            means = np.array([2.0**-n * keys._phase_average_rows(np.asarray(d), (p,))[0]
                               for d in range(-n, n + 1)])
             assert got.dtype == np.float64 and got.tobytes() == means[diff + n].tobytes()
 

@@ -12,17 +12,22 @@ from phaseid.keys import (
     PrivateKey,
     ProtocolParams,
     averaged_key_operator_discrete,
+    _phase_average_rows,
     averaged_key_operators,
     generate_private_key,
-    phase_average_exponential,
+    phase_bases,
     public_key_descriptor,
     public_key_state,
-    qubit_phase_state,
     symmetric_mixture,
 )
-from phaseid.qsim import tensor
+from phaseid.qsim import PureState, tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _phases(key: PrivateKey) -> list[PhaseFraction]:
+    """The key's phases as PhaseFraction values, one per round."""
+    return [PhaseFraction(k, key.p) for k in key.ks.tolist()]
 
 
 class TestProtocolParams:
@@ -75,7 +80,7 @@ class TestPrivateKey:
         xs = (PhaseFraction(2, 5), PhaseFraction(5, 5), PhaseFraction(2, 5))
         key = PrivateKey(xs)
         assert key.ks.dtype == np.int64 and key.ks.tolist() == [2, 5, 2]
-        assert key.xs == xs
+        assert tuple(_phases(key)) == xs
         same = PrivateKey.from_ks([2, 5, 2], 5)
         assert same == key and hash(same) == hash(key)
         assert PrivateKey.from_ks([2, 5, 1], 5) != key
@@ -117,13 +122,13 @@ class TestKeygen:
         params = ProtocolParams(r=3, s=50, variant="hardened")
         key = generate_private_key(params, 7)
         assert key.s == 50
-        assert all(1 <= x.k <= params.p for x in key.xs)
+        assert all(1 <= x.k <= params.p for x in _phases(key))
 
     def test_uniform_over_phase_set(self):
         # 1e5 draws over p = 4 bins; all counts within 4 sigma of p/4 each
         params = ProtocolParams(r=3, s=100_000)
         key = generate_private_key(params, 20240817)
-        counts = np.bincount([x.k for x in key.xs], minlength=params.p + 1)[1:]
+        counts = np.bincount([x.k for x in _phases(key)], minlength=params.p + 1)[1:]
         n = params.s
         q = 1.0 / params.p
         sigma = math.sqrt(n * q * (1 - q))
@@ -148,7 +153,7 @@ class TestPublicKeyStates:
 
     def test_qubit_phase_state_normalized(self):
         for angle in np.linspace(0.0, 2.0 * math.pi, 17):
-            st_ = qubit_phase_state(float(angle))
+            st_ = PureState((2,), phase_bases(float(angle))[0])
             assert np.linalg.norm(st_.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", range(2, 9))
@@ -164,7 +169,7 @@ def _averaged_oracle(p: int, n: int) -> np.ndarray:
     """Average the n-fold tensor projectors one key value at a time."""
     acc = np.zeros((2**n, 2**n), dtype=np.complex128)
     for k in range(1, p + 1):
-        single = qubit_phase_state(PhaseFraction(k, p).angle())
+        single = PureState((2,), phase_bases(PhaseFraction(k, p).angle())[0])
         prod = single
         for _ in range(n - 1):
             prod = tensor(prod, single)
@@ -240,7 +245,7 @@ class TestSymmetricStates:
 @settings(max_examples=120, deadline=None)
 def test_phase_average_is_divisibility_indicator(a, p):
     want = 1.0 if a % p == 0 else 0.0
-    assert phase_average_exponential(a, p) == pytest.approx(want, abs=1e-12)
+    assert _phase_average_rows(np.asarray(a), (p,))[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestPublicKeyDescriptor:
@@ -256,7 +261,7 @@ class TestPublicKeyDescriptor:
         params = ProtocolParams(r=2, s=3)
         key = generate_private_key(params, 1)
         desc = public_key_descriptor(params, key, expose_phases=True)
-        assert desc["xs"] == [x.k for x in key.xs]
+        assert desc["xs"] == [x.k for x in _phases(key)]
 
     def test_expose_requires_key(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from phaseid.errors import (
     InvalidBasisError,
     NumericalError,
     StateValidationError,
-    TransportEmptyError,
     UsageExhaustedError,
 )
 from phaseid.keys import (
@@ -26,7 +25,6 @@ from phaseid.keys import (
     generate_private_key,
     phase_bases,
     public_key_state,
-    qubit_phase_state,
 )
 from phaseid.protocol import (
     CHUNK_ROUNDS,
@@ -103,7 +101,8 @@ class TestBobVerifyStep:
     def test_authentic_state_bit_zero(self):
         x = PhaseFraction(2, 5)
         pk = public_key_state(x)
-        out = bob_verify_step(DensityOperator.from_pure(qubit_phase_state(x.angle())), 0, pk)
+        kept = PureState((2,), phase_bases(x.angle())[0])
+        out = bob_verify_step(DensityOperator.from_pure(kept), 0, pk)
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_state_bit_one_corrects(self):
@@ -146,12 +145,12 @@ class TestBobVerifyStep:
     def test_rejects_bad_bit(self):
         pk = public_key_state(PhaseFraction(1, 3))
         with pytest.raises(ValueError):
-            bob_verify_step(DensityOperator.from_pure(qubit_phase_state(0.0)), 2, pk)
+            bob_verify_step(DensityOperator.from_pure(PureState((2,), phase_bases(0.0)[0])), 2, pk)
 
     def test_rejects_non_state(self):
         # the kept qubit is a DensityOperator; a PureState or a bare matrix is refused
         pk = public_key_state(PhaseFraction(1, 3))
-        for kept in (qubit_phase_state(0.0), np.eye(2) / 2.0):
+        for kept in (PureState((2,), phase_bases(0.0)[0]), np.eye(2) / 2.0):
             with pytest.raises(TypeError, match="DensityOperator"):
                 bob_verify_step(kept, 0, pk)
 
@@ -356,14 +355,15 @@ class TestTranscript:
             assert '{"j": 19, "response_bit": null, "pass_probability": 0.0}' in lines
             assert '{"j": 20, "response_bit": null, "pass_probability": -0.0}' in lines
             assert '{"j": 17, "response_bit": null, "pass_probability": 1.0}' in lines
-            assert transcript.pass_probability.tobytes() == np.array(probs)[row].tobytes()
+            got = transcript.row_pass_probability[transcript.row]
+            assert got.tobytes() == np.array(probs)[row].tobytes()
 
     def test_records_view(self):
         params = ProtocolParams(r=2, s=5)
         key = generate_private_key(params, 3)
         exact = run_session(params, key)
         assert len(exact.records) == 5
-        assert exact.records[-1] == RoundRecord(5, None, float(exact.pass_probability[4]), None)
+        assert exact.records[-1] == RoundRecord(5, None, float(exact.row_pass_probability[exact.row[4]]), None)
         assert exact.records[1:3] == tuple(exact.records)[1:3]
         sampled = run_session(params, key, mode="sampled", seed=9)
         assert [rec.j for rec in sampled.records] == [1, 2, 3, 4, 5]
@@ -373,16 +373,12 @@ class TestTranscript:
 
 
 class TestTransport:
-    def test_fifo_order(self):
+    def test_send_queues_each_message(self):
         ch = Transport()
+        assert len(ch) == 0
         ch.send("a")
         ch.send("b")
-        assert ch.recv() == "a"
-        assert ch.recv() == "b"
-
-    def test_recv_on_empty(self):
-        with pytest.raises(TransportEmptyError):
-            Transport().recv()
+        assert len(ch) == 2
 
 
 @given(st.integers(min_value=2, max_value=9), st.data())
@@ -471,22 +467,20 @@ def test_honest_table_is_the_same_across_chunks():
 
 
 def test_every_honest_branch_state_reaches_the_density_check(monkeypatch):
-    # One call on a (set, branch, 2, 2) stack: each branch's kept state,
-    # its Z-corrected form and the authentic projector, against the
-    # scalar kernel. Rounds are in increasing angle, the order in which
-    # the table evaluates its distinct angles.
+    # One call on a (set, branch, 2, 2) stack: each branch's kept state
+    # and the authentic projector, against the scalar kernel. Rounds are
+    # in increasing angle, the order in which the table evaluates its
+    # distinct angles.
     xs = sorted((PhaseFraction(k, 7) for k in range(1, 8)), key=lambda x: x.angle())
     seen = record_density_checks(monkeypatch)
     honest_round_branches([x.angle() for x in xs])
     (states,) = seen
-    assert states.shape == (3, 2 * len(xs), 2, 2)
-    z = np.diag([1.0, -1.0])
+    assert states.shape == (2, 2 * len(xs), 2, 2)
     for j, x in enumerate(xs):
         sigma = DensityOperator.from_pure(public_key_state(x)).matrix
         for branch in alice_respond(bob_prepare_challenge(), x):
             kept = partial_trace(branch.post_state, (0,)).matrix
-            corrected = z @ kept @ z if branch.outcome else kept
-            for got, want in zip(states[:, 2 * j + branch.outcome], (kept, corrected, sigma)):
+            for got, want in zip(states[:, 2 * j + branch.outcome], (kept, sigma)):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
@@ -569,9 +563,9 @@ def test_verifier_refuses_a_probability_that_is_not_the_trace():
         verify_kept_states(kept, prob, angles)
 
 
-@pytest.mark.parametrize("where", [(0, 0), (1, 3), (2, 5)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 3), (1, 5)])
 def test_a_corrupted_verifier_state_names_its_set_and_branch(monkeypatch, where):
-    # set 0 kept, 1 Z-corrected, 2 authentic; branch 2 j + bit
+    # set 0 kept, 1 authentic; branch 2 j + bit
     real = protocol.check_density_operators
 
     def corrupted(states):
@@ -681,5 +675,5 @@ class TestBranchTable:
         params = ProtocolParams(r=2, s=3)
         transcript = run_session(params, generate_private_key(params, 4), prover=_Prover())
         row[:] = 0
-        assert transcript.pass_probability.tolist() == [1.0, 0.5, 0.5]
+        assert transcript.row_pass_probability[transcript.row].tolist() == [1.0, 0.5, 0.5]
         assert transcript.verdict == "reject"

@@ -10,6 +10,12 @@ level without a leading underscore. Each must meet one condition:
 - the benchmark traces it by name: a per-layer metric of
   ``BENCHMARK.json`` is named ``<module>.<name>.<...>``.
 
+The public methods and properties of every class defined at the top
+level of a module are scanned too; dunder and underscored names are
+exempt. Each must be read as an attribute, ``obj.name``, in
+``src/phaseid/*.py`` or ``bench/*.py`` (a bare name does not count),
+or be traced as ``<module>.<Class>.<method>`` in ``BENCHMARK.json``.
+
 Tests do not count as consumers: a name that only its own tests read
 is dead code with a test.
 """
@@ -57,6 +63,13 @@ def read_names(paths) -> set[str]:
     return read
 
 
+def read_attributes(paths) -> set[str]:
+    """Every identifier read as an attribute, ``obj.name``, in ``paths``."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def traced_names(spec: dict) -> set[tuple[str, str]]:
     """(module, name) of every public name a per-layer metric is named after."""
     traced = set()
@@ -65,6 +78,29 @@ def traced_names(spec: dict) -> set[tuple[str, str]]:
         if len(parts) >= 3:
             traced.add((parts[0], parts[1]))
     return traced
+
+
+def traced_members(spec: dict) -> set[tuple[str, str, str]]:
+    """(module, class, member) of every method a per-layer metric is named after."""
+    traced = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) >= 4:
+            traced.add((parts[0], parts[1], parts[2]))
+    return traced
+
+
+def unconsumed_members(module_path: Path, read, traced) -> list[str]:
+    """``Class.member`` for each public method or property of ``module_path``'s
+    top-level classes that is neither read as an attribute nor traced."""
+    module = module_path.stem
+    tree = ast.parse(module_path.read_text(encoding="utf-8"))
+    return [f"{cls.name}.{node.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and node.name not in read and (module, cls.name, node.name) not in traced]
 
 
 def unconsumed(module_path: Path, exported, read, traced) -> list[str]:
@@ -104,3 +140,43 @@ def test_scan_flags_an_unused_public_function(tmp_path):
         "unused_helper"]
     path.write_text('__all__ = ["exported", "LIMIT"]\nLIMIT = 3\ndef unused_helper(): pass\n')
     assert unconsumed(path, set(), read_names([path]), set()) == ["exported", "LIMIT"]
+
+
+@pytest.fixture(scope="module")
+def member_consumers():
+    read = read_attributes([*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    return read, traced_members(json.loads((ROOT / "BENCHMARK.json").read_text()))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_has_a_consumer(module, member_consumers):
+    assert unconsumed_members(PACKAGE / f"{module}.py", *member_consumers) == []
+
+
+def test_scan_flags_an_unread_method(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Queue:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def _helper(self):\n"
+        "        return 1\n"
+        "    def send(self):\n"
+        "        return self._helper()\n"
+        "    def recv(self):\n"
+        "        return 'recv'\n"
+        "    def used(self):\n"
+        "        return 2\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 3\n"
+        "    @property\n"
+        "    def depth(self):\n"
+        "        return 4\n"
+        "def caller(queue, depth):\n"
+        "    return queue.used() + queue.size + depth\n"
+    )
+    read = read_attributes([path])
+    assert unconsumed_members(path, read, {("sample", "Queue", "send")}) == [
+        "Queue.recv", "Queue.depth"]
+    assert unconsumed_members(path, read, set()) == ["Queue.send", "Queue.recv", "Queue.depth"]

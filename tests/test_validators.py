@@ -137,6 +137,24 @@ class TestDensityOperatorsAsStepByStep:
         assert _outcome(check_density_operators, stack[None, 1:]) == _outcome(
             reference_check_density_operators, stack[None, 1:])
 
+    @given(st.booleans(), st.booleans(), _faults(OPERATOR_FAULTS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_z_correction_keeps_the_verdict(self, real, symmetric, faults, seed):
+        # Z K Z only negates the off-diagonal entries, exactly, so the
+        # verifier checks the kept state K and not its corrected form
+        rng = np.random.default_rng(seed)
+        stack = _density_stack(rng, 2, real, symmetric)
+        for kind, index in faults:
+            stack[index] = _corrupt_operator(rng, stack[index], kind)
+        corrected = stack.copy()
+        for i, j in ((0, 1), (1, 0)):
+            np.negative(corrected[:, i, j], out=corrected[:, i, j])
+        assert _outcome(check_density_operators, corrected) == _outcome(
+            check_density_operators, stack)
+        for mat, flipped in zip(stack, corrected):
+            assert _outcome(check_density_operators, flipped) == _outcome(
+                check_density_operators, mat)
+
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("first,second", [
