@@ -22,7 +22,7 @@ conditional Z, SWAP test) turns the two into one row, reproducing
 p_pass = (1 + psucc)/2. ``eve_attack_rounds`` is the one route to
 that row, for any number of copy counts at once; ``eve_attack_round``
 and the Eve prover's ``attack_round_branches`` read one t of it. An
-adversarial session is that one row with every round indexing it,
+adversarial session is that one row with every round reading it,
 whatever its key.
 
 The closed form
@@ -56,7 +56,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .keys import PrivateKey, phase_angles
+from .keys import _require_int, phase_angles
 from .protocol import BranchTable, verify_kept_states
 from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
@@ -83,7 +83,7 @@ _MAX_ORACLE_T = 256
 
 
 def _check_t(t: int, minimum: int = 0) -> int:
-    t = int(t)
+    t = _require_int("t", t)
     if t < minimum:
         raise ValueError(f"t must be >= {minimum}, got {t}")
     return t
@@ -266,7 +266,7 @@ class HelstromStrategy:
     psucc: float
 
     def __post_init__(self):
-        _check_t(self.t)
+        object.__setattr__(self, "t", _check_t(self.t))
         if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
             raise NumericalError(f"psucc {self.psucc!r} outside [1/2, 1]")
 
@@ -389,20 +389,17 @@ def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
     overlap = np.array(overlaps)[:, None]
     sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
-    prob = 0.5 * (1.0 + sign * edge)
     kept = np.empty((len(ts), 2, 2, 2))
-    kept[..., 0, 0] = kept[..., 1, 1] = 0.5 * prob
+    kept[..., 0, 0] = kept[..., 1, 1] = 0.25 * (1.0 + sign * edge)
     kept[..., 0, 1] = kept[..., 1, 0] = 0.25 * sign * overlap
-    pass_prob = verify_kept_states(kept, prob, np.zeros(len(ts)))
-    table = BranchTable(prob, pass_prob)
-    p_pass = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
+    table = BranchTable(*verify_kept_states(kept, np.zeros(len(ts))))
     return [CheatGuessReport(strategy.t, value, strategy.psucc, table.row(j))
-            for j, (strategy, value) in enumerate(zip(strategies, p_pass.tolist()))]
+            for j, (strategy, value) in enumerate(zip(strategies, table.marginal.tolist()))]
 
 
 @dataclass(frozen=True)
 class EveProver:
-    """Adapter giving run_session an adversarial prover: ``round_branches(key)``.
+    """Adapter giving run_session an adversarial prover: ``round_branches()``.
 
     It runs against a key of any phase modulus p, but its strategy is the
     optimal one for that key only while strategy.t <= p - 2 (see
@@ -412,9 +409,9 @@ class EveProver:
     strategy: HelstromStrategy
     tag: ClassVar[str] = "helstrom-eve"
 
-    def round_branches(self, key: PrivateKey) -> tuple[BranchTable, np.ndarray]:
-        """The attacked round's one row, the same at every phase, for every round of ``key``."""
-        return attack_round_branches(self.strategy), np.zeros(key.s, dtype=np.intp)
+    def round_branches(self) -> BranchTable:
+        """The attacked round's one row, the same at every key phase, so no key is read."""
+        return attack_round_branches(self.strategy)
 
 
 def sample_attack_rounds(branches: BranchTable, trials: int, rng) -> np.ndarray:

@@ -76,10 +76,7 @@ def _check_honest_round_certainty() -> float:
     # (variant, r), its key running through every phase 1..p (standard
     # r <= 5, hardened r <= 3), uses exactly the moduli p = 2..7, so its
     # rounds read exactly these rows and have the same largest deviation.
-    table = _phase_table()
-    prob, pass_prob = table.probability, table.pass_probability
-    marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
-    return float(np.max(np.abs(1.0 - marginal)))
+    return float(np.max(np.abs(1.0 - _phase_table().marginal)))
 
 
 def _check_response_uniformity() -> float:

@@ -79,15 +79,24 @@ def phase_bases(angles) -> np.ndarray:
     return bases
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; only Python and numpy integers, so 2.5 and True are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Reusability r, repetition count s, and phase-set variant."""
+    """Reusability r and repetition count s, stored as ints, and phase-set variant."""
 
     r: int
     s: int
     variant: str = "standard"
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _require_int("r", self.r))
+        object.__setattr__(self, "s", _require_int("s", self.s))
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.s < 1:
@@ -103,12 +112,14 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class PhaseFraction:
-    """Exact phase k/p of a full turn, with 1 <= k <= p."""
+    """Exact phase k/p of a full turn, with integers 1 <= k <= p, stored as ints."""
 
     k: int
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _require_int("k", self.k))
+        object.__setattr__(self, "p", _require_int("p", self.p))
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not 1 <= self.k <= self.p:
@@ -143,10 +154,10 @@ class PrivateKey:
     def from_ks(cls, ks, p: int) -> "PrivateKey":
         """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p.
 
-        ``ks`` must have an integer dtype: floats, bools and strings raise
-        ValueError rather than being truncated or compared.
+        Floats, bools and strings, in ``ks`` or as ``p``, raise ValueError
+        rather than being truncated or compared.
         """
-        p = int(p)
+        p = _require_int("p", p)
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         ks = np.array(ks)

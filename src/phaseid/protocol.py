@@ -13,40 +13,38 @@ decomposes as (|x+ x+> - |x- x->)/sqrt(2) in any phase basis: the
 prover's outcome steers the kept register onto |x+> or |x->, and the
 conditional Z folds the second case onto the first.
 
-A session is a branch table of distinct rows, each holding both
-response bits with their probabilities and the SWAP-test pass
-probabilities that follow, plus one row index per round. An honest
-round depends on nothing but its key phase k/p, so an honest table has
-one row per distinct numerator of the key, and the index comes from one
-integer ``np.unique`` (``_honest_session``). An adversary supplies both
-through its ``round_branches(key)``. Each row is validated once.
+A session is a branch table of distinct rows, each holding both response
+bits with their probabilities and the SWAP-test pass probabilities that
+follow, plus one row index per round. An honest round depends on nothing
+but its key phase k/p, so an honest table has one row per distinct
+numerator of the key, and the index comes from one integer ``np.unique``
+(``_honest_session``). An adversary holds copies of the public key,
+never the private phases: its ``round_branches()`` takes no key and
+returns one row, which every round reads. Each row is validated once.
 Honest and attacked rounds share one verifier step,
-``verify_kept_states``. It takes each branch's kept 2x2 state and works
-in closed form on the stacks: Z rho Z flips the sign of the
-off-diagonal entries, tr(rho sigma) is a sum of elementwise products,
-and the positivity checks take the 2x2 smallest eigenvalue directly.
-An honest branch leaves the kept qubit as one factor of a product
-state, so its kept state is a a^dagger, a its kept amplitude
-(``_honest_rows``); an attacked round brings its own in closed form.
-The verifier makes his authentic public-key copy himself, once per
-row, from the row's key angle. The kept states and the authentic
-projectors are validated together by one ``check_density_operators``
-call on a (2, live branch, 2, 2) stack; the Z-corrected states pass or
-fail exactly as the kept states do (``verify_kept_states``).
-The challenge is one immutable two-qubit ``PureState``, built and
-validated at import, and ``bob_prepare_challenge`` returns it.
-Exact mode reports each round's pass probability sum_b prob * pass
-(response bits are recorded as null), once per row. Sampled mode draws
-two uniforms per round from a seeded generator, in order: the response
-(bit 0 when the draw falls below its row's probability), then the SWAP
-test. No message transport is involved. ``alice_respond`` and
-``bob_verify_step`` are the scalar, per-round form of the kernel, exact
-only: ``alice_respond`` returns the ``MeasurementResult`` of each
-response (its ``outcome`` is the bit), and ``bob_verify_step`` takes
-the kept qubit as a ``DensityOperator``, the ``partial_trace`` of a
-branch's post state, and returns the pass probability. No command
-calls them; the tests use them as the independent oracle of the
-stacked kernel, and library callers can run a single round with them.
+``verify_kept_states``. It takes each branch's kept 2x2 state, reads the
+branch probability off its trace, and works in closed form on the
+stacks: Z rho Z flips the sign of the off-diagonal entries,
+tr(rho sigma) is a sum of elementwise products, and the positivity
+checks take the 2x2 smallest eigenvalue directly. An honest branch
+leaves the kept qubit as one factor of a product state, so its kept
+state is a a^dagger, a its kept amplitude (``_honest_rows``); an
+attacked round brings its own in closed form. The verifier makes his
+authentic public-key copy himself, once per row, from the row's key
+angle. The challenge is one immutable two-qubit ``PureState``, built and
+validated at import, and ``bob_prepare_challenge`` returns it. Exact
+mode reports each row's pass probability once (``BranchTable.marginal``;
+response bits are recorded as null). Sampled mode draws two uniforms per
+round from a seeded generator, in order: the response (bit 0 when the
+draw falls below its row's probability), then the SWAP test. No message
+transport is involved. ``alice_respond`` and ``bob_verify_step`` are the
+scalar, per-round form of the kernel, exact only: ``alice_respond``
+returns the ``MeasurementResult`` of each response (its ``outcome`` is
+the bit), and ``bob_verify_step`` takes the kept qubit as a
+``DensityOperator``, the ``partial_trace`` of a branch's post state, and
+returns the pass probability. No command calls them; the tests use them
+as the independent oracle of the stacked kernel, and library callers can
+run a single round with them.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ from .qsim import (
     PureState,
     check_density_operators,
     check_orthonormal_bases,
-    check_pure_states,
     measure_in_basis,
     partial_trace,  # noqa: F401  (kept importable here: the benchmark's tests look it up)
     swap_test_pass_probability_mixed,
@@ -148,6 +145,12 @@ class BranchTable:
     @property
     def rounds(self) -> int:
         return self.probability.shape[0]
+
+    @property
+    def marginal(self) -> np.ndarray:
+        """Each row's pass probability, summed over both response bits."""
+        prob, pass_prob = self.probability, self.pass_probability
+        return prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
 
     def row(self, j: int) -> "BranchTable":
         """Row j as a one-row table, not validated again.
@@ -308,33 +311,35 @@ def bob_verify_step(kept: DensityOperator, response_bit: int, pk: PureState) -> 
     return swap_test_pass_probability_mixed(corrected, DensityOperator.from_pure(pk))
 
 
-def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The verifier's step on the provers' kept 2x2 states: the pass probabilities.
+def verify_kept_states(kept: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The verifier's step on the provers' kept 2x2 states: (prob, pass_prob).
 
     ``kept`` (round, bit, 2, 2) holds each branch's unnormalised kept
-    state and ``prob`` (round, bit) its trace; ``angles`` holds each
-    round's key angle. From it the verifier makes his own authentic
-    copy of the round's public-key element, once per round, so the
-    prover never supplies the reference; the copies are validated as
-    pure states. The live kept states (prob not below ZERO_BRANCH_PROB,
-    so NaN too), normalised, and the authentic projectors are validated
-    as density operators by one ``check_density_operators`` call on a
-    (2, live, 2, 2) stack: a failure names (set, branch) as its stack
-    index, set 0 being the kept states and 1 the projectors, and branch
-    counting the live branches in (round, bit) order. A ``prob`` that
-    is not the trace of its kept state fails the trace check there. The
+    state, whose trace is the branch probability ``prob``; ``angles``
+    holds each round's key angle. From it the verifier makes his own
+    authentic copy of the round's public-key element, once per round,
+    so the prover never supplies the reference. The live kept states
+    (prob not below ZERO_BRANCH_PROB, so NaN too), normalised, and the
+    authentic projectors a a^dagger are validated as density operators
+    by one ``check_density_operators`` call on a (2, live, 2, 2) stack:
+    a failure names (set, branch) as its stack index, set 0 being the
+    kept states and 1 the projectors, and branch counting the live
+    branches in (round, bit) order. That check also covers the
+    authentic vectors a: a non-finite entry fails finiteness, and a
+    trace within CONSTRUCT_ATOL of 1 holds |a|^2, so |a| too, closer
+    to 1 than a norm check to the same tolerance would. The
     Z-corrected states are not checked apart: Z rho Z negates only the
     off-diagonal entries, exactly, so its Hermitian gap, trace,
     finiteness and smallest eigenvalue are bit for bit those of rho.
-    Returns the SWAP-test pass probabilities (1 + tr rho sigma)/2,
-    shape (round, bit), with pass 0 for every branch that is not live.
+    Returns the branch probabilities and the SWAP-test pass
+    probabilities (1 + tr rho sigma)/2, both of shape (round, bit),
+    with pass 0 for every branch that is not live.
     """
+    prob = np.trace(kept, axis1=-2, axis2=-1).real
     live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
     rounds, bits = np.nonzero(live)
     weight = prob[live]
-    authentic = phase_bases(angles)[:, 0]
-    check_pure_states(authentic)
-    authentic = authentic[rounds]
+    authentic = phase_bases(angles)[rounds, 0]
     kept = kept[live] / weight[:, None, None]
     # Z rho Z flips the sign of the off-diagonal entries.
     corrected = kept.copy()
@@ -350,7 +355,7 @@ def verify_kept_states(kept: np.ndarray, prob: np.ndarray, angles: np.ndarray) -
     check_density_operators(states)
     pass_prob = np.zeros(live.shape)
     pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
-    return pass_prob
+    return prob, pass_prob
 
 
 def honest_round_branches(angles) -> BranchTable:
@@ -394,9 +399,7 @@ def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.
     # Contract each basis vector with the sent register:
     # inner[j, b, i] = sum_k conj(bases[j, b, k]) joint[i, k], i the kept register.
     inner = bases.conj() @ joint.T
-    kept = inner[..., :, None] * inner.conj()[..., None, :]      # (round, outcome, 2, 2)
-    prob = np.trace(kept, axis1=-2, axis2=-1).real
-    return prob, verify_kept_states(kept, prob, angles)
+    return verify_kept_states(inner[..., :, None] * inner.conj()[..., None, :], angles)
 
 
 def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest", *,
@@ -405,12 +408,11 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     """Run one full s-round session and return its transcript.
 
     ``prover`` is "honest" or an adversary object exposing
-    ``round_branches(key)``, which returns (table, row): a BranchTable
-    of distinct rows and an integer array of shape (s,), round j reading
-    row ``row[j]``. Honest sessions draw on a UsageCounter (a fresh
-    single-use one when none is given) and refuse, rather than reject,
-    once it is exhausted. All s rounds always run; the verdict is
-    decided at the end.
+    ``round_branches()``, which takes no key, as a cheat holds only
+    copies of the public key, and returns a one-row BranchTable that
+    every round reads. Honest sessions draw on ``usage`` when one is
+    given and refuse, rather than reject, once it is exhausted. All s
+    rounds always run; the verdict is decided at the end.
 
     In exact mode the verdict is "accept" only when every round passes
     with certainty, which is the honest-prover case. Sampled mode draws
@@ -428,21 +430,22 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     if honest and prover != "honest":
         raise ValueError(f"unknown prover tag {prover!r}")
     if honest:
-        if usage is None:
-            usage = UsageCounter(1)
-        usage.consume()
+        if usage is not None:
+            usage.consume()
         prover_tag = "honest"
         table, row = _honest_session(private_key)
     else:
         prover_tag = getattr(prover, "tag", "adversary")
-        table, row = prover.round_branches(private_key)
-        row = _checked_row(row, params.s, table.rounds)
-    prob, pass_prob = table.probability, table.pass_probability
+        table = prover.round_branches()
+        if table.rounds != 1:
+            raise DimensionMismatchError(f"an adversary gives one row, got {table.rounds}")
+        row = np.zeros(params.s, np.intp)
     if mode == "exact":
-        marginal = prob[:, 0] * pass_prob[:, 0] + prob[:, 1] * pass_prob[:, 1]
+        marginal = table.marginal
         rounds = {"row": row, "row_pass_probability": marginal}
         ok = bool((marginal >= 1.0 - CONSTRUCT_ATOL)[row].all())
     else:
+        prob, pass_prob = table.probability, table.pass_probability
         u = make_rng(seed).random((params.s, 2))
         bits = (u[:, 0] >= prob[row, 0]).astype(np.int64)
         passed = u[:, 1] < pass_prob[row, bits]
@@ -459,18 +462,3 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
         verdict="accept" if ok else "reject",
         **rounds,
     )
-
-
-def _checked_row(row, s: int, rows: int) -> np.ndarray:
-    """A copy of an adversary's row index, which must be integers of shape (s,) in 0..rows-1.
-
-    Numpy would read a negative entry from the end of the table.
-    """
-    row = np.array(row)
-    if row.shape != (s,) or not np.issubdtype(row.dtype, np.integer):
-        raise DimensionMismatchError(f"row index must be integers of shape ({s},), "
-                                     f"got {row.dtype} of shape {row.shape}")
-    bad = row[(row < 0) | (row >= rows)]
-    if bad.size:
-        raise DimensionMismatchError(f"row index must lie in 0..{rows - 1}, got {bad[0]}")
-    return row

@@ -70,6 +70,24 @@ class TestCombinatorics:
         with pytest.raises(ValueError):
             overlap_sum(-1)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: eve_attack_round(2.5), id="eve_attack_round"),
+        pytest.param(lambda: eve_attack_rounds([1, 2.0]), id="eve_attack_rounds"),
+        pytest.param(lambda: overlap_sum(True), id="overlap_sum"),
+        pytest.param(lambda: helstrom_strategy(np.float64(3.0)), id="helstrom_strategy"),
+        pytest.param(lambda: HelstromStrategy(2.5, 0.8), id="HelstromStrategy"),
+        pytest.param(lambda: cheung_bound("2"), id="cheung_bound"),
+    ])
+    def test_copy_counts_must_be_integers(self, call):
+        # a copy count is refused, not truncated: 2.5 is not t = 2, True not t = 1
+        with pytest.raises(ValueError, match="t must be an integer"):
+            call()
+
+    def test_numpy_integer_copy_counts_are_copy_counts(self):
+        assert overlap_sum(np.int64(5)) == overlap_sum(5)
+        assert eve_attack_round(np.uint8(3)).p_pass_exact == eve_attack_round(3).p_pass_exact
+        assert type(HelstromStrategy(np.int64(3), PSUCC_T3).t) is int
+
     def test_overlap_sum_matches_integer_binomials(self):
         # independent of the frame recurrence: exact big-integer binomials,
         # one rounding per term, summed exactly
@@ -532,9 +550,8 @@ def test_attack_table_matches_scalar_rounds(t, p, data):
     xs = [PhaseFraction(k, p) for k in ks]
     strategy = helstrom_strategy(t)
     row = attack_round_branches(strategy)
-    table, index = EveProver(strategy).round_branches(PrivateKey(tuple(xs)))
+    table = EveProver(strategy).round_branches()
     assert table.rounds == 1
-    assert np.issubdtype(index.dtype, np.integer) and index.tolist() == [0] * len(xs)
     assert table.probability.tolist() == row.probability.tolist()
     assert table.pass_probability.tolist() == row.pass_probability.tolist()
     for x in xs:
@@ -649,6 +666,26 @@ class TestEveProver:
         got_a = sorted(rec.pass_probability for rec in a.records)
         got_b = sorted(rec.pass_probability for rec in b.records)
         assert got_a == pytest.approx(got_b, abs=1e-12)
+
+    # sha256 of ``to_json_lines()`` (lines joined and ended by newlines) of
+    # Eve sessions in the benchmark's shape, r = 100 and s = 200, recorded
+    # before the round contract took its key-free, one-row form.
+    @pytest.mark.parametrize("t,mode,digest", [
+        (1, "exact", "88f50e3ca226287eba2651babb51747a8e1c019ee706b8523821e5cd3435880f"),
+        (1, "sampled", "f889c2ca8e6b3752209b53b1a5f32369d003a99ebe7871e50b3556de43fbe731"),
+        (3, "exact", "7aac50d96d23b7239dd7c41e864262b68dfaf1c11391303244b221e02a67ab43"),
+        (3, "sampled", "5870289f9ab4538eaa5f220785159a2054e9fb3bfd7c689bd035e0899a598191"),
+        (8, "exact", "b1cfcf0364bec2a3973cd46679a40c60d1648e3953fef3fa32101aab156df06e"),
+        (8, "sampled", "36a441ed4d57f4f6269fde75312c0916b726d94672af166fc5e7dd09e6b368db"),
+    ])
+    def test_session_bytes_are_pinned(self, t, mode, digest):
+        params = ProtocolParams(r=100, s=200)
+        key = generate_private_key(params, 2024)
+        seed = 31 + t if mode == "sampled" else None
+        transcript = run_session(params, key, EveProver(helstrom_strategy(t)), mode=mode,
+                                 seed=seed)
+        data = ("\n".join(transcript.to_json_lines()) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_sampled_session_runs(self):
         params = ProtocolParams(r=2, s=4)

@@ -409,9 +409,9 @@ class TestRunAttack:
         verified = []
         verify_kept_states = adversary.verify_kept_states
 
-        def spy_verify(kept, prob, angles):
+        def spy_verify(kept, angles):
             verified.append((kept.shape, angles.tolist()))
-            return verify_kept_states(kept, prob, angles)
+            return verify_kept_states(kept, angles)
 
         monkeypatch.setattr(adversary, "verify_kept_states", spy_verify)
         code, _, _ = run_cli(["run-attack", "--t-max", "3", "--mode", "sampled", "--seed", "5",

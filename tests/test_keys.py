@@ -46,6 +46,20 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(r=2, s=2, variant="extra")
 
+    @pytest.mark.parametrize("r,s,field", [(2.5, 3, "r"), (2.0, 3, "r"), (True, 3, "r"),
+                                           (2, 3.5, "s"), (2, True, "s"), (2, "3", "s")])
+    def test_rejects_non_integers(self, r, s, field):
+        # refused, not truncated: r = 2.5 would give p = 3.5
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProtocolParams(r, s)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        # so a transcript header, which prints r, s and p, stays JSON
+        params = ProtocolParams(np.int64(4), np.int32(3))
+        assert (type(params.r), type(params.s), params.p) == (int, int, 5)
+        x = PhaseFraction(np.int64(2), np.uint8(5))
+        assert (type(x.k), type(x.p)) == (int, int) and x == PhaseFraction(2, 5)
+
 
 class TestPhaseFraction:
     def test_k_equal_p_is_angle_zero(self):
@@ -60,6 +74,15 @@ class TestPhaseFraction:
     def test_rejects_out_of_range(self, k, p):
         with pytest.raises(ValueError):
             PhaseFraction(k, p)
+
+    @pytest.mark.parametrize("k,p,field", [(2.5, 7, "k"), (2.0, 7, "k"), (True, 7, "k"),
+                                           (2, 7.0, "p"), (1, True, "p"), (np.float64(3), 7, "k")])
+    def test_rejects_non_integers(self, k, p, field):
+        # an off-lattice phase is refused, not stored as another phase
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PhaseFraction(k, p)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PrivateKey((PhaseFraction(1, 7), PhaseFraction(k, p)))
 
 
 class TestPrivateKey:
@@ -105,6 +128,11 @@ class TestPrivateKey:
     def test_from_ks_rejects_phases_that_are_not_integers(self, ks):
         with pytest.raises(ValueError, match="must be integers"):
             PrivateKey.from_ks(ks, 3)
+
+    @pytest.mark.parametrize("p", [3.5, 3.0, True])
+    def test_from_ks_rejects_a_modulus_that_is_not_an_integer(self, p):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            PrivateKey.from_ks([1], p)
 
 
 class TestKeygen:

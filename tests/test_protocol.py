@@ -188,10 +188,11 @@ class TestExactSessions:
 
 
 class TestUsageBudget:
-    def test_default_counter_is_single_use(self):
-        params = ProtocolParams(r=3, s=1)
+    def test_session_without_a_counter_draws_on_no_budget(self):
+        params = ProtocolParams(r=1, s=1)
         key = generate_private_key(params, 8)
-        run_session(params, key, mode="exact")  # fresh counter each call
+        for _ in range(3):
+            assert run_session(params, key, mode="exact").verdict == "accept"
 
     def test_shared_counter_refuses_after_r_sessions(self):
         params = ProtocolParams(r=3, s=2)
@@ -211,8 +212,8 @@ class TestUsageBudget:
         class _Flat:
             tag = "flat"
 
-            def round_branches(self, key):
-                return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2))), np.zeros(key.s, int)
+            def round_branches(self):
+                return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2)))
 
         counter = UsageCounter(0)
         params = ProtocolParams(r=1, s=2)
@@ -485,7 +486,7 @@ def test_every_honest_branch_state_reaches_the_density_check(monkeypatch):
 
 
 def _honest_kept_states(angles, corrupt=None):
-    """(kept, prob) of honest rounds, formed as ``_honest_rows`` forms them.
+    """Kept states of honest rounds, formed as ``_honest_rows`` forms them.
 
     ``corrupt`` is (round, bit, value): that branch's first kept
     amplitude is set to ``value`` before the outer product.
@@ -493,26 +494,38 @@ def _honest_kept_states(angles, corrupt=None):
     inner = phase_bases(angles).conj() @ bob_prepare_challenge().as_tensor().T
     if corrupt is not None:
         inner[corrupt[:2] + (0,)] = corrupt[2]
-    kept = inner[..., :, None] * inner.conj()[..., None, :]
-    return kept, np.trace(kept, axis1=-2, axis2=-1).real
+    return inner[..., :, None] * inner.conj()[..., None, :]
 
 
 def test_honest_rows_give_the_verifier_their_kept_states(monkeypatch):
-    # the kept states reach ``verify_kept_states`` as they are formed
+    # the kept states reach ``verify_kept_states`` as they are formed, and
+    # the branch probabilities are their traces
     angles = np.array([PhaseFraction(k, 7).angle() for k in range(1, 8)])
     seen = []
 
-    def spy(kept, prob, angles):
-        seen.append((kept, prob))
-        return verify_kept_states(kept, prob, angles)
+    def spy(kept, angles):
+        seen.append(kept)
+        return verify_kept_states(kept, angles)
 
     monkeypatch.setattr(protocol, "verify_kept_states", spy)
     table = honest_round_branches(angles)
-    ((kept, prob),) = seen
-    want_kept, want_prob = _honest_kept_states(angles)
-    np.testing.assert_array_equal(kept, want_kept)
-    np.testing.assert_array_equal(prob, want_prob)
-    np.testing.assert_array_equal(table.probability, prob)
+    (kept,) = seen
+    want = _honest_kept_states(angles)
+    np.testing.assert_array_equal(kept, want)
+    np.testing.assert_array_equal(table.probability, np.trace(want, axis1=-2, axis2=-1).real)
+
+
+def test_verifier_reads_branch_probabilities_off_the_kept_traces():
+    # scaling a branch's kept state scales its probability and leaves its
+    # normalised state, so its pass probability, as it was
+    angles = np.array([0.3, 1.1])
+    kept = _honest_kept_states(angles)
+    prob, pass_prob = verify_kept_states(kept, angles)
+    kept[0, 1] *= 0.25
+    scaled, scaled_pass = verify_kept_states(kept, angles)
+    assert scaled[0, 1] == 0.25 * prob[0, 1]
+    np.testing.assert_array_equal(np.delete(scaled.ravel(), 1), np.delete(prob.ravel(), 1))
+    np.testing.assert_allclose(scaled_pass, pass_prob, rtol=0.0, atol=1e-15)
 
 
 def test_an_overflowing_kept_amplitude_fails_the_density_check():
@@ -521,11 +534,11 @@ def test_an_overflowing_kept_amplitude_fails_the_density_check():
     # branch in (round, bit) order.
     angles = np.array([0.3, 1.1])
     with np.errstate(over="ignore", invalid="ignore"):
-        kept, prob = _honest_kept_states(angles, corrupt=(1, 0, 1e200))
-        assert prob[1, 0] == np.inf
+        kept = _honest_kept_states(angles, corrupt=(1, 0, 1e200))
+        assert np.trace(kept[1, 0]).real == np.inf
         with pytest.raises(StateValidationError,
                            match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
-            verify_kept_states(kept, prob, angles)
+            verify_kept_states(kept, angles)
 
 
 def test_a_nan_branch_is_live_and_fails_its_checks():
@@ -534,16 +547,16 @@ def test_a_nan_branch_is_live_and_fails_its_checks():
     # (1, 0) is the third in (round, bit) order.
     angles = np.array([0.3, 1.1])
     with np.errstate(invalid="ignore"):
-        kept, prob = _honest_kept_states(angles, corrupt=(1, 0, np.nan))
-        assert np.isnan(prob[1, 0])
+        kept = _honest_kept_states(angles, corrupt=(1, 0, np.nan))
+        assert np.isnan(np.trace(kept[1, 0]))
         with pytest.raises(StateValidationError,
                            match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
-            verify_kept_states(kept, prob, angles)
-    kept, prob = _honest_kept_states(angles)
-    kept[1, 0, 0, 0] = prob[1, 0] = np.nan
+            verify_kept_states(kept, angles)
+    kept = _honest_kept_states(angles)
+    kept[1, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
             StateValidationError, match=r"matrix entries must be finite \(stack index \(0, 2\)\)"):
-        verify_kept_states(kept, prob, angles)
+        verify_kept_states(kept, angles)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf])
@@ -552,15 +565,6 @@ def test_a_non_finite_angle_fails_the_basis_check(angle):
     with np.errstate(invalid="ignore"), pytest.raises(
             InvalidBasisError, match=r"not orthonormal.*\(stack index \(1,\)\)"):
         honest_round_branches([0.3, angle])
-
-
-def test_verifier_refuses_a_probability_that_is_not_the_trace():
-    # the normalised kept state then has trace != 1 (set 0, branch 1)
-    angles = np.array([0.3, 1.1])
-    kept, prob = _honest_kept_states(angles)
-    prob[0, 1] *= 1.0 + 1e-6
-    with pytest.raises(StateValidationError, match=r"trace .* \(stack index \(0, 1\)\)"):
-        verify_kept_states(kept, prob, angles)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 3), (1, 5)])
@@ -644,36 +648,30 @@ class TestBranchTable:
         with pytest.raises(IndexError):
             table.row(3)
 
+    def test_marginal_sums_each_row_over_both_bits(self):
+        table = BranchTable(np.array([[0.25, 0.75], [1.0, 0.0]]),
+                            np.array([[1.0, 0.5], [0.9, 0.0]]))
+        assert table.marginal.tolist() == [0.625, 0.9]
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    @pytest.mark.parametrize("row,match", [
-        pytest.param([0, 1], r"integers of shape \(3,\), got int\d+ of shape \(2,\)",
-                     id="short"),
-        pytest.param([[0, 1, 1]], r"shape \(3,\), got int\d+ of shape \(1, 3\)", id="2d"),
-        pytest.param([0, -1, 1], "must lie in 0..1, got -1", id="negative"),
-        pytest.param([0, 2, 1], "must lie in 0..1, got 2", id="too-large"),
-        pytest.param([0.0, 1.0, 1.0], r"integers of shape \(3,\), got float64", id="float"),
-        pytest.param([False, True, True], "got bool", id="bool"),
-    ])
-    def test_session_rejects_a_bad_row_index(self, row, match, mode):
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_session_refuses_an_adversary_table_of_other_than_one_row(self, rows, mode):
         class _Prover:
-            def round_branches(self, key):
-                return BranchTable(np.full((2, 2), 0.5), np.ones((2, 2))), row
+            def round_branches(self):
+                return BranchTable(np.full((rows, 2), 0.5), np.ones((rows, 2)))
 
         params = ProtocolParams(r=2, s=3)
         key = generate_private_key(params, 4)
-        with pytest.raises(DimensionMismatchError, match=match):
+        with pytest.raises(DimensionMismatchError, match=f"one row, got {rows}"):
             run_session(params, key, prover=_Prover(), mode=mode, seed=1)
 
-    def test_session_keeps_its_own_copy_of_the_row_index(self):
-        row = np.array([0, 1, 1])
-
+    def test_every_adversary_round_reads_its_one_row(self):
         class _Prover:
-            def round_branches(self, key):
-                return BranchTable(np.array([[0.5, 0.5], [1.0, 0.0]]),
-                                   np.array([[1.0, 1.0], [0.5, 0.5]])), row
+            def round_branches(self):
+                return BranchTable(np.array([[0.5, 0.5]]), np.array([[1.0, 0.5]]))
 
         params = ProtocolParams(r=2, s=3)
         transcript = run_session(params, generate_private_key(params, 4), prover=_Prover())
-        row[:] = 0
-        assert transcript.row_pass_probability[transcript.row].tolist() == [1.0, 0.5, 0.5]
+        assert transcript.row.tolist() == [0, 0, 0]
+        assert [rec.pass_probability for rec in transcript.records] == [0.75] * 3
         assert transcript.verdict == "reject"

@@ -155,6 +155,24 @@ class TestDensityOperatorsAsStepByStep:
             assert _outcome(check_density_operators, flipped) == _outcome(
                 check_density_operators, mat)
 
+    @given(st.integers(0, 2**32 - 1), st.floats(-1e-11, 1e-11),
+           st.sampled_from([None, complex(np.nan, 0.0), complex(0.0, np.nan),
+                            complex(np.inf, 0.0), complex(0.0, -np.inf)]),
+           st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_projector_check_covers_the_pure_state_check(self, seed, offset, fault, at):
+        # The verifier validates its authentic projector a a^dagger, not
+        # the vector a: whatever the pure-state check refuses in a, the
+        # density check must refuse in the projector, formed as he forms it
+        rng = np.random.default_rng(seed)
+        a = random_unitary(rng, 2)[:, 0] * (1.0 + offset)
+        if fault is not None:
+            a[at] = fault
+        with np.errstate(invalid="ignore", over="ignore"):
+            projector = np.multiply(a[:, None], a.conj()[None, :])
+            if _outcome(check_pure_states, a) is not None:
+                assert _outcome(check_density_operators, projector) is not None
+
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("first,second", [
