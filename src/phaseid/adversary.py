@@ -55,8 +55,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError
-from .keys import _require_int, phase_angles
+from .errors import DimensionMismatchError, NumericalError, _require_int
+from .keys import phase_angles
 from .protocol import BranchTable, verify_kept_states
 from .qsim import check_density_operators
 from .tolerances import COMPARE_ATOL, CONSTRUCT_ATOL
@@ -80,13 +80,6 @@ __all__ = [
 
 # Largest t the dense oracle (explicit density operators) will attempt.
 _MAX_ORACLE_T = 256
-
-
-def _check_t(t: int, minimum: int = 0) -> int:
-    t = _require_int("t", t)
-    if t < minimum:
-        raise ValueError(f"t must be >= {minimum}, got {t}")
-    return t
 
 
 @functools.lru_cache(maxsize=_MAX_ORACLE_T + 1)
@@ -134,7 +127,7 @@ def overlap_sum(t: int) -> float:
 
     The sum of c_m c_{m+1} over neighbouring frame magnitudes.
     """
-    return _overlap_sum(_check_t(t))
+    return _overlap_sum(_require_int("t", t, 0))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,13 +149,13 @@ def cheung_sum_bound(t: int) -> float:
 
     Tight at t = 1, where both sides equal 1/2.
     """
-    t = _check_t(t, minimum=1)
+    t = _require_int("t", t, 1)
     return 1.0 - 1.0 / (2.0 * (t + 1)) - 0.5 ** (t + 1)
 
 
 def cheung_bound(t: int) -> float:
     """Resulting bound on psucc_formula(t): 1 - 1/(4(t+1))."""
-    t = _check_t(t, minimum=1)
+    t = _require_int("t", t, 1)
     return 1.0 - 1.0 / (4.0 * (t + 1))
 
 
@@ -216,9 +209,7 @@ def build_discrimination_pair(t: int) -> np.ndarray:
     by one ``check_density_operators`` call on the stack, so a failure
     names the sign (0 for rho+, 1 for rho-) as its stack index.
     """
-    t = _check_t(t)
-    if t > _MAX_ORACLE_T:
-        raise ValueError(f"t={t} exceeds the explicit-construction cap {_MAX_ORACLE_T}")
+    t = _require_int("t", t, 0, _MAX_ORACLE_T)
     grid = _pair_grid(t)
     dim = 2 * (t + 1)
     power = np.multiply.outer(np.arange(1, grid + 1), np.arange(t + 2))  # k (b+w), b+w <= t+1
@@ -266,7 +257,7 @@ class HelstromStrategy:
     psucc: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _check_t(self.t))
+        object.__setattr__(self, "t", _require_int("t", self.t, 0))
         if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
             raise NumericalError(f"psucc {self.psucc!r} outside [1/2, 1]")
 
@@ -285,7 +276,6 @@ def helstrom_strategy(t: int) -> HelstromStrategy:
     the best one. The union-bound chain never needs more than p - 2
     copies (see ``bounds``).
     """
-    t = _check_t(t)
     return HelstromStrategy(t, psucc_formula(t))
 
 
@@ -381,7 +371,7 @@ def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     validated table take every t; each report's ``branches`` is its
     row of that table (``BranchTable.row``).
     """
-    ts = [_check_t(t) for t in t_values]
+    ts = [_require_int("t", t, 0) for t in t_values]
     if not ts:
         return []
     overlaps = [_overlap_sum(t) for t in ts]
@@ -423,8 +413,7 @@ def sample_attack_rounds(branches: BranchTable, trials: int, rng) -> np.ndarray:
     key needs no draw of its own. Each trial draws the adversary's
     measurement outcome, then the SWAP-test verdict.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _require_int("trials", trials, 1)
     if branches.rounds != 1:
         raise DimensionMismatchError(f"expected one attacked row, got {branches.rounds}")
     low, (pass_low, pass_high) = branches.probability[0, 0], branches.pass_probability[0]

@@ -50,7 +50,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _require_int
 from .tolerances import CONSTRUCT_ATOL
 
 __all__ = [
@@ -81,12 +81,7 @@ def fool_first_attempt_bound(t: int, s: int) -> float:
     attempt of a union-bound chain equals its cap, and an s past the
     float range is a ConfigError.
     """
-    t = int(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return _decay(t + 1, s, 8)
+    return _decay(_require_int("t", t, 0) + 1, _require_int("s", s, 1), 8)
 
 
 class SecurityEstimate(namedtuple(
@@ -120,10 +115,10 @@ def union_bound_chain(t: int, r: int, s: int, variant: str = "standard") -> Secu
     last attempt has p - 2 of them (see the module docstring).
     """
     c = chain_constant(variant)
+    t, r = _require_int("t", t), _require_int("r", r)
     if not 0 <= t < r:
         raise ValueError(f"need 0 <= t < r, got t={t}, r={r}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    s = _require_int("s", s, 1)
     extra = r if variant == "hardened" else 0
     per = tuple(fool_first_attempt_bound(t + extra + l - 1, s) for l in range(1, r - t + 1))
     chain_cap = (r - t) * _decay(r, s, c)
@@ -159,11 +154,8 @@ def p_break_bound(r: int, s: int, variant: str = "standard") -> float:
     the empty-product reading would report a vacuous bound of r.
     """
     c = chain_constant(variant)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return r * _decay(r, s, c)
+    r = _require_int("r", r, 1)
+    return r * _decay(r, _require_int("s", s, 1), c)
 
 
 def min_security_parameter(r: int, epsilon: float, variant: str = "standard") -> int:
@@ -182,8 +174,7 @@ def min_security_parameter(r: int, epsilon: float, variant: str = "standard") ->
     no representable s reaches raises ConfigError.
     """
     c = chain_constant(variant)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    r = _require_int("r", r, 1)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 

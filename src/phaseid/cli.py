@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 # Only numpy-free modules at import time: each command imports the modules
 # it runs, so ``--help`` and ``bounds`` never load numpy.
 from . import bounds
-from .errors import ConfigError, InternalError, UsageExhaustedError
+from .errors import ConfigError, InternalError, UsageExhaustedError, _require_int
 from .tolerances import IDENTITY_ATOL
 
 __all__ = ["main", "build_parser"]
@@ -171,7 +171,9 @@ def _params_from(args):
         raise ConfigError("--r is required")
     if args.s is None:
         raise ConfigError("--s is required")
-    return ProtocolParams(args.r, args.s, args.variant)
+    params = ProtocolParams(args.r, args.s, args.variant)
+    _require_int("--s", params.s, maximum=sys.maxsize)      # the largest array length
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +182,12 @@ def _params_from(args):
 
 def cmd_keygen(args) -> int:
     from . import keys
+    from .rng import _MASK64
 
     params = _params_from(args)
     if args.seed is None:
         raise ConfigError("keygen requires --seed")
+    _require_int("--seed", args.seed, 0, _MASK64)
     key = keys.generate_private_key(params, args.seed)
     if args.public:
         payload = keys.public_key_descriptor(params, key, expose_phases=args.expose_phases)
@@ -201,14 +205,13 @@ def cmd_keygen(args) -> int:
 
 def cmd_run_honest(args) -> int:
     from . import keys, protocol
-    from .rng import derive_seed
+    from .rng import _MASK64, derive_seed
 
     params = _params_from(args)
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _require_int("--trials", args.trials, 1)
     if args.mode == "sampled" and args.seed is None:
         raise ConfigError("sampled mode requires --seed")
-    master = args.seed if args.seed is not None else 0
+    master = 0 if args.seed is None else _require_int("--seed", args.seed, 0, _MASK64)
     key = keys.generate_private_key(params, derive_seed(master, _KEY_STREAM))
     usage = protocol.UsageCounter(params.r)
 
@@ -265,32 +268,22 @@ def _verdict_exit(transcripts) -> int:
 def _attack_t_values(args) -> range:
     if args.t is not None and args.t_max is not None:
         raise ConfigError("give --t or --t-max, not both")
+    # A copy count is at most sys.maxsize, the largest array length.
     if args.t is not None:
-        _check_size("--t", args.t)
-        return range(args.t, args.t + 1)
+        t = _require_int("--t", args.t, 1, sys.maxsize)
+        return range(t, t + 1)
     t_max = args.t_max if args.t_max is not None else 8
-    _check_size("--t-max", t_max)
-    return range(1, t_max + 1)
-
-
-def _check_size(flag: str, value: int) -> None:
-    """A copy count must be >= 1 and at most sys.maxsize, the largest array length."""
-    if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
-    if value > sys.maxsize:
-        raise ConfigError(f"{flag} must be at most {sys.maxsize}")
+    return range(1, _require_int("--t-max", t_max, 1, sys.maxsize) + 1)
 
 
 def cmd_run_attack(args) -> int:
     import numpy as np
 
     from . import adversary
-    from .rng import derive_seed, make_rng
+    from .rng import _MASK64, derive_seed, make_rng
 
     t_values = _attack_t_values(args)
-    s = args.s if args.s is not None else 1
-    if s < 1:
-        raise ConfigError(f"--s must be >= 1, got {s}")
+    s = _require_int("--s", args.s if args.s is not None else 1, 1)
     try:
         float(s)
     except OverflowError:
@@ -299,8 +292,9 @@ def cmd_run_attack(args) -> int:
     if args.mode == "sampled":
         if args.seed is None:
             raise ConfigError("sampled mode requires --seed")
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        _require_int("--trials", args.trials, 1, sys.maxsize)   # the largest array length
+    if args.seed is not None:
+        _require_int("--seed", args.seed, 0, _MASK64)
 
     rows = []
     for report in adversary.eve_attack_rounds(t_values):
@@ -329,9 +323,7 @@ def cmd_run_attack(args) -> int:
 def cmd_psucc_table(args) -> int:
     from . import adversary
 
-    t_max = args.t_max if args.t_max is not None else 8
-    if t_max < 1:
-        raise ConfigError(f"--t-max must be >= 1, got {t_max}")
+    t_max = _require_int("--t-max", args.t_max if args.t_max is not None else 8, 1)
     cap = adversary._MAX_ORACLE_T
     if t_max > cap:
         raise ConfigError(f"t={cap + 1} exceeds the explicit-construction cap {cap}")

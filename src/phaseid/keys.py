@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import VARIANTS
-from .errors import NumericalError
+from .errors import NumericalError, _require_int
 from .qsim import DensityOperator, PureState, check_pure_states
 from .rng import make_rng
 from .tolerances import CONSTRUCT_ATOL
@@ -79,13 +79,6 @@ def phase_bases(angles) -> np.ndarray:
     return bases
 
 
-def _require_int(name: str, value) -> int:
-    """``value`` as an int; only Python and numpy integers, so 2.5 and True are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Reusability r and repetition count s, stored as ints, and phase-set variant."""
@@ -95,12 +88,8 @@ class ProtocolParams:
     variant: str = "standard"
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _require_int("r", self.r))
-        object.__setattr__(self, "s", _require_int("s", self.s))
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        object.__setattr__(self, "r", _require_int("r", self.r, 1))
+        object.__setattr__(self, "s", _require_int("s", self.s, 1))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -118,12 +107,8 @@ class PhaseFraction:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _require_int("k", self.k))
-        object.__setattr__(self, "p", _require_int("p", self.p))
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if not 1 <= self.k <= self.p:
-            raise ValueError(f"k must lie in 1..{self.p}, got {self.k}")
+        object.__setattr__(self, "p", _require_int("p", self.p, 1))
+        object.__setattr__(self, "k", _require_int("k", self.k, 1, self.p))
 
     def angle(self) -> float:
         """Angle 2*pi*k/p, reduced so k = p maps to exactly 0.0."""
@@ -157,9 +142,7 @@ class PrivateKey:
         Floats, bools and strings, in ``ks`` or as ``p``, raise ValueError
         rather than being truncated or compared.
         """
-        p = _require_int("p", p)
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        p = _require_int("p", p, 1)
         ks = np.array(ks)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("private key needs a nonempty one-dimensional array of phases")
@@ -216,7 +199,8 @@ def averaged_key_operator_discrete(p: int, n: int) -> DensityOperator:
     The one-modulus case of ``averaged_key_operators``, validated as a
     density operator.
     """
-    return DensityOperator((2,) * n, averaged_key_operators((p,), n)[0])
+    matrix = averaged_key_operators((p,), n)[0]
+    return DensityOperator((2,) * n, matrix)
 
 
 def averaged_key_operators(ps, n: int) -> np.ndarray:
@@ -234,12 +218,8 @@ def averaged_key_operators(ps, n: int) -> np.ndarray:
     caller validates them, with whatever else it builds, in one stacked
     check.
     """
-    ps = [int(p) for p in ps]
-    for p in ps:
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
+    ps = [_require_int("p", p, 2) for p in ps]
+    n = _require_int("n", n, 1, _MAX_N)
     w = _weights(n)
     means = _phase_average_rows(np.arange(-n, n + 1), ps)
     return 2.0**-n * np.take(means, w[:, None] - w + n, axis=1)
@@ -264,8 +244,7 @@ def _symmetric_mixture_matrix(n: int) -> np.ndarray:
     The n+1 weight states are built as one array and validated once as
     pure states.
     """
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must lie in 1..{_MAX_N}, got {n}")
+    n = _require_int("n", n, 1, _MAX_N)
     states = _weight_states(n)
     check_pure_states(states)
     real = states.real                      # every weight state's amplitudes are real
@@ -275,7 +254,8 @@ def _symmetric_mixture_matrix(n: int) -> np.ndarray:
 
 def symmetric_mixture(n: int) -> DensityOperator:
     """Mixture sum_w C(n,w)/2^n |S_w><S_w| over weight states."""
-    return DensityOperator((2,) * n, _symmetric_mixture_matrix(n))
+    matrix = _symmetric_mixture_matrix(n)
+    return DensityOperator((2,) * n, matrix)
 
 
 def _phase_means(a, ps) -> np.ndarray:
@@ -304,11 +284,9 @@ def _phase_average_rows(a, ps) -> np.ndarray:
     by modulus, in order, and NumericalError names the first modulus
     and exponent that fail.
     """
-    ps = tuple(ps)
+    ps = tuple(_require_int("p", p, 1) for p in ps)
     if not ps:
         return np.empty((0,) + np.shape(a))
-    if min(ps) < 1:
-        raise ValueError(f"p must be >= 1, got {min(ps)}")
     vals = _phase_means(a, ps)
     bad = np.flatnonzero(~(np.abs(vals.imag) <= CONSTRUCT_ATOL))    # NaN fails too
     if bad.size:

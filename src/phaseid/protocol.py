@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError
+from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError, _require_int
 from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_angles, phase_bases
 from .qsim import (
     PAULI_Z,
@@ -68,7 +68,7 @@ from .qsim import (
     partial_trace,  # noqa: F401  (kept importable here: the benchmark's tests look it up)
     swap_test_pass_probability_mixed,
 )
-from .rng import make_rng
+from .rng import _MASK64, make_rng
 from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
@@ -173,8 +173,7 @@ class UsageCounter:
     uses_remaining: int
 
     def __post_init__(self):
-        if self.uses_remaining < 0:
-            raise ValueError("uses_remaining must be nonnegative")
+        self.uses_remaining = _require_int("uses_remaining", self.uses_remaining, 0)
 
     def consume(self) -> None:
         if self.uses_remaining == 0:
@@ -417,7 +416,8 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     In exact mode the verdict is "accept" only when every round passes
     with certainty, which is the honest-prover case. Sampled mode draws
     two uniforms per round, response then SWAP test, so a seed gives
-    the same transcript as drawing them one round at a time.
+    the same transcript as drawing them one round at a time. A seed,
+    in either mode, must be an integer in 0..2^64 - 1.
     """
     if private_key.s != params.s or private_key.p != params.p:
         raise ValueError("private key does not match params")
@@ -425,6 +425,7 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and seed is None:
         raise ValueError("sampled mode requires a seed")
+    seed = None if seed is None else _require_int("seed", seed, 0, _MASK64)
 
     honest = isinstance(prover, str)
     if honest and prover != "honest":
@@ -454,7 +455,7 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     for arr in rounds.values():
         arr.setflags(write=False)
     return SessionTranscript(
-        session_id=session_id,
+        session_id=_require_int("session_id", session_id),
         params=params,
         mode=mode,
         seed=seed,

@@ -4,12 +4,15 @@ All sampling in the package goes through numpy's default generator
 (PCG64), seeded explicitly. Child seeds for independent streams are
 expanded from (master seed, stream index) with splitmix64 so that
 sweeps and multi-session runs stay reproducible without sharing a
-stream.
+stream. Every seed, master and stream index lies in 0..2^64 - 1; one
+outside it is refused, not reduced modulo 2^64 onto another seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import _require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -29,11 +32,10 @@ def derive_seed(master: int, index: int) -> int:
     Mixes the index through splitmix64 before combining so that nearby
     indices land far apart in seed space.
     """
-    if index < 0:
-        raise ValueError(f"stream index must be nonnegative, got {index}")
-    return splitmix64((master & _MASK64) ^ splitmix64(index))
+    master = _require_int("master", master, 0, _MASK64)
+    return splitmix64(master ^ splitmix64(_require_int("stream index", index, 0, _MASK64)))
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Fresh PCG64 generator for the given seed."""
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_require_int("seed", seed, 0, _MASK64))

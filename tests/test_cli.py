@@ -582,6 +582,47 @@ class TestParsing:
         assert out == ""
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
+    # one seed domain, 0..2^64 - 1, on every command that reads --seed: no
+    # seed is reduced modulo 2^64 onto another (0 and 2^64, -1 and 2^64 - 1)
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "--seed must be >= 0, got -1"),
+        (2**64, "--seed must be at most 18446744073709551615"),
+    ], ids=["-1", "2**64"])
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--r", "2", "--s", "3"],
+        ["run-honest", "--r", "2", "--s", "3"],
+        ["run-honest", "--r", "2", "--s", "3", "--mode", "sampled"],
+        ["run-attack", "--t", "1"],
+        ["run-attack", "--t", "1", "--mode", "sampled"],
+    ], ids=" ".join)
+    def test_seed_outside_64_bits_exits_config(self, capsys, argv, seed, message):
+        code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"phaseid: invalid config: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--r", "2", "--s", "3"],
+        ["run-honest", "--r", "2", "--s", "3", "--mode", "sampled"],
+        ["run-attack", "--t", "1", "--mode", "sampled", "--trials", "10"],
+    ], ids=" ".join)
+    def test_largest_seed_is_a_seed(self, capsys, argv):
+        runs = [run_cli(argv + ["--seed", str(seed)], capsys) for seed in (0, 2**64 - 1)]
+        assert [code for code, _, _ in runs] == [EXIT_OK, EXIT_OK]
+        assert runs[0][1] != runs[1][1]
+
+    # a size past sys.maxsize, the largest array length, is refused naming
+    # its flag before numpy is asked for the array
+    @pytest.mark.parametrize("value", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "10**400"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["keygen", "--r", "2", "--seed", "1", "--s"], "--s"),
+        (["run-honest", "--r", "2", "--s"], "--s"),
+        (["run-attack", "--t", "1", "--mode", "sampled", "--seed", "1", "--trials"], "--trials"),
+    ], ids=lambda x: x if isinstance(x, str) else x[0])
+    def test_size_past_the_largest_array_length_exits_config(self, capsys, argv, flag, value):
+        code, out, err = run_cli(argv + [str(value)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"phaseid: invalid config: {flag} must be at most {sys.maxsize}\n"
+
     # an --out that cannot be opened is bad input, on every subcommand
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     @pytest.mark.parametrize("argv", [
