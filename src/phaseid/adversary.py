@@ -25,16 +25,14 @@ and the Eve prover's ``attack_round_branches`` read one t of it. An
 adversarial session is that one row with every round reading it,
 whatever its key.
 
-The closed form
-
-    psucc(t) = 1/2 + (1/2) (1/2^t) sum_m sqrt(C(t,m) C(t,m+1))
-
-comes from pure combinatorics. With the frame magnitudes
-c_w = sqrt(C(t,w)/2^t) it reads psucc = 1/2 + (1/2) sum_w c_w c_{w+1}.
-One normalised recurrence gives those magnitudes for every t, and the
-frame, the overlap sum, psucc and the Helstrom strategy all read them;
-there is no second route. The independent oracle builds the two
-averaged states outright as dense (2t+2)-dimensional matrices and
+The closed form psucc(t) = 1/2 + (1/2) S(t) comes from pure
+combinatorics, with the overlap sum S(t) = 2^-t sum_m
+sqrt(C(t,m) C(t,m+1)). psucc, the Helstrom strategy and the kept
+states all read S(t) (``_overlap_sum``): an exact integer sum rounded
+once up to the dense oracle's cap, its series in 1/t above it. Both
+use only correctly rounded arithmetic, so no bit depends on the CPU.
+The independent oracle builds the two averaged states outright as
+dense (2t+2)-dimensional matrices from c_w = sqrt(C(t,w)/2^t), and
 applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
@@ -84,59 +82,52 @@ _MAX_ORACLE_T = 256
 
 @functools.lru_cache(maxsize=_MAX_ORACLE_T + 1)
 def _frame_magnitudes(t: int) -> np.ndarray:
-    """sqrt(C(t,w)/2^t) for w = 0..t, normalized to rounding.
+    """c_w = sqrt(C(t,w)/2^t), w = 0..t, for the dense oracle: read-only, memoised.
 
-    The one source of the binomial amplitudes, for every t: the frame,
-    the overlap sum and psucc read these. Returned read-only. The memo
-    serves ``psucc-table``, which reads each t up to the oracle's cap
-    twice, for the formula and the oracle's frame, and again on a
-    repeat call. It has one slot for each t = 0..cap, so a repeat call
-    of a whole table finds every t (at most about 265 KB);
-    ``_overlap_sum`` bypasses it for a larger t, so no array of a large
-    t stays alive.
+    Exact binomials, correctly rounded steps: the same bits on every CPU.
     """
-    # Log-pmf recurrence outward from the mode m, with step
-    # log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)). Partial sums
-    # stay small wherever the mass is. Log-gamma values have size
-    # t log t, and their rounding alone would push the norm off 1 by
-    # 1e-11 at t = 1e4. Each step writes into its operand, so at most
-    # two arrays of length t are alive at once.
-    m = t // 2
-    step = np.arange(t, dtype=np.float64)                 # w, then the step
-    den = step + 1.0
-    step *= 2.0
-    np.subtract(t, step, out=step)
-    step -= 1.0
-    step /= den
-    del den
-    np.log1p(step, out=step)
-    mags = np.empty(t + 1)                                # log pmf, then the magnitudes
-    mags[m] = 0.0
-    np.cumsum(step[m:], out=mags[m + 1:])
-    np.negative(np.cumsum(step[:m][::-1], out=mags[:m][::-1]), out=mags[:m][::-1])
-    del step
-    mags *= 0.5
-    np.exp(mags, out=mags)
-    mags /= math.sqrt(math.fsum(mags * mags))
+    scale = 1 << t
+    mags = np.array([math.sqrt(math.comb(t, w) / scale) for w in range(t + 1)])
     mags.setflags(write=False)
     return mags
+
+
+# a_1..a_8 of 1 - S(t) ~ sum_k a_k t^-k (``_overlap_sum``), each exact in a float.
+_SERIES = (1/2, -1/8, 7/16, 101/128, 1191/256, 29163/1024, 450951/2048, 65785709/32768)
 
 
 def overlap_sum(t: int) -> float:
     """(1/2^t) sum_{m=0}^{t-1} sqrt(C(t,m) C(t,m+1)); 0 when t = 0.
 
-    The sum of c_m c_{m+1} over neighbouring frame magnitudes.
+    The sum of c_m c_{m+1} over neighbouring frame magnitudes, correctly
+    rounded for t <= 256 and within an ulp above (``_overlap_sum``).
     """
     return _overlap_sum(_require_int("t", t, 0))
 
 
 @functools.lru_cache(maxsize=1024)
 def _overlap_sum(t: int) -> float:
-    # Memoised on t: an Eve session reads it twice, once for its
-    # strategy's psucc and once for the attacked round's kept states
-    # (``eve_attack_rounds``). A run-attack sweep reads it once per t.
-    mags = (_frame_magnitudes if t <= _MAX_ORACLE_T else _frame_magnitudes.__wrapped__)(t)
-    return math.fsum(mags[1:] * mags[:-1])
+    """S(t), memoised: an Eve session reads it for its psucc and its kept states.
+
+    Up to the cap, the t roots isqrt(C(t,m) C(t,m+1) 2^256) sum to an R
+    with S(t) 2^(t+128) in [R, R + t]; both ends must round to one
+    float (else NumericalError), the correctly rounded S(t). Above it,
+    1 - S(t) ~ sum_k a_k t^-k (``_SERIES``), the expansion of
+    E sqrt((t - M)/(M + 1)), M ~ Bin(t, 1/2), about M = t/2. Cut at
+    k = 8 it is off by 4.6e-18 of S(t) at t = 257 (1/24 ulp), falling
+    as t^-9. Horner's rule needs only correctly rounded +, x and /.
+    """
+    if t > _MAX_ORACLE_T:
+        x, acc = 1 / t, 0.0
+        for a in reversed(_SERIES):
+            acc = a + x * acc
+        return 1.0 - x * acc
+    roots = sum(math.isqrt((math.comb(t, m) * math.comb(t, m + 1)) << 256) for m in range(t))
+    scale = 1 << (t + 128)
+    value = roots / scale
+    if (roots + t) / scale != value:
+        raise NumericalError(f"overlap sum at t={t} straddles a rounding boundary")
+    return value
 
 
 def psucc_formula(t: int) -> float:

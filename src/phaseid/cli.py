@@ -268,7 +268,7 @@ def _verdict_exit(transcripts) -> int:
 def _attack_t_values(args) -> range:
     if args.t is not None and args.t_max is not None:
         raise ConfigError("give --t or --t-max, not both")
-    # A copy count is at most sys.maxsize, the largest array length.
+    # sys.maxsize caps a copy count as it caps the array sizes; S(t) takes any t.
     if args.t is not None:
         t = _require_int("--t", args.t, 1, sys.maxsize)
         return range(t, t + 1)

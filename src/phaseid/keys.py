@@ -88,10 +88,12 @@ class ProtocolParams:
     variant: str = "standard"
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _require_int("r", self.r, 1))
-        object.__setattr__(self, "s", _require_int("s", self.s, 1))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # p, r + 1 or 2r + 1, must fit the int64 key numerators
+        top = (2**63 - 2) // (1 if self.variant == "standard" else 2)
+        object.__setattr__(self, "r", _require_int("r", self.r, 1, top))
+        object.__setattr__(self, "s", _require_int("s", self.s, 1))
 
     @property
     def p(self) -> int:

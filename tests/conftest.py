@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from phaseid import protocol
-from phaseid.adversary import _frame_magnitudes
+from phaseid.adversary import _MAX_ORACLE_T, _frame_magnitudes
 from phaseid.errors import DimensionMismatchError
 from phaseid.keys import PhaseFraction, phase_bases
 from phaseid.qsim import PureState
@@ -91,6 +91,24 @@ def reference_pass_probabilities(kept, bits, angles):
     return 0.5 * (1.0 + np.trace(corrected @ sigma, axis1=-2, axis2=-1).real)
 
 
+def recurrence_magnitudes(t: int) -> np.ndarray:
+    """sqrt(C(t,w)/2^t), w = 0..t, from the log-pmf recurrence, normalised.
+
+    An oracle for any t that reads no binomial: the step from w to w+1 is
+    log C(t,w+1) - log C(t,w) = log1p((t-2w-1)/(w+1)), summed outward from
+    the mode m = t // 2 so that the partial sums stay small wherever the
+    mass is.
+    """
+    m = t // 2
+    w = np.arange(t, dtype=np.float64)
+    step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
+    log_pmf = np.zeros(t + 1)
+    log_pmf[m + 1:] = np.cumsum(step[m:])
+    log_pmf[:m] = -np.cumsum(step[:m][::-1])[::-1]
+    mags = np.exp(0.5 * log_pmf)
+    return mags / math.sqrt(math.fsum(mags * mags))
+
+
 def frame_vector(t: int, angle) -> np.ndarray:
     """Weight-basis amplitudes of t phase-state copies at a given angle.
 
@@ -98,13 +116,16 @@ def frame_vector(t: int, angle) -> np.ndarray:
     lives entirely in the symmetric subspace, so this (t+1)-vector is
     the whole story. An array of angles gives one vector per angle, on
     a trailing axis. The phases are cos + i sin of the real exponents,
-    the value ``np.exp`` gives on an imaginary argument.
+    the value ``np.exp`` gives on an imaginary argument. The magnitudes
+    are the dense oracle's up to its cap and ``recurrence_magnitudes``
+    above it.
     """
     exponent = np.multiply.outer(angle, np.arange(t + 1))
     phases = np.empty(np.shape(exponent), dtype=np.complex128)
     np.cos(exponent, out=phases.real)
     np.sin(exponent, out=phases.imag)
-    return _frame_magnitudes(t) * phases
+    mags = _frame_magnitudes(t) if t <= _MAX_ORACLE_T else recurrence_magnitudes(t)
+    return mags * phases
 
 
 def challenge_and_frame(angles, t: int, sign: int) -> np.ndarray:

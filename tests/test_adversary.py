@@ -1,5 +1,6 @@
 """Adversary side: frames, discrimination, attack rounds, combinatorial bounds."""
 
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -27,6 +28,8 @@ from phaseid.adversary import (
     sample_attack_rounds,
 )
 from phaseid.adversary import (
+    _MAX_ORACLE_T,
+    _SERIES,
     HelstromStrategy,
     _frame_magnitudes,
     _pair_grid,
@@ -41,7 +44,13 @@ from phaseid.keys import (
     phase_angles,
     public_key_state,
 )
-from phaseid.protocol import BranchTable, bob_prepare_challenge, bob_verify_step, run_session
+from phaseid.protocol import (
+    BranchTable,
+    bob_prepare_challenge,
+    bob_verify_step,
+    run_session,
+    verify_kept_states,
+)
 from phaseid.qsim import DensityOperator, trace_norm
 from phaseid.rng import make_rng
 from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
@@ -52,6 +61,7 @@ from conftest import (
     helstrom_project,
     helstrom_projector_plus,
     record_density_checks,
+    recurrence_magnitudes,
     reference_pass_probabilities,
     reference_sampled_records,
 )
@@ -60,6 +70,113 @@ from conftest import (
 # t = 2: 1/2 + sqrt(2)/4, t = 3: 1/2 + (3 + 2 sqrt(3))/16.
 PSUCC_T2 = 0.5 + math.sqrt(2.0) / 4.0
 PSUCC_T3 = 0.5 + (3.0 + 2.0 * math.sqrt(3.0)) / 16.0
+
+
+def rows_digest(tables) -> str:
+    """sha256 of each branch table's probability bytes, then its pass_probability bytes."""
+    h = hashlib.sha256()
+    for table in tables:
+        h.update(table.probability.tobytes())
+        h.update(table.pass_probability.tobytes())
+    return h.hexdigest()
+
+
+def attacked_row_digests() -> dict[str, str]:
+    """The pinned digests of the attacked rows: every t <= 300 at once, and some t alone."""
+    reports = eve_attack_rounds(range(0, 301))
+    scalars = np.array([(r.p_pass_exact, r.psucc_strategy) for r in reports]).tobytes()
+    digests = {"sweep": rows_digest(report.branches for report in reports),
+               "scalars": hashlib.sha256(scalars).hexdigest()}
+    for t in (0, 1, 8, 64, 4096, 100_000):
+        digests[f"t={t}"] = rows_digest([attack_round_branches(helstrom_strategy(t))])
+    return digests
+
+
+def eve_session_bytes(t: int, mode: str) -> bytes:
+    """``to_json_lines()``, joined and ended by newlines, of an Eve session at r = 100, s = 200."""
+    params = ProtocolParams(r=100, s=200)
+    key = generate_private_key(params, 2024)
+    seed = 31 + t if mode == "sampled" else None
+    transcript = run_session(params, key, EveProver(helstrom_strategy(t)), mode=mode, seed=seed)
+    return ("\n".join(transcript.to_json_lines()) + "\n").encode()
+
+
+# sha256 of ``eve_session_bytes``: Eve sessions in the benchmark's shape,
+# recorded before the round contract took its key-free, one-row form.
+EVE_SESSION_PINS = [
+    (1, "exact", "88f50e3ca226287eba2651babb51747a8e1c019ee706b8523821e5cd3435880f"),
+    (1, "sampled", "f889c2ca8e6b3752209b53b1a5f32369d003a99ebe7871e50b3556de43fbe731"),
+    (3, "exact", "7aac50d96d23b7239dd7c41e864262b68dfaf1c11391303244b221e02a67ab43"),
+    (3, "sampled", "5870289f9ab4538eaa5f220785159a2054e9fb3bfd7c689bd035e0899a598191"),
+    (8, "exact", "b1cfcf0364bec2a3973cd46679a40c60d1648e3953fef3fa32101aab156df06e"),
+    (8, "sampled", "36a441ed4d57f4f6269fde75312c0916b726d94672af166fc5e7dd09e6b368db"),
+]
+
+
+@functools.cache
+def correctly_rounded_overlap_sum(t: int) -> float:
+    """S(t) correctly rounded, from an integer enclosure finer than the library's.
+
+    Each isqrt(C(t,m) C(t,m+1) 2^640) is its term times 2^320, less at
+    most 1, so the roots' sum R puts S(t) 2^(t+320) in [R, R + t]; both
+    ends must round to one float.
+    """
+    roots = sum(math.isqrt((math.comb(t, m) * math.comb(t, m + 1)) << 640) for m in range(t))
+    low, high = (Fraction(end, 1 << (t + 320)) for end in (roots, roots + t))
+    assert float(low) == float(high), t
+    return float(low)
+
+
+def _binomial(alpha: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for k in range(n):
+        out = out * (alpha - k) / (k + 1)
+    return out
+
+
+def series_coefficients(order: int) -> list[Fraction]:
+    """a_1..a_order of 1 - S(t) ~ sum_k a_k t^-k, derived with fractions alone.
+
+    S(t) = E sqrt((t - M)/(M + 1)) with M ~ Bin(t, 1/2). With h = 1/t and
+    y = 2(M - t/2) h the root is (1 - y)^(1/2) (1 + y + 2h)^(-1/2), a
+    double binomial series in y and h. E y^i = 2^i h^i mu_i(t), where the
+    central moment mu_i is a polynomial in t of degree at most i/2, built
+    from the cumulants t kappa_k, kappa_k = k! [u^k] log cosh(u/2). So
+    y^i h^j reaches t^-k for k >= j + i/2 only, and moments up to
+    2 * order give every term of order at most ``order``.
+    """
+    n = 2 * order
+    # log cosh(u/2) = log(1 + v), v = sum_{k >= 1} (u/2)^(2k)/(2k)!
+    v = [Fraction(0) if k % 2 or k == 0 else Fraction(1, 2**k * math.factorial(k))
+         for k in range(n + 1)]
+    log, power = [Fraction(0)] * (n + 1), [Fraction(1)] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        power = [sum(power[i] * v[d - i] for i in range(d + 1)) for d in range(n + 1)]
+        log = [a + Fraction((-1) ** (k + 1), k) * b for a, b in zip(log, power)]
+    kappa = [math.factorial(k) * c for k, c in enumerate(log)]
+    # moments from cumulants: mu_i = sum_k C(i-1, k-1) (t kappa_k) mu_{i-k}
+    moments = [[Fraction(1)]]
+    for i in range(1, n + 1):
+        poly = [Fraction(0)] * (i + 1)
+        for k in range(1, i + 1):
+            for power_of_t, c in enumerate(moments[i - k]):
+                poly[power_of_t + 1] += math.comb(i - 1, k - 1) * kappa[k] * c
+        moments.append(poly)
+    # coefficient of y^i h^j: (1 - y)^(1/2) times (y + 2h)^b's term y^(b-j) (2h)^j
+    root = {}
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for j in range(min(b, order) + 1):
+                term = (_binomial(Fraction(1, 2), a) * (-1) ** a * _binomial(Fraction(-1, 2), b)
+                        * math.comb(b, j) * 2**j)
+                root[a + b - j, j] = root.get((a + b - j, j), 0) + term
+    coefficients = [Fraction(0)] * (order + 1)
+    for (i, j), c in root.items():
+        for power_of_t, mu in enumerate(moments[i]):
+            k = i + j - power_of_t
+            if 1 <= k <= order:
+                coefficients[k] -= c * 2**i * mu
+    return coefficients[1:]
 
 
 class TestCombinatorics:
@@ -125,6 +242,36 @@ class TestPsuccFormula:
         # squeezed between 1 - 1/(2t) (roughly) and the 1 - 1/(4(t+1)) cap
         assert psucc_formula(200) < 1.0
         assert psucc_formula(200) > 0.998
+
+
+class TestOverlapSumRoutes:
+    def test_integer_route_is_correctly_rounded_up_to_the_cap(self):
+        # its enclosure never straddles a rounding boundary (NumericalError
+        # otherwise), and gives the float of a finer, independent enclosure
+        adversary._overlap_sum.cache_clear()
+        for t in range(_MAX_ORACLE_T + 1):
+            assert overlap_sum(t) == correctly_rounded_overlap_sum(t), t
+
+    def test_series_is_within_an_ulp_above_the_cap(self):
+        for t in [*range(_MAX_ORACLE_T + 1, 401), 1000, 2000]:
+            want = correctly_rounded_overlap_sum(t)
+            assert abs(overlap_sum(t) - want) <= math.ulp(want), t
+
+    def test_series_coefficients_are_derived(self):
+        assert [Fraction(a) for a in _SERIES] == series_coefficients(8)
+
+    @pytest.mark.parametrize("t", [10**7, 2**63 - 1, 10**400],
+                             ids=["10**7", "2**63-1", "10**400"])
+    def test_series_takes_any_copy_count(self, t):
+        # O(1) above the cap: no array of length t, whatever t is
+        tracemalloc.start()
+        try:
+            value = overlap_sum(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < value <= 1.0
+        assert peak < 2**14
 
 
 class TestCheungBounds:
@@ -201,31 +348,15 @@ class TestFrames:
                 1.0, abs=1e-12
             )
 
-    @pytest.mark.parametrize("t", [0, 1, 50, 51, 1000, 10**4])
-    def test_magnitudes_cached_equal_fresh(self, t):
-        cached = _frame_magnitudes(t)
-        assert _frame_magnitudes(t) is cached
-        np.testing.assert_array_equal(cached, _frame_magnitudes.__wrapped__(t))
-
-    @pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 50, 51, 10**3, 4096, 10**5, 10**6 + 1])
-    def test_magnitudes_in_place_equal_the_plain_expressions(self, t):
-        # the in-place recurrence against its plain array expressions,
-        # bit for bit
-        m = t // 2
-        w = np.arange(t, dtype=np.float64)
-        step = np.log1p((t - 2.0 * w - 1.0) / (w + 1.0))
-        log_pmf = np.zeros(t + 1)
-        log_pmf[m + 1:] = np.cumsum(step[m:])
-        log_pmf[:m] = -np.cumsum(step[:m][::-1])[::-1]
-        want = np.exp(0.5 * log_pmf)
-        want /= math.sqrt(math.fsum(want * want))
-        got = _frame_magnitudes.__wrapped__(t)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    def test_recurrence_agrees_with_binomials_up_to_the_cap(self):
+        # frame_vector's two sources of magnitudes, where both apply
+        for t in range(_MAX_ORACLE_T + 1):
+            np.testing.assert_allclose(recurrence_magnitudes(t), _frame_magnitudes(t),
+                                       rtol=0.0, atol=1e-15, err_msg=str(t))
 
     def test_attacked_round_holds_no_frame_length_temporaries(self):
-        # the closed-form kept states need only the magnitudes themselves
-        # (1.6 MB at t = 2e5) and the recurrence's one step array
+        # the closed-form kept states read S(t) alone, and S(t) above the
+        # oracle's cap is a series: no array of length t at all
         _frame_magnitudes.cache_clear()
         adversary._overlap_sum.cache_clear()
         tracemalloc.start()
@@ -234,11 +365,11 @@ class TestFrames:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 2**16
 
     def test_large_t_sweep_keeps_no_magnitudes(self):
-        # the memo keeps only t up to the oracle's cap: a sweep over large
-        # copy counts keeps none of its arrays (0.8 MB each near t = 1e5)
+        # a sweep over large copy counts builds and keeps no magnitudes
+        # (0.8 MB each near t = 1e5 if it did)
         _frame_magnitudes.cache_clear()
         tracemalloc.start()
         try:
@@ -253,7 +384,7 @@ class TestFrames:
         mags = _frame_magnitudes(4)
         with pytest.raises(ValueError):
             mags[0] = 0.0
-        np.testing.assert_array_equal(mags, _frame_magnitudes.__wrapped__(4))
+        np.testing.assert_array_equal(mags, [0.25, 0.5, math.sqrt(6.0) / 4.0, 0.5, 0.25])
 
 
 class TestDiscriminationPair:
@@ -463,33 +594,38 @@ class TestAttackRounds:
             assert stacked.p_pass_exact.hex() == alone.p_pass_exact.hex(), t
             assert stacked.psucc_strategy.hex() == alone.psucc_strategy.hex(), t
 
-    def test_rows_are_pinned_bit_for_bit(self):
-        # sha256 of each row's probability bytes, then its pass_probability
-        # bytes. The literals were recorded from the code that still built
-        # one-t rows apart from sweeps; a changed bit in any row fails here.
-        def digest(tables):
-            h = hashlib.sha256()
-            for table in tables:
-                h.update(table.probability.tobytes())
-                h.update(table.pass_probability.tobytes())
-            return h.hexdigest()
+    def test_rows_are_built_from_the_correctly_rounded_overlap_sum(self, monkeypatch):
+        # The proof behind the pinned literals below: every row for t <= 300
+        # is built from kept states whose off-diagonal entries are +-S/4,
+        # with S the exact overlap sum correctly rounded.
+        seen = []
 
-        reports = eve_attack_rounds(range(0, 301))
-        sweep = [report.branches for report in reports]
-        assert digest(sweep) == "631d5c78211793d687a0dbad7ec2b9aaa1276887aa8670b51e996cea4cb25e21"
-        scalars = np.array([(r.p_pass_exact, r.psucc_strategy) for r in reports]).tobytes()
-        assert hashlib.sha256(scalars).hexdigest() == \
-            "76d70024315983e56c5b414af68fac7704a9823507271d1bab1330e6d3bd5612"
-        pinned = {
-            0: "deae2229d156a3a162f3d6da12372432ce339e856700aac56a42536a6b349b88",
-            1: "2366809b70122f93f5c8319ee33d3ef537b569a40d67ee4262cb43951626521a",
-            8: "bf770ee2524186bde2ddbbca72ae377d201544c627a21e98522721e04c6e1e1b",
-            64: "94da419ef388b8c49ed4cb43bd75b375b99f1aa511e3e5c049efc5ff54595757",
-            4096: "f7b3054531a306e243d213c980f63779329713f1a4edc5c7a508e464c5d5b529",
-            100_000: "4f8b2a1470c06d569aa5671c0850aa2d0e5598b9da64428c333ded422a939cac",
+        def spy(kept, angles):
+            seen.append(kept.copy())
+            return verify_kept_states(kept, angles)
+
+        monkeypatch.setattr(adversary, "verify_kept_states", spy)
+        eve_attack_rounds(range(0, 301))
+        (kept,) = seen
+        for t in range(0, 301):
+            want = correctly_rounded_overlap_sum(t)
+            assert 4.0 * kept[t, 0, 0, 1] == want and -4.0 * kept[t, 1, 0, 1] == want, t
+
+    def test_rows_are_pinned_bit_for_bit(self):
+        # ``attacked_row_digests``: the sweep's two literals were recorded
+        # once S(t) was correctly rounded (the test above), the per-t ones
+        # from the code that still built one-t rows apart from sweeps; a
+        # changed bit in any row fails here.
+        assert attacked_row_digests() == {
+            "sweep": "d9cd8e2af0ec2b984b12f880314897206c3600b450a465a0336c9c9201037b98",
+            "scalars": "8cb5e053d6c94f2550dfb3e53a0f65f634efbde96ac393b749b7294810f254c7",
+            "t=0": "deae2229d156a3a162f3d6da12372432ce339e856700aac56a42536a6b349b88",
+            "t=1": "2366809b70122f93f5c8319ee33d3ef537b569a40d67ee4262cb43951626521a",
+            "t=8": "bf770ee2524186bde2ddbbca72ae377d201544c627a21e98522721e04c6e1e1b",
+            "t=64": "94da419ef388b8c49ed4cb43bd75b375b99f1aa511e3e5c049efc5ff54595757",
+            "t=4096": "f7b3054531a306e243d213c980f63779329713f1a4edc5c7a508e464c5d5b529",
+            "t=100000": "4f8b2a1470c06d569aa5671c0850aa2d0e5598b9da64428c333ded422a939cac",
         }
-        for t, want in pinned.items():
-            assert digest([attack_round_branches(helstrom_strategy(t))]) == want, t
 
     def test_stacked_rows_are_read_only_views(self):
         reports = eve_attack_rounds([1, 2, 3])
@@ -667,25 +803,9 @@ class TestEveProver:
         got_b = sorted(rec.pass_probability for rec in b.records)
         assert got_a == pytest.approx(got_b, abs=1e-12)
 
-    # sha256 of ``to_json_lines()`` (lines joined and ended by newlines) of
-    # Eve sessions in the benchmark's shape, r = 100 and s = 200, recorded
-    # before the round contract took its key-free, one-row form.
-    @pytest.mark.parametrize("t,mode,digest", [
-        (1, "exact", "88f50e3ca226287eba2651babb51747a8e1c019ee706b8523821e5cd3435880f"),
-        (1, "sampled", "f889c2ca8e6b3752209b53b1a5f32369d003a99ebe7871e50b3556de43fbe731"),
-        (3, "exact", "7aac50d96d23b7239dd7c41e864262b68dfaf1c11391303244b221e02a67ab43"),
-        (3, "sampled", "5870289f9ab4538eaa5f220785159a2054e9fb3bfd7c689bd035e0899a598191"),
-        (8, "exact", "b1cfcf0364bec2a3973cd46679a40c60d1648e3953fef3fa32101aab156df06e"),
-        (8, "sampled", "36a441ed4d57f4f6269fde75312c0916b726d94672af166fc5e7dd09e6b368db"),
-    ])
+    @pytest.mark.parametrize("t,mode,digest", EVE_SESSION_PINS)
     def test_session_bytes_are_pinned(self, t, mode, digest):
-        params = ProtocolParams(r=100, s=200)
-        key = generate_private_key(params, 2024)
-        seed = 31 + t if mode == "sampled" else None
-        transcript = run_session(params, key, EveProver(helstrom_strategy(t)), mode=mode,
-                                 seed=seed)
-        data = ("\n".join(transcript.to_json_lines()) + "\n").encode()
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert hashlib.sha256(eve_session_bytes(t, mode)).hexdigest() == digest
 
     def test_sampled_session_runs(self):
         params = ProtocolParams(r=2, s=4)

@@ -317,6 +317,15 @@ class TestRunAttack:
         _, out, _ = run_cli(["run-attack", "--t", "364"], capsys)
         assert '"p_pass": 0.999656826984,' in out
 
+    @pytest.mark.parametrize("t", [10**10, 2**63 - 1])
+    def test_huge_copy_count_answers(self, capsys, t):
+        # S(t) above the oracle's cap is a series: no array of length t
+        code, out, err = run_cli(["run-attack", "--t", str(t)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        (row,) = json.loads(out)["rows"]
+        assert row["t"] == t
+        assert 0.5 < row["p_pass"] <= 1.0
+
     def test_t_zero_rejected(self, capsys):
         code, _, _ = run_cli(["run-attack", "--t", "0"], capsys)
         assert code == EXIT_CONFIG
@@ -610,6 +619,19 @@ class TestParsing:
         assert [code for code, _, _ in runs] == [EXIT_OK, EXIT_OK]
         assert runs[0][1] != runs[1][1]
 
+    # r is largest where p, r + 1 or 2r + 1, is the largest int64: the key
+    # numerators' type. One more is refused naming r, not with numpy's text.
+    @pytest.mark.parametrize("variant,r", [("standard", 2**63 - 2), ("hardened", 2**62 - 1)])
+    @pytest.mark.parametrize("command", ["keygen", "run-honest"])
+    def test_largest_r_fits_the_key_numerators(self, capsys, command, variant, r):
+        argv = [command, "--s", "3", "--seed", "1", "--variant", variant, "--r"]
+        code, out, err = run_cli(argv + [str(r)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert f'"p": {2**63 - 1}' in out
+        code, out, err = run_cli(argv + [str(r + 1)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"phaseid: invalid config: r must be at most {r}\n"
+
     # a size past sys.maxsize, the largest array length, is refused naming
     # its flag before numpy is asked for the array
     @pytest.mark.parametrize("value", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "10**400"])
@@ -771,28 +793,31 @@ class TestJsonWriter:
         assert [next(iter(obj)) for obj in written] == ["r", "rows", "checks"]
 
 
+# sha256 of the --out bytes, recorded before sessions were built per
+# distinct key phase, and again before a session was carried as its
+# distinct rows and one row index per round: neither change may move a
+# byte. The hardened r = 1000 keys have about 2000 distinct phases, over
+# many chunks.
+SESSION_OUTPUT_PINS = [
+    (["run-honest", "--r", "2", "--s", "100000", "--seed", "3"],
+     "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
+    (["run-honest", "--r", "100", "--s", "20000", "--seed", "5", "--mode", "sampled",
+      "--trials", "2"],
+     "6f5a2b53408a354b1dbb25dc2db8c58e5efbbbb25bcc6d8dc23f8f579a6d29f3"),
+    (["run-honest", "--r", "2", "--s", "100000"],
+     "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
+    (["run-honest", "--r", "2", "--s", "100000", "--mode", "sampled", "--seed", "5"],
+     "4fca218496fdf647e468f3f256ec106af1006370be75ed79c79c49e7d66ac762"),
+    (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9"],
+     "c518df6eacd70bcc590e27269d8c931fc007bdf9b2d00a1efd0ffd9d80c8ab58"),
+    (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9",
+      "--mode", "sampled", "--trials", "2"],
+     "0b679a9ed76913b67898933187074e9d7a09fc25e338bb5ff8f6e7dab7868c26"),
+]
+
+
 class TestOutputBytes:
-    # sha256 of the --out bytes, recorded before sessions were built per
-    # distinct key phase, and again before a session was carried as its
-    # distinct rows and one row index per round: neither change may move
-    # a byte. The hardened r = 1000 keys have about 2000 distinct phases,
-    # over many chunks.
-    @pytest.mark.parametrize("argv,digest", [
-        (["run-honest", "--r", "2", "--s", "100000", "--seed", "3"],
-         "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
-        (["run-honest", "--r", "100", "--s", "20000", "--seed", "5", "--mode", "sampled",
-          "--trials", "2"],
-         "6f5a2b53408a354b1dbb25dc2db8c58e5efbbbb25bcc6d8dc23f8f579a6d29f3"),
-        (["run-honest", "--r", "2", "--s", "100000"],
-         "ec30afe5e6caf1a133e5518f17771e7b97cb1b456a869f2925c2f46d113297a9"),
-        (["run-honest", "--r", "2", "--s", "100000", "--mode", "sampled", "--seed", "5"],
-         "4fca218496fdf647e468f3f256ec106af1006370be75ed79c79c49e7d66ac762"),
-        (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9"],
-         "c518df6eacd70bcc590e27269d8c931fc007bdf9b2d00a1efd0ffd9d80c8ab58"),
-        (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9",
-          "--mode", "sampled", "--trials", "2"],
-         "0b679a9ed76913b67898933187074e9d7a09fc25e338bb5ff8f6e7dab7868c26"),
-    ])
+    @pytest.mark.parametrize("argv,digest", SESSION_OUTPUT_PINS)
     def test_session_output_bytes(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "session.out"
         code, _, _ = run_cli(argv + ["--out", str(out)], capsys)

@@ -42,6 +42,13 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(r=r, s=s)
 
+    @pytest.mark.parametrize("variant,r", [("standard", 2**63 - 2), ("hardened", 2**62 - 1)])
+    def test_modulus_fits_an_int64(self, variant, r):
+        # the key numerators 1..p are an int64 array
+        assert ProtocolParams(r, 1, variant).p == 2**63 - 1
+        with pytest.raises(ValueError, match=f"^r must be at most {r}$"):
+            ProtocolParams(r + 1, 1, variant)
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             ProtocolParams(r=2, s=2, variant="extra")
