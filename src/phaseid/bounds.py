@@ -40,8 +40,8 @@ t <= p - 2. Every term of the chain lies in that range.
 
 Apart from the standard library this module imports only ``errors``
 and ``tolerances``, so the command line answers ``bounds`` without
-loading numpy. ``VARIANTS`` and ``fool_first_attempt_bound`` live
-here for that reason; ``keys`` and ``adversary`` import them from here.
+loading numpy. ``VARIANTS`` lives here for that reason: ``keys`` and
+``cli`` read it from here, and ``cli`` reads ``fool_first_attempt_bound``.
 """
 
 from __future__ import annotations

@@ -144,9 +144,9 @@ def _json_document(obj: dict) -> str:
     return _json_value(obj, "") + "\n"
 
 
-def _rows_as_json(rows: list[dict]) -> str:
+def _rows_as_json(rows: list[dict], name: str = "rows") -> str:
     shaped = [{k: _sig(v, JSON_SIG_DIGITS) for k, v in row.items()} for row in rows]
-    return _json_document({"rows": shaped})
+    return _json_document({name: shaped})
 
 
 def _rows_as_csv(rows: list[dict]) -> str:
@@ -289,10 +289,9 @@ def cmd_run_attack(args) -> int:
     except OverflowError:
         raise ConfigError(
             f"--s must not exceed the float range ({sys.float_info.max:.4g})") from None
-    if args.mode == "sampled":
-        if args.seed is None:
-            raise ConfigError("sampled mode requires --seed")
-        _require_int("--trials", args.trials, 1, sys.maxsize)   # the largest array length
+    _require_int("--trials", args.trials, 1, sys.maxsize)       # the largest array length
+    if args.mode == "sampled" and args.seed is None:
+        raise ConfigError("sampled mode requires --seed")
     if args.seed is not None:
         _require_int("--seed", args.seed, 0, _MASK64)
 
@@ -375,10 +374,7 @@ def cmd_verify_identities(args) -> int:
         results.append({"check": name, "passed": passed, "max_deviation": deviation})
         print(f"{name}: {'pass' if passed else 'FAIL'} (max deviation {deviation:.3e})")
     if args.out:
-        shaped = [
-            {k: _sig(v, JSON_SIG_DIGITS) for k, v in row.items()} for row in results
-        ]
-        _write_text(args.out, _json_document({"checks": shaped}))
+        _write_text(args.out, _rows_as_json(results, "checks"))
     if all(row["passed"] for row in results):
         return EXIT_OK
     return EXIT_NUMERICAL
@@ -495,6 +491,10 @@ def main(argv=None) -> int:
     except UsageExhaustedError as exc:
         sys.stderr.write(f"phaseid: refusal: {exc}\n")
         return EXIT_REFUSAL
+    except MemoryError:     # numpy's allocation failures included; their text is not echoed
+        sys.stderr.write("phaseid: invalid config: "
+                         "this query needs more memory than the host has\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -4,10 +4,9 @@ Each check returns the largest deviation it sees from an identity that
 holds exactly; the command passes a check whose deviation lies below
 ``tolerances.IDENTITY_ATOL``. The checks build their cases as stacked
 arrays and validate each stack once with the stacked validators of
-``qsim``, not one state object per case, and take each trigonometric
-or exponential value once: the phase averages of all moduli come from
-one exponential pass. They are numpy code, so they live apart from
-``cli``, which imports this module only when the command runs.
+``qsim``, not one state object per case. They are numpy code, so they
+live apart from ``cli``, which imports this module only when the
+command runs.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ def _check_challenge_decomposition() -> float:
 
 
 def _check_phase_average() -> float:
-    # The moduli p = 2..9 share one exponential pass.
     a = np.arange(-12, 13)
     ps = np.arange(2, 10)
     want = (a % ps[:, None] == 0).astype(np.float64)
@@ -54,7 +52,7 @@ def _check_phase_average() -> float:
 
 
 def _check_averaging_equivalence() -> float:
-    # Per n, the three averages are built in one pass and validated with
+    # Per n, the three averages are built in one call and validated with
     # the weight mixture in one stack.
     worst = 0.0
     for n in range(1, 7):

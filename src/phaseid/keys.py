@@ -12,14 +12,12 @@ unless p divides a, and a uniform phase mixture of n-fold product keys
 equals the binomially weighted mixture of Hamming-weight states
 whenever p >= n + 1. The second is the first read entry by entry: the
 product keys' entry for labels of Hamming weights w and v averages
-e^{2 pi i (w - v) k / p}, so one exponential pass over the 2n + 1
-weight differences, shared by all the moduli asked for, gives every
-average.
+e^{2 pi i (w - v) k / p}, so the phase means of the 2n + 1 weight
+differences give every average.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -211,11 +209,12 @@ def averaged_key_operators(ps, n: int) -> np.ndarray:
     Returns a float64 stack of shape (len(ps), 2^n, 2^n); no moduli give
     an empty stack. The entry for labels of Hamming weights w and v is
     2^-n times the mean of e^{2 pi i (w - v) k / p} over k = 1..p, which
-    is 1 or 0: one ``_phase_average_rows`` pass over the differences
-    -n..n, gathered per pair of labels into one C-contiguous stack,
-    gives every average, each bit for bit its own call's value. That pass checks the imaginary parts,
-    rounding noise, against CONSTRUCT_ATOL, modulus by modulus in order,
-    and NumericalError names the first exponent and modulus that fail.
+    is 1 or 0: the ``_phase_average_rows`` of the differences -n..n,
+    gathered per pair of labels into one C-contiguous stack, give every
+    average, each bit for bit its own call's value. Those rows check the
+    imaginary parts, rounding noise, against CONSTRUCT_ATOL, modulus by
+    modulus in order, and NumericalError names the first exponent and
+    modulus that fail.
     The averages are not validated as density operators here: the
     caller validates them, with whatever else it builds, in one stacked
     check.
@@ -263,32 +262,29 @@ def symmetric_mixture(n: int) -> DensityOperator:
 def _phase_means(a, ps) -> np.ndarray:
     """(1/p) sum_{k=1..p} e^{2 pi i a k / p} for each p of ``ps``, complex.
 
-    ``a`` is an array of exponents. One exponential pass serves every
-    modulus: row i holds the means of ``ps[i]`` at every exponent of
-    ``a``, each bit for bit its value for that modulus alone.
+    ``a`` is an array of exponents. Row i holds the means of ``ps[i]``
+    at every exponent of ``a``, from one exponential pass over that
+    modulus alone, so memory grows with the largest modulus, not with
+    their sum.
     """
-    ks = np.concatenate([np.arange(1, p + 1) for p in ps])
     turns = 2j * np.pi * np.asarray(a)[..., None]
-    terms = np.exp(turns * ks / np.repeat(ps, ps))
-    return np.stack([terms[..., stop - p:stop].sum(axis=-1) / p
-                     for p, stop in zip(ps, itertools.accumulate(ps))])
+    means = np.empty((len(ps),) + turns.shape[:-1], dtype=np.complex128)
+    for i, p in enumerate(ps):
+        means[i] = np.exp(turns * np.arange(1, p + 1) / p).sum(axis=-1) / p
+    return means
 
 
 def _phase_average_rows(a, ps) -> np.ndarray:
     """The real means (1/p) sum_{k=1..p} e^{2 pi i a k / p}, one row per p of ``ps``.
 
     ``a`` is an array of exponents. Each mean is 1 when p divides its
-    exponent and 0 otherwise; the sum is evaluated explicitly, in one
-    exponential pass for every modulus (``_phase_means``), and its
-    imaginary part must vanish to CONSTRUCT_ATOL. Row i is bit for bit
-    the means of ``ps[i]`` alone; no moduli give an empty
-    ``(0,) + a.shape`` array. The imaginary parts are checked modulus
-    by modulus, in order, and NumericalError names the first modulus
-    and exponent that fail.
+    exponent and 0 otherwise; the sum is evaluated explicitly
+    (``_phase_means``), and its imaginary part must vanish to
+    CONSTRUCT_ATOL. No moduli give an empty ``(0,) + a.shape`` array.
+    The imaginary parts are checked modulus by modulus, in order, and
+    NumericalError names the first modulus and exponent that fail.
     """
     ps = tuple(_require_int("p", p, 1) for p in ps)
-    if not ps:
-        return np.empty((0,) + np.shape(a))
     vals = _phase_means(a, ps)
     bad = np.flatnonzero(~(np.abs(vals.imag) <= CONSTRUCT_ATOL))    # NaN fails too
     if bad.size:

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cli
 from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError, _require_int
 from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_angles, phase_bases
 from .qsim import (
@@ -232,7 +233,8 @@ class SessionTranscript:
         # (bit, flag) pair in sampled mode.
         if self.mode == "exact":
             which = self.row
-            tails = [f', "response_bit": null, "pass_probability": {_json_float(_sig12(x))}}}'
+            tails = [', "response_bit": null, "pass_probability": '
+                     f'{cli._json_scalar(cli._sig(x, cli.JSON_SIG_DIGITS))}}}'
                      for x in self.row_pass_probability.tolist()]
         else:
             which = 2 * self.response_bit + self.passed
@@ -260,16 +262,6 @@ class _RoundRecords(Sequence):
         if tr.mode == "exact":
             return RoundRecord(i + 1, None, float(tr.row_pass_probability[tr.row[i]]), None)
         return RoundRecord(i + 1, int(tr.response_bit[i]), None, bool(tr.passed[i]))
-
-
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _json_float(x: float) -> str:
-    """``json.dumps(x)`` for a float: its ``repr`` when finite, as the JSON
-    encoder prints it; the encoder's NaN and Infinity otherwise."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
 _CHALLENGE = PureState((2, 2), _BELL)

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:                                 # not POSIX
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phaseid
-from phaseid import adversary, cli, identities, protocol
+from phaseid import adversary, cli, identities, keys, protocol
 from phaseid.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -434,6 +439,61 @@ class TestRunAttack:
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv, capsys)
         assert first == second
+
+
+    # --trials is checked in both modes, as --seed is, though exact mode draws nothing
+    @pytest.mark.parametrize("trials,message", [
+        (-5, "--trials must be >= 1, got -5"),
+        (0, "--trials must be >= 1, got 0"),
+        (sys.maxsize + 1, f"--trials must be at most {sys.maxsize}"),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_trials_outside_its_domain_exits_config(self, capsys, mode, trials, message):
+        argv = ["run-attack", "--t", "1", "--mode", mode, "--seed", "1", "--trials", str(trials)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"phaseid: invalid config: {message}\n"
+
+
+class TestOutOfMemory:
+    # A query that needs more memory than the host has is bad input, exit 4,
+    # in one line that does not echo numpy's text. Nothing here allocates in
+    # this process: the in-process cases raise a stub MemoryError, and the
+    # child runs under an address-space limit set in the child only.
+    MESSAGE = "phaseid: invalid config: this query needs more memory than the host has\n"
+    HUGE = {
+        "keygen": (["keygen", "--r", "2", "--s", str(10**12), "--seed", "1"],
+                   keys, "generate_private_key"),
+        "run-honest": (["run-honest", "--r", "2", "--s", str(10**12)],
+                       keys, "generate_private_key"),
+        "run-attack": (["run-attack", "--t", "1", "--mode", "sampled", "--seed", "1",
+                        "--trials", str(10**12)], adversary, "sample_attack_rounds"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HUGE))
+    def test_memory_error_exits_config(self, capsys, monkeypatch, name):
+        argv, module, attr = self.HUGE[name]
+
+        def broken(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type int64")
+
+        monkeypatch.setattr(module, attr, broken)
+        assert run_cli(argv, capsys) == (EXIT_CONFIG, "", self.MESSAGE)
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    def test_child_under_an_address_space_limit_exits_config(self):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(phaseid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phaseid", *self.HUGE["run-honest"][0]],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", self.MESSAGE)
 
 
 class TestPsuccTable:

@@ -87,7 +87,7 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stacked_averages_are_the_one_modulus_averages(self, n):
-        # bit for bit, though the moduli share one exponential pass
+        # bit for bit, each modulus's row of the stack
         ps = [p for p in (n, n + 1, n + 2, 2 * n + 3) if p >= 2]
         stacked = keys.averaged_key_operators(ps, n)
         assert stacked.shape == (len(ps), 2**n, 2**n) and stacked.dtype == np.float64

@@ -1,6 +1,7 @@
 """Key material: parameter sets, phase states, averaging structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from phaseid.keys import (
     ProtocolParams,
     averaged_key_operator_discrete,
     _phase_average_rows,
+    _phase_means,
     averaged_key_operators,
     generate_private_key,
     phase_bases,
@@ -282,6 +284,18 @@ class TestSymmetricStates:
 def test_phase_average_is_divisibility_indicator(a, p):
     want = 1.0 if a % p == 0 else 0.0
     assert _phase_average_rows(np.asarray(a), (p,))[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_phase_means_memory_follows_the_largest_modulus():
+    # one modulus at a time: the terms of p = 1952 over 21 exponents take
+    # about 0.7 MB, while all 40 moduli at once would take about 13 MB
+    tracemalloc.start()
+    try:
+        _phase_means(np.arange(-10, 11), range(2, 2002, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestPublicKeyDescriptor:

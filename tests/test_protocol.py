@@ -328,6 +328,26 @@ class TestTranscript:
             if prover == "eve":
                 assert '"pass": false}' in "".join(lines)
 
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_rows_carry_12_significant_digits(self, branch, pass0, pass1, s):
+        # any valid one-row table: every round line is json.dumps of the
+        # row with its pass probability rounded to 12 significant digits
+        table = BranchTable(np.array([[branch, 1.0 - branch]]), np.array([[pass0, pass1]]))
+
+        class _Fixed:
+            def round_branches(self):
+                return table
+
+        params = ProtocolParams(r=2, s=s)
+        transcript = run_session(params, generate_private_key(params, 1), _Fixed())
+        x = float(table.marginal[0])
+        want = [json.dumps({"j": j, "response_bit": None,
+                            "pass_probability": float(f"{x:.12g}")})
+                for j in range(1, s + 1)]
+        assert list(transcript.to_json_lines())[1:-1] == want
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_hand_built_rows_match_json_dumps(self, mode):
         # every bit and flag value, including the bit 1 next to the flag
