@@ -231,7 +231,7 @@ def build_discrimination_pair(t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HelstromStrategy:
-    """The optimal binary measurement {P+, P-} for t copies, recorded as t and psucc.
+    """The optimal binary measurement {P+, P-} for t copies, recorded as t alone.
 
     The measurement acts on the (received, frame) registers in sector
     form. The phase-averaged pair is block diagonal in the charge
@@ -240,17 +240,15 @@ class HelstromStrategy:
     frame magnitudes), so by Helstrom's theorem P+ projects onto
     (|0,n> + |1,n-1>)/sqrt(2). The 1x1 end sectors |0,0> and |1,t>
     carry no gap; both go to P+. Being block diagonal in n, P+ commutes
-    with the phase rotation e^{i(b+w) theta}. t fixes the projector, so
-    the value holds none; the projector itself is the tests' oracle.
+    with the phase rotation e^{i(b+w) theta}. t fixes the projector and
+    its success probability ``psucc_formula(t)``, so the value holds
+    neither; the projector itself is the tests' oracle.
     """
 
     t: int
-    psucc: float
 
     def __post_init__(self):
         object.__setattr__(self, "t", _require_int("t", self.t, 0))
-        if not 0.5 - CONSTRUCT_ATOL <= self.psucc <= 1.0 + CONSTRUCT_ATOL:
-            raise NumericalError(f"psucc {self.psucc!r} outside [1/2, 1]")
 
 
 def helstrom_strategy(t: int) -> HelstromStrategy:
@@ -267,7 +265,7 @@ def helstrom_strategy(t: int) -> HelstromStrategy:
     the best one. The union-bound chain never needs more than p - 2
     copies (see ``bounds``).
     """
-    return HelstromStrategy(t, psucc_formula(t))
+    return HelstromStrategy(t)
 
 
 def helstrom_psucc_oracle(t: int) -> float:
@@ -350,23 +348,22 @@ def eve_attack_round(t: int) -> CheatGuessReport:
 def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     """The attacked round's report for each copy count t of ``t_values``, in order.
 
-    S = ``overlap_sum(t)`` is computed once per t: each strategy's
-    psucc is 0.5 + 0.5 S, bit for bit ``psucc_formula(t)``, and the
-    same S gives the kept states. The strategies are built first, so
-    an out-of-range psucc is reported before any density check. At
-    angle 0, P+- act on each sector's real amplitudes (c_n, c_{n-1}) on
-    (|0,n>, |1,n-1>). Summed over the sectors, with c_0^2 = c_t^2 =
-    2^-t from the end sectors, each branch's kept state is K+- = (1/4)
-    [[1 +- 2^-t, +-S], [+-S, 1 +- 2^-t]], of trace (1 +- 2^-t)/2. One
-    verifier step at angle 0 (``protocol.verify_kept_states``) and one
-    validated table take every t; each report's ``branches`` is its
-    row of that table (``BranchTable.row``).
+    S = ``overlap_sum(t)`` is computed once per t: each report's psucc
+    is 0.5 + 0.5 S, bit for bit ``psucc_formula(t)``, and the same S
+    gives the kept states. No strategy is built: t alone fixes the
+    measurement. At angle 0, P+- act on each sector's real amplitudes
+    (c_n, c_{n-1}) on (|0,n>, |1,n-1>). Summed over the sectors, with
+    c_0^2 = c_t^2 = 2^-t from the end sectors, each branch's kept state
+    is K+- = (1/4) [[1 +- 2^-t, +-S], [+-S, 1 +- 2^-t]], of trace
+    (1 +- 2^-t)/2. One verifier step at angle 0
+    (``protocol.verify_kept_states``) and one validated table take
+    every t; each report's ``branches`` is its row of that table
+    (``BranchTable.row``).
     """
     ts = [_require_int("t", t, 0) for t in t_values]
     if not ts:
         return []
     overlaps = [_overlap_sum(t) for t in ts]
-    strategies = [HelstromStrategy(t, 0.5 + 0.5 * overlap) for t, overlap in zip(ts, overlaps)]
     edge = np.ldexp(1.0, np.negative(ts))[:, None]      # c_0^2 = c_t^2, per t
     overlap = np.array(overlaps)[:, None]
     sign = np.array([1.0, -1.0])                        # bit 0 (P+), bit 1 (P-)
@@ -374,8 +371,8 @@ def eve_attack_rounds(t_values) -> list[CheatGuessReport]:
     kept[..., 0, 0] = kept[..., 1, 1] = 0.25 * (1.0 + sign * edge)
     kept[..., 0, 1] = kept[..., 1, 0] = 0.25 * sign * overlap
     table = BranchTable(*verify_kept_states(kept, np.zeros(len(ts))))
-    return [CheatGuessReport(strategy.t, value, strategy.psucc, table.row(j))
-            for j, (strategy, value) in enumerate(zip(strategies, table.marginal.tolist()))]
+    return [CheatGuessReport(t, value, 0.5 + 0.5 * s, table.row(j))
+            for j, (t, s, value) in enumerate(zip(ts, overlaps, table.marginal.tolist()))]
 
 
 @dataclass(frozen=True)

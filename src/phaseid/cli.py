@@ -190,10 +190,8 @@ def cmd_keygen(args) -> int:
     _require_int("--seed", args.seed, 0, _MASK64)
     key = keys.generate_private_key(params, args.seed)
     if args.public:
-        payload = keys.public_key_descriptor(params, key, expose_phases=args.expose_phases)
+        payload = keys.public_key_descriptor(params)
     else:
-        if args.expose_phases:
-            raise ConfigError("--expose-phases only applies to --public exports")
         payload = keys.private_key_payload(params, args.seed, key)
     _write_text(args.out, _json_document(payload))
     return EXIT_OK
@@ -408,8 +406,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("keygen", help="draw a private key")
     common(p, want_r=True, want_s=True, variant=True, seed=True)
     p.add_argument("--public", action="store_true", help="emit the public descriptor")
-    p.add_argument("--expose-phases", action="store_true",
-                   help="debug: include phases in the public descriptor")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("run-honest", help="run honest sessions under one key")
@@ -488,9 +484,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included: bad input
         sys.stderr.write(f"phaseid: invalid config: {exc}\n")
         return EXIT_CONFIG
-    except UsageExhaustedError as exc:
-        sys.stderr.write(f"phaseid: refusal: {exc}\n")
-        return EXIT_REFUSAL
     except MemoryError:     # numpy's allocation failures included; their text is not echoed
         sys.stderr.write("phaseid: invalid config: "
                          "this query needs more memory than the host has\n")

@@ -48,6 +48,9 @@ __all__ = [
 # and the phase averages are 2^n x 2^n float64 matrices, 8 MiB each at n = 10.
 _MAX_N = 10
 
+# Largest phase modulus: every numerator k <= p is an int64.
+_MAX_P = 2**63 - 1
+
 
 def phase_angles(ks, p):
     """Angle 2 pi (k mod p)/p of the phase k/p; k = p maps to +0.0.
@@ -88,8 +91,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        # p, r + 1 or 2r + 1, must fit the int64 key numerators
-        top = (2**63 - 2) // (1 if self.variant == "standard" else 2)
+        # p, r + 1 or 2r + 1, must not exceed _MAX_P
+        top = (_MAX_P - 1) // (1 if self.variant == "standard" else 2)
         object.__setattr__(self, "r", _require_int("r", self.r, 1, top))
         object.__setattr__(self, "s", _require_int("s", self.s, 1))
 
@@ -130,7 +133,7 @@ class PrivateKey:
         xs = tuple(xs)
         if not xs:
             raise ValueError("private key needs at least one entry")
-        p = xs[0].p
+        p = _require_int("p", xs[0].p, 1, _MAX_P)
         if any(x.p != p for x in xs):
             raise ValueError("all key entries must share one modulus")
         self._set(np.array([x.k for x in xs], dtype=np.int64), p)
@@ -140,9 +143,9 @@ class PrivateKey:
         """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p.
 
         Floats, bools and strings, in ``ks`` or as ``p``, raise ValueError
-        rather than being truncated or compared.
+        rather than being truncated or compared, as does a p above _MAX_P.
         """
-        p = _require_int("p", p, 1)
+        p = _require_int("p", p, 1, _MAX_P)
         ks = np.array(ks)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("private key needs a nonempty one-dimensional array of phases")
@@ -308,16 +311,6 @@ def private_key_payload(params: ProtocolParams, seed: int, key: PrivateKey) -> d
     }
 
 
-def public_key_descriptor(params: ProtocolParams, key: PrivateKey | None = None,
-                          expose_phases: bool = False) -> dict:
-    """Public description of a key: modulus and element count only.
-
-    Cleartext phases stay out of public exports; ``expose_phases`` is a
-    deliberate debug override and requires the key.
-    """
-    out: dict = {"p": params.p, "xs_redacted": not expose_phases, "elements": params.s}
-    if expose_phases:
-        if key is None:
-            raise ValueError("expose_phases requires the private key")
-        out["xs"] = key.ks.tolist()
-    return out
+def public_key_descriptor(params: ProtocolParams) -> dict:
+    """Public description of a key: modulus and element count, never its phases."""
+    return {"p": params.p, "xs_redacted": True, "elements": params.s}

@@ -1,5 +1,6 @@
 """Adversary side: frames, discrimination, attack rounds, combinatorial bounds."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -35,7 +36,7 @@ from phaseid.adversary import (
     _pair_grid,
 )
 from phaseid.bounds import fool_first_attempt_bound
-from phaseid.errors import DimensionMismatchError, NumericalError
+from phaseid.errors import DimensionMismatchError
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -192,7 +193,7 @@ class TestCombinatorics:
         pytest.param(lambda: eve_attack_rounds([1, 2.0]), id="eve_attack_rounds"),
         pytest.param(lambda: overlap_sum(True), id="overlap_sum"),
         pytest.param(lambda: helstrom_strategy(np.float64(3.0)), id="helstrom_strategy"),
-        pytest.param(lambda: HelstromStrategy(2.5, 0.8), id="HelstromStrategy"),
+        pytest.param(lambda: HelstromStrategy(2.5), id="HelstromStrategy"),
         pytest.param(lambda: cheung_bound("2"), id="cheung_bound"),
     ])
     def test_copy_counts_must_be_integers(self, call):
@@ -203,7 +204,7 @@ class TestCombinatorics:
     def test_numpy_integer_copy_counts_are_copy_counts(self):
         assert overlap_sum(np.int64(5)) == overlap_sum(5)
         assert eve_attack_round(np.uint8(3)).p_pass_exact == eve_attack_round(3).p_pass_exact
-        assert type(HelstromStrategy(np.int64(3), PSUCC_T3).t) is int
+        assert type(HelstromStrategy(np.int64(3)).t) is int
 
     def test_overlap_sum_matches_integer_binomials(self):
         # independent of the frame recurrence: exact big-integer binomials,
@@ -471,10 +472,10 @@ class TestDiscriminationPair:
 
 
 class TestHelstrom:
-    @pytest.mark.parametrize("t", range(0, 9))
-    def test_strategy_matches_formula(self, t):
-        strat = helstrom_strategy(t)
-        assert strat.psucc == pytest.approx(psucc_formula(t), abs=1e-9)
+    def test_strategy_is_its_copy_count(self):
+        # t fixes the measurement and its psucc, so the strategy holds t alone
+        assert [field.name for field in dataclasses.fields(HelstromStrategy)] == ["t"]
+        assert helstrom_strategy(3) == HelstromStrategy(3)
 
     @pytest.mark.parametrize("t", range(0, 9))
     def test_oracle_matches_formula(self, t):
@@ -505,12 +506,6 @@ class TestHelstrom:
         assert helstrom_psucc_oracle(32) == pytest.approx(psucc_formula(32), abs=1e-14)
         assert calls == []
         assert validated == [(2, 66, 66)]
-
-    @pytest.mark.parametrize("psucc", [0.25, 1.5, float("nan")])
-    def test_psucc_out_of_range_is_internal_failure(self, psucc):
-        # psucc is computed, never supplied by the user: exit 5, not 4
-        with pytest.raises(NumericalError):
-            HelstromStrategy(3, psucc)
 
     def test_projector_rank(self):
         proj = helstrom_projector_plus(2)
@@ -546,8 +541,8 @@ class TestHelstrom:
 
     def test_strategy_beyond_oracle_cap(self):
         t = 10_000
-        assert helstrom_strategy(t).psucc == pytest.approx(psucc_formula(t), abs=1e-9)
         report = eve_attack_round(t)
+        assert report.psucc_strategy == psucc_formula(t)
         assert report.p_pass_exact == pytest.approx(0.5 * (1.0 + psucc_formula(t)), abs=1e-9)
 
 

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, exit codes, output formats."""
 
+import argparse
+import ast
 import hashlib
 import json
 import os
@@ -86,22 +88,15 @@ class TestKeygen:
         assert "xs" not in payload
         assert payload["elements"] == 4
 
-    def test_public_expose_phases(self, capsys):
-        code, out, _ = run_cli(
-            ["keygen", "--r", "3", "--s", "4", "--seed", "11", "--public",
-             "--expose-phases"],
+    # a public export never prints the private phases: no flag asks it to
+    @pytest.mark.parametrize("extra", [[], ["--public"]], ids=["private", "public"])
+    def test_expose_phases_is_not_a_flag(self, capsys, extra):
+        code, out, err = run_cli(
+            ["keygen", "--r", "3", "--s", "4", "--seed", "11", *extra, "--expose-phases"],
             capsys,
         )
-        assert code == EXIT_OK
-        assert len(json.loads(out)["xs"]) == 4
-
-    def test_expose_without_public_is_config_error(self, capsys):
-        code, _, err = run_cli(
-            ["keygen", "--r", "3", "--s", "4", "--seed", "11", "--expose-phases"],
-            capsys,
-        )
-        assert code == EXIT_CONFIG
-        assert "expose-phases" in err
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "unrecognized arguments: --expose-phases" in err
 
     def test_missing_seed(self, capsys):
         code, _, _ = run_cli(["keygen", "--r", "3", "--s", "4"], capsys)
@@ -233,11 +228,12 @@ class TestInternalFailureExit:
     def test_out_of_range_psucc_exits_numerical(self, capsys, monkeypatch):
         # psucc is computed, not given: a value outside [1/2, 1] is an
         # internal failure, never bad input. An overlap sum S = 2 makes
-        # the sweep's psucc 1/2 + S/2 = 1.5.
+        # the sweep's psucc 1/2 + S/2 = 1.5, and its kept states are no
+        # density operators, which the verifier's check reports.
         monkeypatch.setattr(adversary, "_overlap_sum", lambda t: 2.0)
         code, _, err = run_cli(["run-attack", "--t", "2"], capsys)
         assert code == EXIT_NUMERICAL
-        assert "numerical failure: psucc 1.5 outside" in err
+        assert err.startswith("phaseid: numerical failure: ")
 
     def test_imaginary_grid_average_exits_numerical(self, capsys, monkeypatch):
         # The oracle's grid average is real in exact arithmetic; a
@@ -651,6 +647,40 @@ class TestParsing:
         assert out == ""
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
+    # the declaration side of the same rule: every option a subcommand
+    # declares is read as args.<dest> by its command, or by a function of
+    # cli.py that the command passes ``args``
+    def test_every_declared_flag_is_read(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reads(name, seen):
+            if name in seen:
+                return set()
+            seen.add(name)
+            found = set()
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args"):
+                    found.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in functions
+                        and any(isinstance(arg, ast.Name) and arg.id == "args"
+                                for arg in node.args)):
+                    found |= reads(node.func.id, seen)
+            return found
+
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        unread = {}
+        for command, parser in sub.choices.items():
+            declared = {action.dest for action in parser._actions
+                        if action.option_strings and action.dest != "help"}
+            missing = declared - reads(parser.get_default("func").__name__, set())
+            if missing:
+                unread[command] = sorted(missing)
+        assert sub.choices and unread == {}
+
     # one seed domain, 0..2^64 - 1, on every command that reads --seed: no
     # seed is reduced modulo 2^64 onto another (0 and 2^64, -1 and 2^64 - 1)
     @pytest.mark.parametrize("seed,message", [
@@ -887,7 +917,7 @@ class TestOutputBytes:
 
 class TestParserReuse:
     SEQUENCE = (
-        ["keygen", "--r", "3", "--s", "5", "--seed", "11", "--public", "--expose-phases"],
+        ["keygen", "--r", "3", "--s", "5", "--seed", "11", "--public"],
         ["keygen", "--r", "3", "--s", "5", "--seed", "11"],
         ["run-honest", "--r", "2", "--s", "30", "--seed", "5", "--mode", "sampled"],
         ["run-honest", "--r", "2", "--s", "30", "--seed", "5"],

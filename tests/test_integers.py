@@ -74,7 +74,7 @@ ENTRY_POINTS = [
     ("cheung_bound", "t", cheung_bound),
     ("build_discrimination_pair", "t", lambda v: build_discrimination_pair(v).tolist()),
     ("helstrom_psucc_oracle", "t", helstrom_psucc_oracle),
-    ("HelstromStrategy", "t", lambda v: HelstromStrategy(v, 0.8).t),
+    ("HelstromStrategy", "t", lambda v: HelstromStrategy(v).t),
     ("helstrom_strategy", "t", lambda v: tuple(vars(helstrom_strategy(v)).values())),
     ("eve_attack_round", "t", lambda v: tuple(vars(eve_attack_round(v)).values())[:3]),
     ("eve_attack_rounds", "t", lambda v: [report.t for report in eve_attack_rounds([1, v])]),

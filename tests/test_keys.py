@@ -143,6 +143,25 @@ class TestPrivateKey:
         with pytest.raises(ValueError, match="p must be an integer"):
             PrivateKey.from_ks([1], p)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda p: PrivateKey.from_ks([p], p), id="from_ks"),
+        pytest.param(lambda p: PrivateKey([PhaseFraction(p, p)]), id="PhaseFraction"),
+    ])
+    def test_modulus_fits_an_int64(self, build):
+        # the numerators 1..p are an int64 array: the largest p keeps its
+        # numerator, and one more is refused by name, not wrapped or overflowed
+        top = 2**63 - 1
+        assert build(top).ks.tolist() == [top]
+        for p in (top + 1, 2**64):
+            with pytest.raises(ValueError, match=f"^p must be at most {top}$"):
+                build(p)
+
+    def test_from_ks_does_not_wrap_a_large_numerator(self):
+        top = np.array([2**63 - 1, 5], dtype=np.uint64)
+        assert PrivateKey.from_ks(top, 2**63 - 1).ks.tolist() == [2**63 - 1, 5]
+        with pytest.raises(ValueError, match="^p must be at most "):
+            PrivateKey.from_ks(np.array([2**63, 5], dtype=np.uint64), 2**64)
+
 
 class TestKeygen:
     def test_deterministic_in_seed(self):
@@ -299,20 +318,6 @@ def test_phase_means_memory_follows_the_largest_modulus():
 
 
 class TestPublicKeyDescriptor:
-    def test_descriptor_redacts_by_default(self):
-        params = ProtocolParams(r=2, s=3)
-        key = generate_private_key(params, 1)
-        desc = public_key_descriptor(params, key)
-        assert desc["xs_redacted"] is True
-        assert "xs" not in desc
-        assert desc["elements"] == 3
-
-    def test_descriptor_exposes_on_request(self):
-        params = ProtocolParams(r=2, s=3)
-        key = generate_private_key(params, 1)
-        desc = public_key_descriptor(params, key, expose_phases=True)
-        assert desc["xs"] == [x.k for x in _phases(key)]
-
-    def test_expose_requires_key(self):
-        with pytest.raises(ValueError):
-            public_key_descriptor(ProtocolParams(r=2, s=3), None, expose_phases=True)
+    def test_descriptor_holds_no_phases(self):
+        desc = public_key_descriptor(ProtocolParams(r=2, s=3))
+        assert desc == {"p": 3, "xs_redacted": True, "elements": 3}
