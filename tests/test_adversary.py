@@ -478,6 +478,20 @@ class TestHelstrom:
         assert helstrom_strategy(3) == HelstromStrategy(3)
 
     @pytest.mark.parametrize("t", range(0, 9))
+    def test_strategy_matches_formula(self, t):
+        # the strategy's psucc is read off its measurement: P+ for its t on
+        # the explicit pair, 1/2 tr(P+ rho+) + 1/2 tr(P- rho-), against the
+        # closed form and the attack round's recorded psucc
+        strat = helstrom_strategy(t)
+        rho_plus, rho_minus = build_discrimination_pair(strat.t)
+        proj = helstrom_projector_plus(strat.t)
+        eye = np.eye(proj.shape[0])
+        psucc = 0.5 * float(np.trace(proj @ rho_plus).real
+                            + np.trace((eye - proj) @ rho_minus).real)
+        assert psucc == pytest.approx(psucc_formula(t), abs=1e-9)
+        assert eve_attack_round(strat.t).psucc_strategy == psucc_formula(t)
+
+    @pytest.mark.parametrize("t", range(0, 9))
     def test_oracle_matches_formula(self, t):
         # trace-norm route vs closed-form route, built independently
         assert helstrom_psucc_oracle(t) == pytest.approx(psucc_formula(t), abs=1e-9)

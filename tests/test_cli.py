@@ -88,6 +88,19 @@ class TestKeygen:
         assert "xs" not in payload
         assert payload["elements"] == 4
 
+    # the public descriptor's bytes: modulus, the redaction mark, length
+    @pytest.mark.parametrize("argv,text", [
+        (["--r", "3", "--s", "4", "--seed", "11"],
+         '{\n  "p": 4,\n  "xs_redacted": true,\n  "elements": 4\n}\n'),
+        (["--r", "4", "--s", "6", "--seed", "5", "--variant", "hardened"],
+         '{\n  "p": 9,\n  "xs_redacted": true,\n  "elements": 6\n}\n'),
+        (["--r", "2", "--s", "1", "--seed", "0"],
+         '{\n  "p": 3,\n  "xs_redacted": true,\n  "elements": 1\n}\n'),
+    ], ids=["standard", "hardened", "one-element"])
+    def test_public_descriptor_bytes(self, capsys, argv, text):
+        code, out, _ = run_cli(["keygen", *argv, "--public"], capsys)
+        assert (code, out) == (EXIT_OK, text)
+
     # a public export never prints the private phases: no flag asks it to
     @pytest.mark.parametrize("extra", [[], ["--public"]], ids=["private", "public"])
     def test_expose_phases_is_not_a_flag(self, capsys, extra):
