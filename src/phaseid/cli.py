@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 # Only numpy-free modules at import time: each command imports the modules
 # it runs, so ``--help`` and ``bounds`` never load numpy.
 from . import bounds
-from .errors import ConfigError, InternalError, UsageExhaustedError, _require_int
+from .errors import ConfigError, InternalError, _require_int
 from .tolerances import IDENTITY_ATOL
 
 __all__ = ["main", "build_parser"]
@@ -62,7 +62,7 @@ def _fmt_csv(value) -> str:
 
 
 def _check_out(out: str | None) -> None:
-    """Reject an ``out`` that is a directory or lies in a missing directory.
+    """Reject an ``out`` that is empty, a directory or in a missing directory.
 
     ``main`` calls this before the command runs, so a bad path costs no
     work and no file is created. Any other failure to open ``out``
@@ -73,7 +73,7 @@ def _check_out(out: str | None) -> None:
         return
     if os.path.isdir(out):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(out) or "."):
+    elif not out or not os.path.isdir(os.path.dirname(out) or "."):
         code = errno.ENOENT
     else:
         return
@@ -188,10 +188,10 @@ def cmd_keygen(args) -> int:
     if args.seed is None:
         raise ConfigError("keygen requires --seed")
     _require_int("--seed", args.seed, 0, _MASK64)
-    key = keys.generate_private_key(params, args.seed)
     if args.public:
         payload = keys.public_key_descriptor(params)
     else:
+        key = keys.generate_private_key(params, args.seed)
         payload = keys.private_key_payload(params, args.seed, key)
     _write_text(args.out, _json_document(payload))
     return EXIT_OK
@@ -206,35 +206,23 @@ def cmd_run_honest(args) -> int:
     from .rng import _MASK64, derive_seed
 
     params = _params_from(args)
-    _require_int("--trials", args.trials, 1)
+    trials = _require_int("--trials", args.trials, 1)
     if args.mode == "sampled" and args.seed is None:
         raise ConfigError("sampled mode requires --seed")
     master = 0 if args.seed is None else _require_int("--seed", args.seed, 0, _MASK64)
     key = keys.generate_private_key(params, derive_seed(master, _KEY_STREAM))
-    usage = protocol.UsageCounter(params.r)
 
-    transcripts = []
-    refused = False
-    for i in range(args.trials):
-        session_seed = None
-        if args.mode == "sampled":
-            session_seed = derive_seed(master, _SESSION_STREAM_BASE + i)
-        try:
-            transcripts.append(
-                protocol.run_session(
-                    params,
-                    key,
-                    "honest",
-                    mode=args.mode,
-                    seed=session_seed,
-                    usage=usage,
-                    session_id=i,
-                )
-            )
-        except UsageExhaustedError as exc:
-            sys.stderr.write(f"refusal at session {i}: {exc}\n")
-            refused = True
-            break
+    # One key serves r sessions: the session after them is refused, not run.
+    transcripts = [
+        protocol.run_session(params, key, "honest", mode=args.mode, session_id=i,
+                             seed=derive_seed(master, _SESSION_STREAM_BASE + i)
+                             if args.mode == "sampled" else None)
+        for i in range(min(trials, params.r))
+    ]
+    refused = trials > params.r
+    if refused:
+        sys.stderr.write(f"refusal at session {params.r}: "
+                         "no protocol uses left under this key; refusing (not a reject)\n")
 
     # Every session has run before the first line is written, so a failed
     # session writes nothing. Each session's lines are made as they are
@@ -320,10 +308,8 @@ def cmd_run_attack(args) -> int:
 def cmd_psucc_table(args) -> int:
     from . import adversary
 
-    t_max = _require_int("--t-max", args.t_max if args.t_max is not None else 8, 1)
-    cap = adversary._MAX_ORACLE_T
-    if t_max > cap:
-        raise ConfigError(f"t={cap + 1} exceeds the explicit-construction cap {cap}")
+    t_max = args.t_max if args.t_max is not None else 8
+    t_max = _require_int("--t-max", t_max, 1, adversary._MAX_ORACLE_T)
     rows = [
         {
             "t": t,
@@ -349,6 +335,8 @@ def cmd_bounds(args) -> int:
     if have_eps == have_s:
         raise ConfigError("give exactly one of --epsilon (advisor) or --s (bound)")
     if have_eps:
+        if args.epsilon == math.inf:        # float("1e400") too; JSON has no infinity
+            raise ConfigError("--epsilon must be finite, got inf")
         s_min = bounds.min_security_parameter(args.r, args.epsilon, args.variant)
         rows = [{"r": args.r, "epsilon": args.epsilon, "variant": args.variant, "s_min": s_min}]
     else:

@@ -51,13 +51,6 @@ class DimensionMismatchError(InternalError):
     """Operands live in incompatible spaces."""
 
 
-class UsageExhaustedError(RuntimeError):
-    """No protocol uses left under this key.
-
-    Raised as a refusal; deliberately distinct from a verifier reject.
-    """
-
-
 class ConfigError(ValueError):
     """Invalid run configuration (bad flag value or combination)."""
 

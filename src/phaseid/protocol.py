@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cli
-from .errors import DimensionMismatchError, NumericalError, UsageExhaustedError, _require_int
+from .errors import DimensionMismatchError, NumericalError, _require_int
 from .keys import PhaseFraction, PrivateKey, ProtocolParams, phase_angles, phase_bases
 from .qsim import (
     PAULI_Z,
@@ -76,7 +76,6 @@ __all__ = [
     "BranchTable",
     "RoundRecord",
     "SessionTranscript",
-    "UsageCounter",
     "bob_prepare_challenge",
     "alice_respond",
     "bob_verify_step",
@@ -165,23 +164,6 @@ class BranchTable:
         object.__setattr__(table, "probability", self.probability[j:j + 1])
         object.__setattr__(table, "pass_probability", self.pass_probability[j:j + 1])
         return table
-
-
-@dataclass
-class UsageCounter:
-    """Serialized budget of honest protocol uses under one key."""
-
-    uses_remaining: int
-
-    def __post_init__(self):
-        self.uses_remaining = _require_int("uses_remaining", self.uses_remaining, 0)
-
-    def consume(self) -> None:
-        if self.uses_remaining == 0:
-            raise UsageExhaustedError(
-                "no protocol uses left under this key; refusing (not a reject)"
-            )
-        self.uses_remaining -= 1
 
 
 @dataclass(frozen=True)
@@ -395,15 +377,15 @@ def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.
 
 def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest", *,
                 mode: str = "exact", seed: int | None = None,
-                usage: UsageCounter | None = None, session_id: int = 0) -> SessionTranscript:
+                session_id: int = 0) -> SessionTranscript:
     """Run one full s-round session and return its transcript.
 
     ``prover`` is "honest" or an adversary object exposing
     ``round_branches()``, which takes no key, as a cheat holds only
     copies of the public key, and returns a one-row BranchTable that
-    every round reads. Honest sessions draw on ``usage`` when one is
-    given and refuse, rather than reject, once it is exhausted. All s
-    rounds always run; the verdict is decided at the end.
+    every round reads. All s rounds always run; the verdict is decided
+    at the end. How many sessions one key serves is the caller's to
+    decide: ``run-honest`` runs at most r and refuses the next.
 
     In exact mode the verdict is "accept" only when every round passes
     with certainty, which is the honest-prover case. Sampled mode draws
@@ -423,8 +405,6 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     if honest and prover != "honest":
         raise ValueError(f"unknown prover tag {prover!r}")
     if honest:
-        if usage is not None:
-            usage.consume()
         prover_tag = "honest"
         table, row = _honest_session(private_key)
     else:

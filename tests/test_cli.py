@@ -101,6 +101,17 @@ class TestKeygen:
         code, out, _ = run_cli(["keygen", *argv, "--public"], capsys)
         assert (code, out) == (EXIT_OK, text)
 
+    # the descriptor holds p and s only, so a public export draws no key
+    def test_public_descriptor_draws_no_key(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("keygen --public drew a private key")
+
+        monkeypatch.setattr(keys, "generate_private_key", no_draw)
+        code, out, err = run_cli(
+            ["keygen", "--r", "2", "--s", "3", "--seed", "1", "--public"], capsys)
+        assert (code, out, err) == (
+            EXIT_OK, '{\n  "p": 3,\n  "xs_redacted": true,\n  "elements": 3\n}\n', "")
+
     # a public export never prints the private phases: no flag asks it to
     @pytest.mark.parametrize("extra", [[], ["--public"]], ids=["private", "public"])
     def test_expose_phases_is_not_a_flag(self, capsys, extra):
@@ -165,18 +176,32 @@ class TestRunHonest:
         rows = [line for line in lines if "j" in line]
         assert all(row["response_bit"] in (0, 1) and row["pass"] for row in rows)
 
+    REFUSAL = ("refusal at session 2: no protocol uses left under this key; "
+               "refusing (not a reject)\n")
+
     def test_refusal_past_budget(self, capsys, tmp_path):
         path = tmp_path / "transcripts.jsonl"
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["run-honest", "--r", "2", "--s", "2", "--trials", "3",
              "--out", str(path)],
             capsys,
         )
-        assert code == EXIT_REFUSAL
-        assert "refusal at session 2" in err
+        assert (code, out, err) == (EXIT_REFUSAL, "", self.REFUSAL)
         # the two budgeted sessions still ran and were written out
-        lines = path.read_text().strip().split("\n")
+        lines = [json.loads(line) for line in path.read_text().strip().split("\n")]
         assert len(lines) == 2 * (2 + 2)
+        assert [line["session_id"] for line in lines if "session_id" in line] == [0, 1]
+
+    # a --trials far past r runs the r sessions the key serves, then refuses
+    @pytest.mark.parametrize("mode", [[], ["--mode", "sampled", "--seed", "9"]],
+                             ids=["exact", "sampled"])
+    def test_refusal_past_budget_at_any_trial_count(self, capsys, mode):
+        code, out, err = run_cli(
+            ["run-honest", "--r", "2", "--s", "2", "--trials", str(10**30), *mode], capsys)
+        assert (code, err) == (EXIT_REFUSAL, self.REFUSAL)
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert [line["session_id"] for line in lines if "session_id" in line] == [0, 1]
+        assert [line["verdict"] for line in lines if "verdict" in line] == ["accept"] * 2
 
     def test_trials_matching_budget_is_fine(self, capsys):
         code, _, _ = run_cli(
@@ -524,7 +549,7 @@ class TestPsuccTable:
         code, out, err = run_cli(["psucc-table", "--t-max", "257"], capsys)
         assert code == EXIT_CONFIG
         assert out == ""
-        assert err == "phaseid: invalid config: t=257 exceeds the explicit-construction cap 256\n"
+        assert err == "phaseid: invalid config: --t-max must be at most 256\n"
         assert calls == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -598,9 +623,20 @@ class TestBounds:
         )
         assert code == EXIT_CONFIG
 
-    def test_invalid_epsilon(self, capsys):
-        code, _, _ = run_cli(["bounds", "--r", "2", "--epsilon", "0"], capsys)
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("epsilon", ["0", "-0.0", "-1", "-inf", "nan"])
+    def test_invalid_epsilon(self, capsys, epsilon):
+        code, out, err = run_cli(["bounds", "--r", "2", f"--epsilon={epsilon}"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"phaseid: invalid config: epsilon must be positive, got {float(epsilon)}\n"
+
+    # JSON has no infinity: an infinite epsilon is refused, not printed
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("epsilon", ["inf", "1e400"])
+    def test_infinite_epsilon(self, capsys, epsilon, fmt):
+        code, out, err = run_cli(
+            ["bounds", "--r", "2", "--epsilon", epsilon, "--format", fmt], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "phaseid: invalid config: --epsilon must be finite, got inf\n"
 
     @pytest.mark.parametrize("argv", [["--r", str(10**308), "--s", "5"],
                                       ["--r", str(10**400), "--s", "5", "--variant", "hardened"],
@@ -765,8 +801,8 @@ class TestParsing:
         assert "invalid config: cannot open --out for writing: " in err
         assert str(out) in err
 
-    # a directory or a missing parent is refused before the command does any work
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    # an empty path, a directory or a missing parent is refused before any work
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
     @pytest.mark.parametrize("argv", [
         ["psucc-table", "--t-max", "120"],
         ["run-honest", "--r", "2", "--s", "1000000"],
@@ -778,7 +814,8 @@ class TestParsing:
         monkeypatch.setattr(adversary, "helstrom_psucc_oracle", calls.append)
         monkeypatch.setattr(protocol, "run_session", lambda *args, **kw: calls.append(args))
         monkeypatch.setattr(identities, "_IDENTITY_CHECKS", (("stub", lambda: calls.append(0)),))
-        out = tmp_path / "absent" / "x.json" if where == "missing-dir" else tmp_path
+        out = {"missing-dir": tmp_path / "absent" / "x.json", "directory": tmp_path,
+               "empty": ""}[where]
         code, text, err = run_cli(argv + ["--out", str(out)], capsys)
         assert (code, text, calls) == (EXIT_CONFIG, "", [])
         assert "invalid config: cannot open --out for writing: [Errno " in err

@@ -41,7 +41,7 @@ from phaseid.keys import (
     generate_private_key,
     symmetric_mixture,
 )
-from phaseid.protocol import UsageCounter, run_session
+from phaseid.protocol import run_session
 from phaseid.rng import derive_seed, make_rng
 
 PARAMS = ProtocolParams(2, 3)
@@ -88,7 +88,6 @@ ENTRY_POINTS = [
     ("p_break_bound.r", "r", lambda v: p_break_bound(v, 83)),
     ("p_break_bound.s", "s", lambda v: p_break_bound(2, v)),
     ("min_security_parameter", "r", lambda v: min_security_parameter(v, 0.01)),
-    ("UsageCounter", "uses_remaining", lambda v: UsageCounter(v).uses_remaining),
     ("run_session.exact", "seed", lambda v: run_session(PARAMS, KEY, seed=v).seed),
     ("run_session.session_id", "session_id",
      lambda v: run_session(PARAMS, KEY, session_id=v).session_id),
@@ -128,7 +127,6 @@ def test_a_numpy_integer_is_the_int(name, field, call, value):
 # The calls that let a non-integer through before there was one guard:
 # each returned a number, or raised TypeError, instead of refusing.
 HOLES = [
-    ("UsageCounter(2.5)", "uses_remaining", lambda: UsageCounter(2.5)),
     ("p_break_bound(2.5, 83)", "r", lambda: p_break_bound(2.5, 83)),
     ("p_break_bound(True, 83)", "r", lambda: p_break_bound(True, 83)),
     ("min_security_parameter(2.5, 0.01)", "r", lambda: min_security_parameter(2.5, 0.01)),

@@ -16,7 +16,6 @@ from phaseid.errors import (
     InvalidBasisError,
     NumericalError,
     StateValidationError,
-    UsageExhaustedError,
 )
 from phaseid.keys import (
     PhaseFraction,
@@ -31,7 +30,6 @@ from phaseid.protocol import (
     BranchTable,
     RoundRecord,
     SessionTranscript,
-    UsageCounter,
     alice_respond,
     bob_prepare_challenge,
     bob_verify_step,
@@ -187,43 +185,25 @@ class TestExactSessions:
             run_session(params, key, mode="approx")
 
 
-class TestUsageBudget:
-    def test_session_without_a_counter_draws_on_no_budget(self):
+class TestSessionsUnderOneKey:
+    def test_one_key_runs_any_number_of_sessions(self):
         params = ProtocolParams(r=1, s=1)
         key = generate_private_key(params, 8)
         for _ in range(3):
             assert run_session(params, key, mode="exact").verdict == "accept"
 
-    def test_shared_counter_refuses_after_r_sessions(self):
-        params = ProtocolParams(r=3, s=2)
-        key = generate_private_key(params, 8)
-        counter = UsageCounter(params.r)
-        for i in range(params.r):
-            t = run_session(params, key, mode="exact", usage=counter, session_id=i)
-            assert t.verdict == "accept"
-        with pytest.raises(UsageExhaustedError):
-            run_session(params, key, mode="exact", usage=counter, session_id=params.r)
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            UsageCounter(-1)
-
-    def test_adversary_sessions_do_not_consume(self):
+    def test_adversary_session_reads_its_one_row(self):
         class _Flat:
             tag = "flat"
 
             def round_branches(self):
                 return BranchTable(np.full((1, 2), 0.5), np.ones((1, 2)))
 
-        counter = UsageCounter(0)
         params = ProtocolParams(r=1, s=2)
         key = generate_private_key(params, 3)
-        transcript = run_session(params, key, prover=_Flat(), mode="exact", usage=counter)
+        transcript = run_session(params, key, prover=_Flat(), mode="exact")
         assert transcript.prover_tag == "flat"
         assert [rec.pass_probability for rec in transcript.records] == [1.0, 1.0]
-        assert counter.uses_remaining == 0
-        with pytest.raises(UsageExhaustedError):
-            run_session(params, key, mode="exact", usage=counter)
 
 
 class TestSampledSessions:
@@ -237,8 +217,7 @@ class TestSampledSessions:
         params = ProtocolParams(r=4, s=6)
         key = generate_private_key(params, 5)
         for seed in range(5):
-            t = run_session(params, key, mode="sampled", seed=seed,
-                            usage=UsageCounter(1))
+            t = run_session(params, key, mode="sampled", seed=seed)
             assert t.verdict == "accept"
             assert all(rec.passed for rec in t.records)
             assert all(rec.response_bit in (0, 1) for rec in t.records)
@@ -246,15 +225,15 @@ class TestSampledSessions:
     def test_seed_determinism_byte_equal(self):
         params = ProtocolParams(r=3, s=8)
         key = generate_private_key(params, 11)
-        a = run_session(params, key, mode="sampled", seed=77, usage=UsageCounter(1))
-        b = run_session(params, key, mode="sampled", seed=77, usage=UsageCounter(1))
+        a = run_session(params, key, mode="sampled", seed=77)
+        b = run_session(params, key, mode="sampled", seed=77)
         assert "\n".join(a.to_json_lines()) == "\n".join(b.to_json_lines())
 
     def test_response_bits_vary_across_rounds(self):
         # 24 fair coin flips; all-equal has probability 2^-23
         params = ProtocolParams(r=3, s=24)
         key = generate_private_key(params, 11)
-        t = run_session(params, key, mode="sampled", seed=3, usage=UsageCounter(1))
+        t = run_session(params, key, mode="sampled", seed=3)
         bits = {rec.response_bit for rec in t.records}
         assert bits == {0, 1}
 
