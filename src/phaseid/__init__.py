@@ -26,7 +26,7 @@ _HOMES = {
     "keys": ("PhaseFraction", "PrivateKey", "ProtocolParams",
              "averaged_key_operator_discrete", "generate_private_key",
              "public_key_state", "symmetric_mixture"),
-    "protocol": ("SessionTranscript", "alice_respond",
+    "protocol": ("HonestProver", "SessionTranscript", "alice_respond",
                  "bob_prepare_challenge", "bob_verify_step", "run_session"),
     "qsim": ("DensityOperator", "PureState", "measure_in_basis", "partial_trace",
              "swap_test_pass_probability_mixed", "tensor", "trace_norm"),

@@ -13,7 +13,6 @@ import argparse
 import errno
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -211,10 +210,11 @@ def cmd_run_honest(args) -> int:
         raise ConfigError("sampled mode requires --seed")
     master = 0 if args.seed is None else _require_int("--seed", args.seed, 0, _MASK64)
     key = keys.generate_private_key(params, derive_seed(master, _KEY_STREAM))
+    prover = protocol.HonestProver(key)
 
     # One key serves r sessions: the session after them is refused, not run.
     transcripts = [
-        protocol.run_session(params, key, "honest", mode=args.mode, session_id=i,
+        protocol.run_session(params, key, prover, mode=args.mode, session_id=i,
                              seed=derive_seed(master, _SESSION_STREAM_BASE + i)
                              if args.mode == "sampled" else None)
         for i in range(min(trials, params.r))
@@ -226,19 +226,13 @@ def cmd_run_honest(args) -> int:
 
     # Every session has run before the first line is written, so a failed
     # session writes nothing. Each session's lines are made as they are
-    # written and never joined whole: they go out CHUNK_ROUNDS at a time,
-    # since a write-through stdout is slow line by line.
-    lines = itertools.chain.from_iterable(tr.to_json_lines() for tr in transcripts)
-    _write_chunks(args.out, _joined_chunks(lines, protocol.CHUNK_ROUNDS))
+    # written and never joined whole: they go out one string per rendered
+    # chunk, since a write-through stdout is slow line by line.
+    _write_chunks(args.out, ("\n".join(lines) + "\n"
+                             for tr in transcripts for lines in tr._line_chunks()))
     if refused:
         return EXIT_REFUSAL
     return _verdict_exit(transcripts)
-
-
-def _joined_chunks(lines, size: int):
-    """Consecutive groups of ``size`` lines, each as one newline-terminated string."""
-    while chunk := list(itertools.islice(lines, size)):
-        yield "\n".join(chunk) + "\n"
 
 
 def _verdict_exit(transcripts) -> int:

@@ -155,7 +155,7 @@ class PrivateKey:
         if bad.size:
             raise ValueError(f"k must lie in 1..{p}, got {ks[bad[0]]}")
         key = cls.__new__(cls)
-        key._set(ks.astype(np.int64), p)
+        key._set(ks.astype(np.int64, copy=False), p)    # ks is already a copy
         return key
 
     def _set(self, ks: np.ndarray, p: int) -> None:

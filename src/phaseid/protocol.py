@@ -17,10 +17,16 @@ A session is a branch table of distinct rows, each holding both response
 bits with their probabilities and the SWAP-test pass probabilities that
 follow, plus one row index per round. An honest round depends on nothing
 but its key phase k/p, so an honest table has one row per distinct
-numerator of the key, and the index comes from one integer ``np.unique``
-(``_honest_session``). An adversary holds copies of the public key,
-never the private phases: its ``round_branches()`` takes no key and
-returns one row, which every round reads. Each row is validated once.
+numerator of the key, and the index comes from the numerators
+themselves (``_distinct_numerators``): by counting them in one
+``np.bincount`` over 0..p when p <= s, and by ``np.unique``'s integer
+sort when p > s, where a count array would be larger than the key. An
+``HonestProver`` builds its key's table and index once, and every
+session under that key reads them; the tag "honest" asks
+``run_session`` for a fresh one. An adversary holds copies of the
+public key, never the private phases: its ``round_branches()`` takes
+no key and returns one row, which every round reads. Each row is
+validated once.
 Honest and attacked rounds share one verifier step,
 ``verify_kept_states``. It takes each branch's kept 2x2 state, reads the
 branch probability off its trace, and works in closed form on the
@@ -36,7 +42,8 @@ validated at import, and ``bob_prepare_challenge`` returns it. Exact
 mode reports each row's pass probability once (``BranchTable.marginal``;
 response bits are recorded as null). Sampled mode draws two uniforms per
 round from a seeded generator, in order: the response (bit 0 when the
-draw falls below its row's probability), then the SWAP test. No message
+draw falls below its row's probability), then the SWAP test. A
+transcript renders its round lines CHUNK_ROUNDS at a time. No message
 transport is involved. ``alice_respond`` and ``bob_verify_step`` are the
 scalar, per-round form of the kernel, exact only: ``alice_respond``
 returns the ``MeasurementResult`` of each response (its ``outcome`` is
@@ -74,6 +81,7 @@ from .tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
 
 __all__ = [
     "BranchTable",
+    "HonestProver",
     "RoundRecord",
     "SessionTranscript",
     "bob_prepare_challenge",
@@ -87,10 +95,11 @@ __all__ = [
 
 _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 
-# Angles per vectorised chunk of ``honest_round_branches``. A chunk's
-# temporaries peak at about 2.2 KB per angle, so they stay near 0.6 MB
-# however many phases a key has, while the fixed cost of a chunk stays
-# small next to its work.
+# Angles per vectorised chunk of ``honest_round_branches``, and round
+# lines per rendered chunk of a transcript. A chunk of angles peaks at
+# about 2.2 KB per angle of temporaries, so it stays near 0.6 MB however
+# many phases a key has, while the fixed cost of a chunk stays small
+# next to its work.
 CHUNK_ROUNDS = 256
 
 
@@ -195,9 +204,15 @@ class SessionTranscript:
     def to_json_lines(self) -> Iterator[str]:
         """Transcript as JSON lines: header, one line per round, verdict.
 
-        The lines are yielded as they are made, so a caller that writes
-        them in turn never holds a whole session's rows.
+        The round lines are made CHUNK_ROUNDS at a time, so a caller
+        that writes them in turn never holds a whole session's rows.
         """
+        for lines in self._line_chunks():
+            yield from lines
+
+    def _line_chunks(self) -> Iterator[list[str]]:
+        """``to_json_lines()`` in consecutive lists: the header, up to
+        CHUNK_ROUNDS round lines per list, then the verdict."""
         head = {
             "session_id": self.session_id,
             "r": self.params.r,
@@ -208,22 +223,26 @@ class SessionTranscript:
             "seed": self.seed,
             "prover_tag": self.prover_tag,
         }
-        yield json.dumps(head)
+        yield [json.dumps(head)]
         # Round rows are formatted directly; each gives the bytes json.dumps
         # gives for the row's dict. A row is its index followed by one of a
         # few tails: one per branch-table row in exact mode, one per
         # (bit, flag) pair in sampled mode.
         if self.mode == "exact":
-            which = self.row
             tails = [', "response_bit": null, "pass_probability": '
                      f'{cli._json_scalar(cli._sig(x, cli.JSON_SIG_DIGITS))}}}'
                      for x in self.row_pass_probability.tolist()]
         else:
-            which = 2 * self.response_bit + self.passed
             tails = [f', "response_bit": {bit}, "pass": {flag}}}'
                      for bit in (0, 1) for flag in ("false", "true")]
-        yield from (f'{{"j": {j}{tails[i]}' for j, i in enumerate(which.tolist(), start=1))
-        yield json.dumps({"verdict": self.verdict})
+        for start in range(0, len(self.records), CHUNK_ROUNDS):
+            chunk = slice(start, start + CHUNK_ROUNDS)
+            if self.mode == "exact":
+                which = self.row[chunk]
+            else:
+                which = 2 * self.response_bit[chunk] + self.passed[chunk]
+            yield [f'{{"j": {j}{tails[i]}' for j, i in enumerate(which.tolist(), start + 1)]
+        yield [json.dumps({"verdict": self.verdict})]
 
 
 class _RoundRecords(Sequence):
@@ -350,10 +369,38 @@ def honest_round_branches(angles) -> BranchTable:
     return BranchTable(prob, pass_prob)
 
 
-def _honest_session(key: PrivateKey) -> tuple[BranchTable, np.ndarray]:
-    """(table, row) of an honest session: distinct numerators in 1..p give distinct angles."""
-    ks, row = np.unique(key.ks, return_inverse=True)
-    return honest_round_branches(phase_angles(ks, key.p)), row
+def _distinct_numerators(key: PrivateKey) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, row): the key's distinct numerators, ascending, and each round's index.
+
+    Bit for bit ``np.unique(key.ks, return_inverse=True)``, the index as
+    intp. For p <= s the numerators are counted, in O(s + p) with one
+    count per value in 0..p; for p > s that count array would be larger
+    than the key, and ``np.unique`` sorts them instead.
+    """
+    if key.p > key.s:
+        return np.unique(key.ks, return_inverse=True)
+    present = np.bincount(key.ks, minlength=key.p + 1) > 0
+    return np.flatnonzero(present), (np.cumsum(present, dtype=np.intp) - 1)[key.ks]
+
+
+class HonestProver:
+    """The honest prover of one key, with its session's branch table and index.
+
+    The constructor builds them once: ``table`` has one row per distinct
+    numerator of ``key`` (distinct numerators in 1..p give distinct
+    angles), and ``row``, read-only, holds each round's row. Every
+    session of ``run_session`` under the key reads them, so the key's
+    sessions share one table.
+    """
+
+    tag = "honest"
+
+    def __init__(self, key: PrivateKey):
+        ks, row = _distinct_numerators(key)
+        row.setflags(write=False)
+        self.key = key
+        self.table = honest_round_branches(phase_angles(ks, key.p))
+        self.row = row
 
 
 def _honest_rows(joint: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,12 +427,14 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
                 session_id: int = 0) -> SessionTranscript:
     """Run one full s-round session and return its transcript.
 
-    ``prover`` is "honest" or an adversary object exposing
-    ``round_branches()``, which takes no key, as a cheat holds only
-    copies of the public key, and returns a one-row BranchTable that
-    every round reads. All s rounds always run; the verdict is decided
-    at the end. How many sessions one key serves is the caller's to
-    decide: ``run-honest`` runs at most r and refuses the next.
+    ``prover`` is an ``HonestProver`` of ``private_key``, "honest" for a
+    fresh one, or an adversary object exposing ``round_branches()``,
+    which takes no key, as a cheat holds only copies of the public key,
+    and returns a one-row BranchTable that every round reads. An honest
+    prover of another key raises ValueError. All s rounds always run;
+    the verdict is decided at the end. How many sessions one key serves
+    is the caller's to decide: ``run-honest`` runs at most r and refuses
+    the next.
 
     In exact mode the verdict is "accept" only when every round passes
     with certainty, which is the honest-prover case. Sampled mode draws
@@ -401,14 +450,16 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
         raise ValueError("sampled mode requires a seed")
     seed = None if seed is None else _require_int("seed", seed, 0, _MASK64)
 
-    honest = isinstance(prover, str)
-    if honest and prover != "honest":
-        raise ValueError(f"unknown prover tag {prover!r}")
-    if honest:
-        prover_tag = "honest"
-        table, row = _honest_session(private_key)
+    if isinstance(prover, str):
+        if prover != "honest":
+            raise ValueError(f"unknown prover tag {prover!r}")
+        prover = HonestProver(private_key)
+    prover_tag = getattr(prover, "tag", "adversary")
+    if isinstance(prover, HonestProver):
+        if prover.key is not private_key and prover.key != private_key:
+            raise ValueError("honest prover holds another key")
+        table, row = prover.table, prover.row
     else:
-        prover_tag = getattr(prover, "tag", "adversary")
         table = prover.round_branches()
         if table.rounds != 1:
             raise DimensionMismatchError(f"an adversary gives one row, got {table.rounds}")

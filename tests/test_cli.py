@@ -37,6 +37,7 @@ from phaseid.errors import (
     NumericalError,
     StateValidationError,
 )
+from phaseid.rng import derive_seed
 
 
 def run_cli(argv, capsys):
@@ -202,6 +203,22 @@ class TestRunHonest:
         lines = [json.loads(line) for line in out.strip().split("\n")]
         assert [line["session_id"] for line in lines if "session_id" in line] == [0, 1]
         assert [line["verdict"] for line in lines if "verdict" in line] == ["accept"] * 2
+
+    def test_sessions_of_one_key_evaluate_each_phase_once(self, capsys, monkeypatch):
+        real, evaluated = protocol._honest_rows, []
+
+        def spy(*args):
+            evaluated.append(args[-1].copy())
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_honest_rows", spy)
+        code, out, _ = run_cli(["run-honest", "--r", "3", "--s", "60", "--trials", "3"],
+                               capsys)
+        assert code == EXIT_OK and out.count('"verdict": "accept"') == 3
+        params = keys.ProtocolParams(3, 60)
+        key = keys.generate_private_key(params, derive_seed(0, cli._KEY_STREAM))
+        want = keys.phase_angles(np.unique(key.ks), params.p)
+        assert np.concatenate(evaluated).tobytes() == want.tobytes()
 
     def test_trials_matching_budget_is_fine(self, capsys):
         code, _, _ = run_cli(
@@ -953,7 +970,21 @@ SESSION_OUTPUT_PINS = [
     (["run-honest", "--r", "1000", "--s", "30000", "--variant", "hardened", "--seed", "9",
       "--mode", "sampled", "--trials", "2"],
      "0b679a9ed76913b67898933187074e9d7a09fc25e338bb5ff8f6e7dab7868c26"),
+    # p > s, where the numerators are sorted, and p = s, where they are counted
+    (["run-honest", "--r", "5000", "--s", "300", "--seed", "4"],
+     "a5721de5a146712dc8b48c55d2d689ee0116444d83bf477aecb4c76933b2bb09"),
+    (["run-honest", "--r", "5000", "--s", "300", "--seed", "8", "--mode", "sampled",
+      "--variant", "hardened"],
+     "48d8dcf862800a2c0b8043307983f874c556f0dccb61bdfe18fdb55a415942d0"),
+    (["run-honest", "--r", "299", "--s", "300", "--seed", "6", "--trials", "2"],
+     "726dc4a4c09ce2df3f74b9641f23f2587aadf514bd20f644524d6506d96b80f9"),
+    (["run-honest", "--r", "299", "--s", "300", "--seed", "8", "--mode", "sampled"],
+     "b466dee72ccb51afe6a7de669ae8b2928d587fd8c5229fbf39f1e76af95b293e"),
 ]
+
+# sha256 of "<exit code>\0<stdout>\0<stderr>" of a run refused past r
+REFUSAL_PIN = (["run-honest", "--r", "2", "--s", "600", "--seed", "5", "--trials", "3"],
+               "264af947d390849bcc7a5c366ef4604924d1ba91ad605c06dd78dd35957d020d")
 
 
 class TestOutputBytes:
@@ -963,6 +994,12 @@ class TestOutputBytes:
         code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_refusal_output_bytes(self, capsys):
+        argv, digest = REFUSAL_PIN
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_REFUSAL
+        assert hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest() == digest
 
 
 class TestParserReuse:

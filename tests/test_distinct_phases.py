@@ -9,6 +9,7 @@ times, and the exact marginal or the two sampled draws of each round
 from that per-round table. The transcript must equal it bit for bit.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from phaseid.keys import (
     generate_private_key,
     phase_angles,
 )
-from phaseid.protocol import honest_round_branches, run_session
+from phaseid.protocol import HonestProver, honest_round_branches, run_session
 from phaseid.rng import make_rng
 
 
@@ -163,3 +164,96 @@ def test_exact_honest_session_memory_is_bounded_by_its_index():
         tracemalloc.stop()
     assert peak < 12 * 2**20
     assert len_peak - held < 2**16
+
+
+def _numerator_keys():
+    """Keys on both sides of p = s, with all or only some numerators present."""
+    cases = []
+    for p in (2, 3, 101, 10001):
+        rng = make_rng(p)
+        for label, ks in (
+                ("every-numerator", rng.permutation(np.arange(1, p + 1))),     # p = s
+                ("p=s", rng.integers(1, p + 1, size=p)),
+                ("p=s+1", rng.integers(1, p + 1, size=max(p - 1, 1))),      # s = 1 at p = 2
+                ("s=3p", rng.integers(1, p + 1, size=3 * p)),
+                ("even-only", 2 * rng.integers(1, p // 2 + 1, size=2 * p)),
+                ("p>s-upper-half", rng.integers(p // 2 + 1, p + 1, size=max(p // 3, 1)))):
+            cases.append(pytest.param(ks, p, id=f"p{p}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("ks,p", _numerator_keys())
+def test_counted_numerators_equal_the_sorted_ones(monkeypatch, ks, p):
+    key = PrivateKey.from_ks(ks, p)
+    want, want_row = np.unique(key.ks, return_inverse=True)
+    real_unique, sorts = np.unique, []
+
+    def spy_unique(*args, **kwargs):
+        sorts.append(np.shape(args[0]))
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy_unique)
+    distinct, row = protocol._distinct_numerators(key)
+    # np.unique sorts only a key with more numerators than rounds
+    assert sorts == ([(key.s,)] if p > key.s else [])
+    assert distinct.dtype == want.dtype and distinct.tobytes() == want.tobytes()
+    assert row.dtype == np.intp
+    assert row.tobytes() == want_row.tobytes() == np.searchsorted(want, key.ks).tobytes()
+
+
+def test_exact_honest_session_counts_its_numerators_in_the_space_of_its_index():
+    # p = 3 <= s = 2e5: past the 1.6 MB index the numerators are counted
+    # in p + 1 entries, where np.unique's sort held about 8 MB
+    params = ProtocolParams(r=2, s=200_000)
+    key = generate_private_key(params, 1)
+    run_session(params, key)
+    tracemalloc.start()
+    try:
+        run_session(params, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * params.s
+
+
+@pytest.mark.parametrize("mode,seed", [("exact", None), ("sampled", 3)])
+def test_rendering_holds_one_chunk_of_rounds(mode, seed):
+    # 256 round lines of about 60 bytes each, not the 2e5 rounds of the session
+    params = ProtocolParams(r=2, s=200_000)
+    transcript = run_session(params, generate_private_key(params, 1), mode=mode, seed=seed)
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(transcript.to_json_lines(), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [json.loads(line).get("j") for line in lines] == [None, 1, 2]
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("mode,seed", [("exact", None), ("sampled", 13)])
+def test_sessions_of_one_honest_prover_share_its_table(monkeypatch, mode, seed):
+    params = ProtocolParams(r=100, s=3000)
+    key = generate_private_key(params, 5)
+    fresh = run_session(params, key, mode=mode, seed=seed)
+    prover = HonestProver(key)
+    assert prover.tag == "honest" and not prover.row.flags.writeable
+
+    def no_table(*args):
+        raise AssertionError("a session rebuilt the key's table")
+
+    monkeypatch.setattr(protocol, "_honest_rows", no_table)
+    # an equal key, not the same object, is the prover's key too
+    for k in (key, PrivateKey.from_ks(key.ks, key.p)):
+        shared = run_session(params, k, prover, mode=mode, seed=seed)
+        assert list(shared.to_json_lines()) == list(fresh.to_json_lines())
+        if mode == "exact":
+            assert shared.row is prover.row
+
+
+def test_an_honest_prover_answers_only_for_its_key():
+    params = ProtocolParams(r=2, s=5)
+    key = PrivateKey.from_ks([1, 2, 3, 1, 2], 3)
+    other = PrivateKey.from_ks([1, 2, 3, 1, 3], 3)
+    with pytest.raises(ValueError, match="^honest prover holds another key$"):
+        run_session(params, other, HonestProver(key))

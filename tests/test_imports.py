@@ -20,7 +20,8 @@ import phaseid
 NUMPY_MODULES = {"numpy", "phaseid.qsim", "phaseid.keys", "phaseid.protocol",
                  "phaseid.adversary"}
 
-# Every name the package bound eagerly, and the module that defines it.
+# Every public name of the package, and the module that defines it: the
+# names the package bound eagerly, and those added since.
 PUBLIC_HOMES = {
     "adversary": ["CheatGuessReport", "EveProver", "HelstromStrategy",
                   "build_discrimination_pair", "cheung_bound", "cheung_sum_bound",
@@ -31,7 +32,7 @@ PUBLIC_HOMES = {
     "keys": ["PhaseFraction", "PrivateKey", "ProtocolParams",
              "averaged_key_operator_discrete", "generate_private_key",
              "public_key_state", "symmetric_mixture"],
-    "protocol": ["SessionTranscript", "alice_respond",
+    "protocol": ["HonestProver", "SessionTranscript", "alice_respond",
                  "bob_prepare_challenge", "bob_verify_step", "run_session"],
     "qsim": ["DensityOperator", "PureState", "measure_in_basis", "partial_trace",
              "swap_test_pass_probability_mixed", "tensor", "trace_norm"],

@@ -126,6 +126,29 @@ class TestPrivateKey:
         ks[0] = 3
         assert key.ks.tolist() == [1, 2, 3]
 
+    def test_from_ks_copies_an_int64_key_once(self):
+        # one copy of 8 MB, plus the range check's 1 MB masks: it is the
+        # key, read-only and apart from the caller's array, which stays
+        # writable; a second copy would make 16 MB
+        s = 10**6
+        ks = np.arange(s, dtype=np.int64) % 3 + 1
+        tracemalloc.start()
+        try:
+            generate_private_key(ProtocolParams(r=2, s=s), 1)
+            keygen_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            key = PrivateKey.from_ks(ks, 3)
+            from_ks_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(key.ks, ks)
+        assert not key.ks.flags.writeable and ks.flags.writeable
+        assert key.ks.tobytes() == ks.tobytes()
+        assert from_ks_peak < 1.5 * 8 * s
+        # the drawn numerators and the key's copy of them, at most
+        assert keygen_peak < 2.5 * 8 * s
+
     @pytest.mark.parametrize("ks,p", [([], 3), ([[1, 2]], 3), ([0, 1], 3), ([1, 4], 3),
                                       ([1, -2], 3), ([1, 10**30], 3), ([1], 0)])
     def test_from_ks_rejects_bad_phases(self, ks, p):
