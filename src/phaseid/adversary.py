@@ -194,11 +194,34 @@ def build_discrimination_pair(t: int) -> np.ndarray:
     is divided and kept.
 
     One grid average serves both signs. The sign flips only the
-    received qubit's |1> amplitude, so rho- = Z rho+ Z with Z acting on
-    the received qubit (a diagonal signature), which is exact in
-    floating point. Both operators are validated as density operators
-    by one ``check_density_operators`` call on the stack, so a failure
-    names the sign (0 for rho+, 1 for rho-) as its stack index.
+    received qubit's |1> amplitude, so rho- = D rho+ D with D = Z (x) I
+    = diag(d), d_i = +-1, a diagonal signature: rho-_ij = d_i d_j rho+_ij
+    exactly, and adding +0.0 turns -0.0 into +0.0. Only rho+ goes to
+    ``check_density_operators``; each of its checks gives the same
+    result on rho-, so rho- passes exactly when rho+ does:
+
+    - Finiteness and the Hermitian gap: rho-_ij - rho-_ji =
+      d_i d_j (rho+_ij - rho+_ji) in any round-to-nearest arithmetic,
+      since fl(-x) = -fl(x), so every |gap| is bit for bit that of rho+,
+      and so is every NaN or infinity.
+    - Trace: d_i d_i = 1, so the diagonal, and the trace summed from it,
+      is bit for bit that of rho+.
+    - Smallest eigenvalue: the gaps being equal, both take the same
+      route to a Hermitian part H, rho+ itself or (rho+ + rho+^T)/2, and
+      that of rho- is D H D, sums and halving being odd too. The same
+      shift c goes on the diagonal, so the certificate factorises
+      D A D, A = H - c I. Every operation of a Cholesky factorisation
+      (product, sum or fused multiply-add, difference, division by a
+      pivot, square root of a pivot) is odd in each operand in
+      round-to-nearest. So by induction over the factorisation's steps,
+      in any order LAPACK and the BLAS take them, each computed entry of
+      the factor of D A D is d_i d_j times that of A, up to the sign of
+      a zero, and each pivot, where d_j d_j = 1, is bit for bit the
+      same: the factorisation of D A D is exactly D L D, L that of A,
+      and it completes exactly when that of A does. The certificate
+      completes for every t the oracle takes (0..256, checked by the
+      tests), so ``eigvalsh`` is never reached; if it were, it would run
+      on rho+, whose exact spectrum rho- shares, D being orthogonal.
     """
     t = _require_int("t", t, 0, _MAX_ORACLE_T)
     grid = _pair_grid(t)
@@ -224,7 +247,7 @@ def build_discrimination_pair(t: int) -> np.ndarray:
     signature = np.repeat([1.0, -1.0], t + 1)
     np.multiply(plus, np.multiply.outer(signature, signature), out=minus)
     minus += 0.0
-    check_density_operators(pair)
+    check_density_operators(plus)
     pair.setflags(write=False)
     return pair
 

@@ -440,6 +440,110 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _flag_tables(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's flag table, read from ``parser``'s own actions.
+
+    A subcommand maps to (option string -> action, namespace defaults).
+    The defaults are what ``parser.parse_args([name])`` returns: the
+    top-level defaults, ``command`` set to the name, then the
+    subcommand's action defaults and its ``set_defaults``, each first
+    declaration winning as in argparse. Help actions are left out, so
+    ``-h`` reaches argparse. Raises TypeError, naming the flag, on an
+    action of either level that the table does not model: a positional
+    other than the subcommand, a required option, an ``nargs`` other
+    than None or 0, any action but store and store-const, a string
+    default with a ``type`` (argparse converts it on every parse) and a
+    mutually exclusive group.
+    """
+    def refuse(action, why):
+        name = "/".join(action.option_strings) or action.dest
+        raise TypeError(f"the flag table cannot model {name}: {why}")
+
+    def flags(p, sub=None):
+        for group in p._mutually_exclusive_groups:
+            refuse(group._group_actions[0], "it is in a mutually exclusive group")
+        actions = {}
+        for action in p._actions:
+            if action is sub or isinstance(action, argparse._HelpAction):
+                continue
+            if not action.option_strings:
+                refuse(action, "a positional")
+            if action.required:
+                refuse(action, "a required option")
+            if type(action) is argparse._StoreAction:
+                if action.nargs is not None:
+                    refuse(action, f"nargs={action.nargs!r}")
+                if isinstance(action.default, str) and action.type is not None:
+                    refuse(action, "a string default with a type")
+            elif not isinstance(action, argparse._StoreConstAction):
+                refuse(action, f"a {type(action).__name__}")
+            actions.update(dict.fromkeys(action.option_strings, action))
+        return actions
+
+    def declared_defaults(p):
+        defaults = {}
+        for action in p._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        for dest, value in p._defaults.items():
+            defaults.setdefault(dest, value)
+        return defaults
+
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags(parser, sub)
+    top = declared_defaults(parser)
+    return {name: (flags(p), {**top, sub.dest: name, **declared_defaults(p)})
+            for name, p in sub.choices.items()}
+
+
+@functools.cache
+def _shared_flag_tables() -> dict:
+    """``_flag_tables`` of ``_shared_parser()``: built on its first call, then reused."""
+    return _flag_tables(_shared_parser())
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv``'s namespace, as ``_shared_parser().parse_args(argv)`` gives it.
+
+    A well-formed argv is read from the flag table: a subcommand name,
+    then exact option strings of that subcommand, each value-taking one
+    followed by a value that does not start with "-", converts under
+    the flag's ``type`` and lies in its ``choices``; a repeated flag
+    keeps its last value. Any other argv (help, an abbreviation,
+    ``--flag=value``, a value starting with "-", ``--``, an unknown
+    flag, a missing or bad value, an empty argv) goes to argparse, so
+    every help text, refusal and exit code is argparse's own.
+    """
+    table = _shared_flag_tables().get(argv[0]) if argv else None
+    if table is not None:
+        actions, defaults = table
+        namespace = dict(defaults)
+        i, n = 1, len(argv)
+        while i < n:
+            action = actions.get(argv[i])
+            if action is None:
+                break
+            if action.nargs == 0:
+                namespace[action.dest] = action.const
+                i += 1
+                continue
+            if i + 1 == n or argv[i + 1].startswith("-"):
+                break
+            value = argv[i + 1]
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    break
+            if action.choices is not None and value not in action.choices:
+                break
+            namespace[action.dest] = value
+            i += 2
+        else:
+            return argparse.Namespace(**namespace)
+    return _shared_parser().parse_args(argv)
+
+
 def _internal_errors() -> tuple[type[Exception], ...]:
     """The exception types that ``main`` reports as internal numerical failure.
 
@@ -456,7 +560,7 @@ def _internal_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_out(args.out)
         return args.func(args)

@@ -467,7 +467,10 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
     if mode == "exact":
         marginal = table.marginal
         rounds = {"row": row, "row_pass_probability": marginal}
-        ok = bool((marginal >= 1.0 - CONSTRUCT_ATOL)[row].all())
+        # Every row is read by some round (an honest table holds only the
+        # key's numerators; an adversary's one row is read by all s >= 1
+        # rounds), so the rows decide the verdict without the index.
+        ok = bool((marginal >= 1.0 - CONSTRUCT_ATOL).all())
     else:
         prob, pass_prob = table.probability, table.pass_probability
         u = make_rng(seed).random((params.s, 2))

@@ -36,7 +36,7 @@ from phaseid.adversary import (
     _pair_grid,
 )
 from phaseid.bounds import fool_first_attempt_bound
-from phaseid.errors import DimensionMismatchError
+from phaseid.errors import DimensionMismatchError, StateValidationError
 from phaseid.keys import (
     PhaseFraction,
     PrivateKey,
@@ -52,9 +52,10 @@ from phaseid.protocol import (
     run_session,
     verify_kept_states,
 )
-from phaseid.qsim import DensityOperator, trace_norm
+from phaseid import qsim
+from phaseid.qsim import DensityOperator, check_density_operators, trace_norm
 from phaseid.rng import make_rng
-from phaseid.tolerances import CONSTRUCT_ATOL, ZERO_BRANCH_PROB
+from phaseid.tolerances import CONSTRUCT_ATOL, EIGENVALUE_FLOOR, ZERO_BRANCH_PROB
 
 from conftest import (
     challenge_and_frame,
@@ -466,6 +467,37 @@ class TestDiscriminationPair:
                 assert value == pytest.approx(aliased, abs=5e-7)
                 assert value > psucc_formula(t) + 1e-4
 
+    def test_rho_minus_checks_as_rho_plus_does_at_every_t(self):
+        # The pair validates rho+ alone; its docstring proves every check
+        # gives the same result on rho- = D rho+ D, D = Z (x) I. At every t
+        # the oracle takes: rho- is D rho+ D, the Hermitian gaps and the
+        # diagonals are bit for bit equal, the shifted Cholesky
+        # certificate completes on rho+, and the factor of rho- is D L D
+        # with L that of rho+, pivots bit for bit equal.
+        for t in range(_MAX_ORACLE_T + 1):
+            plus, minus = build_discrimination_pair(t)
+            sign = np.repeat([1.0, -1.0], t + 1)
+            flip = np.multiply.outer(sign, sign)
+            assert np.array_equal(minus, flip * plus), t
+            for a, b in ((np.abs(minus - minus.T), np.abs(plus - plus.T)),
+                         (np.diagonal(minus), np.diagonal(plus))):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), t
+            assert qsim._above_floor_certified(plus[None]), t
+            shift = (EIGENVALUE_FLOOR + qsim._cholesky_margin(plus.shape[0])) * np.eye(2 * t + 2)
+            low_plus = np.linalg.cholesky(plus - shift)
+            low_minus = np.linalg.cholesky(minus - shift)
+            assert np.array_equal(low_minus, flip * low_plus), t
+            assert np.array_equal(np.diagonal(low_minus).view(np.int64),
+                                  np.diagonal(low_plus).view(np.int64)), t
+            check_density_operators(minus)
+
+    @pytest.mark.parametrize("scale, fault", [(1.01, "trace"), (math.nan, "must be finite")])
+    def test_faulty_rho_plus_is_refused(self, monkeypatch, scale, fault):
+        real = adversary._frame_magnitudes
+        monkeypatch.setattr(adversary, "_frame_magnitudes", lambda t: real(t) * scale)
+        with pytest.raises(StateValidationError, match=fault):
+            build_discrimination_pair(3)
+
     def test_pair_states_differ_with_copies(self):
         rho_plus, rho_minus = build_discrimination_pair(2)
         assert np.max(np.abs(rho_plus - rho_minus)) > 0.1
@@ -505,9 +537,9 @@ class TestHelstrom:
             assert abs(helstrom_psucc_oracle(t) - dense) <= 1e-14, t
 
     def test_valid_oracle_call_makes_no_eigendecomposition(self, monkeypatch):
-        # both states are still validated, by one stacked check that the
-        # Cholesky certificate passes, and the trace norm comes from the
-        # block SVD
+        # rho+ is validated, by one check that the Cholesky certificate
+        # passes (rho- shares its result), and the trace norm comes from
+        # the block SVD
         calls, validated = [], []
         eigvalsh, check = np.linalg.eigvalsh, adversary.check_density_operators
 
@@ -519,7 +551,7 @@ class TestHelstrom:
         monkeypatch.setattr(adversary, "check_density_operators", counted_check)
         assert helstrom_psucc_oracle(32) == pytest.approx(psucc_formula(32), abs=1e-14)
         assert calls == []
-        assert validated == [(2, 66, 66)]
+        assert validated == [(66, 66)]
 
     def test_projector_rank(self):
         proj = helstrom_projector_plus(2)

@@ -3,7 +3,12 @@
 Every subcommand of ``build_parser()`` is drawn with a subset of its
 flags, each given a boundary value: 0, +-1, 2^31, 2^63 +- 1, 2^64,
 10^400, nan, +-inf, -0.0, the empty string, a non-number and 0.5, or
-one of a choice flag's choices. ``cli.main`` runs in process. Whatever
+one of a choice flag's choices. A flag and its value are drawn as
+``--flag value``, which ``cli.main`` reads from its flag table when
+the argv is well formed, or as ``--flag=value``, which only argparse
+reads. Whatever the argv, ``cli.main`` parses it as a fresh
+``build_parser()`` does: the same namespace, or the same exit code
+and output. Then ``cli.main`` runs in process: whatever
 the argv, the exit code is one the README lists and no exception
 escapes; exit 4 writes one line that names a flag of the subcommand
 (by option string or field name, a missing one included) and no
@@ -26,6 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +94,12 @@ def argvs(draw):
     for action in COMMANDS[name]:
         if draw(st.integers(0, 3)):             # three flags in four are given
             flag = action.option_strings[0]
-            argv.append(flag if action.nargs == 0 else f"{flag}={draw(_values(action))}")
+            if action.nargs == 0:
+                argv.append(flag)
+            elif draw(st.booleans()):
+                argv.append(f"{flag}={draw(_values(action))}")
+            else:
+                argv += [flag, draw(_values(action))]
     return argv
 
 
@@ -113,7 +124,7 @@ def _refuse_constant(name):
 
 def _json_documents(command: str, argv: list[str], stdout: str, written: bytes | None):
     """The JSON documents a run wrote: its output, or each line of ``run-honest``'s."""
-    if "--format=csv" in argv:
+    if "--format=csv" in argv or ["--format", "csv"] in map(list, zip(argv, argv[1:])):
         return []
     text = stdout if written is None else written.decode()
     if command == "run-honest":
@@ -148,3 +159,71 @@ def test_every_argv_keeps_the_contract(argv):
         assert _run(argv) == (code, stdout, stderr, written), argv
         for doc in _json_documents(command, argv, stdout, written):
             json.loads(doc, parse_constant=_refuse_constant)
+
+
+def _parse(parse, argv: list[str]):
+    """(the namespace's repr or None, exit code or None, stdout, stderr) of one parse.
+
+    The repr compares a NaN value as equal, and every field in order.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(parse(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["bounds", "-h"])
+@example(["run-honest", "--r", "1", "--s", "1", "--tri", "2"])          # --trials abbreviated
+@example(["bounds", "--r", "3", "--s", "2", "--r", "2"])
+@example(["bounds", "--r", "-5", "--s", "2"])
+@example(["bounds", "--r", "2", "--s", "2", "--out", "-"])
+@example(["bounds", "--r", "2", "--", "--s", "2"])
+@example(["keygen", "--r", "2", "--s", "2", "--seed", "1", "--public", "yes"])
+@example(["bounds"])
+@example(["bounds", "--r", "2", "--bogus", "1"])
+@example(["bounds", "--r", "2", "--s", "2", "--out", "--r"])
+@example([])
+def test_main_parses_as_argparse_does(argv):
+    assert _parse(cli._parse_args, argv) == _parse(cli.build_parser().parse_args, argv)
+
+
+def test_well_formed_argv_is_read_from_the_table(monkeypatch):
+    cli._shared_flag_tables()
+    monkeypatch.setattr(cli, "_shared_parser", None)           # argparse is not reached
+    args = cli._parse_args(["bounds", "--r", "3", "--s", "83", "--variant", "hardened",
+                            "--out", "x", "--r", "2"])
+    assert (args.command, args.r, args.s, args.variant, args.out, args.epsilon) == \
+        ("bounds", 2, 83, "hardened", "x", None)
+    assert cli._parse_args(["keygen", "--public", "--seed", "7"]).public is True
+
+
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("level, declare, named", [
+    ("bounds", lambda p: p.add_argument("extra"), "extra"),
+    ("bounds", lambda p: p.add_argument("--must", required=True), "--must"),
+    ("bounds", lambda p: p.add_argument("--many", nargs="+"), "--many"),
+    ("bounds", lambda p: p.add_argument("--each", action="append"), "--each"),
+    ("bounds", lambda p: p.add_argument("--loud", action="count"), "--loud"),
+    ("bounds", lambda p: p.add_mutually_exclusive_group().add_argument("--either"), "--either"),
+    ("top", lambda p: p.add_argument("--must", required=True), "--must"),
+])
+def test_flag_table_refuses_what_it_does_not_model(level, declare, named):
+    parser = cli.build_parser()
+    cli._flag_tables(parser)
+    declare(parser if level == "top" else _subcommand(parser, level))
+    with pytest.raises(TypeError, match=f"cannot model {re.escape(named)}:"):
+        cli._flag_tables(parser)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_bare_subcommand_table_is_argparse_defaults(name):
+    _, defaults = cli._flag_tables(cli.build_parser())[name]
+    assert list(defaults.items()) == list(vars(cli.build_parser().parse_args([name])).items())

@@ -199,6 +199,8 @@ def test_counted_numerators_equal_the_sorted_ones(monkeypatch, ks, p):
     assert distinct.dtype == want.dtype and distinct.tobytes() == want.tobytes()
     assert row.dtype == np.intp
     assert row.tobytes() == want_row.tobytes() == np.searchsorted(want, key.ks).tobytes()
+    # every row is read by some round, so run_session's exact verdict reads the rows alone
+    assert np.array_equal(np.unique(row), np.arange(distinct.size))
 
 
 def test_exact_honest_session_counts_its_numerators_in_the_space_of_its_index():
