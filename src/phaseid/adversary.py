@@ -37,11 +37,14 @@ applies the Helstrom value 1/2 + ||rho+ - rho-||_1/4. Its continuous
 phase average is replaced by a uniform grid whose size strictly
 exceeds the trigonometric degree of every averaged entry, which makes
 the grid average exact, not approximate. Every entry is a grid sum,
-with no sector structure assumed: its phases come from one table of
-the grid's unit roots, indexed by exact integers, and the sum is one
-real Gram product (``build_discrimination_pair`` and
-``helstrom_psucc_oracle`` give the details). Grids and dense matrices
-survive only in that oracle.
+with no sector structure assumed: its phases come from a table of the
+grid's unit roots, indexed by exact integers, and the sum is one real
+Gram product (``build_discrimination_pair`` and
+``helstrom_psucc_oracles`` give the details). A table of oracle values
+makes one trig pass for the roots of every t's grid, then builds and
+validates rho+ alone for each t, at O(t^3): the trace norm reads only
+rho+'s off-diagonal block, and only ``build_discrimination_pair``
+forms rho-. Grids and dense matrices survive only in that oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "build_discrimination_pair",
     "helstrom_strategy",
     "helstrom_psucc_oracle",
+    "helstrom_psucc_oracles",
     "attack_round_branches",
     "eve_attack_round",
     "eve_attack_rounds",
@@ -155,13 +159,48 @@ def _pair_grid(t: int) -> int:
     return 2 * t + 5
 
 
-def _unit_roots(grid: int) -> np.ndarray:
-    """The grid's unit roots e^{2 pi i m/g}, m = 0..g-1: cosines, then sines, shape (2, g)."""
-    angles = phase_angles(np.arange(grid), grid)
-    roots = np.empty((2, grid))
+def _unit_roots(grids) -> np.ndarray:
+    """Each grid's unit roots e^{2 pi i m/g}, m = 0..g-1, grid after grid.
+
+    Cosines, then sines: shape (2, sum of the grids). One
+    ``phase_angles`` call, one cos and one sin take every grid, and
+    each angle 2 pi m/g is formed from its own exact m and g, so a
+    grid's slice is bit for bit its table alone.
+    """
+    sizes = np.asarray(grids, dtype=np.intp)
+    grid_of = np.repeat(sizes, sizes)                   # each root's g
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # where its grid starts
+    angles = phase_angles(np.arange(grid_of.size) - first, grid_of)
+    roots = np.empty((2, angles.size))
     np.cos(angles, out=roots[0])
     np.sin(angles, out=roots[1])
     return roots
+
+
+def _grid_average(t: int, roots: np.ndarray) -> np.ndarray:
+    """rho+ for t copies from its grid's (2, g) unit roots: validated, (2t+2, 2t+2) float64.
+
+    The arithmetic and the reality guard of ``build_discrimination_pair``,
+    which gives the details; t must already be range-checked.
+    """
+    grid = roots.shape[1]
+    dim = 2 * (t + 1)
+    power = np.multiply.outer(np.arange(1, grid + 1), np.arange(t + 2))  # k (b+w), b+w <= t+1
+    power %= grid
+    phases = np.take(roots, power, axis=1)                               # (cos/sin, k, b+w)
+    mags = _frame_magnitudes(t)
+    parts = np.empty((2, grid, 2, t + 1))                                # (cos/sin, k, b, w)
+    np.multiply(phases[..., :-1], mags, out=parts[..., 0, :])
+    np.multiply(phases[..., 1:], mags, out=parts[..., 1, :])
+    parts = parts.reshape(2, grid, dim)                                  # C, S
+    stacked = parts.reshape(2 * grid, dim)
+    skew = parts[1].T @ parts[0]
+    imag = float(np.abs(skew - skew.T).max()) / (2 * grid)
+    if imag > CONSTRUCT_ATOL:
+        raise NumericalError(f"grid average at t={t} has imaginary part {imag!r}")
+    plus = np.divide(stacked.T @ stacked, 2 * grid)
+    check_density_operators(plus)
+    return plus
 
 
 def build_discrimination_pair(t: int) -> np.ndarray:
@@ -176,7 +215,10 @@ def build_discrimination_pair(t: int) -> np.ndarray:
     exactly (every matrix entry is a trig polynomial of degree <= t+1);
     ``_pair_grid`` keeps a safety margin. This dense construction is the
     independent oracle; the main path never builds it, and it assumes
-    none of the pair's block structure: every entry is a grid sum.
+    none of the pair's block structure: every entry is a grid sum. Its
+    rho+ is ``_grid_average``, which ``helstrom_psucc_oracles`` also
+    calls, once per t, on one table of every row's unit roots; rho- is
+    formed here only, as no oracle value reads it.
 
     At grid point k, theta_k = 2 pi k/g (k = 1..g, as
     ``keys.phase_angles`` maps it), the rho+ amplitude of |b, w> is
@@ -224,30 +266,11 @@ def build_discrimination_pair(t: int) -> np.ndarray:
       on rho+, whose exact spectrum rho- shares, D being orthogonal.
     """
     t = _require_int("t", t, 0, _MAX_ORACLE_T)
-    grid = _pair_grid(t)
-    dim = 2 * (t + 1)
-    power = np.multiply.outer(np.arange(1, grid + 1), np.arange(t + 2))  # k (b+w), b+w <= t+1
-    power %= grid
-    phases = np.take(_unit_roots(grid), power, axis=1)                   # (cos/sin, k, b+w)
-    mags = _frame_magnitudes(t)
-    parts = np.empty((2, grid, 2, t + 1))                                # (cos/sin, k, b, w)
-    np.multiply(phases[..., :-1], mags, out=parts[..., 0, :])
-    np.multiply(phases[..., 1:], mags, out=parts[..., 1, :])
-    parts = parts.reshape(2, grid, dim)                                  # C, S
-    stacked = parts.reshape(2 * grid, dim)
-    skew = parts[1].T @ parts[0]
-    imag = float(np.abs(skew - skew.T).max()) / (2 * grid)
-    if imag > CONSTRUCT_ATOL:
-        raise NumericalError(f"grid average at t={t} has imaginary part {imag!r}")
-    pair = np.empty((2, dim, dim))
-    plus, minus = pair
-    np.divide(stacked.T @ stacked, 2 * grid, out=plus)
+    plus = _grid_average(t, _unit_roots([_pair_grid(t)]))
     # rho- = Z rho+ Z; adding +0.0 leaves an exact zero as +0.0, as the
     # sign -1 average itself makes it, not as -0.0.
     signature = np.repeat([1.0, -1.0], t + 1)
-    np.multiply(plus, np.multiply.outer(signature, signature), out=minus)
-    minus += 0.0
-    check_density_operators(plus)
+    pair = np.stack((plus, plus * np.multiply.outer(signature, signature) + 0.0))
     pair.setflags(write=False)
     return pair
 
@@ -294,13 +317,37 @@ def helstrom_strategy(t: int) -> HelstromStrategy:
 def helstrom_psucc_oracle(t: int) -> float:
     """Independent oracle: 1/2 + ||rho+ - rho-||_1 / 4 from explicit states.
 
+    ``helstrom_psucc_oracles([t])[0]``, which gives the details: one
+    trig pass and rho+ alone. A table's column is one
+    ``helstrom_psucc_oracles`` call, one trig pass for all its rows;
+    only ``build_discrimination_pair`` forms rho-.
+    """
+    return helstrom_psucc_oracles([t])[0]
+
+
+def helstrom_psucc_oracles(t_values) -> list[float]:
+    """The independent oracle's value for each copy count t of ``t_values``, in order.
+
     rho- = S rho+ S with S = Z (x) I (``build_discrimination_pair``), so
     the gap is 2 [[0, B], [B^T, 0]] with B = rho+[:t+1, t+1:], whose
     eigenvalues are +-2 sigma_i(B). Hence ||rho+ - rho-||_1 =
-    4 sum_i sigma_i(B), and the oracle is 1/2 + sum_i sigma_i(B).
+    4 sum_i sigma_i(B), and the oracle is 1/2 + sum_i sigma_i(B): rho+
+    alone gives it, and rho- is never formed. Every t is range-checked
+    (0..256) before any oracle work. One trig pass (``_unit_roots``)
+    makes the unit roots of every t's grid; each t then makes its own
+    validated rho+ from its slice (``_grid_average``) and one SVD of
+    dimension t+1, O(t^3) per t, so its value does not depend on the
+    other t of the table.
     """
-    block = build_discrimination_pair(t)[0, : t + 1, t + 1:]
-    return 0.5 + float(np.linalg.svd(block, compute_uv=False).sum())
+    ts = [_require_int("t", t, 0, _MAX_ORACLE_T) for t in t_values]
+    grids = [_pair_grid(t) for t in ts]
+    roots = _unit_roots(grids)
+    values, end = [], 0
+    for t, grid in zip(ts, grids):
+        start, end = end, end + grid
+        block = _grid_average(t, roots[:, start:end])[: t + 1, t + 1:]
+        values.append(0.5 + float(np.linalg.svd(block, compute_uv=False).sum()))
+    return values
 
 
 def attack_round_branches(strategy: HelstromStrategy) -> BranchTable:

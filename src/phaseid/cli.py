@@ -304,14 +304,15 @@ def cmd_psucc_table(args) -> int:
 
     t_max = args.t_max if args.t_max is not None else 8
     t_max = _require_int("--t-max", t_max, 1, adversary._MAX_ORACLE_T)
+    t_values = range(1, t_max + 1)
     rows = [
         {
             "t": t,
             "psucc_formula": adversary.psucc_formula(t),
-            "psucc_oracle": adversary.helstrom_psucc_oracle(t),
+            "psucc_oracle": oracle,
             "cheung_bound": adversary.cheung_bound(t),
         }
-        for t in range(1, t_max + 1)
+        for t, oracle in zip(t_values, adversary.helstrom_psucc_oracles(t_values))
     ]
     _emit_rows(rows, args.format, args.out)
     return EXIT_OK

@@ -463,7 +463,7 @@ def run_session(params: ProtocolParams, private_key: PrivateKey, prover="honest"
         table = prover.round_branches()
         if table.rounds != 1:
             raise DimensionMismatchError(f"an adversary gives one row, got {table.rounds}")
-        row = np.zeros(params.s, np.intp)
+        row = np.broadcast_to(np.intp(0), (params.s,))  # zero-strided: holds no index
     if mode == "exact":
         marginal = table.marginal
         rounds = {"row": row, "row_pass_probability": marginal}

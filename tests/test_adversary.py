@@ -23,6 +23,7 @@ from phaseid.adversary import (
     eve_attack_round,
     eve_attack_rounds,
     helstrom_psucc_oracle,
+    helstrom_psucc_oracles,
     helstrom_strategy,
     overlap_sum,
     psucc_formula,
@@ -34,6 +35,7 @@ from phaseid.adversary import (
     HelstromStrategy,
     _frame_magnitudes,
     _pair_grid,
+    _unit_roots,
 )
 from phaseid.bounds import fool_first_attempt_bound
 from phaseid.errors import DimensionMismatchError, StateValidationError
@@ -553,6 +555,39 @@ class TestHelstrom:
         assert calls == []
         assert validated == [(66, 66)]
 
+    def test_oracle_table_is_each_one_t_oracle_bit_for_bit(self):
+        # the table's one trig pass changes no bit: each value is its one-t
+        # call, and 1/2 + the singular values of the returned rho+'s block
+        values = helstrom_psucc_oracles(range(65))
+        assert [v.hex() for v in values] == [
+            helstrom_psucc_oracle(t).hex() for t in range(65)]
+        for t, value in enumerate(values):
+            block = build_discrimination_pair(t)[0][: t + 1, t + 1:]
+            assert value == 0.5 + float(np.linalg.svd(block, compute_uv=False).sum()), t
+        assert helstrom_psucc_oracles([]) == []
+
+    def test_each_grid_slice_of_the_shared_roots_is_its_own_table(self):
+        # every grid up to the oracle's cap, in one table: each slice is bit
+        # for bit that grid's table alone, which is cos and sin of its angles
+        grids = [_pair_grid(t) for t in range(_MAX_ORACLE_T + 1)]
+        roots = _unit_roots(grids)
+        assert roots.shape == (2, sum(grids))
+        end = 0
+        for grid in grids:
+            start, end = end, end + grid
+            alone = _unit_roots([grid])
+            assert roots[:, start:end].tobytes() == alone.tobytes(), grid
+            angles = phase_angles(np.arange(grid), grid)
+            assert alone.tobytes() == np.stack([np.cos(angles), np.sin(angles)]).tobytes()
+
+    def test_every_t_is_range_checked_before_any_oracle_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(adversary, "_unit_roots", lambda grids: calls.append(grids))
+        for bad in (_MAX_ORACLE_T + 1, -1, 2.5):
+            with pytest.raises(ValueError, match="^t must be"):
+                helstrom_psucc_oracles([1, 2, bad])
+        assert calls == []
+
     def test_projector_rank(self):
         proj = helstrom_projector_plus(2)
         rank = int(round(float(np.trace(proj).real)))
@@ -847,6 +882,30 @@ class TestEveProver:
     @pytest.mark.parametrize("t,mode,digest", EVE_SESSION_PINS)
     def test_session_bytes_are_pinned(self, t, mode, digest):
         assert hashlib.sha256(eve_session_bytes(t, mode)).hexdigest() == digest
+
+    def test_long_session_holds_no_round_index(self):
+        # every round reads the adversary's one row, so the exact
+        # transcript's index is a zero-strided view: a million rounds hold
+        # their one-row table and no per-round array (an intp index would
+        # hold 8 MB), and the pinned session bytes are unchanged
+        params = ProtocolParams(r=100, s=10**6)
+        key = generate_private_key(params, 2024)
+        prover = EveProver(helstrom_strategy(3))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            transcript = run_session(params, key, prover, mode="exact")
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2**20
+        assert len(transcript.records) == params.s
+        assert transcript.row.strides == (0,) and not transcript.row.flags.writeable
+        last = transcript.records[-1]
+        assert last.j == params.s
+        assert last.pass_probability == eve_attack_round(3).p_pass_exact
+        for t, mode, digest in EVE_SESSION_PINS:
+            assert hashlib.sha256(eve_session_bytes(t, mode)).hexdigest() == digest, (t, mode)
 
     def test_sampled_session_runs(self):
         params = ProtocolParams(r=2, s=4)

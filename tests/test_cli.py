@@ -293,25 +293,28 @@ class TestInternalFailureExit:
     def test_imaginary_grid_average_exits_numerical(self, capsys, monkeypatch):
         # The oracle's grid average is real in exact arithmetic; a
         # 1e-9 imaginary part is an internal failure, never bad input.
-        # The exact table of unit roots is closed under conjugation,
-        # m -> g - m. Turning every root but 1 by a small phase breaks
-        # that and keeps every DensityOperator check satisfied, so only
-        # the reality guard sees it.
+        # Each grid's exact table of unit roots is closed under
+        # conjugation, m -> g - m. Turning every root but each grid's 1
+        # by a small phase breaks that and keeps every DensityOperator
+        # check satisfied, so only the reality guard sees it.
         exact = adversary._unit_roots
         turn = 3e-8
 
-        def skewed(grid):
-            cos, sin = exact(grid)
+        def skewed(grids):
+            cos, sin = exact(grids)
             roots = np.stack([cos * np.cos(turn) - sin * np.sin(turn),
                               sin * np.cos(turn) + cos * np.sin(turn)])
-            roots[:, 0] = 1.0, 0.0
+            roots[:, np.cumsum(grids) - grids] = [[1.0], [0.0]]
             return roots
 
         monkeypatch.setattr(adversary, "_unit_roots", skewed)
         # at t = 1 both frame magnitudes are 1/sqrt 2: each product of two
         # amplitudes carries 1/2 from the frame and 1/2 from the qubit
         grid = adversary._pair_grid(1)
-        cos, sin = skewed(grid)[:, np.multiply.outer(np.arange(1, grid + 1), [0, 1, 1, 2]) % grid]
+        # t = 1's grid comes first in the table of --t-max 2
+        table = skewed([grid, adversary._pair_grid(2)])
+        np.testing.assert_array_equal(table[:, :grid], skewed([grid]))
+        cos, sin = table[:, np.multiply.outer(np.arange(1, grid + 1), [0, 1, 1, 2]) % grid]
         skew = sin.T @ cos
         assert 5e-10 < np.abs(skew - skew.T).max() / (4 * grid) < 2e-9
         with pytest.raises(NumericalError, match="imaginary part"):
@@ -562,7 +565,8 @@ class TestPsuccTable:
 
     def test_above_the_oracle_cap_is_refused_before_any_oracle(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(adversary, "helstrom_psucc_oracle", calls.append)
+        monkeypatch.setattr(adversary, "helstrom_psucc_oracles", calls.append)
+        monkeypatch.setattr(adversary, "_grid_average", lambda *args: calls.append(args))
         code, out, err = run_cli(["psucc-table", "--t-max", "257"], capsys)
         assert code == EXIT_CONFIG
         assert out == ""
@@ -587,6 +591,44 @@ class TestPsuccTable:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e45316a21e2ceb49e4f2915386d0966a32c42dc064e6e0896ec40ce74f825eb7")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_row_does_not_depend_on_the_table(self, capsys, fmt):
+        # the first 8 rows of a 40-row table are the 8-row table, byte for
+        # byte, though the 40 grids share one table of unit roots
+        _, short, _ = run_cli(["psucc-table", "--t-max", "8", "--format", fmt], capsys)
+        _, long, _ = run_cli(["psucc-table", "--t-max", "40", "--format", fmt], capsys)
+        if fmt == "csv":
+            assert long.splitlines()[:9] == short.splitlines()
+        else:
+            # the text up to the 8th row's closing brace, then the 9th row
+            assert long.startswith(short[:short.rindex("\n  ]")] + ",\n    {")
+            assert json.loads(long)["rows"][:8] == json.loads(short)["rows"]
+
+    def test_table_makes_one_trig_pass_and_forms_rho_plus_alone(self, capsys, monkeypatch):
+        # one phase_angles call, one cos and one sin make every grid's
+        # unit roots; each t validates its rho+ alone, and no rho- is formed
+        calls = {"phase_angles": 0, "cos": 0, "sin": 0, "pair": 0}
+        checked = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        check = adversary.check_density_operators
+        monkeypatch.setattr(adversary, "phase_angles", counted("phase_angles", keys.phase_angles))
+        monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+        monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+        monkeypatch.setattr(adversary, "build_discrimination_pair",
+                            counted("pair", adversary.build_discrimination_pair))
+        monkeypatch.setattr(adversary, "check_density_operators",
+                            lambda stack: checked.append(np.shape(stack)) or check(stack))
+        code, out, _ = run_cli(["psucc-table", "--t-max", "8"], capsys)
+        assert code == EXIT_OK and len(json.loads(out)["rows"]) == 8
+        assert calls == {"phase_angles": 1, "cos": 1, "sin": 1, "pair": 0}
+        assert checked == [(2 * t + 2, 2 * t + 2) for t in range(1, 9)]
 
     def test_repeat_table_computes_no_magnitudes(self, capsys):
         # the memo covers every t up to the oracle's cap, so a repeat
@@ -828,7 +870,8 @@ class TestParsing:
     def test_bad_out_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv,
                                                 where):
         calls = []
-        monkeypatch.setattr(adversary, "helstrom_psucc_oracle", calls.append)
+        monkeypatch.setattr(adversary, "helstrom_psucc_oracles", calls.append)
+        monkeypatch.setattr(adversary, "_grid_average", lambda *args: calls.append(args))
         monkeypatch.setattr(protocol, "run_session", lambda *args, **kw: calls.append(args))
         monkeypatch.setattr(identities, "_IDENTITY_CHECKS", (("stub", lambda: calls.append(0)),))
         out = {"missing-dir": tmp_path / "absent" / "x.json", "directory": tmp_path,

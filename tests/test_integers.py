@@ -20,6 +20,7 @@ from phaseid.adversary import (
     eve_attack_round,
     eve_attack_rounds,
     helstrom_psucc_oracle,
+    helstrom_psucc_oracles,
     helstrom_strategy,
     overlap_sum,
     psucc_formula,
@@ -74,6 +75,7 @@ ENTRY_POINTS = [
     ("cheung_bound", "t", cheung_bound),
     ("build_discrimination_pair", "t", lambda v: build_discrimination_pair(v).tolist()),
     ("helstrom_psucc_oracle", "t", helstrom_psucc_oracle),
+    ("helstrom_psucc_oracles", "t", lambda v: helstrom_psucc_oracles([1, v])),
     ("HelstromStrategy", "t", lambda v: HelstromStrategy(v).t),
     ("helstrom_strategy", "t", lambda v: tuple(vars(helstrom_strategy(v)).values())),
     ("eve_attack_round", "t", lambda v: tuple(vars(eve_attack_round(v)).values())[:3]),
