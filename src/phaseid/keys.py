@@ -139,23 +139,30 @@ class PrivateKey:
         self._set(np.array([x.k for x in xs], dtype=np.int64), p)
 
     @classmethod
-    def from_ks(cls, ks, p: int) -> "PrivateKey":
+    def from_ks(cls, ks, p: int, *, copy: bool = True) -> "PrivateKey":
         """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p.
 
         Floats, bools and strings, in ``ks`` or as ``p``, raise ValueError
         rather than being truncated or compared, as does a p above _MAX_P.
+        The key holds a read-only int64 copy of ``ks``, apart from the
+        caller's array. With ``copy=False`` a caller that owns an int64
+        array hands it over instead: the key makes it read-only in place
+        and copies nothing (``generate_private_key`` hands over its
+        draw). The range check reads ``ks.min()`` and ``ks.max()``, so a
+        valid key makes no mask; only a failure locates its first bad
+        entry.
         """
         p = _require_int("p", p, 1, _MAX_P)
-        ks = np.array(ks)
+        ks = np.array(ks) if copy else np.asarray(ks)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("private key needs a nonempty one-dimensional array of phases")
         if not np.issubdtype(ks.dtype, np.integer):
             raise ValueError(f"k must be integers in 1..{p}, got dtype {ks.dtype}")
-        bad = np.flatnonzero((ks < 1) | (ks > p))
-        if bad.size:
+        if ks.min() < 1 or ks.max() > p:
+            bad = np.flatnonzero((ks < 1) | (ks > p))
             raise ValueError(f"k must lie in 1..{p}, got {ks[bad[0]]}")
         key = cls.__new__(cls)
-        key._set(ks.astype(np.int64, copy=False), p)    # ks is already a copy
+        key._set(ks.astype(np.int64, copy=False), p)
         return key
 
     def _set(self, ks: np.ndarray, p: int) -> None:
@@ -177,9 +184,14 @@ class PrivateKey:
 
 
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
-    """Draw s phases uniformly from {1..p}, deterministically in ``seed``."""
+    """Draw s phases uniformly from {1..p}, deterministically in ``seed``.
+
+    The key takes the draw over (``from_ks(copy=False)``), so it costs
+    one array of s numerators.
+    """
     rng = make_rng(seed)
-    return PrivateKey.from_ks(rng.integers(1, params.p + 1, size=params.s), params.p)
+    return PrivateKey.from_ks(rng.integers(1, params.p + 1, size=params.s), params.p,
+                              copy=False)
 
 
 def public_key_state(x: PhaseFraction) -> PureState:

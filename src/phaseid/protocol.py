@@ -23,10 +23,13 @@ themselves (``_distinct_numerators``): by counting them in one
 sort when p > s, where a count array would be larger than the key. An
 ``HonestProver`` builds its key's table and index once, and every
 session under that key reads them; the tag "honest" asks
-``run_session`` for a fresh one. An adversary holds copies of the
-public key, never the private phases: its ``round_branches()`` takes
-no key and returns one row, which every round reads. Each row is
-validated once.
+``run_session`` for a fresh one. A key that holds every numerator 1..p
+(p <= _MAX_MEMO_P) has the table of its modulus, which a row depends
+on alone, so the process builds it once (``_modulus_table``) and every
+such key of that modulus shares it; any other key builds its own. An
+adversary holds copies of the public key, never the private phases:
+its ``round_branches()`` takes no key and returns one row, which every
+round reads. Each row is validated once.
 Honest and attacked rounds share one verifier step,
 ``verify_kept_states``. It takes each branch's kept 2x2 state, reads the
 branch probability off its trace, and works in closed form on the
@@ -56,6 +59,7 @@ run a single round with them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -101,6 +105,11 @@ _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 # many phases a key has, while the fixed cost of a chunk stays small
 # next to its work.
 CHUNK_ROUNDS = 256
+
+# ``_modulus_table`` keeps the tables of at most _MEMO_TABLES moduli, each
+# of at most _MAX_MEMO_P rows (32 bytes a row), so it holds at most 2 MiB.
+_MEMO_TABLES = 16
+_MAX_MEMO_P = 4096
 
 
 @dataclass(frozen=True)
@@ -383,14 +392,29 @@ def _distinct_numerators(key: PrivateKey) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), (np.cumsum(present, dtype=np.intp) - 1)[key.ks]
 
 
+@functools.lru_cache(maxsize=_MEMO_TABLES)
+def _modulus_table(p: int) -> BranchTable:
+    """The honest table of every phase k/p, k = 1..p in order: memoised, read-only.
+
+    Bit for bit the table of a key holding every numerator, whose
+    distinct numerators are ``np.arange(1, p + 1)``: the same angles,
+    the same kernel and checks. It is built on first use, never at
+    import.
+    """
+    return honest_round_branches(phase_angles(np.arange(1, p + 1), p))
+
+
 class HonestProver:
     """The honest prover of one key, with its session's branch table and index.
 
-    The constructor builds them once: ``table`` has one row per distinct
-    numerator of ``key`` (distinct numerators in 1..p give distinct
-    angles), and ``row``, read-only, holds each round's row. Every
-    session of ``run_session`` under the key reads them, so the key's
-    sessions share one table.
+    The constructor builds its key's table and index once: ``table``
+    has one row per distinct numerator of ``key`` (distinct numerators
+    in 1..p give distinct angles), and ``row``, read-only, holds each
+    round's row. Every session of ``run_session`` under the key reads
+    them, so the key's sessions share one table. A key holding every
+    numerator 1..p, with p <= _MAX_MEMO_P, takes its modulus's table
+    from ``_modulus_table``, built once per process and shared by every
+    such key; any other key builds its own.
     """
 
     tag = "honest"
@@ -399,7 +423,10 @@ class HonestProver:
         ks, row = _distinct_numerators(key)
         row.setflags(write=False)
         self.key = key
-        self.table = honest_round_branches(phase_angles(ks, key.p))
+        if ks.size == key.p <= _MAX_MEMO_P:
+            self.table = _modulus_table(key.p)
+        else:
+            self.table = honest_round_branches(phase_angles(ks, key.p))
         self.row = row
 
 

@@ -127,8 +127,8 @@ class TestPrivateKey:
         assert key.ks.tolist() == [1, 2, 3]
 
     def test_from_ks_copies_an_int64_key_once(self):
-        # one copy of 8 MB, plus the range check's 1 MB masks: it is the
-        # key, read-only and apart from the caller's array, which stays
+        # one copy of 8 MB, and no range-check masks: it is the key,
+        # read-only and apart from the caller's array, which stays
         # writable; a second copy would make 16 MB
         s = 10**6
         ks = np.arange(s, dtype=np.int64) % 3 + 1
@@ -148,6 +148,35 @@ class TestPrivateKey:
         assert from_ks_peak < 1.5 * 8 * s
         # the drawn numerators and the key's copy of them, at most
         assert keygen_peak < 2.5 * 8 * s
+
+    def test_keygen_holds_one_copy_of_its_draw(self):
+        # s = 4e6: the drawn numerators are the key (32 MB); copying them
+        # into the key, as the parent did, peaked at twice that
+        s = 4 * 10**6
+        tracemalloc.start()
+        try:
+            key = generate_private_key(ProtocolParams(r=2, s=s), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key.s == s and key.ks.dtype == np.int64 and not key.ks.flags.writeable
+        assert peak < 1.25 * key.ks.nbytes
+
+    def test_from_ks_without_copy_takes_the_array_over(self):
+        ks = np.array([3, 1, 2], dtype=np.int64)
+        key = PrivateKey.from_ks(ks, 3, copy=False)
+        assert key.ks is ks and not ks.flags.writeable
+        # any other dtype still becomes the key's own int64 array
+        small = np.array([3, 1, 2], dtype=np.int32)
+        key = PrivateKey.from_ks(small, 3, copy=False)
+        assert key.ks.dtype == np.int64 and not np.shares_memory(key.ks, small)
+        assert small.flags.writeable
+
+    @pytest.mark.parametrize("copy", [True, False])
+    @pytest.mark.parametrize("ks,bad", [([1, 0, 5, 2], 0), ([2, 3, 7, -1], 7), ([-4], -4)])
+    def test_from_ks_names_the_first_entry_out_of_range(self, ks, bad, copy):
+        with pytest.raises(ValueError, match=rf"^k must lie in 1\.\.3, got {bad}$"):
+            PrivateKey.from_ks(np.array(ks), 3, copy=copy)
 
     @pytest.mark.parametrize("ks,p", [([], 3), ([[1, 2]], 3), ([0, 1], 3), ([1, 4], 3),
                                       ([1, -2], 3), ([1, 10**30], 3), ([1], 0)])
