@@ -21,9 +21,7 @@ frame-length array, and his own step (entangled challenge,
 conditional Z, SWAP test) turns the two into one row, reproducing
 p_pass = (1 + psucc)/2. ``eve_attack_rounds`` is the one route to
 that row, for any number of copy counts at once; ``eve_attack_round``
-and the Eve prover's ``attack_round_branches`` read one t of it, which
-t alone fixes, so the process makes each t's report once
-(``_attack_report``) and every later session at that t reads it. An
+and the Eve prover's ``attack_round_branches`` read one t of it. An
 adversarial session is that one row with every round reading it,
 whatever its key.
 
@@ -413,19 +411,6 @@ def eve_attack_round(t: int) -> CheatGuessReport:
 
     That value is the optimal attacked round against a key with phase
     modulus p for t <= p - 2 only (see ``helstrom_strategy``).
-
-    t alone fixes the report, so it is made once per t in a process
-    (``_attack_report``), after t is range-checked, and shared: the
-    report is frozen and its row read-only.
-    """
-    return _attack_report(_require_int("t", t, 0))
-
-
-@functools.lru_cache(maxsize=1024)
-def _attack_report(t: int) -> CheatGuessReport:
-    """``eve_attack_rounds([t])[0]``, memoised: every Eve session at t reads it.
-
-    t must already be an int: the memo takes 3.0 and 3 for one key.
     """
     return eve_attack_rounds([t])[0]
 

@@ -82,17 +82,20 @@ def _check_out(out: str | None) -> None:
 def _write_chunks(out: str | None, chunks) -> None:
     """Write the strings of ``chunks`` in turn to ``out``, or stdout for None or "-".
 
-    An ``out`` that cannot be opened is bad input (ConfigError).
+    A file gets each chunk's UTF-8 bytes through a binary stream, with
+    no text layer to build for a one-shot write and no newline
+    translation. An ``out`` that cannot be opened is bad input
+    (ConfigError).
     """
     if out is None or out == "-":
         sys.stdout.writelines(chunks)
         return
     try:
-        fh = open(out, "w", encoding="utf-8")
+        fh = open(out, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot open --out for writing: {exc}") from exc
     with fh:
-        fh.writelines(chunks)
+        fh.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
 def _write_text(out: str | None, text: str) -> None:

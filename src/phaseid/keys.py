@@ -75,8 +75,8 @@ def phase_bases(angles) -> np.ndarray:
     ph = np.exp(1j * np.asarray(angles, dtype=np.float64))
     bases = np.empty(ph.shape + (2, 2), dtype=np.complex128)
     bases[..., 0] = inv
-    bases[..., 0, 1] = inv * ph
-    bases[..., 1, 1] = -inv * ph
+    np.multiply(inv, ph, out=bases[..., 0, 1])
+    np.multiply(-inv, ph, out=bases[..., 1, 1])
     return bases
 
 
@@ -139,30 +139,35 @@ class PrivateKey:
         self._set(np.array([x.k for x in xs], dtype=np.int64), p)
 
     @classmethod
-    def from_ks(cls, ks, p: int, *, copy: bool = True) -> "PrivateKey":
+    def from_ks(cls, ks, p: int) -> "PrivateKey":
         """Key of the numerators ``ks`` over ``p``; every one must lie in 1..p.
 
         Floats, bools and strings, in ``ks`` or as ``p``, raise ValueError
         rather than being truncated or compared, as does a p above _MAX_P.
-        The key holds a read-only int64 copy of ``ks``, apart from the
-        caller's array. With ``copy=False`` a caller that owns an int64
-        array hands it over instead: the key makes it read-only in place
-        and copies nothing (``generate_private_key`` hands over its
-        draw). The range check reads ``ks.min()`` and ``ks.max()``, so a
-        valid key makes no mask; only a failure locates its first bad
-        entry.
+        The key holds a read-only int64 array that no writable array
+        shares. An int64 array that owns its data and is already
+        read-only is taken as it is, with no copy (``generate_private_key``
+        freezes its draw and hands it over); any other array is cast to
+        int64 in one copy, whatever its integer dtype, and a view is
+        copied even when read-only, since its base may still be written.
+        The checks read the array before any copy; the range check reads
+        ``ks.min()`` and ``ks.max()``, so a valid key makes no mask, and
+        only a failure locates its first bad entry.
         """
         p = _require_int("p", p, 1, _MAX_P)
-        ks = np.array(ks) if copy else np.asarray(ks)
+        given, ks = ks, np.asarray(ks)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("private key needs a nonempty one-dimensional array of phases")
-        if not np.issubdtype(ks.dtype, np.integer):
+        if ks.dtype.kind not in "iu":                    # np.integer's kinds
             raise ValueError(f"k must be integers in 1..{p}, got dtype {ks.dtype}")
         if ks.min() < 1 or ks.max() > p:
             bad = np.flatnonzero((ks < 1) | (ks > p))
             raise ValueError(f"k must lie in 1..{p}, got {ks[bad[0]]}")
+        # The key holds ks itself when nothing can write to it: asarray
+        # made it from a list or tuple, or its owner froze it.
+        held = ks is not given or (ks.base is None and not ks.flags.writeable)
         key = cls.__new__(cls)
-        key._set(ks.astype(np.int64, copy=False), p)
+        key._set(ks.astype(np.int64, copy=not held), p)
         return key
 
     def _set(self, ks: np.ndarray, p: int) -> None:
@@ -186,12 +191,12 @@ class PrivateKey:
 def generate_private_key(params: ProtocolParams, seed: int) -> PrivateKey:
     """Draw s phases uniformly from {1..p}, deterministically in ``seed``.
 
-    The key takes the draw over (``from_ks(copy=False)``), so it costs
-    one array of s numerators.
+    The draw is frozen before ``from_ks`` sees it, so the key takes it
+    over and costs one array of s numerators.
     """
-    rng = make_rng(seed)
-    return PrivateKey.from_ks(rng.integers(1, params.p + 1, size=params.s), params.p,
-                              copy=False)
+    ks = make_rng(seed).integers(1, params.p + 1, size=params.s)
+    ks.setflags(write=False)
+    return PrivateKey.from_ks(ks, params.p)
 
 
 def public_key_state(x: PhaseFraction) -> PureState:

@@ -23,13 +23,10 @@ themselves (``_distinct_numerators``): by counting them in one
 sort when p > s, where a count array would be larger than the key. An
 ``HonestProver`` builds its key's table and index once, and every
 session under that key reads them; the tag "honest" asks
-``run_session`` for a fresh one. A key that holds every numerator 1..p
-(p <= _MAX_MEMO_P) has the table of its modulus, which a row depends
-on alone, so the process builds it once (``_modulus_table``) and every
-such key of that modulus shares it; any other key builds its own. An
-adversary holds copies of the public key, never the private phases:
-its ``round_branches()`` takes no key and returns one row, which every
-round reads. Each row is validated once.
+``run_session`` for a fresh one. An adversary holds copies of the
+public key, never the private phases: its ``round_branches()`` takes
+no key and returns one row, which every round reads. Each row is
+validated once.
 Honest and attacked rounds share one verifier step,
 ``verify_kept_states``. It takes each branch's kept 2x2 state, reads the
 branch probability off its trace, and works in closed form on the
@@ -59,7 +56,6 @@ run a single round with them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -106,11 +102,6 @@ _BELL = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
 # next to its work.
 CHUNK_ROUNDS = 256
 
-# ``_modulus_table`` keeps the tables of at most _MEMO_TABLES moduli, each
-# of at most _MAX_MEMO_P rows (32 bytes a row), so it holds at most 2 MiB.
-_MEMO_TABLES = 16
-_MAX_MEMO_P = 4096
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -145,15 +136,19 @@ class BranchTable:
                 f"and {pass_prob.shape}"
             )
         for name, arr in (("branch", prob), ("pass", pass_prob)):
-            # Every comparison with NaN is false, and +-inf falls outside
-            # the range, so the range test also tests finiteness.
-            if not ((arr >= -CONSTRUCT_ATOL) & (arr <= 1.0 + CONSTRUCT_ATOL)).all():
+            # The extremes of an array holding NaN are NaN, every comparison
+            # with NaN is false, and +-inf falls outside the range, so the
+            # range test also tests finiteness. 0.0 lies in the range, so
+            # as a starting value it only lets an empty table pass.
+            if not (arr.min(initial=0.0) >= -CONSTRUCT_ATOL
+                    and arr.max(initial=0.0) <= 1.0 + CONSTRUCT_ATOL):
                 raise NumericalError(f"{name} probabilities must be finite and in [0, 1]")
         total = prob[:, 0] + prob[:, 1]
-        bad = np.flatnonzero(np.abs(total - 1.0) > CONSTRUCT_ATOL)
-        if bad.size:
+        deviation = np.abs(total - 1.0)
+        if deviation.max(initial=0.0) > CONSTRUCT_ATOL:
+            bad = int(np.flatnonzero(deviation > CONSTRUCT_ATOL)[0])
             raise NumericalError(
-                f"branch probabilities of round {int(bad[0])} sum to {float(total[bad[0]])!r}"
+                f"branch probabilities of round {bad} sum to {float(total[bad])!r}"
             )
         prob.setflags(write=False)
         pass_prob.setflags(write=False)
@@ -336,26 +331,39 @@ def verify_kept_states(kept: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray
     probabilities (1 + tr rho sigma)/2, both of shape (round, bit),
     with pass 0 for every branch that is not live.
     """
-    prob = np.trace(kept, axis1=-2, axis2=-1).real
-    live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
-    rounds, bits = np.nonzero(live)
-    weight = prob[live]
-    authentic = phase_bases(angles)[rounds, 0]
-    kept = kept[live] / weight[:, None, None]
-    # Z rho Z flips the sign of the off-diagonal entries.
-    corrected = kept.copy()
-    flip = bits == 1
-    for i, j in ((0, 1), (1, 0)):
-        np.negative(corrected[:, i, j], out=corrected[:, i, j], where=flip)
-    # Real rows stay real in ``corrected``, outside the complex stack:
-    # the einsum sums a real operand in another order.
-    states = np.empty((2, weight.size, 2, 2), dtype=np.complex128)
-    states[0] = kept
-    sigma = states[1]
-    np.multiply(authentic[:, :, None], authentic.conj()[:, None, :], out=sigma)
+    prob = kept.trace(axis1=-2, axis2=-1).real
+    authentic = phase_bases(angles)[:, 0]
+    # Z rho Z flips the sign of the off-diagonal entries, 1 and 2 of each
+    # flattened state. Real rows stay real in ``corrected``, outside the
+    # complex stack: the einsum sums a real operand in another order.
+    if prob.min(initial=np.inf) >= ZERO_BRANCH_PROB:
+        # Every branch is live, as in every honest round, so none is
+        # gathered: the branches are the rows of ``kept`` as they lie,
+        # and each round's projector is written to both of its branches.
+        live = None
+        corrected = kept.reshape(-1, 2, 2) / prob.reshape(-1, 1, 1)
+        states = np.empty((2,) + corrected.shape, dtype=np.complex128)
+        states[0] = corrected
+        off = corrected.reshape(prob.shape + (4,))[:, 1:2, 1:3]       # bit 1
+        np.negative(off, out=off)
+        np.multiply(authentic[:, None, :, None], authentic.conj()[:, None, None, :],
+                    out=states[1].reshape(prob.shape + (2, 2)))
+    else:
+        live = ~(prob < ZERO_BRANCH_PROB)             # NaN is live, and fails the checks
+        rounds, bits = live.nonzero()
+        corrected = kept[live] / prob[live][:, None, None]
+        states = np.empty((2,) + corrected.shape, dtype=np.complex128)
+        states[0] = corrected
+        off = corrected.reshape(-1, 4)[:, 1:3]
+        np.negative(off, out=off, where=(bits == 1)[:, None])
+        authentic = authentic[rounds]
+        np.multiply(authentic[:, :, None], authentic.conj()[:, None, :], out=states[1])
     check_density_operators(states)
-    pass_prob = np.zeros(live.shape)
-    pass_prob[live] = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, sigma).real)
+    passed = 0.5 * (1.0 + np.einsum("nij,nji->n", corrected, states[1]).real)
+    if live is None:
+        return prob, passed.reshape(prob.shape)
+    pass_prob = np.zeros(prob.shape)
+    pass_prob[live] = passed
     return prob, pass_prob
 
 
@@ -371,6 +379,8 @@ def honest_round_branches(angles) -> BranchTable:
     """
     joint = bob_prepare_challenge().as_tensor()
     angles = np.asarray(angles, dtype=np.float64).reshape(-1)
+    if 0 < angles.size <= CHUNK_ROUNDS:
+        return BranchTable(*_honest_rows(joint, angles))
     prob, pass_prob = np.empty((2, angles.size, 2))
     for i in range(0, angles.size, CHUNK_ROUNDS):
         chunk = slice(i, i + CHUNK_ROUNDS)
@@ -389,32 +399,17 @@ def _distinct_numerators(key: PrivateKey) -> tuple[np.ndarray, np.ndarray]:
     if key.p > key.s:
         return np.unique(key.ks, return_inverse=True)
     present = np.bincount(key.ks, minlength=key.p + 1) > 0
-    return np.flatnonzero(present), (np.cumsum(present, dtype=np.intp) - 1)[key.ks]
-
-
-@functools.lru_cache(maxsize=_MEMO_TABLES)
-def _modulus_table(p: int) -> BranchTable:
-    """The honest table of every phase k/p, k = 1..p in order: memoised, read-only.
-
-    Bit for bit the table of a key holding every numerator, whose
-    distinct numerators are ``np.arange(1, p + 1)``: the same angles,
-    the same kernel and checks. It is built on first use, never at
-    import.
-    """
-    return honest_round_branches(phase_angles(np.arange(1, p + 1), p))
+    return present.nonzero()[0], (present.cumsum(dtype=np.intp) - 1)[key.ks]
 
 
 class HonestProver:
     """The honest prover of one key, with its session's branch table and index.
 
-    The constructor builds its key's table and index once: ``table``
-    has one row per distinct numerator of ``key`` (distinct numerators
-    in 1..p give distinct angles), and ``row``, read-only, holds each
-    round's row. Every session of ``run_session`` under the key reads
-    them, so the key's sessions share one table. A key holding every
-    numerator 1..p, with p <= _MAX_MEMO_P, takes its modulus's table
-    from ``_modulus_table``, built once per process and shared by every
-    such key; any other key builds its own.
+    The constructor builds them once: ``table`` has one row per distinct
+    numerator of ``key`` (distinct numerators in 1..p give distinct
+    angles), and ``row``, read-only, holds each round's row. Every
+    session of ``run_session`` under the key reads them, so the key's
+    sessions share one table.
     """
 
     tag = "honest"
@@ -423,10 +418,7 @@ class HonestProver:
         ks, row = _distinct_numerators(key)
         row.setflags(write=False)
         self.key = key
-        if ks.size == key.p <= _MAX_MEMO_P:
-            self.table = _modulus_table(key.p)
-        else:
-            self.table = honest_round_branches(phase_angles(ks, key.p))
+        self.table = honest_round_branches(phase_angles(ks, key.p))
         self.row = row
 
 

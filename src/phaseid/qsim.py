@@ -19,16 +19,17 @@ a stack of values on leading axes: ``check_pure_states``,
 ``check_density_operators`` and ``check_orthonormal_bases``. The value
 classes and ``measure_in_basis`` call them on a single value; batched
 callers call them once on a whole stack. A passing stack costs one
-fused test per validator; only a failing one runs the checks one by
-one, to name the first failure. On a stack of 2x2 operators, the form
-every kept qubit of a session takes, the positivity check uses the
-closed-form smallest eigenvalue instead of ``eigvalsh``. On larger
-operators one Cholesky factorisation of the shifted Hermitian part
-certifies positivity; ``eigvalsh`` runs only when that certificate
-fails, to decide and to report the offending eigenvalue. Either LAPACK
-call takes a real, exactly symmetric matrix as it is, and a Hermitian
-part whose imaginary part is exactly zero as a real symmetric matrix.
-A density operator built from a real matrix stays real (float64); any
+comparison per checked quantity, of its extreme over the whole stack
+(NaN wherever an entry is not finite); only a failing one runs the
+checks one by one, per value, to name the first failure. On a stack
+of 2x2 operators, the form every kept qubit of a session takes, the
+positivity check uses the closed-form smallest eigenvalue instead of
+``eigvalsh``. On larger operators one Cholesky factorisation of the
+shifted Hermitian part certifies positivity; ``eigvalsh`` runs only
+when that certificate fails, to decide and to report the offending
+eigenvalue. Either LAPACK call takes a real, exactly symmetric matrix
+as it is, and a Hermitian part whose imaginary part is exactly zero as
+a real symmetric matrix. A density operator built from a real matrix stays real (float64); any
 other input is stored as complex128.
 """
 
@@ -202,12 +203,13 @@ def check_density_operators(matrices) -> None:
     2-D array is one operator. Raises StateValidationError naming the
     first failing index.
 
-    A passing stack costs one fused test of the Hermitian gap
-    max |M - M^dagger| and the trace; the gap is NaN or inf wherever an
-    entry is not finite, so the same test also refuses those. Only a
-    stack that fails it runs the checks in turn, reusing the gap and the
-    trace, so the first failure and its stack index are named as if each
-    check had run on its own.
+    A passing stack costs two comparisons: the largest entry of
+    |M - M^dagger| over the whole stack, and the largest |tr M - 1|.
+    Either is NaN or inf when an entry is not finite, so the same test
+    also refuses those. Only a stack that fails it runs the checks in
+    turn, per matrix, so the first failure and its stack index are
+    named as if each check had run on its own. The smallest eigenvalue
+    is likewise compared once, as the stack's minimum.
 
     For 2x2 matrices the smallest eigenvalue of the Hermitian part
     [[a, b], [conj b, d]] is taken in closed form,
@@ -223,37 +225,45 @@ def check_density_operators(matrices) -> None:
     """
     mats = np.asarray(matrices)
     adjoint = mats.swapaxes(-1, -2)
-    if np.iscomplexobj(mats):
+    if mats.dtype.kind == "c":
         adjoint = adjoint.conj()
+    pair = mats.shape[-2:] == (2, 2)
     with np.errstate(invalid="ignore"):                 # non-finite input fails below
-        gap = np.abs(mats - adjoint).max(axis=(-2, -1))
-        tr = np.trace(mats, axis1=-2, axis2=-1)
-    if not ((gap <= CONSTRUCT_ATOL) & (np.abs(tr - 1.0) <= CONSTRUCT_ATOL)).all():
+        asym = np.abs(mats - adjoint)
+        # A 2x2 trace is one addition; np.trace's sum differs from it only
+        # in the sign of a zero, which the deviation from 1 does not see.
+        tr = mats[..., 0, 0] + mats[..., 1, 1] if pair else mats.trace(axis1=-2, axis2=-1)
+        deviation = np.abs(tr - 1.0)
+    if not (asym.max(initial=0.0) <= CONSTRUCT_ATOL
+            and deviation.max(initial=0.0) <= CONSTRUCT_ATOL):
         _require_finite(mats, (-2, -1), "matrix entries")
-        idx = _first_bad(gap > CONSTRUCT_ATOL)
+        idx = _first_bad(asym.max(axis=(-2, -1)) > CONSTRUCT_ATOL)
         if idx is not None:
             raise StateValidationError("density operator is not Hermitian" + _where(idx))
+        tr = np.trace(mats, axis1=-2, axis2=-1)
         idx = _first_bad(np.abs(tr - 1.0) > CONSTRUCT_ATOL)
         raise StateValidationError(
             f"density operator trace is {complex(tr[idx])!r}, not 1" + _where(idx)
         )
-    if mats.shape[-2:] == (2, 2):
+    if pair:
+        # a + d is the real part of the trace, added as above
         a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
         b = 0.5 * (mats[..., 0, 1] + adjoint[..., 0, 1])
-        low = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
+        low = 0.5 * tr.real - np.hypot(0.5 * (a - d), np.abs(b))
     else:
-        if mats.dtype.kind == "f" and not gap.any():
+        if mats.dtype.kind == "f" and not asym.any():
             herm = mats
         else:
             herm = _real_if_exact((mats + adjoint) / 2.0)
         if _above_floor_certified(herm):
             return
         low = np.linalg.eigvalsh(herm).min(axis=-1)
+    if low.min(initial=np.inf) >= EIGENVALUE_FLOOR:     # a NaN minimum fails
+        return
     idx = _first_bad(~(low >= EIGENVALUE_FLOOR))
-    if idx is not None:
-        raise StateValidationError(
-            f"density operator has eigenvalue {float(low[idx])!r} < 0" + _where(idx)
-        )
+    raise StateValidationError(
+        f"density operator has eigenvalue {float(low[idx])!r} < 0" + _where(idx)
+    )
 
 
 def check_orthonormal_bases(bases) -> None:
@@ -261,14 +271,23 @@ def check_orthonormal_bases(bases) -> None:
 
     Row i of each (n, d) matrix is basis vector i; the Gram matrix must
     equal the identity to CONSTRUCT_ATOL, so a NaN or infinite entry
-    fails. Raises InvalidBasisError naming the first failing index.
+    fails. Raises InvalidBasisError naming the first failing index. A
+    passing stack costs one comparison, of the largest deviation over
+    the whole stack; only a failure takes it per basis.
     """
     vecs = np.asarray(bases)
-    gram = vecs.conj() @ vecs.swapaxes(-1, -2)
-    off = np.abs(gram - np.eye(vecs.shape[-2])).max(axis=(-2, -1))
-    idx = _first_bad(~(off <= CONSTRUCT_ATOL))
-    if idx is not None:
-        raise InvalidBasisError("basis is not orthonormal within tolerance" + _where(idx))
+    n = vecs.shape[-2]
+    # The Gram matrix less the identity, each matrix flattened: its
+    # diagonal is every (n + 1)-th entry.
+    dev = (vecs.conj() @ vecs.swapaxes(-1, -2)).reshape(vecs.shape[:-2] + (n * n,))
+    if dev.dtype.kind not in "fc":                      # an integer Gram matrix
+        dev = dev.astype(np.float64)
+    dev[..., ::n + 1] -= 1.0
+    off = np.abs(dev)
+    if off.max(initial=0.0) <= CONSTRUCT_ATOL:          # a NaN maximum fails
+        return
+    idx = _first_bad(~(off.max(axis=-1) <= CONSTRUCT_ATOL))
+    raise InvalidBasisError("basis is not orthonormal within tolerance" + _where(idx))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
-import importlib
 import math
 
 import numpy as np
-import pytest
 
 from phaseid import protocol
 from phaseid.adversary import _MAX_ORACLE_T, _frame_magnitudes
@@ -10,38 +8,6 @@ from phaseid.errors import DimensionMismatchError
 from phaseid.keys import PhaseFraction, phase_bases
 from phaseid.qsim import PureState
 from phaseid.tolerances import CONSTRUCT_ATOL, EIGENVALUE_FLOOR
-
-
-# The per-process memos of public-parameter tables, "<module>.<name>" in
-# ``phaseid``: ``cold_memos`` clears them before every test, so a test that
-# counts kernel evaluations sees the work of a fresh process.
-COLD_MEMOS = ("protocol._modulus_table", "adversary._attack_report")
-
-# The other memos, shared across tests on purpose, each with its reason.
-SHARED_MEMOS = {
-    "adversary._frame_magnitudes": "exact binomial magnitudes of t; the tests that "
-                                   "measure its memory clear it themselves",
-    "adversary._overlap_sum": "S(t), a float of t; the tests that time or measure "
-                              "its routes clear it themselves",
-    "cli._shared_parser": "parsing leaves the parser unchanged; its reuse is what "
-                          "the parser tests check",
-    "cli._shared_flag_tables": "read off the shared parser, which never changes",
-    "identities._phase_table": "one table of fixed phases; the test that counts "
-                               "its build clears it itself",
-}
-
-
-def memo(name: str):
-    """The memo "<module>.<name>" of ``phaseid``."""
-    module, attr = name.split(".")
-    return getattr(importlib.import_module(f"phaseid.{module}"), attr)
-
-
-@pytest.fixture(autouse=True)
-def cold_memos():
-    """Clear every memo of ``COLD_MEMOS`` before the test runs."""
-    for name in COLD_MEMOS:
-        memo(name).cache_clear()
 
 
 def basis_state(dims, labels) -> PureState:

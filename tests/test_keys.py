@@ -151,7 +151,7 @@ class TestPrivateKey:
 
     def test_keygen_holds_one_copy_of_its_draw(self):
         # s = 4e6: the drawn numerators are the key (32 MB); copying them
-        # into the key, as the parent did, peaked at twice that
+        # into the key would peak at twice that
         s = 4 * 10**6
         tracemalloc.start()
         try:
@@ -162,21 +162,70 @@ class TestPrivateKey:
         assert key.s == s and key.ks.dtype == np.int64 and not key.ks.flags.writeable
         assert peak < 1.25 * key.ks.nbytes
 
-    def test_from_ks_without_copy_takes_the_array_over(self):
+    def test_from_ks_takes_a_frozen_int64_array_over(self):
         ks = np.array([3, 1, 2], dtype=np.int64)
-        key = PrivateKey.from_ks(ks, 3, copy=False)
-        assert key.ks is ks and not ks.flags.writeable
-        # any other dtype still becomes the key's own int64 array
+        ks.setflags(write=False)
+        assert PrivateKey.from_ks(ks, 3).ks is ks
+        # a writable array, or a frozen one of another dtype, is copied
+        mutable = np.array([3, 1, 2], dtype=np.int64)
+        key = PrivateKey.from_ks(mutable, 3)
+        assert not np.shares_memory(key.ks, mutable) and mutable.flags.writeable
         small = np.array([3, 1, 2], dtype=np.int32)
-        key = PrivateKey.from_ks(small, 3, copy=False)
+        small.setflags(write=False)
+        key = PrivateKey.from_ks(small, 3)
         assert key.ks.dtype == np.int64 and not np.shares_memory(key.ks, small)
-        assert small.flags.writeable
 
-    @pytest.mark.parametrize("copy", [True, False])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("view", [lambda big: big[::2], lambda big: big[:4],
+                                      lambda big: big.reshape(2, 4)[1]])
+    def test_from_ks_copies_a_view(self, view, frozen):
+        # a view's base may still be written, read-only view or not, so
+        # sharing it would leave a checked key that its base could change
+        big = np.array([1, 2, 3, 1, 2, 3, 1, 2], dtype=np.int64)
+        ks = view(big)
+        ks.setflags(write=not frozen)
+        want = ks.tolist()
+        key = PrivateKey.from_ks(ks, 3)
+        assert not np.shares_memory(key.ks, big) and big.flags.writeable
+        digest = hash(key)
+        big[:] = 3
+        assert key.ks.tolist() == want and hash(key) == digest
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+    def test_from_ks_casts_another_dtype_in_one_copy(self, dtype):
+        # the checks read the caller's array and the cast is the key's one
+        # copy: 8 MB of key for 4 or 2 MB of input (two copies made 12 MB)
+        s = 10**6
+        ks = (np.arange(s) % 3 + 1).astype(dtype)
+        tracemalloc.start()
+        try:
+            key = PrivateKey.from_ks(ks, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key.ks.dtype == np.int64 and key.ks.tolist() == ks.tolist()
+        assert not np.shares_memory(key.ks, ks) and ks.flags.writeable
+        assert peak < 1.1 * key.ks.nbytes
+
+    def test_from_ks_of_a_list_makes_one_array(self):
+        s = 10**5
+        ks = [1, 2, 3] * (s // 3)
+        tracemalloc.start()
+        try:
+            key = PrivateKey.from_ks(ks, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key.ks.tolist() == ks and not key.ks.flags.writeable
+        assert peak < 1.5 * key.ks.nbytes
+
+    @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("ks,bad", [([1, 0, 5, 2], 0), ([2, 3, 7, -1], 7), ([-4], -4)])
-    def test_from_ks_names_the_first_entry_out_of_range(self, ks, bad, copy):
+    def test_from_ks_names_the_first_entry_out_of_range(self, ks, bad, frozen):
+        ks = np.array(ks)
+        ks.setflags(write=not frozen)
         with pytest.raises(ValueError, match=rf"^k must lie in 1\.\.3, got {bad}$"):
-            PrivateKey.from_ks(np.array(ks), 3, copy=copy)
+            PrivateKey.from_ks(ks, 3)
 
     @pytest.mark.parametrize("ks,p", [([], 3), ([[1, 2]], 3), ([0, 1], 3), ([1, 4], 3),
                                       ([1, -2], 3), ([1, 10**30], 3), ([1], 0)])
