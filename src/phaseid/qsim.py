@@ -19,9 +19,9 @@ a stack of values on leading axes: ``check_pure_states``,
 ``check_density_operators`` and ``check_orthonormal_bases``. The value
 classes and ``measure_in_basis`` call them on a single value; batched
 callers call them once on a whole stack. A passing stack costs one
-comparison per checked quantity, of its extreme over the whole stack
-(NaN wherever an entry is not finite); only a failing one runs the
-checks one by one, per value, to name the first failure. On a stack
+whole-stack test per checked quantity, which a non-finite entry fails
+too; only a failing one runs the checks one by one, per value, to name
+the first failure. On a stack
 of 2x2 operators, the form every kept qubit of a session takes, the
 positivity check uses the closed-form smallest eigenvalue instead of
 ``eigvalsh``. On larger operators one Cholesky factorisation of the
@@ -29,8 +29,8 @@ shifted Hermitian part certifies positivity; ``eigvalsh`` runs only
 when that certificate fails, to decide and to report the offending
 eigenvalue. Either LAPACK call takes a real, exactly symmetric matrix
 as it is, and a Hermitian part whose imaginary part is exactly zero as
-a real symmetric matrix. A density operator built from a real matrix stays real (float64); any
-other input is stored as complex128.
+a real symmetric matrix. A density operator built from a real matrix
+stays real (float64); any other input is stored as complex128.
 """
 
 from __future__ import annotations
